@@ -6,11 +6,13 @@ from .dynamics import (
     FlowResult,
     VectorField,
     flow,
+    flow_many,
     flow_to_event,
     make_system,
     system_names,
 )
 from .eigenfunctions import (
+    MISS_REASONS,
     ClosedFormEigenfunction,
     OpenEigenfunction,
     ProductEigenfunction,
@@ -22,6 +24,7 @@ from .eigenfunctions import (
     levelset_transversality,
     orbit_scaling_defect,
     pullback,
+    pullback_many,
     restate_data,
     same_primary_class,
 )

@@ -18,6 +18,7 @@ import numpy as np
 from .config import RunConfig, load_config_file
 from .decomposition import TargetSample, build_grid, greedy_decompose
 from .eigenfunctions import (
+    MISS_REASONS,
     OpenEigenfunction,
     evaluate_points,
     koopman_residual,
@@ -78,31 +79,22 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     system, manifold, window = _prepare(cfg)
     if cfg.eig_lambda is None or cfg.eig_h is None:
         raise ConfigError("eval needs eig.lambda and eig.h", field="eig")
-    if cfg.lattice is None:
-        raise ConfigError("eval needs a lattice", field="lattice")
+    dim = system.field.dim
+    points = cfg.lattice_points(dim)
     h_fn = parse_data_fn(cfg.eig_h, where="eig.h")
     data = DataFunction.from_callable(manifold, h_fn)
     eig = OpenEigenfunction(
         cfg.eig_lambda, data, manifold, system.field, window, tol=cfg.integrator_tol
     )
-    lo1, hi1, k1 = cfg.lattice["x1"]
-    lo2, hi2, k2 = cfg.lattice["x2"]
-    xs = np.linspace(float(lo1), float(hi1), int(k1))
-    ys = np.linspace(float(lo2), float(hi2), int(k2))
-    points = [np.array([a, b]) for a in xs for b in ys]
-    values = evaluate_points(eig, points)
-    rows = []
-    in_domain = []
-    for val in values:
-        if val is None:
-            continue
-        in_domain.append(val)
-        rows.append(
-            (val.x[0], val.x[1], val.phi.real, val.phi.imag, val.r_star, val.s_star)
-        )
+    reasons: list[str] = []
+    values = evaluate_points(eig, points, reasons)
+    in_domain = [val for val in values if val is not None]
+    rows = [
+        (*val.x, val.phi.real, val.phi.imag, val.r_star, val.s_star) for val in in_domain
+    ]
     write_csv(
         out_dir / "keig_grid.csv",
-        ["x1", "x2", "phi_re", "phi_im", "r_star", "s_star"],
+        [f"x{k + 1}" for k in range(dim)] + ["phi_re", "phi_im", "r_star", "s_star"],
         rows,
     )
     n_total = len(points)
@@ -127,6 +119,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         "lambda": _c2l(eig.eigenvalue),
         "lattice_points": n_total,
         "in_domain_points": n_ok,
+        "miss_reasons": {reason: reasons.count(reason) for reason in MISS_REASONS},
         "spot_check_t": t_spot,
         "spot_check_residual": spot,
         "config_echo": cfg.echo,
@@ -212,8 +205,14 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     omega = float(spec.get("omega", 1.0))
     t = float(spec.get("t", 1.0))
     n_list = spec.get("n_list", [4, 8, 16, 32, 64, 128, 256])
-    if not isinstance(n_list, list) or not n_list:
-        raise ConfigError("n_list must be a non-empty list", field="spectrum.n_list")
+    if not isinstance(n_list, list) or not n_list or not all(
+        isinstance(n, (int, float)) and not isinstance(n, bool)
+        and float(n).is_integer() and n >= 1
+        for n in n_list
+    ):
+        raise ConfigError(
+            "n_list must be a non-empty list of positive integers", field="spectrum.n_list"
+        )
     annulus = spec.get("annulus", [0.25, 4.0])
     a_lo, a_hi = float(annulus[0]), float(annulus[1])
     quad_points = int(spec.get("quad_points", 256))

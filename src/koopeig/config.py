@@ -58,6 +58,22 @@ def _pair(raw, where: str) -> tuple[float, float]:
         raise ConfigError("entries must be numbers", field=where) from None
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _lattice_axis(spec, where: str) -> np.ndarray:
+    """[lo, hi, count] -> the axis samples."""
+    if not isinstance(spec, list) or len(spec) != 3:
+        raise ConfigError("expected [lo, hi, count]", field=where)
+    lo, hi, count = spec
+    if not (_is_number(lo) and _is_number(hi)):
+        raise ConfigError("lo and hi must be numbers", field=where)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ConfigError("count must be a positive integer", field=where)
+    return np.linspace(float(lo), float(hi), count)
+
+
 def _complex_of(entry, where: str) -> complex:
     if isinstance(entry, (int, float)):
         return complex(entry)
@@ -120,10 +136,8 @@ class RunConfig:
 
         lattice = _expect(raw, "lattice", dict, "")
         if lattice is not None:
-            for axis in ("x1", "x2"):
-                spec = _expect(lattice, axis, list, "lattice", required=True)
-                if len(spec) != 3:
-                    raise ConfigError("expected [lo, hi, count]", field=f"lattice.{axis}")
+            for axis, spec in lattice.items():
+                _lattice_axis(spec, f"lattice.{axis}")
 
         target = _expect(raw, "target", str, "")
         lambda_sweep = _expect(raw, "lambda_sweep", dict, "")
@@ -207,6 +221,25 @@ class RunConfig:
             x0 = float(_expect(spec, "x0", (int, float), "manifold", required=True))
             return point_manifold(x0)
         raise ConfigError(f"unknown manifold type {kind!r}", field="manifold.type")
+
+    def lattice_points(self, dim: int) -> np.ndarray:
+        """The lattice as (N, dim) points, axis x1 outermost.
+
+        A dim-dimensional system needs exactly the axes x1 .. x<dim>.
+        """
+        axes = [f"x{k + 1}" for k in range(dim)]
+        if self.lattice is None:
+            raise ConfigError("eval needs a lattice", field="lattice")
+        if sorted(self.lattice) != sorted(axes):
+            raise ConfigError(
+                f"a {dim}-dimensional system needs the axes {', '.join(axes)}; "
+                f"got {', '.join(sorted(self.lattice)) or 'none'}",
+                field="lattice",
+            )
+        grids = np.meshgrid(
+            *[_lattice_axis(self.lattice[a], f"lattice.{a}") for a in axes], indexing="ij"
+        )
+        return np.stack([g.ravel() for g in grids], axis=1)
 
     def window(self, system: BenchmarkSystem) -> tuple[float, float]:
         return self.t_window if self.t_window is not None else system.default_t_window

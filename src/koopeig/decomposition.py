@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_TOL, VectorField, flow
+from .dynamics import DEFAULT_TOL, VectorField, flow, flow_many, is_numeric
 from .eigenfunctions import OpenEigenfunction
 from .errors import EmptyTargetError
 from .manifolds import DataFunction, DataManifold
@@ -73,9 +73,10 @@ def build_grid(
 ) -> CharacteristicGrid:
     """Uniform (n+1) x (m+1) characteristic grid over the window.
 
-    Each time column continues the integration of the previous one instead
-    of restarting from the manifold, so the cost is one traversal of the
-    window per node.
+    A numerically integrated field marches all n+1 manifold nodes as one
+    batch, forward and then backward, and every lane lands exactly on each
+    r_j. With a closed-form flow each time column continues from the
+    previous one, node by node.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be non-negative")
@@ -88,22 +89,21 @@ def build_grid(
         else np.array([manifold.s_min])
     )
     r_nodes = np.linspace(t1, t2, m + 1) if m > 0 else np.array([t1])
-    d = manifold.dim
-    points = np.empty((s_nodes.size, r_nodes.size, d))
+    points = np.empty((s_nodes.size, r_nodes.size, manifold.dim))
+    anchors = np.array([manifold.embed(s) for s in s_nodes], dtype=float)
     fwd = np.nonzero(r_nodes >= 0.0)[0]
     bwd = np.nonzero(r_nodes < 0.0)[0][::-1]  # walk 0 -> t1
-    for i, s in enumerate(s_nodes):
-        anchor = np.asarray(manifold.embed(s), dtype=float)
-        y, r_prev = anchor, 0.0
-        for j in fwd:
-            y = flow(field, y, r_nodes[j] - r_prev, tol, method=method).state
-            r_prev = r_nodes[j]
-            points[i, j] = y
-        y, r_prev = anchor, 0.0
-        for j in bwd:
-            y = flow(field, y, r_nodes[j] - r_prev, tol, method=method).state
-            r_prev = r_nodes[j]
-            points[i, j] = y
+    for cols in (fwd, bwd):
+        if is_numeric(field, method):
+            images = flow_many(field, anchors, r_nodes[cols], tol, method=method)
+            points[:, cols] = images.swapaxes(0, 1)
+            continue
+        for i, anchor in enumerate(anchors):
+            y, r_prev = anchor, 0.0
+            for j in cols:
+                y = flow(field, y, r_nodes[j] - r_prev, tol, method=method).state
+                r_prev = r_nodes[j]
+                points[i, j] = y
     return CharacteristicGrid(s_nodes, r_nodes, points, field, manifold, (t1, t2))
 
 

@@ -1,30 +1,49 @@
-"""Vector fields, adaptive flow integration, event detection, benchmark systems.
+"""Vector fields, a batched adaptive integrator, event detection, benchmark systems.
 
-The numerical integrator is the Dormand-Prince 5(4) embedded pair
-(scipy's ``RK45``) driven through an explicit stepping loop so that step
-counts, blow-up detection and step-underflow detection stay under our
-control.  Systems that admit a closed-form flow expose it on the
-``VectorField``; ``flow(..., method="auto")`` prefers it when present.
+Numerical integration uses koopeig's own Dormand-Prince 5(4) embedded pair
+(Dormand & Prince 1980; Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.4-II.6). The ``RK45`` stepper advances a (d, N) array whose columns are
+independent lanes. Each lane keeps its own step size, error control, FSAL
+derivative, blow-up bound, step floor and step budget. A lane retires when
+it finishes its span, blows up, underflows, or has met ``max_count`` event
+crossings. A single ``flow`` or ``find_crossings`` is the N = 1 case;
+``flow_many`` and ``find_crossings_many`` march many states as one batch,
+and crossings are refined by vectorized bisection on the dense output.
+
+Right-hand-side contract: ``VectorField.rhs`` maps an array whose first axis
+is the state, shaped (d,) or (d, N), to an array of the same shape. Batches
+of N > 1 lanes call it once per stage with the whole (d, N) array, and a
+result of another shape is a ValueError naming the field. A batch of one
+lane calls it with a (d,) state, so a field written for single states
+still works in ``flow`` and ``find_crossings``.
+
+Systems that admit a closed-form flow expose it on the ``VectorField``;
+``method="auto"`` prefers it when present.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import RK45
 
-from .errors import BlowUpError, NoCrossingError, StepUnderflowError
+from .errors import BlowUpError, KoopeigError, NoCrossingError, StepUnderflowError
 from . import manifolds
 
 __all__ = [
     "VectorField",
     "FlowResult",
     "BenchmarkSystem",
+    "RK45",
+    "as_states",
     "flow",
+    "flow_many",
     "flow_to_event",
+    "find_crossings",
+    "find_crossings_many",
+    "is_numeric",
     "make_system",
     "system_names",
     "DEFAULT_TOL",
@@ -34,14 +53,47 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 DEFAULT_BLOWUP_BOUND = 1e12
 STEP_FLOOR = 1e-14
+MAX_STEPS = 1_000_000
 BISECT_CAP = 80
 # Sampling resolution of the event scan used on closed-form trajectories.
 CLOSED_SCAN_POINTS = 128
 
+# Dormand-Prince 5(4): stage coefficients, fifth-order weights, error weights
+# (fifth minus fourth order, FSAL stage included) and the coefficients of the
+# fourth-order continuous extension, powers x..x^4 of the step fraction x.
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869441 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
+# Lane states.
+RUNNING, DONE, CROSSED, BLOW_UP, UNDERFLOW = range(5)
+ESCAPES = {BLOW_UP: "blow_up", UNDERFLOW: "step_underflow"}
+
 
 @dataclass(frozen=True)
 class VectorField:
-    """Right-hand side of an autonomous ODE on a d-dimensional state space."""
+    """Right-hand side of an autonomous ODE on a d-dimensional state space.
+
+    ``rhs`` maps a (d,) state or a (d, N) batch of states to derivatives of
+    the same shape.
+    """
 
     dim: int
     rhs: Callable[[np.ndarray], np.ndarray]
@@ -81,6 +133,30 @@ def _check_state(field: VectorField, x0) -> np.ndarray:
     return x0
 
 
+def as_states(field: VectorField, states) -> np.ndarray:
+    """States as an (N, d) array; an empty input gives (0, d)."""
+    x = np.array(states, dtype=float)
+    if x.size == 0:
+        return x.reshape(0, field.dim)
+    if x.ndim != 2 or x.shape[1] != field.dim:
+        raise ValueError(f"states shaped {x.shape}, field expects (N, {field.dim})")
+    return x
+
+
+def is_numeric(field: VectorField, method: str) -> bool:
+    """Whether ``method`` integrates the field numerically: "rk45", or "auto"
+    on a field without a closed-form flow. "exact" needs the closed form."""
+    if method == "auto":
+        return field.closed_form_flow is None
+    if method == "exact":
+        if field.closed_form_flow is None:
+            raise ValueError(f"field '{field.name}' has no closed-form flow")
+        return False
+    if method == "rk45":
+        return True
+    raise ValueError(f"unknown method {method!r}")
+
+
 def _closed_eval(field: VectorField, x0: np.ndarray, t: float, blowup_bound: float) -> np.ndarray:
     y = field.closed_form_flow(x0, t)
     n2 = float(y @ y)
@@ -93,57 +169,334 @@ def _closed_eval(field: VectorField, x0: np.ndarray, t: float, blowup_bound: flo
     return y
 
 
-def _march(
-    field: VectorField,
-    x0: np.ndarray,
-    sign: float,
-    span: float,
-    tol: float,
-    blowup_bound: float,
-    max_steps: int = 1_000_000,
-) -> Iterator[tuple[float, np.ndarray, float, np.ndarray, RK45]]:
-    """Step the Dormand-Prince pair over tau in [0, span] along sign*F.
+# ---------------------------------------------------------------------------
+# Batched Dormand-Prince stepper
+# ---------------------------------------------------------------------------
 
-    Yields (tau_old, y_old, tau_new, y_new, solver) per accepted step; the
-    solver's dense output interpolates the step just taken.
+
+def _sum_sq(z: np.ndarray) -> np.ndarray:
+    """Per-lane sum of squares of a (d, N) array, in a fixed order so that a
+    lane's value does not depend on the other lanes in its batch."""
+    acc = z[0] * z[0]
+    for row in z[1:]:
+        acc = acc + row * row
+    return acc
+
+
+def _rms(z: np.ndarray) -> np.ndarray:
+    return np.sqrt(_sum_sq(z) / z.shape[0])
+
+
+def _combine(weights, stages) -> np.ndarray:
+    """sum_j weights[j] * stages[j], skipping zero weights.
+
+    Elementwise in a fixed order rather than a matrix product, so that a
+    lane's result does not depend on the other lanes in its batch.
     """
+    acc = None
+    for w, k in zip(weights, stages):
+        if w != 0.0:
+            acc = w * k if acc is None else acc + w * k
+    return acc
+
+
+class RK45:
+    """Dormand-Prince 5(4) pair marching a (d, N) batch of lanes along tau >= 0.
+
+    ``fun`` maps the (d, N) state to its derivative. Every lane must land on
+    each tau in ``stops`` (positive, increasing); its state there is kept in
+    ``at_stops``. When ``event`` (a (d, M) array to (M,) values) is given,
+    each accepted step that changes its sign records a bracket with the
+    step's dense output, and a lane retires after ``max_count`` of them.
+    ``step()`` makes one attempt for every running lane. When the batch has
+    run out, ``status``, ``tau``, ``y`` and ``steps`` hold each lane's
+    retirement state, and ``crossings(tol)`` refines the brackets.
+    """
+
+    def __init__(
+        self,
+        fun: Callable[[np.ndarray], np.ndarray],
+        y0: np.ndarray,
+        stops,
+        tol: float,
+        *,
+        blowup_bound: float = DEFAULT_BLOWUP_BOUND,
+        max_steps: int = MAX_STEPS,
+        event: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        max_count: int = 1,
+    ):
+        y = np.array(y0, dtype=float)
+        d, n = y.shape
+        self.fun, self.tol = fun, tol
+        self.blowup_bound, self.max_steps = blowup_bound, max_steps
+        self.event, self.max_count = event, max_count
+        self.stops = np.asarray(stops, dtype=float)
+        if self.stops.ndim != 1 or self.stops.size == 0 or not (
+            self.stops[0] > 0.0 and np.all(np.diff(self.stops) > 0.0)
+        ):
+            raise ValueError("stops must be positive and increasing")
+        # Retirement state of every lane.
+        self.status = np.full(n, RUNNING)
+        self.tau = np.zeros(n)
+        self.y = y.copy()
+        self.steps = np.zeros(n, dtype=int)
+        self.at_stops = np.full((self.stops.size, d, n), np.nan)
+        self.brackets: list[tuple] = []
+        # Working arrays of the running lanes only.
+        self._lanes = np.arange(n)
+        self._y = y
+        self._tau = np.zeros(n)
+        self._steps = np.zeros(n, dtype=int)
+        self._next = np.zeros(n, dtype=int)
+        self._count = np.zeros(n, dtype=int)
+        self._rejected = np.zeros(n, dtype=bool)
+        with np.errstate(all="ignore"):
+            self._f = fun(y)
+            self._h = self._initial_step(y, self._f)
+        self._g = event(y) if event is not None else None
+
+    @property
+    def running(self) -> bool:
+        return self._lanes.size > 0
+
+    def _initial_step(self, y0: np.ndarray, f0: np.ndarray) -> np.ndarray:
+        """Per-lane starting step (Hairer, Norsett & Wanner, II.4)."""
+        span = self.stops[-1]
+        scale = self.tol + np.abs(y0) * self.tol
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, span)
+        d2 = _rms((self.fun(y0 + h0 * f0) - f0) / scale) / h0
+        peak = np.maximum(d1, d2)
+        h1 = np.where(peak <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / peak) ** 0.2)
+        return np.minimum(np.minimum(100.0 * h0, h1), span)
+
+    def step(self) -> None:
+        """One attempted step of every running lane; retire the lanes that end."""
+        with np.errstate(all="ignore"):
+            self._attempt()
+
+    def _attempt(self) -> None:
+        y, f, tau, h, tol = self._y, self._f, self._tau, self._h, self.tol
+        target = self.stops[self._next]
+        tau_new = np.minimum(tau + h, target)
+        clipped = tau_new == target
+        hs = tau_new - tau
+        stalled = ~(h >= np.maximum(STEP_FLOOR, 10.0 * np.spacing(tau)))  # NaN stalls too
+
+        k = [f]
+        for a in _A[1:]:
+            k.append(self.fun(y + hs * _combine(a, k)))
+        y_new = y + hs * _combine(_B, k)
+        k.append(self.fun(y_new))
+        scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+        err_norm = _rms(hs * _combine(_E, k) / scale)
+
+        growth = SAFETY * err_norm**-0.2
+        accept = (err_norm < 1.0) & ~stalled
+        # No growth right after a rejection; a step cut short to land on a
+        # stop says nothing against the longer one.
+        h_acc = hs * np.minimum(np.where(self._rejected, 1.0, MAX_FACTOR), growth)
+        h_acc = np.where(clipped, np.maximum(h, h_acc), h_acc)
+        self._h = np.where(accept, h_acc, h * np.fmax(MIN_FACTOR, growth))
+        self._rejected = ~accept
+
+        status = np.where(stalled, UNDERFLOW, RUNNING)
+        if stalled.any():
+            # A collapsing step with an enormous state is finite-time blow-up.
+            status[stalled & (_sum_sq(y) > (1e-2 * self.blowup_bound) ** 2)] = BLOW_UP
+        if accept.any():
+            self._advance(accept, clipped, status, tau_new, y_new, k)
+        self._retire(status)
+
+    def _advance(self, accept, clipped, status, tau_new, y_new, k) -> None:
+        """Move the accepted lanes; mark in status those that land on their
+        last stop, blow up, run out of steps or meet their last crossing."""
+        tau, y = self._tau, self._y
+        if accept.all():
+            self._tau, self._y, self._f = tau_new, y_new, k[-1]
+        else:
+            self._tau = np.where(accept, tau_new, tau)
+            self._y = np.where(accept, y_new, y)
+            self._f = np.where(accept, k[-1], self._f)
+        self._steps = self._steps + accept
+        blown = accept & ~(_sum_sq(y_new) <= self.blowup_bound**2)
+        live = accept & ~blown
+        landed = live & clipped
+        if landed.any():
+            self.at_stops[self._next[landed], :, self._lanes[landed]] = y_new[:, landed].T
+            self._next = self._next + landed
+            status[landed & (self._next == self.stops.size)] = DONE
+        status[live & (status == RUNNING) & (self._steps > self.max_steps)] = UNDERFLOW
+        if self.event is not None:
+            self._detect(k, tau, tau_new, y, np.nonzero(live & (status != UNDERFLOW))[0])
+            status[(status == RUNNING) & (self._count >= self.max_count)] = CROSSED
+        status[blown] = BLOW_UP
+
+    def _detect(self, k, tau, tau_new, y, idx) -> None:
+        """Bracket the sign changes of the event over the accepted steps idx."""
+        if idx.size == 0:
+            return
+        g_new = self.event(self._y[:, idx])
+        g_old = self._g[idx]
+        sel = (g_old * g_new <= 0.0) & ((g_old != 0.0) | (g_new != 0.0))
+        self._g[idx] = g_new
+        if not sel.any():
+            return
+        c = idx[sel]
+        ks = [stage[:, c] for stage in k]
+        q = np.stack([_combine([row[p] for row in _P], ks) for p in range(4)])
+        self.brackets.append((self._lanes[c], tau[c], tau_new[c], y[:, c], q, g_old[sel]))
+        self._count[c] += 1
+
+    def _retire(self, status: np.ndarray) -> None:
+        out = status != RUNNING
+        if not out.any():
+            return
+        lanes = self._lanes[out]
+        self.status[lanes] = status[out]
+        self.tau[lanes] = self._tau[out]
+        self.y[:, lanes] = self._y[:, out]
+        self.steps[lanes] = self._steps[out]
+        keep = ~out
+        self._lanes = self._lanes[keep]
+        self._y, self._f = self._y[:, keep], self._f[:, keep]
+        for name in ("_tau", "_h", "_steps", "_next", "_count", "_rejected"):
+            setattr(self, name, getattr(self, name)[keep])
+        if self._g is not None:
+            self._g = self._g[keep]
+
+    def crossings(self, tol: float) -> list[list[tuple[float, np.ndarray]]]:
+        """Each lane's bracketed crossings, refined to |event| < tol, in time order."""
+        found: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(self.status.size)]
+        if not self.brackets:
+            return found
+        lanes, lo, hi, y_lo, q, g_lo = (
+            np.concatenate(part, axis=-1) for part in zip(*self.brackets)
+        )
+        tau, y = _bisect_dense(self.event, lo, hi, y_lo, q, g_lo, tol)
+        for j in np.argsort(lanes, kind="stable"):
+            found[lanes[j]].append((float(tau[j]), y[:, j].copy()))
+        return found
+
+
+def _bisect_dense(event, lo, hi, y_lo, q, g_lo, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect M brackets at once on their steps' dense output until |event| < tol.
+
+    Each bracket follows the scalar rule of ``_bisect_event``: start from the
+    step's end, halve the side without the sign change.
+    """
+    t0, hs = lo.copy(), hi - lo
+    lo, hi, g_lo = lo.copy(), hi.copy(), g_lo.copy()
+
+    def state_at(tau, j):
+        x = (tau - t0[j]) / hs[j]
+        x2 = x * x
+        x3 = x2 * x
+        poly = q[0][:, j] * x + q[1][:, j] * x2 + q[2][:, j] * x3 + q[3][:, j] * (x3 * x)
+        return y_lo[:, j] + hs[j] * poly
+
+    every = np.arange(lo.size)
+    tau, y = hi.copy(), state_at(hi, every)
+    g = event(y)
+    for _ in range(BISECT_CAP):
+        j = np.nonzero(~(np.abs(g) < tol))[0]
+        if j.size == 0:
+            break
+        mid = 0.5 * (lo[j] + hi[j])
+        y_mid = state_at(mid, j)
+        g_mid = event(y_mid)
+        left = g_lo[j] * g_mid <= 0.0
+        hi[j] = np.where(left, mid, hi[j])
+        lo[j] = np.where(left, lo[j], mid)
+        g_lo[j] = np.where(left, g_lo[j], g_mid)
+        tau[j], y[:, j], g[j] = mid, y_mid, g_mid
+    return tau, y
+
+
+def _lane_rhs(field: VectorField, sign: float):
+    """The RHS of a one-lane batch: one (d,) state per call."""
+    rhs, d = field.rhs, field.dim
+
+    def fun(y):
+        out = np.asarray(rhs(y[:, 0]), dtype=float)
+        if out.shape != (d,):
+            raise ValueError(f"rhs of '{field.name}' returned shape {out.shape} for a state of shape ({d},)")
+        return (out if sign > 0 else -out).reshape(d, 1)
+
+    return fun
+
+
+def _batch_rhs(field: VectorField, sign: float):
     rhs = field.rhs
 
-    def f(_t, y):
-        d = np.asarray(rhs(y), dtype=float)
-        return d if sign > 0 else -d
+    def fun(y):
+        out = np.asarray(rhs(y), dtype=float)
+        if out.shape != y.shape:
+            raise ValueError(
+                f"rhs of '{field.name}' returned shape {out.shape} for a batch of shape "
+                f"{y.shape}; a vector field must map (d, N) states to (d, N)"
+            )
+        return out if sign > 0 else -out
 
-    solver = RK45(f, 0.0, x0, t_bound=span, rtol=tol, atol=tol)
-    steps = 0
-    while solver.status == "running":
-        tau_old, y_old = solver.t, solver.y.copy()
-        msg = solver.step()
-        steps += 1
-        y = solver.y
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y) > blowup_bound:
-            raise BlowUpError(
-                f"trajectory of '{field.name}' exceeded the bound {blowup_bound:g} "
-                f"at tau={solver.t:g}",
-                time=sign * solver.t,
-                state=y.copy(),
-            )
-        if solver.status == "failed" or (
-            solver.status == "running" and solver.step_size is not None and solver.step_size < STEP_FLOOR
-        ):
-            # A collapsing step with an already-enormous state is the numerical
-            # signature of finite-time blow-up, not of a pathological field.
-            if np.linalg.norm(y) > 1e-2 * blowup_bound:
-                raise BlowUpError(
-                    f"trajectory of '{field.name}' is blowing up near tau={solver.t:g}",
-                    time=sign * solver.t,
-                    state=y.copy(),
-                )
-            raise StepUnderflowError(
-                msg or f"step size below {STEP_FLOOR:g} at tau={solver.t:g}"
-            )
-        if steps > max_steps:
-            raise StepUnderflowError(f"exceeded {max_steps} steps before tau={span:g}")
-        yield tau_old, y_old, solver.t, y.copy(), solver
+    return fun
+
+
+def _lane_event(event):
+    def g(y):
+        return np.array([float(event(y[:, j])) for j in range(y.shape[1])])
+
+    return g
+
+
+def _batch_event(event):
+    def g(y):
+        out = np.asarray(event(y), dtype=float)
+        if out.shape != (y.shape[1],):
+            raise ValueError(f"event returned shape {out.shape} for a batch of shape {y.shape}")
+        return out
+
+    return g
+
+
+def _march(
+    field: VectorField,
+    y0: np.ndarray,
+    sign: float,
+    stops,
+    tol: float,
+    blowup_bound: float,
+    max_steps: int = MAX_STEPS,
+    event=None,
+    max_count: int = 1,
+) -> RK45:
+    """Run the stepper over the (d, N) lanes y0 along sign*F until every lane retires."""
+    one = y0.shape[1] == 1
+    if event is not None:
+        event = _lane_event(event) if one else _batch_event(event)
+    solver = RK45(
+        _lane_rhs(field, sign) if one else _batch_rhs(field, sign),
+        y0, stops, tol,
+        blowup_bound=blowup_bound, max_steps=max_steps, event=event, max_count=max_count,
+    )
+    while solver.running:
+        solver.step()
+    return solver
+
+
+def _lane_error(field: VectorField, solver: RK45, lane: int, sign: float) -> KoopeigError:
+    tau = float(solver.tau[lane])
+    if solver.status[lane] == BLOW_UP:
+        return BlowUpError(
+            f"trajectory of '{field.name}' left the bound {solver.blowup_bound:g} "
+            f"near tau={tau:g}",
+            time=sign * tau,
+            state=solver.y[:, lane].copy(),
+        )
+    return StepUnderflowError(
+        f"step size of '{field.name}' fell below {STEP_FLOOR:g}, or the march "
+        f"exceeded {solver.max_steps} steps, at tau={tau:g}"
+    )
 
 
 def flow(
@@ -154,7 +507,7 @@ def flow(
     *,
     method: str = "auto",
     blowup_bound: float = DEFAULT_BLOWUP_BOUND,
-    max_steps: int = 1_000_000,
+    max_steps: int = MAX_STEPS,
 ) -> FlowResult:
     """Advance x0 by time t along the field.
 
@@ -166,24 +519,61 @@ def flow(
         raise ValueError("t must be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method == "auto":
-        method = "exact" if field.closed_form_flow is not None else "rk45"
-    if method == "exact":
-        if field.closed_form_flow is None:
-            raise ValueError(f"field '{field.name}' has no closed-form flow")
-        if t == 0.0:
-            return FlowResult(x0.copy(), 0.0, 0)
-        return FlowResult(_closed_eval(field, x0, t, blowup_bound), t, 0)
-    if method != "rk45":
-        raise ValueError(f"unknown method {method!r}")
+    numeric = is_numeric(field, method)
     if t == 0.0:
         return FlowResult(x0.copy(), 0.0, 0)
+    if not numeric:
+        return FlowResult(_closed_eval(field, x0, t, blowup_bound), t, 0)
     sign = 1.0 if t > 0 else -1.0
-    steps = 0
-    y = x0
-    for _, _, _, y, _ in _march(field, x0, sign, abs(t), tol, blowup_bound, max_steps):
-        steps += 1
-    return FlowResult(y, t, steps)
+    solver = _march(field, x0[:, None], sign, [abs(t)], tol, blowup_bound, max_steps)
+    if solver.status[0] != DONE:
+        raise _lane_error(field, solver, 0, sign)
+    return FlowResult(solver.at_stops[-1, :, 0].copy(), t, int(solver.steps[0]))
+
+
+def flow_many(
+    field: VectorField,
+    states,
+    times,
+    tol: float = DEFAULT_TOL,
+    *,
+    method: str = "auto",
+    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
+    max_steps: int = MAX_STEPS,
+) -> np.ndarray:
+    """Images of N states at several times, shaped (len(times), N, d).
+
+    The times share one sign and grow in magnitude. A numerically integrated
+    field marches all states as one batch that lands exactly on each time;
+    a closed-form flow is evaluated point by point. The first state that
+    blows up or underflows raises, as in ``flow``.
+    """
+    x = as_states(field, states)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    mags = np.abs(times)
+    if not np.all(np.isfinite(times)) or np.any(np.diff(mags) <= 0.0):
+        raise ValueError("times must be finite and grow strictly in magnitude")
+    if np.any(times > 0.0) and np.any(times < 0.0):
+        raise ValueError("times must share one sign")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    numeric = is_numeric(field, method)
+    out = np.empty((times.size, x.shape[0], field.dim))
+    moving = mags > 0.0
+    out[~moving] = x
+    if not moving.any() or x.shape[0] == 0:
+        return out
+    if not numeric:
+        for j in np.nonzero(moving)[0]:
+            out[j] = [_closed_eval(field, xi, times[j], blowup_bound) for xi in x]
+        return out
+    sign = 1.0 if times[-1] > 0 else -1.0
+    solver = _march(field, x.T, sign, mags[moving], tol, blowup_bound, max_steps)
+    failed = np.nonzero(solver.status != DONE)[0]
+    if failed.size:
+        raise _lane_error(field, solver, int(failed[0]), sign)
+    out[moving] = solver.at_stops.transpose(0, 2, 1)
+    return out
 
 
 def _bisect_event(
@@ -228,74 +618,97 @@ def find_crossings(
     Each crossing is refined by bisection to |event| < tol.  Blow-up or step
     underflow occurring after at least one crossing means the orbit left the
     domain and simply ends the scan; before any crossing it propagates.
+    A numeric field marches one lane of ``RK45``; a closed-form flow is
+    scanned adaptively.
     """
     x0 = _check_state(field, x0)
-    if method == "auto":
-        method = "exact" if field.closed_form_flow is not None else "rk45"
     found: list[tuple[float, np.ndarray]] = []
-
-    if method == "exact":
-        # Adaptive scan: bound the state jump per step and halve on blow-up,
-        # so crossings right before a finite-time escape are still bracketed.
-        dt0 = budget / CLOSED_SCAN_POINTS
-        dt_max = budget / 16.0
-        tau_prev, y_prev, g_prev = 0.0, x0, event(x0)
-        dt = dt0
-        blew_up = None
-        while tau_prev < budget:
-            tau = min(tau_prev + dt, budget)
-            try:
-                y = _closed_eval(field, x0, sign * tau, blowup_bound)
-            except BlowUpError as exc:
-                if dt < 1e-15 * budget:
-                    blew_up = exc
-                    break  # orbit escapes here; nothing beyond is reachable
-                dt *= 0.5
-                continue
-            if np.linalg.norm(y - y_prev) > 0.25 * (1.0 + np.linalg.norm(y_prev)):
-                if dt < 1e-15 * budget:
-                    blew_up = BlowUpError("state jump does not resolve", time=tau)
-                    break
-                dt *= 0.5
-                continue
-            g = event(y)
-            if g_prev * g <= 0.0 and (g_prev != 0.0 or g != 0.0):
-                tau_c, y_c = _bisect_event(
-                    event,
-                    lambda s: _closed_eval(field, x0, sign * s, blowup_bound),
-                    tau_prev,
-                    tau,
-                    g_prev,
-                    tol,
-                )
-                found.append((tau_c, y_c))
-                if len(found) >= max_count:
-                    return found
-            tau_prev, y_prev, g_prev = tau, y, g
-            dt = min(dt * 1.4, dt_max)
-        if blew_up is not None and not found:
-            raise blew_up
+    if budget <= 0.0:
         return found
 
-    g_prev = event(x0)
-    try:
-        for tau_old, _y_old, tau_new, y_new, solver in _march(
-            field, x0, sign, budget, tol, blowup_bound
-        ):
-            g = event(y_new)
-            if g_prev * g <= 0.0 and (g_prev != 0.0 or g != 0.0):
-                dense = solver.dense_output()
-                tau_c, y_c = _bisect_event(
-                    event, lambda s: dense(s), tau_old, tau_new, g_prev, tol
-                )
-                found.append((tau_c, y_c))
-                if len(found) >= max_count:
-                    return found
-            g_prev = g
-    except (BlowUpError, StepUnderflowError):
-        if not found:
-            raise
+    if is_numeric(field, method):
+        solver = _march(
+            field, x0[:, None], sign, [budget], tol, blowup_bound,
+            event=event, max_count=max_count,
+        )
+        found = solver.crossings(tol)[0]
+        if not found and solver.status[0] in ESCAPES:
+            raise _lane_error(field, solver, 0, sign)
+        return found
+
+    # Adaptive scan: bound the state jump per step and halve on blow-up,
+    # so crossings right before a finite-time escape are still bracketed.
+    dt0 = budget / CLOSED_SCAN_POINTS
+    dt_max = budget / 16.0
+    tau_prev, y_prev, g_prev = 0.0, x0, event(x0)
+    dt = dt0
+    blew_up = None
+    while tau_prev < budget:
+        tau = min(tau_prev + dt, budget)
+        try:
+            y = _closed_eval(field, x0, sign * tau, blowup_bound)
+        except BlowUpError as exc:
+            if dt < 1e-15 * budget:
+                blew_up = exc
+                break  # orbit escapes here; nothing beyond is reachable
+            dt *= 0.5
+            continue
+        if np.linalg.norm(y - y_prev) > 0.25 * (1.0 + np.linalg.norm(y_prev)):
+            if dt < 1e-15 * budget:
+                blew_up = BlowUpError("state jump does not resolve", time=tau)
+                break
+            dt *= 0.5
+            continue
+        g = event(y)
+        if g_prev * g <= 0.0 and (g_prev != 0.0 or g != 0.0):
+            tau_c, y_c = _bisect_event(
+                event,
+                lambda s: _closed_eval(field, x0, sign * s, blowup_bound),
+                tau_prev,
+                tau,
+                g_prev,
+                tol,
+            )
+            found.append((tau_c, y_c))
+            if len(found) >= max_count:
+                return found
+        tau_prev, y_prev, g_prev = tau, y, g
+        dt = min(dt * 1.4, dt_max)
+    if blew_up is not None and not found:
+        raise blew_up
     return found
+
+
+def find_crossings_many(
+    field: VectorField,
+    states,
+    event: Callable[[np.ndarray], np.ndarray],
+    sign: float,
+    budget: float,
+    tol: float = DEFAULT_TOL,
+    *,
+    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
+    max_count: int = 1,
+) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[str]]]:
+    """``find_crossings`` of the numeric flow for N states, marched as one batch.
+
+    ``event`` maps a (d, M) array to M values. Returns, per state, its
+    crossings and its escape: "blow_up" or "step_underflow" when the orbit
+    left the domain before any crossing (where ``find_crossings`` raises),
+    else None.
+    """
+    x = as_states(field, states)
+    n = x.shape[0]
+    if n == 0 or budget <= 0.0:
+        return [[] for _ in range(n)], [None] * n
+    solver = _march(
+        field, x.T, sign, [budget], tol, blowup_bound, event=event, max_count=max_count,
+    )
+    found = solver.crossings(tol)
+    escapes = [
+        None if found[i] else ESCAPES.get(int(solver.status[i])) for i in range(n)
+    ]
+    return found, escapes
 
 
 def flow_to_event(
@@ -365,7 +778,7 @@ def _lin2d(a1: float = 1.0, a2: float = 2.0) -> BenchmarkSystem:
     a = np.array([float(a1), float(a2)])
 
     def rhs(x):
-        return a * x
+        return (a * x.T).T  # component k scales by a[k] in every lane
 
     def closed(x, t):
         g = a * t
@@ -452,7 +865,7 @@ def _blowup() -> BenchmarkSystem:
 
 def _action_angle() -> BenchmarkSystem:
     def rhs(x):
-        return np.array([0.0, x[0]])
+        return np.stack([np.zeros_like(x[0]), x[0]])
 
     def closed(x, t):
         return np.array([x[0], x[1] + x[0] * t])

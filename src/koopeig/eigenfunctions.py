@@ -21,8 +21,12 @@ from .dynamics import (
     DEFAULT_BLOWUP_BOUND,
     DEFAULT_TOL,
     VectorField,
+    as_states,
     find_crossings,
+    find_crossings_many,
     flow,
+    flow_many,
+    is_numeric,
 )
 from .errors import (
     AmbiguousCrossingError,
@@ -36,6 +40,7 @@ from .manifolds import DataFunction, DataManifold
 __all__ = [
     "Pullback",
     "pullback",
+    "pullback_many",
     "OpenEigenfunction",
     "ClosedFormEigenfunction",
     "ProductEigenfunction",
@@ -48,10 +53,14 @@ __all__ = [
     "same_primary_class",
     "evaluate_points",
     "PointValue",
+    "MISS_REASONS",
 ]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PRIMARY_CLASS_THRESHOLD = 1e-4
+# Why a point is outside the domain: no crossing of the manifold in the
+# window, more than one, or an orbit that blew up or stalled before any.
+MISS_REASONS = ("no_crossing", "ambiguous", "blow_up", "step_underflow")
 
 
 @dataclass(frozen=True)
@@ -102,6 +111,56 @@ def _recover_parameter(manifold: DataManifold, foot: np.ndarray) -> float:
     return manifold.wrap(s)
 
 
+def _on_manifold(manifold: DataManifold, state: np.ndarray, on_tol: float) -> Optional[float]:
+    """The foot's parameter when the state lies on the manifold itself, else None."""
+    s = _recover_parameter(manifold, state)
+    if np.linalg.norm(np.asarray(manifold.embed(s), float) - state) <= on_tol:
+        return s
+    return None
+
+
+def _search_setup(manifold: DataManifold, t_window) -> tuple[float, float, float, float]:
+    """(t1, t2, window slack, on-manifold tolerance) of a pullback."""
+    if manifold.surface is None:
+        raise ValueError("manifold carries no supporting-surface distance")
+    t1, t2 = float(t_window[0]), float(t_window[1])
+    if not (t1 <= 0.0 <= t2):
+        raise ValueError("t_window must contain 0")
+    slack = max(1e-9, 1e-3 * (t2 - t1))
+    on_tol = max(1e-9, 1e-6 * manifold.extent())
+    return t1, t2, slack, on_tol
+
+
+def _feet(manifold, crossings, on_tol: float, check_ambiguity: bool) -> list:
+    """The crossings whose state lies on the manifold, as (tau, state, s)."""
+    hits = []
+    for tau, state in crossings:
+        s = _on_manifold(manifold, state, on_tol)
+        if s is not None:
+            hits.append((tau, state, s))
+            if not check_ambiguity:
+                break
+    return hits
+
+
+def _settle(hits: list, direction: float, escape: Optional[str], check_ambiguity: bool):
+    """A Pullback, or the miss reason when there is not exactly one hit."""
+    if not hits:
+        return escape or "no_crossing"
+    if check_ambiguity and len(hits) > 1:
+        return "ambiguous"
+    tau, state, s = hits[0]
+    return Pullback(direction * tau, s, state)
+
+
+def _miss_error(reason: str) -> Exception:
+    if reason == "ambiguous":
+        return AmbiguousCrossingError("orbit meets the data manifold more than once in one direction")
+    return NotInDomainError(
+        "orbit does not meet the data manifold inside the time window", reason=reason
+    )
+
+
 def pullback(
     field: VectorField,
     manifold: DataManifold,
@@ -121,63 +180,103 @@ def pullback(
     AmbiguousCrossingError when the orbit meets the manifold more than once
     in the same direction (a nonrecurrence violation).
     """
-    if manifold.surface is None:
-        raise ValueError("manifold carries no supporting-surface distance")
-    t1, t2 = float(t_window[0]), float(t_window[1])
-    if not (t1 <= 0.0 <= t2):
-        raise ValueError("t_window must contain 0")
+    t1, t2, slack, on_tol = _search_setup(manifold, t_window)
     x = np.asarray(x, dtype=float).reshape(-1)
-    span = t2 - t1
-    slack = max(1e-9, 1e-3 * span)
-    on_tol = max(1e-9, 1e-6 * manifold.extent())
-
-    def on_manifold(state: np.ndarray) -> Optional[float]:
-        s = _recover_parameter(manifold, state)
-        if np.linalg.norm(np.asarray(manifold.embed(s), float) - state) <= on_tol:
-            return s
-        return None
 
     if abs(manifold.surface(x)) < tol:
-        s = on_manifold(x)
+        s = _on_manifold(manifold, x, on_tol)
         if s is not None:
             return Pullback(0.0, s, x.copy())
 
-    def search(sign: float, budget: float) -> list[tuple[float, np.ndarray, float]]:
-        if budget <= 0.0:
-            return []
+    def search(sign: float, budget: float) -> tuple[list, Optional[str]]:
         try:
             crossings = find_crossings(
                 field, x, manifold.surface, sign, budget, tol,
                 method=method, blowup_bound=blowup_bound,
                 max_count=4 if check_ambiguity else 1,
             )
-        except (BlowUpError, StepUnderflowError):
+        except BlowUpError:
             # Orbit escapes before meeting the manifold: nothing on this side.
-            return []
-        hits = []
-        for tau, state in crossings:
-            s = on_manifold(state)
-            if s is not None:
-                hits.append((tau, state, s))
-                if not check_ambiguity:
-                    break
-        return hits
+            return [], "blow_up"
+        except StepUnderflowError:
+            return [], "step_underflow"
+        return _feet(manifold, crossings, on_tol, check_ambiguity), None
 
-    hits = search(-1.0, t2 + slack)
+    hits, escape = search(-1.0, t2 + slack)
     direction = 1.0
     if not hits and t1 < 0.0:
-        hits = search(1.0, -t1 + slack)
+        hits, escape_fwd = search(1.0, -t1 + slack)
         direction = -1.0
-    if not hits:
-        raise NotInDomainError(
-            "orbit does not meet the data manifold inside the time window"
+        escape = escape or escape_fwd
+    result = _settle(hits, direction, escape, check_ambiguity)
+    if isinstance(result, str):
+        raise _miss_error(result)
+    return result
+
+
+def pullback_many(
+    field: VectorField,
+    manifold: DataManifold,
+    t_window: tuple[float, float],
+    points,
+    tol: float = DEFAULT_TOL,
+    *,
+    method: str = "auto",
+    check_ambiguity: bool = True,
+    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
+) -> list:
+    """``pullback`` of N points: per point a Pullback or its miss reason.
+
+    A miss reason is one of MISS_REASONS. A numerically integrated field
+    marches every point as one lane of a batch, backward and then (when
+    t1 < 0) forward, under the rules of ``pullback``; a closed-form flow runs
+    the exact scan point by point.
+    """
+    pts = as_states(field, points)
+    if pts.shape[0] == 0:
+        return []
+    if not is_numeric(field, method):
+        out: list = []
+        for x in pts:
+            try:
+                out.append(pullback(
+                    field, manifold, t_window, x, tol, method=method,
+                    check_ambiguity=check_ambiguity, blowup_bound=blowup_bound,
+                ))
+            except (NotInDomainError, AmbiguousCrossingError) as exc:
+                out.append(exc.reason)
+        return out
+
+    t1, t2, slack, on_tol = _search_setup(manifold, t_window)
+    results: list = [None] * pts.shape[0]
+    pending = []
+    g0 = manifold.surface(pts.T)
+    for i, x in enumerate(pts):
+        s = _on_manifold(manifold, x, on_tol) if abs(g0[i]) < tol else None
+        if s is None:
+            pending.append(i)
+        else:
+            results[i] = Pullback(0.0, s, x.copy())
+
+    def search(idx: list, sign: float, budget: float):
+        crossings, escapes = find_crossings_many(
+            field, pts[idx], manifold.surface, sign, budget, tol,
+            blowup_bound=blowup_bound, max_count=4 if check_ambiguity else 1,
         )
-    if check_ambiguity and len(hits) > 1:
-        raise AmbiguousCrossingError(
-            f"orbit meets the data manifold {len(hits)} times in one direction"
-        )
-    tau, state, s = hits[0]
-    return Pullback(direction * tau, s, state)
+        feet = [_feet(manifold, c, on_tol, check_ambiguity) for c in crossings]
+        return dict(zip(idx, feet)), dict(zip(idx, escapes))
+
+    hits, escapes = search(pending, -1.0, t2 + slack)
+    direction = dict.fromkeys(pending, 1.0)
+    retry = [i for i in pending if not hits[i]] if t1 < 0.0 else []
+    if retry:
+        hits_fwd, escapes_fwd = search(retry, 1.0, -t1 + slack)
+        for i in retry:
+            hits[i], direction[i] = hits_fwd[i], -1.0
+            escapes[i] = escapes[i] or escapes_fwd[i]
+    for i in pending:
+        results[i] = _settle(hits[i], direction[i], escapes[i], check_ambiguity)
+    return results
 
 
 class _EigenfunctionBase:
@@ -188,6 +287,10 @@ class _EigenfunctionBase:
 
     def __call__(self, x) -> complex:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def values(self, points) -> np.ndarray:
+        """phi at N points, shaped (N,); raises like __call__ on the first miss."""
+        return np.array([complex(self(x)) for x in as_states(self.field, points)], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -221,9 +324,28 @@ class OpenEigenfunction(_EigenfunctionBase):
             check_ambiguity=self.check_ambiguity,
         )
 
+    def pullback_many(self, points) -> list:
+        return pullback_many(
+            self.field,
+            self.manifold,
+            self.t_window,
+            points,
+            self.tol,
+            method=self.method,
+            check_ambiguity=self.check_ambiguity,
+        )
+
     def __call__(self, x) -> complex:
         pb = self.pullback(x)
         return self.data(pb.s_star) * cmath.exp(self.eigenvalue * pb.r_star)
+
+    def values(self, points) -> np.ndarray:
+        out = []
+        for pb in self.pullback_many(points):
+            if isinstance(pb, str):
+                raise _miss_error(pb)
+            out.append(self.data(pb.s_star) * cmath.exp(self.eigenvalue * pb.r_star))
+        return np.array(out, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -290,6 +412,14 @@ class ProductEigenfunction(_EigenfunctionBase):
             out *= _safe_power(complex(eig(x)), alpha)
         return out
 
+    def values(self, points) -> np.ndarray:
+        pts = as_states(self.field, points)
+        out = np.ones(pts.shape[0], dtype=complex)
+        for eig, alpha in self.factors:
+            if alpha != 0.0:
+                out *= [_safe_power(complex(v), alpha) for v in eig.values(pts)]
+        return out
+
 
 def algebraic_combine(
     eig1: _EigenfunctionBase, alpha1: float, eig2: _EigenfunctionBase, alpha2: float
@@ -315,18 +445,18 @@ def koopman_residual(
 
     This is the universal certificate that an object is a genuine
     eigenfunction; it propagates NotInDomainError when a point or its
-    t-image leaves the domain.
+    t-image leaves the domain. The points flow as one batch, and phi is
+    evaluated at both ends of every orbit in one call.
     """
-    lam = complex(eig.eigenvalue)
-    factor = cmath.exp(lam * t)
-    worst = 0.0
-    for x in points:
-        phi_x = complex(eig(x))
-        y = flow(eig.field, x, t, tol, method=method).state
-        phi_y = complex(eig(y))
-        defect = abs(phi_y - factor * phi_x) / max(1.0, abs(phi_x))
-        worst = max(worst, defect)
-    return worst
+    pts = as_states(eig.field, points)
+    if pts.shape[0] == 0:
+        return 0.0
+    factor = cmath.exp(complex(eig.eigenvalue) * t)
+    ends = flow_many(eig.field, pts, [t], tol, method=method)[0]
+    phi = eig.values(np.concatenate([pts, ends]))
+    phi_x, phi_y = phi[: pts.shape[0]], phi[pts.shape[0]:]
+    defect = np.abs(phi_y - factor * phi_x) / np.maximum(1.0, np.abs(phi_x))
+    return float(defect.max())
 
 
 def orbit_scaling_defect(
@@ -348,17 +478,7 @@ def restate_data(eig: OpenEigenfunction, target: DataManifold) -> DataFunction:
     The eigenfunction rebuilt from (lambda, restated data, target manifold)
     agrees with the original wherever their domains overlap.
     """
-    values = np.array([complex(eig(p)) for p in target.sample_points()])
-    return DataFunction.from_samples(target, values)
-
-
-def _grad(eig: _EigenfunctionBase, x: np.ndarray, h: float) -> np.ndarray:
-    g = np.empty(2, dtype=complex)
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        g[i] = (complex(eig(x + e)) - complex(eig(x - e))) / (2.0 * h)
-    return g
+    return DataFunction.from_samples(target, eig.values(target.sample_points()))
 
 
 def levelset_transversality(
@@ -369,6 +489,8 @@ def levelset_transversality(
 ) -> np.ndarray:
     """|grad(phi1) . perp-grad(phi2)| at each point, by central differences.
 
+    Each eigenfunction is evaluated on the whole stencil in one call.
+
     Near-zero everywhere means the two candidates share level sets (one
     primary class); systematically nonzero level-set crossings separate them.
     """
@@ -378,12 +500,16 @@ def levelset_transversality(
     if fd_step is None:
         diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
         fd_step = 1e-5 * max(diag, 1.0)
-    out = np.empty(pts.shape[0])
-    for k, x in enumerate(pts):
-        g1 = _grad(eig1, x, fd_step)
-        g2 = _grad(eig2, x, fd_step)
-        out[k] = abs(g1[0] * g2[1] - g1[1] * g2[0])
-    return out
+    # Central-difference stencil x + e1, x - e1, x + e2, x - e2 of every point.
+    offsets = fd_step * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    stencil = (pts[:, None, :] + offsets).reshape(-1, 2)
+
+    def grad(eig):
+        v = eig.values(stencil).reshape(-1, 4)
+        return (v[:, 0] - v[:, 1]) / (2.0 * fd_step), (v[:, 2] - v[:, 3]) / (2.0 * fd_step)
+
+    g1, g2 = grad(eig1), grad(eig2)
+    return np.abs(g1[0] * g2[1] - g1[1] * g2[0])
 
 
 def same_primary_class(
@@ -404,15 +530,22 @@ class PointValue:
     s_star: float
 
 
-def evaluate_points(eig: OpenEigenfunction, points: Sequence) -> list[Optional[PointValue]]:
-    """Evaluate on many points; None marks points outside the domain."""
+def evaluate_points(
+    eig: OpenEigenfunction, points: Sequence, reasons: Optional[list] = None
+) -> list[Optional[PointValue]]:
+    """Evaluate on many points; None marks points outside the domain.
+
+    A numerically integrated field pulls every point back in one batch.
+    When ``reasons`` is a list, the miss reason of each None (one of
+    MISS_REASONS) is appended to it in point order.
+    """
+    pts = as_states(eig.field, points)
     out: list[Optional[PointValue]] = []
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        try:
-            pb = eig.pullback(x)
-        except (NotInDomainError, AmbiguousCrossingError):
+    for x, pb in zip(pts, eig.pullback_many(pts)):
+        if isinstance(pb, str):
             out.append(None)
+            if reasons is not None:
+                reasons.append(pb)
             continue
         phi = eig.data(pb.s_star) * cmath.exp(complex(eig.eigenvalue) * pb.r_star)
         out.append(PointValue(x, phi, pb.r_star, pb.s_star))

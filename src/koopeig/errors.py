@@ -23,11 +23,21 @@ class NoCrossingError(KoopeigError):
 
 
 class NotInDomainError(KoopeigError):
-    """Query point is outside the swept domain of an eigenfunction."""
+    """Query point is outside the swept domain of an eigenfunction.
+
+    ``reason`` says why the orbit missed the data manifold: "no_crossing",
+    "blow_up" or "step_underflow".
+    """
+
+    def __init__(self, message, reason="no_crossing"):
+        super().__init__(message)
+        self.reason = reason
 
 
 class AmbiguousCrossingError(KoopeigError):
     """Backward/forward orbit met the data manifold more than once in-window."""
+
+    reason = "ambiguous"
 
 
 class OutOfRangeError(KoopeigError):

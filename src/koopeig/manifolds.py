@@ -42,7 +42,8 @@ class DataManifold:
     """Parameterized curve s in [s_min, s_max] -> state, transverse to a flow.
 
     ``surface`` is the signed distance to the supporting surface (the full
-    line through a segment, the full circle through an arc); ``closed``
+    line through a segment, the full circle through an arc): a float for one
+    (d,) state, an (N,) array for a (d, N) batch of states; ``closed``
     marks manifolds whose parameterization wraps with period s_max - s_min.
     """
 
@@ -108,6 +109,11 @@ class DataManifold:
         return replace(self, n_samples=n_samples)
 
 
+def _per_state(x: np.ndarray, value):
+    """A surface value: a float for one (d,) state, an (N,) array for (d, N)."""
+    return float(value) if x.ndim == 1 else value
+
+
 def segment_manifold(
     p0: Sequence[float],
     p1: Sequence[float],
@@ -141,14 +147,17 @@ def segment_manifold(
         normal = np.array([-unit[1], unit[0]])
 
         def surface(x):
-            return float(normal @ (np.asarray(x, float) - p0))
+            x = np.asarray(x, float)
+            return _per_state(x, normal[0] * (x[0] - p0[0]) + normal[1] * (x[1] - p0[1]))
 
     else:
+        u = (p1 - p0) / length
 
         def surface(x):  # distance along the segment axis complement
-            v = np.asarray(x, float) - p0
-            u = (p1 - p0) / length
-            return float(np.linalg.norm(v - (v @ u) * u))
+            x = np.asarray(x, float)
+            v = x - p0.reshape((-1,) + (1,) * (x.ndim - 1))
+            along = sum(u[k] * v[k] for k in range(u.size))
+            return _per_state(x, np.sqrt(sum((v[k] - along * u[k]) ** 2 for k in range(u.size))))
 
     return DataManifold(
         embed=embed,
@@ -187,7 +196,8 @@ def circle_manifold(
         return radius * np.array([-math.sin(s), math.cos(s)])
 
     def surface(x):
-        return float(np.linalg.norm(np.asarray(x, float) - c) - radius)
+        x = np.asarray(x, float)
+        return _per_state(x, np.sqrt((x[0] - c[0]) ** 2 + (x[1] - c[1]) ** 2) - radius)
 
     return DataManifold(
         embed=embed,
@@ -210,7 +220,8 @@ def point_manifold(x0: float, name: str = "point") -> DataManifold:
         return np.array([x0])
 
     def surface(x):
-        return float(np.asarray(x, float)[0] - x0)
+        x = np.asarray(x, float)
+        return _per_state(x, x[0] - x0)
 
     return DataManifold(
         embed=embed,

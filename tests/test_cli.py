@@ -255,3 +255,78 @@ def test_flag_overrides_survive_in_echo(tmp_path):
     summary = json.loads((tmp_path / "o2" / "spectrum_summary.json").read_text())
     assert summary["config_echo"]["seed"] == 5
     assert summary["config_echo"]["threads"] == 2
+
+
+LIN1D_CFG = {
+    "system": {"name": "lin1d", "params": {"a": 1.0}},
+    "t_window": [-1.0, 1.0],
+    "eig": {"lambda": [1.0, 0.0], "h": "1"},
+    "lattice": {"x1": [0.25, 2.25, 9]},
+    "seed": 0,
+}
+
+
+def test_eval_one_dimensional_lattice(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", LIN1D_CFG)
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    header, rows = read_csv(tmp_path / "out" / "keig_grid.csv")
+    assert header == ["x1", "phi_re", "phi_im", "r_star", "s_star"]
+    # U = [1/e, e]: phi = x, the state observer.
+    assert rows.shape[0] == 8
+    assert np.max(np.abs(rows[:, 1] - rows[:, 0])) < 1e-8
+    summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
+    assert summary["miss_reasons"] == {
+        "ambiguous": 0, "blow_up": 0, "no_crossing": 1, "step_underflow": 0,
+    }
+
+
+def test_eval_miss_reasons_account_for_every_miss(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "system": {"name": "vdp"},
+            "t_window": [0.0, 2.0],
+            "eig": {"lambda": [1.0, 0.0], "h": "s"},
+            "lattice": {"x1": [-0.2, 2.2, 6], "x2": [-1.9, 1.5, 6]},
+            "seed": 0,
+        },
+    )
+    main(["eval", "--config", cfg, "--out", str(tmp_path / "a")])
+    main(["eval", "--config", cfg, "--out", str(tmp_path / "b")])
+    summary = json.loads((tmp_path / "a" / "eval_summary.json").read_text())
+    reasons = summary["miss_reasons"]
+    assert set(reasons) == {"no_crossing", "ambiguous", "blow_up", "step_underflow"}
+    assert sum(reasons.values()) == summary["lattice_points"] - summary["in_domain_points"]
+    assert reasons["blow_up"] > 0 and reasons["no_crossing"] > 0
+    assert (tmp_path / "a" / "eval_summary.json").read_bytes() == (
+        tmp_path / "b" / "eval_summary.json"
+    ).read_bytes()
+
+
+def _with(base, **changes):
+    cfg = json.loads(json.dumps(base))
+    for path, value in changes.items():
+        node = cfg
+        *parents, leaf = path.split("__")
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    return cfg
+
+
+# (command, config, field path named in the error)
+BAD_CONFIGS = [
+    ("eval", _with(LIN1D_CFG, lattice={"x1": [0.5, 2.5, 4], "x2": [0.5, 2.5, 4]}), "lattice"),
+    ("eval", _with(OBSERVER_CFG, lattice={"x1": [1.0, 2.0, 4]}), "lattice"),
+    ("eval", _with(OBSERVER_CFG, lattice__x2=[1.0, 7.0, "12"]), "lattice.x2"),
+    ("eval", _with(OBSERVER_CFG, lattice__x1=[1.0, "b", 4]), "lattice.x1"),
+    ("spectrum", _with(SPECTRUM_CFG, spectrum__n_list=[4, "x"]), "spectrum.n_list"),
+    ("spectrum", _with(SPECTRUM_CFG, spectrum__n_list=[]), "spectrum.n_list"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,field", BAD_CONFIGS)
+def test_bad_config_exits_2_with_field_path(tmp_path, capsys, command, cfg, field):
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
