@@ -12,7 +12,6 @@ from .dynamics import (
     system_names,
 )
 from .eigenfunctions import (
-    MISS_REASONS,
     ClosedFormEigenfunction,
     OpenEigenfunction,
     ProductEigenfunction,
@@ -29,6 +28,7 @@ from .eigenfunctions import (
     same_primary_class,
 )
 from .errors import (
+    MISS_REASONS,
     AmbiguousCrossingError,
     BlowUpError,
     BranchCutError,

@@ -17,13 +17,8 @@ import numpy as np
 
 from .config import RunConfig, load_config_file
 from .decomposition import TargetSample, build_grid, greedy_decompose
-from .eigenfunctions import (
-    MISS_REASONS,
-    OpenEigenfunction,
-    evaluate_points,
-    koopman_residual,
-)
-from .errors import ConfigError, EmptyTargetError, NotInDomainError
+from .eigenfunctions import OpenEigenfunction, evaluate_points, koopman_residual
+from .errors import MISS_REASONS, ConfigError, EmptyTargetError, NotInDomainError
 from .manifolds import DataFunction, check_transversality
 from .spectrum import scaling_fit, wedge_point_spectrum_check
 from .targets import parse_data_fn, parse_target
@@ -86,8 +81,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     eig = OpenEigenfunction(
         cfg.eig_lambda, data, manifold, system.field, window, tol=cfg.integrator_tol
     )
-    reasons: list[str] = []
-    values = evaluate_points(eig, points, reasons)
+    values, misses = evaluate_points(eig, points)
     in_domain = [val for val in values if val is not None]
     rows = [
         (*val.x, val.phi.real, val.phi.imag, val.r_star, val.s_star) for val in in_domain
@@ -119,7 +113,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         "lambda": _c2l(eig.eigenvalue),
         "lattice_points": n_total,
         "in_domain_points": n_ok,
-        "miss_reasons": {reason: reasons.count(reason) for reason in MISS_REASONS},
+        "miss_reasons": {reason: misses.count(reason) for reason in MISS_REASONS},
         "spot_check_t": t_spot,
         "spot_check_residual": spot,
         "config_echo": cfg.echo,

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_TOL, VectorField, flow, flow_many, is_numeric
+# ``flow`` is not called here, but perfbench/tracing.py patches decomposition.flow.
+from .dynamics import DEFAULT_TOL, VectorField, flow, flow_many  # noqa: F401
 from .eigenfunctions import OpenEigenfunction
 from .errors import EmptyTargetError
 from .manifolds import DataFunction, DataManifold
@@ -73,10 +74,10 @@ def build_grid(
 ) -> CharacteristicGrid:
     """Uniform (n+1) x (m+1) characteristic grid over the window.
 
-    A numerically integrated field marches all n+1 manifold nodes as one
-    batch, forward and then backward, and every lane lands exactly on each
-    r_j. With a closed-form flow each time column continues from the
-    previous one, node by node.
+    Every node flows from its anchor, forward and then backward, through
+    ``flow_many``: a numerically integrated field marches all n+1 nodes as
+    one batch that lands exactly on each r_j, and a closed-form flow is
+    evaluated node by node.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be non-negative")
@@ -94,16 +95,7 @@ def build_grid(
     fwd = np.nonzero(r_nodes >= 0.0)[0]
     bwd = np.nonzero(r_nodes < 0.0)[0][::-1]  # walk 0 -> t1
     for cols in (fwd, bwd):
-        if is_numeric(field, method):
-            images = flow_many(field, anchors, r_nodes[cols], tol, method=method)
-            points[:, cols] = images.swapaxes(0, 1)
-            continue
-        for i, anchor in enumerate(anchors):
-            y, r_prev = anchor, 0.0
-            for j in cols:
-                y = flow(field, y, r_nodes[j] - r_prev, tol, method=method).state
-                r_prev = r_nodes[j]
-                points[i, j] = y
+        points[:, cols] = flow_many(field, anchors, r_nodes[cols], tol, method=method).swapaxes(0, 1)
     return CharacteristicGrid(s_nodes, r_nodes, points, field, manifold, (t1, t2))
 
 

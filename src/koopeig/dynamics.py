@@ -82,9 +82,18 @@ _P = (
 )
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
+
+def _terms(weights) -> tuple:
+    """The (weight, stage index) pairs of the nonzero weights."""
+    return tuple((w, j) for j, w in enumerate(weights) if w != 0.0)
+
+
+_A_TERMS = tuple(_terms(a) for a in _A[1:])
+_B_TERMS, _E_TERMS = _terms(_B), _terms(_E)
+_P_TERMS = tuple(_terms([row[p] for row in _P]) for p in range(4))
+
 # Lane states.
 RUNNING, DONE, CROSSED, BLOW_UP, UNDERFLOW = range(5)
-ESCAPES = {BLOW_UP: "blow_up", UNDERFLOW: "step_underflow"}
 
 
 @dataclass(frozen=True)
@@ -187,16 +196,16 @@ def _rms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(_sum_sq(z) / z.shape[0])
 
 
-def _combine(weights, stages) -> np.ndarray:
-    """sum_j weights[j] * stages[j], skipping zero weights.
+def _combine(terms, stages) -> np.ndarray:
+    """sum w * stages[j] over the (w, j) terms.
 
     Elementwise in a fixed order rather than a matrix product, so that a
     lane's result does not depend on the other lanes in its batch.
     """
-    acc = None
-    for w, k in zip(weights, stages):
-        if w != 0.0:
-            acc = w * k if acc is None else acc + w * k
+    (w, j), *rest = terms
+    acc = w * stages[j]
+    for w, j in rest:
+        acc += w * stages[j]
     return acc
 
 
@@ -249,7 +258,8 @@ class RK45:
         self._steps = np.zeros(n, dtype=int)
         self._next = np.zeros(n, dtype=int)
         self._count = np.zeros(n, dtype=int)
-        self._rejected = np.zeros(n, dtype=bool)
+        self._cap = np.full(n, MAX_FACTOR)  # growth cap: 1 right after a rejection
+        self._attempts = 0
         with np.errstate(all="ignore"):
             self._f = fun(y)
             self._h = self._initial_step(y, self._f)
@@ -273,6 +283,7 @@ class RK45:
 
     def step(self) -> None:
         """One attempted step of every running lane; retire the lanes that end."""
+        self._attempts += 1
         with np.errstate(all="ignore"):
             self._attempt()
 
@@ -285,35 +296,36 @@ class RK45:
         stalled = ~(h >= np.maximum(STEP_FLOOR, 10.0 * np.spacing(tau)))  # NaN stalls too
 
         k = [f]
-        for a in _A[1:]:
-            k.append(self.fun(y + hs * _combine(a, k)))
-        y_new = y + hs * _combine(_B, k)
+        for terms in _A_TERMS:
+            k.append(self.fun(y + hs * _combine(terms, k)))
+        y_new = y + hs * _combine(_B_TERMS, k)
         k.append(self.fun(y_new))
         scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        err_norm = _rms(hs * _combine(_E, k) / scale)
+        err_norm = _rms(hs * _combine(_E_TERMS, k) / scale)
 
         growth = SAFETY * err_norm**-0.2
         accept = (err_norm < 1.0) & ~stalled
+        every = accept.all()
         # No growth right after a rejection; a step cut short to land on a
         # stop says nothing against the longer one.
-        h_acc = hs * np.minimum(np.where(self._rejected, 1.0, MAX_FACTOR), growth)
+        h_acc = hs * np.minimum(self._cap, growth)
         h_acc = np.where(clipped, np.maximum(h, h_acc), h_acc)
-        self._h = np.where(accept, h_acc, h * np.fmax(MIN_FACTOR, growth))
-        self._rejected = ~accept
+        self._h = h_acc if every else np.where(accept, h_acc, h * np.fmax(MIN_FACTOR, growth))
+        self._cap = np.where(accept, MAX_FACTOR, 1.0)
 
         status = np.where(stalled, UNDERFLOW, RUNNING)
         if stalled.any():
             # A collapsing step with an enormous state is finite-time blow-up.
             status[stalled & (_sum_sq(y) > (1e-2 * self.blowup_bound) ** 2)] = BLOW_UP
-        if accept.any():
-            self._advance(accept, clipped, status, tau_new, y_new, k)
+        if every or accept.any():
+            self._advance(accept, every, clipped, status, tau_new, y_new, k)
         self._retire(status)
 
-    def _advance(self, accept, clipped, status, tau_new, y_new, k) -> None:
+    def _advance(self, accept, every, clipped, status, tau_new, y_new, k) -> None:
         """Move the accepted lanes; mark in status those that land on their
         last stop, blow up, run out of steps or meet their last crossing."""
         tau, y = self._tau, self._y
-        if accept.all():
+        if every:
             self._tau, self._y, self._f = tau_new, y_new, k[-1]
         else:
             self._tau = np.where(accept, tau_new, tau)
@@ -327,7 +339,8 @@ class RK45:
             self.at_stops[self._next[landed], :, self._lanes[landed]] = y_new[:, landed].T
             self._next = self._next + landed
             status[landed & (self._next == self.stops.size)] = DONE
-        status[live & (status == RUNNING) & (self._steps > self.max_steps)] = UNDERFLOW
+        if self._attempts > self.max_steps:  # no lane has more steps than attempts
+            status[live & (status == RUNNING) & (self._steps > self.max_steps)] = UNDERFLOW
         if self.event is not None:
             self._detect(k, tau, tau_new, y, np.nonzero(live & (status != UNDERFLOW))[0])
             status[(status == RUNNING) & (self._count >= self.max_count)] = CROSSED
@@ -345,7 +358,7 @@ class RK45:
             return
         c = idx[sel]
         ks = [stage[:, c] for stage in k]
-        q = np.stack([_combine([row[p] for row in _P], ks) for p in range(4)])
+        q = np.stack([_combine(terms, ks) for terms in _P_TERMS])
         self.brackets.append((self._lanes[c], tau[c], tau_new[c], y[:, c], q, g_old[sel]))
         self._count[c] += 1
 
@@ -361,7 +374,7 @@ class RK45:
         keep = ~out
         self._lanes = self._lanes[keep]
         self._y, self._f = self._y[:, keep], self._f[:, keep]
-        for name in ("_tau", "_h", "_steps", "_next", "_count", "_rejected"):
+        for name in ("_tau", "_h", "_steps", "_next", "_count", "_cap"):
             setattr(self, name, getattr(self, name)[keep])
         if self._g is not None:
             self._g = self._g[keep]
@@ -538,8 +551,6 @@ def flow_many(
     tol: float = DEFAULT_TOL,
     *,
     method: str = "auto",
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
-    max_steps: int = MAX_STEPS,
 ) -> np.ndarray:
     """Images of N states at several times, shaped (len(times), N, d).
 
@@ -565,10 +576,10 @@ def flow_many(
         return out
     if not numeric:
         for j in np.nonzero(moving)[0]:
-            out[j] = [_closed_eval(field, xi, times[j], blowup_bound) for xi in x]
+            out[j] = [_closed_eval(field, xi, times[j], DEFAULT_BLOWUP_BOUND) for xi in x]
         return out
     sign = 1.0 if times[-1] > 0 else -1.0
-    solver = _march(field, x.T, sign, mags[moving], tol, blowup_bound, max_steps)
+    solver = _march(field, x.T, sign, mags[moving], tol, DEFAULT_BLOWUP_BOUND)
     failed = np.nonzero(solver.status != DONE)[0]
     if failed.size:
         raise _lane_error(field, solver, int(failed[0]), sign)
@@ -618,8 +629,8 @@ def find_crossings(
     Each crossing is refined by bisection to |event| < tol.  Blow-up or step
     underflow occurring after at least one crossing means the orbit left the
     domain and simply ends the scan; before any crossing it propagates.
-    A numeric field marches one lane of ``RK45``; a closed-form flow is
-    scanned adaptively.
+    A numeric field is the one-state case of ``find_crossings_many``; a
+    closed-form flow is scanned adaptively.
     """
     x0 = _check_state(field, x0)
     found: list[tuple[float, np.ndarray]] = []
@@ -627,13 +638,12 @@ def find_crossings(
         return found
 
     if is_numeric(field, method):
-        solver = _march(
-            field, x0[:, None], sign, [budget], tol, blowup_bound,
-            event=event, max_count=max_count,
+        (found,), (escape,) = find_crossings_many(
+            field, x0[None], event, sign, budget, tol,
+            blowup_bound=blowup_bound, max_count=max_count,
         )
-        found = solver.crossings(tol)[0]
-        if not found and solver.status[0] in ESCAPES:
-            raise _lane_error(field, solver, 0, sign)
+        if escape is not None:
+            raise escape
         return found
 
     # Adaptive scan: bound the state jump per step and halve on blow-up,
@@ -689,13 +699,12 @@ def find_crossings_many(
     *,
     blowup_bound: float = DEFAULT_BLOWUP_BOUND,
     max_count: int = 1,
-) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[str]]]:
+) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[KoopeigError]]]:
     """``find_crossings`` of the numeric flow for N states, marched as one batch.
 
-    ``event`` maps a (d, M) array to M values. Returns, per state, its
-    crossings and its escape: "blow_up" or "step_underflow" when the orbit
-    left the domain before any crossing (where ``find_crossings`` raises),
-    else None.
+    ``event`` maps a (d, M) array to M values (a single state when N = 1).
+    Returns, per state, its crossings and its escape: the BlowUpError or
+    StepUnderflowError that ends the orbit before any crossing, else None.
     """
     x = as_states(field, states)
     n = x.shape[0]
@@ -706,7 +715,10 @@ def find_crossings_many(
     )
     found = solver.crossings(tol)
     escapes = [
-        None if found[i] else ESCAPES.get(int(solver.status[i])) for i in range(n)
+        _lane_error(field, solver, i, sign)
+        if not found[i] and solver.status[i] in (BLOW_UP, UNDERFLOW)
+        else None
+        for i in range(n)
     ]
     return found, escapes
 

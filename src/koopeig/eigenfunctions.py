@@ -29,6 +29,8 @@ from .dynamics import (
     is_numeric,
 )
 from .errors import (
+    AMBIGUOUS,
+    NO_CROSSING,
     AmbiguousCrossingError,
     BlowUpError,
     BranchCutError,
@@ -53,14 +55,10 @@ __all__ = [
     "same_primary_class",
     "evaluate_points",
     "PointValue",
-    "MISS_REASONS",
 ]
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PRIMARY_CLASS_THRESHOLD = 1e-4
-# Why a point is outside the domain: no crossing of the manifold in the
-# window, more than one, or an orbit that blew up or stalled before any.
-MISS_REASONS = ("no_crossing", "ambiguous", "blow_up", "step_underflow")
 
 
 @dataclass(frozen=True)
@@ -146,19 +144,80 @@ def _feet(manifold, crossings, on_tol: float, check_ambiguity: bool) -> list:
 def _settle(hits: list, direction: float, escape: Optional[str], check_ambiguity: bool):
     """A Pullback, or the miss reason when there is not exactly one hit."""
     if not hits:
-        return escape or "no_crossing"
+        return escape or NO_CROSSING
     if check_ambiguity and len(hits) > 1:
-        return "ambiguous"
+        return AMBIGUOUS
     tau, state, s = hits[0]
     return Pullback(direction * tau, s, state)
 
 
 def _miss_error(reason: str) -> Exception:
-    if reason == "ambiguous":
+    if reason == AMBIGUOUS:
         return AmbiguousCrossingError("orbit meets the data manifold more than once in one direction")
     return NotInDomainError(
         "orbit does not meet the data manifold inside the time window", reason=reason
     )
+
+
+def _pull(
+    field: VectorField,
+    manifold: DataManifold,
+    t_window,
+    pts: np.ndarray,
+    tol: float,
+    method: str,
+    check_ambiguity: bool,
+    blowup_bound: float,
+) -> list:
+    """The search behind ``pullback`` and ``pullback_many`` for the (N, d) points."""
+    t1, t2, slack, on_tol = _search_setup(manifold, t_window)
+    numeric = is_numeric(field, method)
+    max_count = 4 if check_ambiguity else 1
+
+    def search(idx: list, sign: float, budget: float):
+        """Feet and escape reason of the points idx along sign*F over [0, budget]."""
+        if numeric:
+            crossings, escapes = find_crossings_many(
+                field, pts[idx], manifold.surface, sign, budget, tol,
+                blowup_bound=blowup_bound, max_count=max_count,
+            )
+        else:
+            crossings, escapes = [], []
+            for i in idx:
+                try:
+                    found, escape = find_crossings(
+                        field, pts[i], manifold.surface, sign, budget, tol,
+                        method=method, blowup_bound=blowup_bound, max_count=max_count,
+                    ), None
+                except (BlowUpError, StepUnderflowError) as exc:
+                    # Orbit escapes before meeting the manifold: nothing on this side.
+                    found, escape = [], exc
+                crossings.append(found)
+                escapes.append(escape)
+        feet = [_feet(manifold, c, on_tol, check_ambiguity) for c in crossings]
+        return dict(zip(idx, feet)), {i: e.reason if e else None for i, e in zip(idx, escapes)}
+
+    results: list = [None] * pts.shape[0]
+    pending = []
+    for i, x in enumerate(pts):
+        s = _on_manifold(manifold, x, on_tol) if abs(manifold.surface(x)) < tol else None
+        if s is None:
+            pending.append(i)
+        else:
+            results[i] = Pullback(0.0, s, x.copy())
+
+    # Backward over the downstream part of the window, then (t1 < 0) forward.
+    hits, escapes = search(pending, -1.0, t2 + slack)
+    direction = dict.fromkeys(pending, 1.0)
+    retry = [i for i in pending if not hits[i]] if t1 < 0.0 else []
+    if retry:
+        hits_fwd, escapes_fwd = search(retry, 1.0, -t1 + slack)
+        for i in retry:
+            hits[i], direction[i] = hits_fwd[i], -1.0
+            escapes[i] = escapes[i] or escapes_fwd[i]
+    for i in pending:
+        results[i] = _settle(hits[i], direction[i], escapes[i], check_ambiguity)
+    return results
 
 
 def pullback(
@@ -180,35 +239,8 @@ def pullback(
     AmbiguousCrossingError when the orbit meets the manifold more than once
     in the same direction (a nonrecurrence violation).
     """
-    t1, t2, slack, on_tol = _search_setup(manifold, t_window)
-    x = np.asarray(x, dtype=float).reshape(-1)
-
-    if abs(manifold.surface(x)) < tol:
-        s = _on_manifold(manifold, x, on_tol)
-        if s is not None:
-            return Pullback(0.0, s, x.copy())
-
-    def search(sign: float, budget: float) -> tuple[list, Optional[str]]:
-        try:
-            crossings = find_crossings(
-                field, x, manifold.surface, sign, budget, tol,
-                method=method, blowup_bound=blowup_bound,
-                max_count=4 if check_ambiguity else 1,
-            )
-        except BlowUpError:
-            # Orbit escapes before meeting the manifold: nothing on this side.
-            return [], "blow_up"
-        except StepUnderflowError:
-            return [], "step_underflow"
-        return _feet(manifold, crossings, on_tol, check_ambiguity), None
-
-    hits, escape = search(-1.0, t2 + slack)
-    direction = 1.0
-    if not hits and t1 < 0.0:
-        hits, escape_fwd = search(1.0, -t1 + slack)
-        direction = -1.0
-        escape = escape or escape_fwd
-    result = _settle(hits, direction, escape, check_ambiguity)
+    pts = as_states(field, [np.asarray(x, dtype=float).reshape(-1)])
+    (result,) = _pull(field, manifold, t_window, pts, tol, method, check_ambiguity, blowup_bound)
     if isinstance(result, str):
         raise _miss_error(result)
     return result
@@ -223,7 +255,6 @@ def pullback_many(
     *,
     method: str = "auto",
     check_ambiguity: bool = True,
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
 ) -> list:
     """``pullback`` of N points: per point a Pullback or its miss reason.
 
@@ -233,50 +264,21 @@ def pullback_many(
     the exact scan point by point.
     """
     pts = as_states(field, points)
-    if pts.shape[0] == 0:
-        return []
-    if not is_numeric(field, method):
-        out: list = []
-        for x in pts:
-            try:
-                out.append(pullback(
-                    field, manifold, t_window, x, tol, method=method,
-                    check_ambiguity=check_ambiguity, blowup_bound=blowup_bound,
-                ))
-            except (NotInDomainError, AmbiguousCrossingError) as exc:
-                out.append(exc.reason)
-        return out
-
-    t1, t2, slack, on_tol = _search_setup(manifold, t_window)
-    results: list = [None] * pts.shape[0]
-    pending = []
-    g0 = manifold.surface(pts.T)
-    for i, x in enumerate(pts):
-        s = _on_manifold(manifold, x, on_tol) if abs(g0[i]) < tol else None
-        if s is None:
-            pending.append(i)
-        else:
-            results[i] = Pullback(0.0, s, x.copy())
-
-    def search(idx: list, sign: float, budget: float):
-        crossings, escapes = find_crossings_many(
-            field, pts[idx], manifold.surface, sign, budget, tol,
-            blowup_bound=blowup_bound, max_count=4 if check_ambiguity else 1,
+    if is_numeric(field, method):
+        return _pull(
+            field, manifold, t_window, pts, tol, method, check_ambiguity, DEFAULT_BLOWUP_BOUND
         )
-        feet = [_feet(manifold, c, on_tol, check_ambiguity) for c in crossings]
-        return dict(zip(idx, feet)), dict(zip(idx, escapes))
-
-    hits, escapes = search(pending, -1.0, t2 + slack)
-    direction = dict.fromkeys(pending, 1.0)
-    retry = [i for i in pending if not hits[i]] if t1 < 0.0 else []
-    if retry:
-        hits_fwd, escapes_fwd = search(retry, 1.0, -t1 + slack)
-        for i in retry:
-            hits[i], direction[i] = hits_fwd[i], -1.0
-            escapes[i] = escapes[i] or escapes_fwd[i]
-    for i in pending:
-        results[i] = _settle(hits[i], direction[i], escapes[i], check_ambiguity)
-    return results
+    # One ``pullback`` call per point, so that perfbench/tracing.py, which
+    # patches eigenfunctions.pullback, times each exact scan.
+    out: list = []
+    for x in pts:
+        try:
+            out.append(pullback(
+                field, manifold, t_window, x, tol, method=method, check_ambiguity=check_ambiguity,
+            ))
+        except (NotInDomainError, AmbiguousCrossingError) as exc:
+            out.append(exc.reason)
+    return out
 
 
 class _EigenfunctionBase:
@@ -336,8 +338,7 @@ class OpenEigenfunction(_EigenfunctionBase):
         )
 
     def __call__(self, x) -> complex:
-        pb = self.pullback(x)
-        return self.data(pb.s_star) * cmath.exp(self.eigenvalue * pb.r_star)
+        return complex(self.values([np.asarray(x, dtype=float).reshape(-1)])[0])
 
     def values(self, points) -> np.ndarray:
         out = []
@@ -405,12 +406,7 @@ class ProductEigenfunction(_EigenfunctionBase):
         return self.factors[0][0].field
 
     def __call__(self, x) -> complex:
-        out = 1.0 + 0.0j
-        for eig, alpha in self.factors:
-            if alpha == 0.0:
-                continue
-            out *= _safe_power(complex(eig(x)), alpha)
-        return out
+        return complex(self.values([np.asarray(x, dtype=float).reshape(-1)])[0])
 
     def values(self, points) -> np.ndarray:
         pts = as_states(self.field, points)
@@ -468,8 +464,10 @@ def orbit_scaling_defect(
     method: str = "auto",
 ) -> float:
     """Absolute defect |phi(rho_r(x)) - phi(x) e^{lambda r}| for one orbit hop."""
+    x = np.asarray(x, dtype=float).reshape(-1)
     y = flow(eig.field, x, r, tol, method=method).state
-    return abs(complex(eig(y)) - complex(eig(x)) * cmath.exp(complex(eig.eigenvalue) * r))
+    phi_x, phi_y = eig.values([x, y])
+    return abs(complex(phi_y) - complex(phi_x) * cmath.exp(complex(eig.eigenvalue) * r))
 
 
 def restate_data(eig: OpenEigenfunction, target: DataManifold) -> DataFunction:
@@ -531,22 +529,22 @@ class PointValue:
 
 
 def evaluate_points(
-    eig: OpenEigenfunction, points: Sequence, reasons: Optional[list] = None
-) -> list[Optional[PointValue]]:
-    """Evaluate on many points; None marks points outside the domain.
+    eig: OpenEigenfunction, points: Sequence
+) -> tuple[list[Optional[PointValue]], list[str]]:
+    """Evaluate on many points: the values, where None marks points outside
+    the domain, and the miss reason (one of MISS_REASONS) of each None in
+    point order.
 
     A numerically integrated field pulls every point back in one batch.
-    When ``reasons`` is a list, the miss reason of each None (one of
-    MISS_REASONS) is appended to it in point order.
     """
     pts = as_states(eig.field, points)
-    out: list[Optional[PointValue]] = []
+    values: list[Optional[PointValue]] = []
+    misses: list[str] = []
     for x, pb in zip(pts, eig.pullback_many(pts)):
         if isinstance(pb, str):
-            out.append(None)
-            if reasons is not None:
-                reasons.append(pb)
+            values.append(None)
+            misses.append(pb)
             continue
         phi = eig.data(pb.s_star) * cmath.exp(complex(eig.eigenvalue) * pb.r_star)
-        out.append(PointValue(x, phi, pb.r_star, pb.s_star))
-    return out
+        values.append(PointValue(x, phi, pb.r_star, pb.s_star))
+    return values, misses

@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+# Why a point is outside an eigenfunction's domain: no crossing of the data
+# manifold in the window, more than one, or an orbit that blew up or stalled
+# before any. Each error that ends a search carries its reason.
+MISS_REASONS = ("no_crossing", "ambiguous", "blow_up", "step_underflow")
+NO_CROSSING, AMBIGUOUS, BLOW_UP, STEP_UNDERFLOW = MISS_REASONS
+
 
 class KoopeigError(Exception):
     """Base class for all library errors."""
@@ -7,6 +13,8 @@ class KoopeigError(Exception):
 
 class BlowUpError(KoopeigError):
     """Trajectory norm exceeded the blow-up bound before the requested time."""
+
+    reason = BLOW_UP
 
     def __init__(self, message, time=None, state=None):
         super().__init__(message)
@@ -17,6 +25,8 @@ class BlowUpError(KoopeigError):
 class StepUnderflowError(KoopeigError):
     """Adaptive step size fell below the hard floor."""
 
+    reason = STEP_UNDERFLOW
+
 
 class NoCrossingError(KoopeigError):
     """Event function never changed sign within the time budget."""
@@ -25,11 +35,11 @@ class NoCrossingError(KoopeigError):
 class NotInDomainError(KoopeigError):
     """Query point is outside the swept domain of an eigenfunction.
 
-    ``reason`` says why the orbit missed the data manifold: "no_crossing",
-    "blow_up" or "step_underflow".
+    ``reason`` says why the orbit missed the data manifold: NO_CROSSING,
+    BLOW_UP or STEP_UNDERFLOW.
     """
 
-    def __init__(self, message, reason="no_crossing"):
+    def __init__(self, message, reason=NO_CROSSING):
         super().__init__(message)
         self.reason = reason
 
@@ -37,7 +47,7 @@ class NotInDomainError(KoopeigError):
 class AmbiguousCrossingError(KoopeigError):
     """Backward/forward orbit met the data manifold more than once in-window."""
 
-    reason = "ambiguous"
+    reason = AMBIGUOUS
 
 
 class OutOfRangeError(KoopeigError):

@@ -56,7 +56,7 @@ def test_criterion_01_observer_oracle():
         h = ke.DataFunction.from_callable(mani, lambda s: 1.0)
         eig = ke.OpenEigenfunction(2.0, h, mani, system.field, window)
         t0 = time.perf_counter()
-        values = ke.evaluate_points(eig, LATTICE)
+        values, _ = ke.evaluate_points(eig, LATTICE)
         elapsed = time.perf_counter() - t0
         assert all(v is not None for v in values)
         worst = max(

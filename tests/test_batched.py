@@ -86,6 +86,16 @@ def test_batched_crossings_match_one_lane():
             assert tau_b == tau_1 and np.array_equal(y_b, y_1)
 
 
+def test_batched_escape_is_the_one_lane_error():
+    field = ke.make_system("blowup").field
+    starts = [[1.0], [-1.0]]  # x' = x^2: the first escapes at t = 1, the second decays
+    found, escapes = find_crossings_many(field, starts, lambda x: x[0] + 2.0, 1.0, 1.5)
+    assert found[0] == [] and isinstance(escapes[0], ke.BlowUpError)
+    assert escapes[0].reason == "blow_up" and escapes[1] is None
+    with pytest.raises(ke.BlowUpError):
+        ke.dynamics.find_crossings(field, [1.0], lambda x: x[0] + 2.0, 1.0, 1.5, method="rk45")
+
+
 # ---------------------------------------------------------------------------
 # vectorized-RHS contract
 # ---------------------------------------------------------------------------

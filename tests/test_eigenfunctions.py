@@ -375,7 +375,8 @@ def test_levelset_stencil_domain_violation(lin2d, horizontal_manifold):
 
 
 def test_evaluate_points_marks_out_of_domain(observer_eig):
-    values = ke.evaluate_points(observer_eig, [[1.5, 2.0], [1.0, 50.0]])
+    values, misses = ke.evaluate_points(observer_eig, [[1.5, 2.0], [1.0, 50.0]])
     assert values[0] is not None and values[1] is None
+    assert misses == ["no_crossing"]
     assert values[0].phi == pytest.approx(2.0, abs=1e-8)
     assert values[0].r_star == pytest.approx(math.log(2.0) / 2.0, abs=1e-8)
