@@ -50,7 +50,6 @@ from .manifolds import (
     check_transversality,
     circle_manifold,
     data_compatibility,
-    eval_h,
     point_manifold,
     segment_manifold,
 )

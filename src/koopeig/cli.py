@@ -143,7 +143,6 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
         cfg.candidate_lambdas(),
         cfg.K,
         cfg.stop_tol,
-        threads=cfg.threads,
         eig_tol=cfg.integrator_tol,
     )
     report = {
@@ -195,22 +194,8 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
-    spec = cfg.spectrum or {}
-    omega = float(spec.get("omega", 1.0))
-    t = float(spec.get("t", 1.0))
-    n_list = spec.get("n_list", [4, 8, 16, 32, 64, 128, 256])
-    if not isinstance(n_list, list) or not n_list or not all(
-        isinstance(n, (int, float)) and not isinstance(n, bool)
-        and float(n).is_integer() and n >= 1
-        for n in n_list
-    ):
-        raise ConfigError(
-            "n_list must be a non-empty list of positive integers", field="spectrum.n_list"
-        )
-    annulus = spec.get("annulus", [0.25, 4.0])
-    a_lo, a_hi = float(annulus[0]), float(annulus[1])
-    quad_points = int(spec.get("quad_points", 256))
-    fit = scaling_fit(omega, t, [int(n) for n in n_list], (a_lo, a_hi), quad_points)
+    spec = cfg.spectrum
+    fit = scaling_fit(spec.omega, spec.t, spec.n_list, spec.annulus, spec.quad_points)
     write_csv(
         out_dir / "spectrum_scaling.csv",
         ["n", "residual", "phi_norm", "relative_residual"],
@@ -223,27 +208,15 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
             )
         ),
     )
-    wedge_cfg = spec.get("wedge", {})
-    lam_grid = wedge_cfg.get("lambda_grid", {})
-    re_lo, re_hi = lam_grid.get("re_range", [-2.0, 2.0])
-    im_lo, im_hi = lam_grid.get("im_range", [-2.0, 2.0])
-    count = int(lam_grid.get("count", 5))
-    res = np.linspace(float(re_lo), float(re_hi), count)
-    ims = np.linspace(float(im_lo), float(im_hi), count)
+    res = np.linspace(*spec.re_range, spec.count)
+    ims = np.linspace(*spec.im_range, spec.count)
     lams = [complex(a, b) for a in res for b in ims]
-    alpha_window = wedge_cfg.get("alpha_window", [0.2, 2.2])
-    h_expr = wedge_cfg.get("h", "1")
-    h = parse_data_fn(h_expr, where="spectrum.wedge.h")
-    wedge = wedge_point_spectrum_check(
-        lams,
-        (float(alpha_window[0]), float(alpha_window[1])),
-        h,
-        seed=cfg.seed,
-    )
+    h = parse_data_fn(spec.h, where="spectrum.wedge.h")
+    wedge = wedge_point_spectrum_check(lams, spec.alpha_window, h, seed=cfg.seed)
     summary = {
         "command": "spectrum",
-        "omega": omega,
-        "t": t,
+        "omega": spec.omega,
+        "t": spec.t,
         "slope": None if len(fit.n_values) < 2 else fit.slope,
         "rows": [
             {
@@ -284,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--tol", type=float, default=None, help="integrator tolerance override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker threads override")
     return parser
 
 
@@ -298,8 +270,6 @@ def main(argv=None) -> int:
             raw["integrator_tol"] = args.tol
         if args.seed is not None:
             raw["seed"] = args.seed
-        if args.threads is not None:
-            raw["threads"] = args.threads
         cfg = RunConfig.from_dict(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

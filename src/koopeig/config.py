@@ -14,7 +14,7 @@ from .dynamics import BenchmarkSystem, make_system, system_names
 from .errors import ConfigError
 from .manifolds import DataManifold, circle_manifold, point_manifold, segment_manifold
 
-__all__ = ["RunConfig", "load_config_file"]
+__all__ = ["RunConfig", "SpectrumSpec", "load_config_file"]
 
 
 def load_config_file(path) -> dict:
@@ -82,6 +82,67 @@ def _complex_of(entry, where: str) -> complex:
     raise ConfigError("eigenvalues are numbers or [re, im] pairs", field=where)
 
 
+@dataclass(frozen=True)
+class SpectrumSpec:
+    """The ``spectrum`` section: bump scaling on the annulus and the wedge check."""
+
+    omega: float = 1.0
+    t: float = 1.0
+    n_list: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256)
+    annulus: tuple[float, float] = (0.25, 4.0)
+    quad_points: int = 256
+    re_range: tuple[float, float] = (-2.0, 2.0)  # wedge.lambda_grid
+    im_range: tuple[float, float] = (-2.0, 2.0)  # wedge.lambda_grid
+    count: int = 5  # wedge.lambda_grid
+    alpha_window: tuple[float, float] = (0.2, 2.2)  # wedge
+    h: str = "1"  # wedge
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "SpectrumSpec":
+        d = cls()
+        omega = float(_expect(raw, "omega", float, "spectrum", default=d.omega))
+        t = float(_expect(raw, "t", float, "spectrum", default=d.t))
+        n_list = raw.get("n_list", list(d.n_list))
+        if not isinstance(n_list, list) or not n_list or not all(
+            _is_number(n) and float(n).is_integer() and n >= 1 for n in n_list
+        ):
+            raise ConfigError(
+                "n_list must be a non-empty list of positive integers", field="spectrum.n_list"
+            )
+        annulus = _pair(raw.get("annulus", d.annulus), "spectrum.annulus")
+        # The widest bump, of the smallest n, must fit inside the annulus.
+        half = 0.5 / int(min(n_list))
+        if omega - half < annulus[0] or omega + half > annulus[1]:
+            raise ConfigError(
+                f"must contain the bump support [{omega - half:g}, {omega + half:g}]",
+                field="spectrum.annulus",
+            )
+        quad_points = int(_expect(raw, "quad_points", int, "spectrum", default=d.quad_points))
+        if quad_points < 64:
+            raise ConfigError("must be >= 64", field="spectrum.quad_points")
+
+        wedge = _expect(raw, "wedge", dict, "spectrum", default={})
+        grid = _expect(wedge, "lambda_grid", dict, "spectrum.wedge", default={})
+        where = "spectrum.wedge.lambda_grid"
+        re_range = _pair(grid.get("re_range", d.re_range), f"{where}.re_range")
+        im_range = _pair(grid.get("im_range", d.im_range), f"{where}.im_range")
+        count = int(_expect(grid, "count", int, where, default=d.count))
+        if count < 1:
+            raise ConfigError("must be >= 1", field=f"{where}.count")
+        alpha_window = _pair(
+            wedge.get("alpha_window", d.alpha_window), "spectrum.wedge.alpha_window"
+        )
+        if not 0.0 <= alpha_window[1] - alpha_window[0] < 2.0 * math.pi:
+            raise ConfigError(
+                "angular width must lie in [0, 2*pi)", field="spectrum.wedge.alpha_window"
+            )
+        h = _expect(wedge, "h", str, "spectrum.wedge", default=d.h)
+        return cls(
+            omega, t, tuple(int(n) for n in n_list), annulus, quad_points,
+            re_range, im_range, count, alpha_window, h,
+        )
+
+
 @dataclass
 class RunConfig:
     system_name: str
@@ -100,8 +161,7 @@ class RunConfig:
     integrator_tol: float
     output_dir: str
     seed: int
-    threads: int
-    spectrum: dict = field(default_factory=dict)
+    spectrum: SpectrumSpec = field(default_factory=SpectrumSpec)
     echo: dict = field(default_factory=dict)
 
     @classmethod
@@ -153,10 +213,7 @@ class RunConfig:
             raise ConfigError("must be a positive number", field="integrator_tol")
         output_dir = _expect(raw, "output_dir", str, "", default="out")
         seed = int(_expect(raw, "seed", int, "", default=0))
-        threads = int(_expect(raw, "threads", int, "", default=1))
-        if threads < 1:
-            raise ConfigError("must be >= 1", field="threads")
-        spectrum = _expect(raw, "spectrum", dict, "", default={})
+        spectrum = SpectrumSpec.from_dict(_expect(raw, "spectrum", dict, "", default={}))
 
         # The echo captures the scientific configuration; where the files
         # land is environmental and would break byte-for-byte reproducibility.
@@ -179,7 +236,6 @@ class RunConfig:
             integrator_tol=integrator_tol,
             output_dir=output_dir,
             seed=seed,
-            threads=threads,
             spectrum=spectrum,
             echo=echo,
         )

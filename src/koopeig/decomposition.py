@@ -11,7 +11,6 @@ dictionary of genuine eigenfunctions tailored to the target observable.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -145,15 +144,11 @@ def fit_h(
     grid: CharacteristicGrid,
     target: TargetSample,
     lam: complex,
-    *,
-    method: str = "decoupled",
 ) -> FitResult:
     """Least-squares-optimal data values for one eigenvalue.
 
-    The decoupled path solves the per-node normal equation
-    h_i = sum_j conj(e^{lambda r_j}) q_ij / sum_j |e^{lambda r_j}|^2;
-    the dense path assembles E kron I and calls a generic solver, and
-    exists to cross-check the closed form.
+    The design matrix E kron I decouples the fit into the per-node normal
+    equation h_i = sum_j conj(e^{lambda r_j}) q_ij / sum_j |e^{lambda r_j}|^2.
     """
     q = target.q_values
     if q.shape != (grid.n_s, grid.n_r):
@@ -163,13 +158,8 @@ def fit_h(
     degenerate = denom < DEGENERATE_FLOOR
     if degenerate:
         h = np.zeros(grid.n_s, dtype=complex)
-    elif method == "decoupled":
-        h = (q @ np.conj(e)) / denom
-    elif method == "dense":
-        a = np.kron(e.reshape(-1, 1), np.eye(grid.n_s))
-        h = np.linalg.lstsq(a, target.b, rcond=None)[0]
     else:
-        raise ValueError(f"unknown method {method!r}")
+        h = (q @ np.conj(e)) / denom
     residual = float(np.linalg.norm(np.outer(h, e) - q))
     return FitResult(complex(lam), h, residual, degenerate)
 
@@ -191,8 +181,6 @@ def sweep_lambda(
     grid: CharacteristicGrid,
     target: TargetSample,
     candidates: Sequence[complex],
-    *,
-    threads: int = 1,
 ) -> SweepResult:
     """Fit every candidate eigenvalue and keep the argmin.
 
@@ -201,11 +189,7 @@ def sweep_lambda(
     cands = np.asarray(candidates, dtype=complex)
     if cands.size == 0:
         raise ValueError("candidate list is empty")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(pool.map(lambda lam: fit_h(grid, target, lam), cands))
-    else:
-        fits = [fit_h(grid, target, lam) for lam in cands]
+    fits = [fit_h(grid, target, lam) for lam in cands]
     curve = np.array([f.residual_norm for f in fits])
     best = min(
         range(cands.size),
@@ -281,7 +265,6 @@ def greedy_decompose(
     stop_tol: float = 1e-9,
     *,
     refine: bool = True,
-    threads: int = 1,
     eig_tol: float = DEFAULT_TOL,
 ) -> DecompositionResult:
     """Successively fit the residual with the best single eigenfunction.
@@ -308,7 +291,7 @@ def greedy_decompose(
     curves: list[SweepResult] = []
     for _ in range(K):
         stage_target = TargetSample(residual_q)
-        sweep = sweep_lambda(grid, stage_target, cands, threads=threads)
+        sweep = sweep_lambda(grid, stage_target, cands)
         best = sweep.best_fit
         if refine and all_real and cands.size > 1:
             polished = _refine_lambda(grid, stage_target, cands, sweep.best_index)

@@ -11,7 +11,6 @@ that single evaluation primitive.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -57,7 +56,6 @@ __all__ = [
     "PointValue",
 ]
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PRIMARY_CLASS_THRESHOLD = 1e-4
 
 
@@ -70,57 +68,17 @@ class Pullback:
     foot: np.ndarray
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 70) -> float:
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < 1e-14 * max(1.0, abs(a) + abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _recover_parameter(manifold: DataManifold, foot: np.ndarray) -> float:
-    """Nearest grid node, then golden-section refinement of |embed(s) - foot|."""
-    grid = manifold.parameter_grid()
-    if grid.size == 1:
-        return float(grid[0])
-    pts = manifold.sample_points()
-    i = int(np.argmin(np.linalg.norm(pts - foot, axis=1)))
-    ds = grid[1] - grid[0]
-    lo, hi = grid[i] - ds, grid[i] + ds
-    if not manifold.closed:
-        lo, hi = max(lo, manifold.s_min), min(hi, manifold.s_max)
-
-    def dist2(s):
-        d = np.asarray(manifold.embed(s), float) - foot
-        return float(d @ d)
-
-    s = _golden_min(dist2, lo, hi)
-    return manifold.wrap(s)
-
-
-def _on_manifold(manifold: DataManifold, state: np.ndarray, on_tol: float) -> Optional[float]:
-    """The foot's parameter when the state lies on the manifold itself, else None."""
-    s = _recover_parameter(manifold, state)
-    if np.linalg.norm(np.asarray(manifold.embed(s), float) - state) <= on_tol:
-        return s
-    return None
+def _on_manifold(manifold: DataManifold, state: np.ndarray, s: float, on_tol: float) -> bool:
+    """Whether the state lies on the manifold itself, at its parameter s."""
+    return bool(np.linalg.norm(np.asarray(manifold.embed(s), float) - state) <= on_tol)
 
 
 def _search_setup(manifold: DataManifold, t_window) -> tuple[float, float, float, float]:
     """(t1, t2, window slack, on-manifold tolerance) of a pullback."""
     if manifold.surface is None:
         raise ValueError("manifold carries no supporting-surface distance")
+    if manifold.locate is None:
+        raise ValueError("manifold carries no locate, the inverse of its embedding")
     t1, t2 = float(t_window[0]), float(t_window[1])
     if not (t1 <= 0.0 <= t2):
         raise ValueError("t_window must contain 0")
@@ -133,8 +91,8 @@ def _feet(manifold, crossings, on_tol: float, check_ambiguity: bool) -> list:
     """The crossings whose state lies on the manifold, as (tau, state, s)."""
     hits = []
     for tau, state in crossings:
-        s = _on_manifold(manifold, state, on_tol)
-        if s is not None:
+        s = manifold.locate(state)
+        if _on_manifold(manifold, state, s, on_tol):
             hits.append((tau, state, s))
             if not check_ambiguity:
                 break
@@ -197,14 +155,13 @@ def _pull(
         feet = [_feet(manifold, c, on_tol, check_ambiguity) for c in crossings]
         return dict(zip(idx, feet)), {i: e.reason if e else None for i, e in zip(idx, escapes)}
 
+    # A point on the manifold itself is its own foot, at r* = 0.
     results: list = [None] * pts.shape[0]
-    pending = []
-    for i, x in enumerate(pts):
-        s = _on_manifold(manifold, x, on_tol) if abs(manifold.surface(x)) < tol else None
-        if s is None:
-            pending.append(i)
-        else:
-            results[i] = Pullback(0.0, s, x.copy())
+    s_at = manifold.locate(pts.T)
+    for i in np.flatnonzero(np.abs(manifold.surface(pts.T)) < tol):
+        if _on_manifold(manifold, pts[i], s_at[i], on_tol):
+            results[i] = Pullback(0.0, float(s_at[i]), pts[i].copy())
+    pending = [i for i, result in enumerate(results) if result is None]
 
     # Backward over the downstream part of the window, then (t1 < 0) forward.
     hits, escapes = search(pending, -1.0, t2 + slack)

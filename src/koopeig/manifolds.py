@@ -26,7 +26,6 @@ __all__ = [
     "segment_manifold",
     "circle_manifold",
     "point_manifold",
-    "eval_h",
     "check_transversality",
     "check_injectivity",
     "data_compatibility",
@@ -42,9 +41,11 @@ class DataManifold:
     """Parameterized curve s in [s_min, s_max] -> state, transverse to a flow.
 
     ``surface`` is the signed distance to the supporting surface (the full
-    line through a segment, the full circle through an arc): a float for one
-    (d,) state, an (N,) array for a (d, N) batch of states; ``closed``
-    marks manifolds whose parameterization wraps with period s_max - s_min.
+    line through a segment, the full circle through an arc) and ``locate``
+    the inverse of ``embed``: the parameter of the manifold point nearest a
+    state. Each gives a float for one (d,) state and an (N,) array for a
+    (d, N) batch of states. ``closed`` marks manifolds whose
+    parameterization wraps with period s_max - s_min.
     """
 
     embed: Callable[[float], np.ndarray]
@@ -54,6 +55,7 @@ class DataManifold:
     dim: int
     tangent: Optional[Callable[[float], np.ndarray]] = None
     surface: Optional[Callable[[np.ndarray], float]] = None
+    locate: Optional[Callable[[np.ndarray], float]] = None
     closed: bool = False
     name: str = "manifold"
 
@@ -100,17 +102,12 @@ class DataManifold:
             lo, hi = max(lo, self.s_min), min(hi, self.s_max)
         return (np.asarray(self.embed(hi), float) - np.asarray(self.embed(lo), float)) / (hi - lo)
 
-    def wrap(self, s: float) -> float:
-        if self.closed and self.span > 0:
-            return self.s_min + (s - self.s_min) % self.span
-        return s
-
     def with_samples(self, n_samples: int) -> "DataManifold":
         return replace(self, n_samples=n_samples)
 
 
 def _per_state(x: np.ndarray, value):
-    """A surface value: a float for one (d,) state, an (N,) array for (d, N)."""
+    """A surface or locate value: a float for one (d,) state, an (N,) array for (d, N)."""
     return float(value) if x.ndim == 1 else value
 
 
@@ -135,12 +132,19 @@ def segment_manifold(
     if s1 <= s0:
         raise ValueError("s_range must be increasing")
     direction = (p1 - p0) / (s1 - s0)
+    dir2 = float(direction @ direction)
 
     def embed(s):
         return p0 + (s - s0) * direction
 
     def tangent(_s):
         return direction.copy()
+
+    def locate(x):  # orthogonal projection onto the segment
+        x = np.asarray(x, float)
+        v = x - p0.reshape((-1,) + (1,) * (x.ndim - 1))
+        along = sum(direction[k] * v[k] for k in range(p0.size)) / dir2
+        return _per_state(x, np.clip(s0 + along, s0, s1))
 
     if p0.size == 2:
         unit = (p1 - p0) / length
@@ -167,6 +171,7 @@ def segment_manifold(
         dim=p0.size,
         tangent=tangent,
         surface=surface,
+        locate=locate,
         name=name,
     )
 
@@ -199,6 +204,13 @@ def circle_manifold(
         x = np.asarray(x, float)
         return _per_state(x, np.sqrt((x[0] - c[0]) ** 2 + (x[1] - c[1]) ** 2) - radius)
 
+    def locate(x):  # polar angle in [a0, a0 + 2 pi); off an open arc, its nearer end
+        x = np.asarray(x, float)
+        s = a0 + (np.arctan2(x[1] - c[1], x[0] - c[0]) - a0) % (2.0 * math.pi)
+        if not closed:
+            s = np.where(s <= a1, s, np.where(s - a1 <= a0 + 2.0 * math.pi - s, a1, a0))
+        return _per_state(x, s)
+
     return DataManifold(
         embed=embed,
         s_min=a0,
@@ -207,6 +219,7 @@ def circle_manifold(
         dim=2,
         tangent=tangent,
         surface=surface,
+        locate=locate,
         closed=closed,
         name=name,
     )
@@ -223,6 +236,10 @@ def point_manifold(x0: float, name: str = "point") -> DataManifold:
         x = np.asarray(x, float)
         return _per_state(x, x[0] - x0)
 
+    def locate(x):  # the one parameter, s_min = 0
+        x = np.asarray(x, float)
+        return _per_state(x, np.zeros(x.shape[1:]))
+
     return DataManifold(
         embed=embed,
         s_min=0.0,
@@ -231,6 +248,7 @@ def point_manifold(x0: float, name: str = "point") -> DataManifold:
         dim=1,
         tangent=None,
         surface=surface,
+        locate=locate,
         name=name,
     )
 
@@ -289,10 +307,6 @@ class DataFunction:
             return complex(self.values[0])
         s = min(max(s, self.s_min), self.s_max)
         return complex(np.interp(s, self.s_nodes, self.values))
-
-
-def eval_h(h: DataFunction, s: float) -> complex:
-    return h(s)
 
 
 @dataclass(frozen=True)

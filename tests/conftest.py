@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import koopeig as ke
+from koopeig.decomposition import FitResult
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,20 @@ def general_eig(lin2d, horizontal_manifold):
     return ke.OpenEigenfunction(
         2.0, h, horizontal_manifold, lin2d.field, (-0.1, 1.1)
     )
+
+
+@pytest.fixture(scope="session")
+def dense_fit_h():
+    """Reference for ``fit_h``: assemble E(lambda) kron I and call a generic solver."""
+
+    def fit(grid, target, lam):
+        e = np.exp(complex(lam) * grid.r_nodes)
+        a = np.kron(e.reshape(-1, 1), np.eye(grid.n_s))
+        h = np.linalg.lstsq(a, target.b, rcond=None)[0]
+        residual = float(np.linalg.norm(np.outer(h, e) - target.q_values))
+        return FitResult(complex(lam), h, residual, False)
+
+    return fit
 
 
 @pytest.fixture(scope="session")

@@ -196,7 +196,7 @@ def test_criterion_06_non_equivalence_detection():
         assert frac >= 0.9, f"only {frac:.0%} of samples above 0.1"
 
 
-def test_criterion_07_least_squares_correctness():
+def test_criterion_07_least_squares_correctness(dense_fit_h):
     with _criterion(7, "structured least squares vs dense solver"):
         system = ke.make_system("lin2d")
         mani = ke.segment_manifold((1.0, 1.0), (2.0, 1.0), n=3, s_range=(1.0, 2.0))
@@ -214,8 +214,8 @@ def test_criterion_07_least_squares_correctness():
             grid = bare(np.linspace(0, 1, n + 1), np.linspace(0, 2, m + 1))
             q = rng.normal(size=(n + 1, m + 1)) + 1j * rng.normal(size=(n + 1, m + 1))
             lam = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
-            a = fit_h(grid, TargetSample(q), lam, method="decoupled")
-            b = fit_h(grid, TargetSample(q), lam, method="dense")
+            a = fit_h(grid, TargetSample(q), lam)
+            b = dense_fit_h(grid, TargetSample(q), lam)
             assert np.max(np.abs(a.h_values - b.h_values)) <= 1e-10
             assert abs(a.residual_norm - b.residual_norm) <= 1e-10
         g1 = bare([0.0], [0.0, 1.0])

@@ -250,11 +250,10 @@ def test_flag_overrides_survive_in_echo(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", SPECTRUM_CFG)
     assert main([
         "spectrum", "--config", cfg, "--out", str(tmp_path / "o2"), "--seed", "5",
-        "--threads", "2", "--tol", "1e-9",
+        "--tol", "1e-9",
     ]) == 0
     summary = json.loads((tmp_path / "o2" / "spectrum_summary.json").read_text())
     assert summary["config_echo"]["seed"] == 5
-    assert summary["config_echo"]["threads"] == 2
 
 
 LIN1D_CFG = {
@@ -322,6 +321,15 @@ BAD_CONFIGS = [
     ("eval", _with(OBSERVER_CFG, lattice__x1=[1.0, "b", 4]), "lattice.x1"),
     ("spectrum", _with(SPECTRUM_CFG, spectrum__n_list=[4, "x"]), "spectrum.n_list"),
     ("spectrum", _with(SPECTRUM_CFG, spectrum__n_list=[]), "spectrum.n_list"),
+    ("spectrum", _with(SPECTRUM_CFG, spectrum__omega="x"), "spectrum.omega"),
+    ("spectrum", _with(SPECTRUM_CFG, spectrum__annulus=[0.25]), "spectrum.annulus"),
+    ("spectrum", _with(SPECTRUM_CFG, spectrum__annulus=[4.0, 0.25]), "spectrum.annulus"),
+    ("spectrum", _with(SPECTRUM_CFG, spectrum__quad_points="many"), "spectrum.quad_points"),
+    (
+        "spectrum",
+        _with(SPECTRUM_CFG, spectrum__wedge={"alpha_window": [3.0, 1.0]}),
+        "spectrum.wedge.alpha_window",
+    ),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -74,6 +75,12 @@ def test_pullback_off_segment_is_not_in_domain(lin2d):
     assert ke.pullback(lin2d.field, short, (0.0, 1.2), [2.0, 4.0]).s_star == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ke.NotInDomainError):
         ke.pullback(lin2d.field, short, (0.0, 1.2), [4.0, 4.0])
+
+
+def test_pullback_needs_a_manifold_with_locate(lin2d, horizontal_manifold):
+    no_inverse = dataclasses.replace(horizontal_manifold, locate=None)
+    with pytest.raises(ValueError, match="locate"):
+        ke.pullback(lin2d.field, no_inverse, (0.0, 1.2), [1.0, 2.0])
 
 
 def test_pullback_ambiguous_crossing_on_rotation():

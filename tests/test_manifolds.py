@@ -10,18 +10,18 @@ from koopeig.manifolds import check_injectivity
 def test_eval_h_constant(horizontal_manifold):
     h = ke.DataFunction.from_callable(horizontal_manifold, lambda s: 1.0)
     for s in [0.3, 1.0, 2.2]:
-        assert ke.eval_h(h, s) == 1.0
+        assert h(s) == 1.0
 
 
 def test_eval_h_linear_interpolation():
     mani = ke.segment_manifold((0.0, 1.0), (1.0, 1.0), n=2, s_range=(0.0, 1.0))
     h = ke.DataFunction.from_samples(mani, [0.0, 1.0])
-    assert ke.eval_h(h, 0.25) == pytest.approx(0.25, abs=1e-15)
+    assert h(0.25) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_eval_h_closed_form_passthrough(horizontal_manifold):
     h = ke.DataFunction.from_callable(horizontal_manifold, lambda s: s**2)
-    assert ke.eval_h(h, 3.0) == 9.0  # closed form ignores the grid range
+    assert h(3.0) == 9.0  # closed form ignores the grid range
 
 
 def test_eval_h_out_of_range():
@@ -30,6 +30,56 @@ def test_eval_h_out_of_range():
     assert h(1.0 + 5e-10) == 1.0  # clamped inside the slack
     with pytest.raises(ke.OutOfRangeError):
         h(1.0 + 1e-6)
+
+
+LOCATE_CASES = {
+    "segment-2d": lambda: ke.segment_manifold((1.0, 0.5), (2.0, 1.5), n=121),
+    "segment-3d": lambda: ke.segment_manifold(
+        (0.0, 1.0, 2.0), (1.0, -1.0, 3.0), n=31, s_range=(-1.0, 2.0)
+    ),
+    "circle": lambda: ke.circle_manifold((0.3, -0.2), 2.0, n=65),
+    "arc": lambda: ke.circle_manifold((0.5, -0.3), 1.5, arc=(1.0, 5.0), n=41),
+    "point": lambda: ke.point_manifold(1.0),
+}
+
+
+def _param_gap(manifold, a, b):
+    """|a - b|, modulo the period on a closed manifold."""
+    gap = np.asarray(a, float) - np.asarray(b, float)
+    if manifold.closed:
+        gap = (gap + 0.5 * manifold.span) % manifold.span - 0.5 * manifold.span
+    return np.abs(gap)
+
+
+@pytest.mark.parametrize("case", sorted(LOCATE_CASES))
+def test_locate_inverts_embed(case):
+    mani = LOCATE_CASES[case]()
+    rng = np.random.default_rng(3)
+    s = np.concatenate([mani.parameter_grid(), rng.uniform(mani.s_min, mani.s_max, 50)])
+    states = np.array([mani.embed(v) for v in s])
+    for v, x in zip(s, states):
+        located = mani.locate(x)
+        assert isinstance(located, float)
+        assert _param_gap(mani, located, v) <= 1e-12
+    batch = mani.locate(states.T)
+    assert batch.shape == s.shape
+    assert np.max(_param_gap(mani, batch, s)) <= 1e-12
+
+
+def test_locate_off_the_manifold_goes_to_the_nearest_point():
+    seg = LOCATE_CASES["segment-2d"]()  # from p0 = (1, 0.5) to p1 = (2, 1.5)
+    p0, p1 = np.array([1.0, 0.5]), np.array([2.0, 1.5])
+    assert seg.locate(p1 + 0.3 * (p1 - p0)) == seg.s_max
+    assert seg.locate(p0 - 0.2 * (p1 - p0)) == seg.s_min
+    assert seg.locate(seg.embed(0.7) + 0.4 * np.array([-1.0, 1.0])) == pytest.approx(0.7, abs=1e-12)
+    arc = LOCATE_CASES["arc"]()  # the gap (5, 1 + 2 pi) is centred on 6.14
+
+    def at(angle, r=1.5):
+        return np.array([0.5, -0.3]) + r * np.array([math.cos(angle), math.sin(angle)])
+
+    assert arc.locate(at(5.05, r=2.0)) == 5.0  # just past a1
+    assert arc.locate(at(7.0, r=0.5)) == 1.0  # nearer a0
+    assert arc.locate(np.stack([at(5.05), at(7.0)], axis=1)).tolist() == [5.0, 1.0]
 
 
 def test_data_function_samples_match_closed_form(horizontal_manifold):
