@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunConfig, load_config_file
 from .decomposition import TargetSample, build_grid, greedy_decompose
 from .eigenfunctions import OpenEigenfunction, evaluate_points, koopman_residual
-from .errors import MISS_REASONS, ConfigError, EmptyTargetError, NotInDomainError
+from .errors import MISS_REASONS, ConfigError, EmptyTargetError, NotInDomainError, ZeroFieldError
 from .manifolds import DataFunction, check_transversality
 from .spectrum import scaling_fit, wedge_point_spectrum_check
 from .targets import parse_data_fn, parse_target
@@ -59,7 +59,14 @@ def _prepare(cfg: RunConfig):
     system = cfg.make_system()
     manifold = cfg.make_manifold(system)
     window = cfg.window(system)
-    report = check_transversality(manifold, system.field)
+    try:
+        report = check_transversality(manifold, system.field)
+    except (ValueError, ZeroFieldError) as exc:
+        raise ConfigError(str(exc), field="manifold") from exc
+    if manifold.surface is None:
+        raise ConfigError(
+            "no codimension-one surface: a segment must lie in the plane", field="manifold"
+        )
     if not report.passed:
         raise ConfigError(
             f"data manifold is not transverse to the flow "

@@ -75,9 +75,9 @@ def _lattice_axis(spec, where: str) -> np.ndarray:
 
 
 def _complex_of(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_number, entry)):
         return complex(float(entry[0]), float(entry[1]))
     raise ConfigError("eigenvalues are numbers or [re, im] pairs", field=where)
 
@@ -243,7 +243,7 @@ class RunConfig:
     def make_system(self) -> BenchmarkSystem:
         try:
             return make_system(self.system_name, **self.system_params)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc), field="system.params") from exc
 
     def make_manifold(self, system: BenchmarkSystem) -> DataManifold:

@@ -68,8 +68,6 @@ def build_grid(
     n: int,
     m: int,
     tol: float = DEFAULT_TOL,
-    *,
-    method: str = "auto",
 ) -> CharacteristicGrid:
     """Uniform (n+1) x (m+1) characteristic grid over the window.
 
@@ -94,7 +92,7 @@ def build_grid(
     fwd = np.nonzero(r_nodes >= 0.0)[0]
     bwd = np.nonzero(r_nodes < 0.0)[0][::-1]  # walk 0 -> t1
     for cols in (fwd, bwd):
-        points[:, cols] = flow_many(field, anchors, r_nodes[cols], tol, method=method).swapaxes(0, 1)
+        points[:, cols] = flow_many(field, anchors, r_nodes[cols], tol).swapaxes(0, 1)
     return CharacteristicGrid(s_nodes, r_nodes, points, field, manifold, (t1, t2))
 
 
@@ -264,14 +262,14 @@ def greedy_decompose(
     K: int,
     stop_tol: float = 1e-9,
     *,
-    refine: bool = True,
     eig_tol: float = DEFAULT_TOL,
 ) -> DecompositionResult:
     """Successively fit the residual with the best single eigenfunction.
 
     Per stage: sweep the candidate eigenvalues against the current residual,
     take p_k = E(lambda_k) kron h_k, normalize by c_k = ||p_k||, subtract.
-    Stops early when c_k underflows or ||R_k||/||b|| < stop_tol.  Every term
+    On an all-real candidate grid the argmin is polished by golden section
+    between its neighbours. Stops early when c_k underflows or ||R_k||/||b|| < stop_tol.  Every term
     is returned as a full eigenfunction object so the eigen-relation can be
     certified downstream.
     """
@@ -293,7 +291,7 @@ def greedy_decompose(
         stage_target = TargetSample(residual_q)
         sweep = sweep_lambda(grid, stage_target, cands)
         best = sweep.best_fit
-        if refine and all_real and cands.size > 1:
+        if all_real and cands.size > 1:
             polished = _refine_lambda(grid, stage_target, cands, sweep.best_index)
             if polished is not None and polished.residual_norm < best.residual_norm:
                 best = polished

@@ -3,9 +3,10 @@
 Numerical integration uses koopeig's own Dormand-Prince 5(4) embedded pair
 (Dormand & Prince 1980; Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.4-II.6). The ``RK45`` stepper advances a (d, N) array whose columns are
-independent lanes. Each lane keeps its own step size, error control, FSAL
-derivative, blow-up bound, step floor and step budget. A lane retires when
-it finishes its span, blows up, underflows, or has met ``max_count`` event
+independent lanes. Each lane keeps its own step size, error control and FSAL
+derivative, under the fixed blow-up bound ``BLOWUP_BOUND``, step floor
+``STEP_FLOOR`` and step budget ``MAX_STEPS``. A lane retires when it
+finishes its span, blows up, underflows, or has met ``max_count`` event
 crossings. A single ``flow`` or ``find_crossings`` is the N = 1 case;
 ``flow_many`` and ``find_crossings_many`` march many states as one batch,
 and crossings are refined by vectorized bisection on the dense output.
@@ -47,11 +48,11 @@ __all__ = [
     "make_system",
     "system_names",
     "DEFAULT_TOL",
-    "DEFAULT_BLOWUP_BOUND",
+    "BLOWUP_BOUND",
 ]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_BLOWUP_BOUND = 1e12
+BLOWUP_BOUND = 1e12
 STEP_FLOOR = 1e-14
 MAX_STEPS = 1_000_000
 BISECT_CAP = 80
@@ -166,12 +167,12 @@ def is_numeric(field: VectorField, method: str) -> bool:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _closed_eval(field: VectorField, x0: np.ndarray, t: float, blowup_bound: float) -> np.ndarray:
+def _closed_eval(field: VectorField, x0: np.ndarray, t: float) -> np.ndarray:
     y = field.closed_form_flow(x0, t)
     n2 = float(y @ y)
-    if not math.isfinite(n2) or n2 > blowup_bound * blowup_bound:
+    if not math.isfinite(n2) or n2 > BLOWUP_BOUND * BLOWUP_BOUND:
         raise BlowUpError(
-            f"closed-form flow of '{field.name}' left the bound {blowup_bound:g} at t={t:g}",
+            f"closed-form flow of '{field.name}' left the bound {BLOWUP_BOUND:g} at t={t:g}",
             time=t,
             state=y,
         )
@@ -229,15 +230,12 @@ class RK45:
         stops,
         tol: float,
         *,
-        blowup_bound: float = DEFAULT_BLOWUP_BOUND,
-        max_steps: int = MAX_STEPS,
         event: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         max_count: int = 1,
     ):
         y = np.array(y0, dtype=float)
         d, n = y.shape
         self.fun, self.tol = fun, tol
-        self.blowup_bound, self.max_steps = blowup_bound, max_steps
         self.event, self.max_count = event, max_count
         self.stops = np.asarray(stops, dtype=float)
         if self.stops.ndim != 1 or self.stops.size == 0 or not (
@@ -316,7 +314,7 @@ class RK45:
         status = np.where(stalled, UNDERFLOW, RUNNING)
         if stalled.any():
             # A collapsing step with an enormous state is finite-time blow-up.
-            status[stalled & (_sum_sq(y) > (1e-2 * self.blowup_bound) ** 2)] = BLOW_UP
+            status[stalled & (_sum_sq(y) > (1e-2 * BLOWUP_BOUND) ** 2)] = BLOW_UP
         if every or accept.any():
             self._advance(accept, every, clipped, status, tau_new, y_new, k)
         self._retire(status)
@@ -332,15 +330,15 @@ class RK45:
             self._y = np.where(accept, y_new, y)
             self._f = np.where(accept, k[-1], self._f)
         self._steps = self._steps + accept
-        blown = accept & ~(_sum_sq(y_new) <= self.blowup_bound**2)
+        blown = accept & ~(_sum_sq(y_new) <= BLOWUP_BOUND**2)
         live = accept & ~blown
         landed = live & clipped
         if landed.any():
             self.at_stops[self._next[landed], :, self._lanes[landed]] = y_new[:, landed].T
             self._next = self._next + landed
             status[landed & (self._next == self.stops.size)] = DONE
-        if self._attempts > self.max_steps:  # no lane has more steps than attempts
-            status[live & (status == RUNNING) & (self._steps > self.max_steps)] = UNDERFLOW
+        if self._attempts > MAX_STEPS:  # no lane has more steps than attempts
+            status[live & (status == RUNNING) & (self._steps > MAX_STEPS)] = UNDERFLOW
         if self.event is not None:
             self._detect(k, tau, tau_new, y, np.nonzero(live & (status != UNDERFLOW))[0])
             status[(status == RUNNING) & (self._count >= self.max_count)] = CROSSED
@@ -478,8 +476,6 @@ def _march(
     sign: float,
     stops,
     tol: float,
-    blowup_bound: float,
-    max_steps: int = MAX_STEPS,
     event=None,
     max_count: int = 1,
 ) -> RK45:
@@ -489,8 +485,7 @@ def _march(
         event = _lane_event(event) if one else _batch_event(event)
     solver = RK45(
         _lane_rhs(field, sign) if one else _batch_rhs(field, sign),
-        y0, stops, tol,
-        blowup_bound=blowup_bound, max_steps=max_steps, event=event, max_count=max_count,
+        y0, stops, tol, event=event, max_count=max_count,
     )
     while solver.running:
         solver.step()
@@ -501,14 +496,14 @@ def _lane_error(field: VectorField, solver: RK45, lane: int, sign: float) -> Koo
     tau = float(solver.tau[lane])
     if solver.status[lane] == BLOW_UP:
         return BlowUpError(
-            f"trajectory of '{field.name}' left the bound {solver.blowup_bound:g} "
+            f"trajectory of '{field.name}' left the bound {BLOWUP_BOUND:g} "
             f"near tau={tau:g}",
             time=sign * tau,
             state=solver.y[:, lane].copy(),
         )
     return StepUnderflowError(
         f"step size of '{field.name}' fell below {STEP_FLOOR:g}, or the march "
-        f"exceeded {solver.max_steps} steps, at tau={tau:g}"
+        f"exceeded {MAX_STEPS} steps, at tau={tau:g}"
     )
 
 
@@ -519,8 +514,6 @@ def flow(
     tol: float = DEFAULT_TOL,
     *,
     method: str = "auto",
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
-    max_steps: int = MAX_STEPS,
 ) -> FlowResult:
     """Advance x0 by time t along the field.
 
@@ -536,9 +529,9 @@ def flow(
     if t == 0.0:
         return FlowResult(x0.copy(), 0.0, 0)
     if not numeric:
-        return FlowResult(_closed_eval(field, x0, t, blowup_bound), t, 0)
+        return FlowResult(_closed_eval(field, x0, t), t, 0)
     sign = 1.0 if t > 0 else -1.0
-    solver = _march(field, x0[:, None], sign, [abs(t)], tol, blowup_bound, max_steps)
+    solver = _march(field, x0[:, None], sign, [abs(t)], tol)
     if solver.status[0] != DONE:
         raise _lane_error(field, solver, 0, sign)
     return FlowResult(solver.at_stops[-1, :, 0].copy(), t, int(solver.steps[0]))
@@ -576,10 +569,10 @@ def flow_many(
         return out
     if not numeric:
         for j in np.nonzero(moving)[0]:
-            out[j] = [_closed_eval(field, xi, times[j], DEFAULT_BLOWUP_BOUND) for xi in x]
+            out[j] = [_closed_eval(field, xi, times[j]) for xi in x]
         return out
     sign = 1.0 if times[-1] > 0 else -1.0
-    solver = _march(field, x.T, sign, mags[moving], tol, DEFAULT_BLOWUP_BOUND)
+    solver = _march(field, x.T, sign, mags[moving], tol)
     failed = np.nonzero(solver.status != DONE)[0]
     if failed.size:
         raise _lane_error(field, solver, int(failed[0]), sign)
@@ -621,7 +614,6 @@ def find_crossings(
     tol: float = DEFAULT_TOL,
     *,
     method: str = "auto",
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
     max_count: int = 1,
 ) -> list[tuple[float, np.ndarray]]:
     """Locate up to max_count sign changes of event along sign*F over [0, budget].
@@ -639,8 +631,7 @@ def find_crossings(
 
     if is_numeric(field, method):
         (found,), (escape,) = find_crossings_many(
-            field, x0[None], event, sign, budget, tol,
-            blowup_bound=blowup_bound, max_count=max_count,
+            field, x0[None], event, sign, budget, tol, max_count=max_count
         )
         if escape is not None:
             raise escape
@@ -656,7 +647,7 @@ def find_crossings(
     while tau_prev < budget:
         tau = min(tau_prev + dt, budget)
         try:
-            y = _closed_eval(field, x0, sign * tau, blowup_bound)
+            y = _closed_eval(field, x0, sign * tau)
         except BlowUpError as exc:
             if dt < 1e-15 * budget:
                 blew_up = exc
@@ -673,7 +664,7 @@ def find_crossings(
         if g_prev * g <= 0.0 and (g_prev != 0.0 or g != 0.0):
             tau_c, y_c = _bisect_event(
                 event,
-                lambda s: _closed_eval(field, x0, sign * s, blowup_bound),
+                lambda s: _closed_eval(field, x0, sign * s),
                 tau_prev,
                 tau,
                 g_prev,
@@ -697,7 +688,6 @@ def find_crossings_many(
     budget: float,
     tol: float = DEFAULT_TOL,
     *,
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
     max_count: int = 1,
 ) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[KoopeigError]]]:
     """``find_crossings`` of the numeric flow for N states, marched as one batch.
@@ -710,9 +700,7 @@ def find_crossings_many(
     n = x.shape[0]
     if n == 0 or budget <= 0.0:
         return [[] for _ in range(n)], [None] * n
-    solver = _march(
-        field, x.T, sign, [budget], tol, blowup_bound, event=event, max_count=max_count,
-    )
+    solver = _march(field, x.T, sign, [budget], tol, event=event, max_count=max_count)
     found = solver.crossings(tol)
     escapes = [
         _lane_error(field, solver, i, sign)
@@ -730,9 +718,6 @@ def flow_to_event(
     direction: str = "backward",
     t_max: float = 10.0,
     tol: float = DEFAULT_TOL,
-    *,
-    method: str = "auto",
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
 ) -> tuple[np.ndarray, float]:
     """Integrate until the event function changes sign; refine by bisection.
 
@@ -749,10 +734,7 @@ def flow_to_event(
     if abs(event(x0)) < tol:
         return x0.copy(), 0.0
     sign = -1.0 if direction == "backward" else 1.0
-    crossings = find_crossings(
-        field, x0, event, sign, t_max, tol,
-        method=method, blowup_bound=blowup_bound, max_count=1,
-    )
+    crossings = find_crossings(field, x0, event, sign, t_max, tol)
     if not crossings:
         raise NoCrossingError(
             f"event did not change sign within {t_max:g} time units ({direction})"

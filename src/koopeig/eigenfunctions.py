@@ -17,7 +17,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_BLOWUP_BOUND,
     DEFAULT_TOL,
     VectorField,
     as_states,
@@ -57,6 +56,9 @@ __all__ = [
 ]
 
 PRIMARY_CLASS_THRESHOLD = 1e-4
+# Crossings of the supporting surface a search collects in each direction.
+# More than one of them on the manifold makes the pullback ambiguous.
+AMBIGUITY_COUNT = 4
 
 
 @dataclass(frozen=True)
@@ -87,23 +89,21 @@ def _search_setup(manifold: DataManifold, t_window) -> tuple[float, float, float
     return t1, t2, slack, on_tol
 
 
-def _feet(manifold, crossings, on_tol: float, check_ambiguity: bool) -> list:
+def _feet(manifold, crossings, on_tol: float) -> list:
     """The crossings whose state lies on the manifold, as (tau, state, s)."""
     hits = []
     for tau, state in crossings:
         s = manifold.locate(state)
         if _on_manifold(manifold, state, s, on_tol):
             hits.append((tau, state, s))
-            if not check_ambiguity:
-                break
     return hits
 
 
-def _settle(hits: list, direction: float, escape: Optional[str], check_ambiguity: bool):
+def _settle(hits: list, direction: float, escape: Optional[str]):
     """A Pullback, or the miss reason when there is not exactly one hit."""
     if not hits:
         return escape or NO_CROSSING
-    if check_ambiguity and len(hits) > 1:
+    if len(hits) > 1:
         return AMBIGUOUS
     tau, state, s = hits[0]
     return Pullback(direction * tau, s, state)
@@ -124,20 +124,16 @@ def _pull(
     pts: np.ndarray,
     tol: float,
     method: str,
-    check_ambiguity: bool,
-    blowup_bound: float,
 ) -> list:
     """The search behind ``pullback`` and ``pullback_many`` for the (N, d) points."""
     t1, t2, slack, on_tol = _search_setup(manifold, t_window)
     numeric = is_numeric(field, method)
-    max_count = 4 if check_ambiguity else 1
 
     def search(idx: list, sign: float, budget: float):
         """Feet and escape reason of the points idx along sign*F over [0, budget]."""
         if numeric:
             crossings, escapes = find_crossings_many(
-                field, pts[idx], manifold.surface, sign, budget, tol,
-                blowup_bound=blowup_bound, max_count=max_count,
+                field, pts[idx], manifold.surface, sign, budget, tol, max_count=AMBIGUITY_COUNT
             )
         else:
             crossings, escapes = [], []
@@ -145,14 +141,14 @@ def _pull(
                 try:
                     found, escape = find_crossings(
                         field, pts[i], manifold.surface, sign, budget, tol,
-                        method=method, blowup_bound=blowup_bound, max_count=max_count,
+                        method=method, max_count=AMBIGUITY_COUNT,
                     ), None
                 except (BlowUpError, StepUnderflowError) as exc:
                     # Orbit escapes before meeting the manifold: nothing on this side.
                     found, escape = [], exc
                 crossings.append(found)
                 escapes.append(escape)
-        feet = [_feet(manifold, c, on_tol, check_ambiguity) for c in crossings]
+        feet = [_feet(manifold, c, on_tol) for c in crossings]
         return dict(zip(idx, feet)), {i: e.reason if e else None for i, e in zip(idx, escapes)}
 
     # A point on the manifold itself is its own foot, at r* = 0.
@@ -173,7 +169,7 @@ def _pull(
             hits[i], direction[i] = hits_fwd[i], -1.0
             escapes[i] = escapes[i] or escapes_fwd[i]
     for i in pending:
-        results[i] = _settle(hits[i], direction[i], escapes[i], check_ambiguity)
+        results[i] = _settle(hits[i], direction[i], escapes[i])
     return results
 
 
@@ -185,8 +181,6 @@ def pullback(
     tol: float = DEFAULT_TOL,
     *,
     method: str = "auto",
-    check_ambiguity: bool = True,
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
 ) -> Pullback:
     """Locate the in-window intersection of the orbit through x with the manifold.
 
@@ -197,7 +191,7 @@ def pullback(
     in the same direction (a nonrecurrence violation).
     """
     pts = as_states(field, [np.asarray(x, dtype=float).reshape(-1)])
-    (result,) = _pull(field, manifold, t_window, pts, tol, method, check_ambiguity, blowup_bound)
+    (result,) = _pull(field, manifold, t_window, pts, tol, method)
     if isinstance(result, str):
         raise _miss_error(result)
     return result
@@ -211,7 +205,6 @@ def pullback_many(
     tol: float = DEFAULT_TOL,
     *,
     method: str = "auto",
-    check_ambiguity: bool = True,
 ) -> list:
     """``pullback`` of N points: per point a Pullback or its miss reason.
 
@@ -222,34 +215,30 @@ def pullback_many(
     """
     pts = as_states(field, points)
     if is_numeric(field, method):
-        return _pull(
-            field, manifold, t_window, pts, tol, method, check_ambiguity, DEFAULT_BLOWUP_BOUND
-        )
+        return _pull(field, manifold, t_window, pts, tol, method)
     # One ``pullback`` call per point, so that perfbench/tracing.py, which
     # patches eigenfunctions.pullback, times each exact scan.
     out: list = []
     for x in pts:
         try:
-            out.append(pullback(
-                field, manifold, t_window, x, tol, method=method, check_ambiguity=check_ambiguity,
-            ))
+            out.append(pullback(field, manifold, t_window, x, tol, method=method))
         except (NotInDomainError, AmbiguousCrossingError) as exc:
             out.append(exc.reason)
     return out
 
 
 class _EigenfunctionBase:
-    """Pointwise-evaluable eigenfunction: has .eigenvalue, .field, __call__."""
+    """Pointwise-evaluable eigenfunction: has .eigenvalue, .field, values."""
 
     eigenvalue: complex
     field: VectorField
 
-    def __call__(self, x) -> complex:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def __call__(self, x) -> complex:
+        return complex(self.values([np.asarray(x, dtype=float).reshape(-1)])[0])
 
-    def values(self, points) -> np.ndarray:
-        """phi at N points, shaped (N,); raises like __call__ on the first miss."""
-        return np.array([complex(self(x)) for x in as_states(self.field, points)], dtype=complex)
+    def values(self, points) -> np.ndarray:  # pragma: no cover - abstract
+        """phi at N points, shaped (N,); raises on the first point it cannot evaluate."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -262,8 +251,6 @@ class OpenEigenfunction(_EigenfunctionBase):
     field: VectorField
     t_window: tuple[float, float]
     tol: float = DEFAULT_TOL
-    method: str = "auto"
-    check_ambiguity: bool = True
     name: str = ""
 
     def __post_init__(self):
@@ -273,37 +260,16 @@ class OpenEigenfunction(_EigenfunctionBase):
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
     def pullback(self, x) -> Pullback:
-        return pullback(
-            self.field,
-            self.manifold,
-            self.t_window,
-            x,
-            self.tol,
-            method=self.method,
-            check_ambiguity=self.check_ambiguity,
-        )
+        return pullback(self.field, self.manifold, self.t_window, x, self.tol)
 
     def pullback_many(self, points) -> list:
-        return pullback_many(
-            self.field,
-            self.manifold,
-            self.t_window,
-            points,
-            self.tol,
-            method=self.method,
-            check_ambiguity=self.check_ambiguity,
-        )
-
-    def __call__(self, x) -> complex:
-        return complex(self.values([np.asarray(x, dtype=float).reshape(-1)])[0])
+        return pullback_many(self.field, self.manifold, self.t_window, points, self.tol)
 
     def values(self, points) -> np.ndarray:
-        out = []
-        for pb in self.pullback_many(points):
-            if isinstance(pb, str):
-                raise _miss_error(pb)
-            out.append(self.data(pb.s_star) * cmath.exp(self.eigenvalue * pb.r_star))
-        return np.array(out, dtype=complex)
+        found, misses = evaluate_points(self, points)
+        if misses:
+            raise _miss_error(misses[0])
+        return np.array([v.phi for v in found], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -316,8 +282,8 @@ class ClosedFormEigenfunction(_EigenfunctionBase):
     def __post_init__(self):
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
-    def __call__(self, x) -> complex:
-        return complex(self.fn(np.asarray(x, dtype=float)))
+    def values(self, points) -> np.ndarray:
+        return np.array([complex(self.fn(x)) for x in as_states(self.field, points)], dtype=complex)
 
 
 def _safe_power(z: complex, alpha: float) -> complex:
@@ -362,9 +328,6 @@ class ProductEigenfunction(_EigenfunctionBase):
     def field(self) -> VectorField:
         return self.factors[0][0].field
 
-    def __call__(self, x) -> complex:
-        return complex(self.values([np.asarray(x, dtype=float).reshape(-1)])[0])
-
     def values(self, points) -> np.ndarray:
         pts = as_states(self.field, points)
         out = np.ones(pts.shape[0], dtype=complex)
@@ -392,7 +355,6 @@ def koopman_residual(
     t: float = 0.1,
     *,
     tol: float = DEFAULT_TOL,
-    method: str = "auto",
 ) -> float:
     """Worst relative defect of phi(rho_t(x)) = e^{lambda t} phi(x) over the points.
 
@@ -405,7 +367,7 @@ def koopman_residual(
     if pts.shape[0] == 0:
         return 0.0
     factor = cmath.exp(complex(eig.eigenvalue) * t)
-    ends = flow_many(eig.field, pts, [t], tol, method=method)[0]
+    ends = flow_many(eig.field, pts, [t], tol)[0]
     phi = eig.values(np.concatenate([pts, ends]))
     phi_x, phi_y = phi[: pts.shape[0]], phi[pts.shape[0]:]
     defect = np.abs(phi_y - factor * phi_x) / np.maximum(1.0, np.abs(phi_x))
@@ -418,11 +380,10 @@ def orbit_scaling_defect(
     r: float,
     *,
     tol: float = DEFAULT_TOL,
-    method: str = "auto",
 ) -> float:
     """Absolute defect |phi(rho_r(x)) - phi(x) e^{lambda r}| for one orbit hop."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    y = flow(eig.field, x, r, tol, method=method).state
+    y = flow(eig.field, x, r, tol).state
     phi_x, phi_y = eig.values([x, y])
     return abs(complex(phi_y) - complex(phi_x) * cmath.exp(complex(eig.eigenvalue) * r))
 
@@ -440,11 +401,12 @@ def levelset_transversality(
     eig1: _EigenfunctionBase,
     eig2: _EigenfunctionBase,
     points: Sequence,
-    fd_step: Optional[float] = None,
 ) -> np.ndarray:
     """|grad(phi1) . perp-grad(phi2)| at each point, by central differences.
 
-    Each eigenfunction is evaluated on the whole stencil in one call.
+    The difference step is 1e-5 of the points' bounding-box diagonal (at
+    least 1e-5). Each eigenfunction is evaluated on the whole stencil in one
+    call.
 
     Near-zero everywhere means the two candidates share level sets (one
     primary class); systematically nonzero level-set crossings separate them.
@@ -452,9 +414,8 @@ def levelset_transversality(
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("level-set transversality is defined for planar states")
-    if fd_step is None:
-        diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-        fd_step = 1e-5 * max(diag, 1.0)
+    diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    fd_step = 1e-5 * max(diag, 1.0)
     # Central-difference stencil x + e1, x - e1, x + e2, x - e2 of every point.
     offsets = fd_step * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     stencil = (pts[:, None, :] + offsets).reshape(-1, 2)
@@ -471,10 +432,10 @@ def same_primary_class(
     eig1: _EigenfunctionBase,
     eig2: _EigenfunctionBase,
     points: Sequence,
-    threshold: float = PRIMARY_CLASS_THRESHOLD,
 ) -> bool:
-    """Numerical level-set equivalence: transversality below threshold everywhere."""
-    return bool(np.all(levelset_transversality(eig1, eig2, points) <= threshold))
+    """Numerical level-set equivalence: transversality at most
+    PRIMARY_CLASS_THRESHOLD everywhere."""
+    return bool(np.all(levelset_transversality(eig1, eig2, points) <= PRIMARY_CLASS_THRESHOLD))
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,13 @@ def segment_manifold(
     s_range: Optional[tuple[float, float]] = None,
     name: str = "segment",
 ) -> DataManifold:
-    """Straight segment from p0 to p1; parameter defaults to arclength."""
+    """Straight segment from p0 to p1; parameter defaults to arclength.
+
+    Only a segment in the plane is codimension one and carries a ``surface``.
+    On the line or in three or more dimensions no signed distance changes
+    sign where an orbit passes through the segment, so ``surface`` is None
+    and a pullback onto it is refused.
+    """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     if p0.shape != p1.shape or p0.ndim != 1:
@@ -146,6 +152,7 @@ def segment_manifold(
         along = sum(direction[k] * v[k] for k in range(p0.size)) / dir2
         return _per_state(x, np.clip(s0 + along, s0, s1))
 
+    surface = None
     if p0.size == 2:
         unit = (p1 - p0) / length
         normal = np.array([-unit[1], unit[0]])
@@ -153,15 +160,6 @@ def segment_manifold(
         def surface(x):
             x = np.asarray(x, float)
             return _per_state(x, normal[0] * (x[0] - p0[0]) + normal[1] * (x[1] - p0[1]))
-
-    else:
-        u = (p1 - p0) / length
-
-        def surface(x):  # distance along the segment axis complement
-            x = np.asarray(x, float)
-            v = x - p0.reshape((-1,) + (1,) * (x.ndim - 1))
-            along = sum(u[k] * v[k] for k in range(u.size))
-            return _per_state(x, np.sqrt(sum((v[k] - along * u[k]) ** 2 for k in range(u.size))))
 
     return DataManifold(
         embed=embed,

@@ -115,7 +115,6 @@ def test_registry_rhs_is_vectorized(name):
     "mani",
     [
         ke.segment_manifold((1.0, 0.5), (2.0, 1.5), n=11),
-        ke.segment_manifold((0.0, 0.0, 1.0), (1.0, 2.0, 2.0), n=11),
         ke.circle_manifold((0.5, -0.5), 2.0, n=11),
         ke.point_manifold(1.0),
     ],

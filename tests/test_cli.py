@@ -330,6 +330,16 @@ BAD_CONFIGS = [
         _with(SPECTRUM_CFG, spectrum__wedge={"alpha_window": [3.0, 1.0]}),
         "spectrum.wedge.alpha_window",
     ),
+    ("eval", _with(OBSERVER_CFG, system__params={"a1": "x"}), "system.params"),
+    ("eval", _with(OBSERVER_CFG, eig__lambda=[1, "a"]), "eig.lambda"),
+    ("decompose", _with(DECOMPOSE_CFG, lambda_sweep={"values": [[1, "a"]]}), "lambda_sweep.values"),
+    (
+        "eval",
+        _with(OBSERVER_CFG, manifold={"type": "segment", "from": [0.3, 1, 0], "to": [2.2, 1, 0]}),
+        "manifold",
+    ),
+    ("eval", _with(LIN1D_CFG, manifold={"type": "point", "x0": 0}), "manifold"),
+    ("eval", _with(LIN1D_CFG, manifold={"type": "segment", "from": [0.3], "to": [2.2]}), "manifold"),
 ]
 
 

@@ -195,12 +195,14 @@ def test_benchmark_oracles_satisfy_eigen_relation(name):
     assert ke.koopman_residual(oracle, pts, 0.1) <= 1e-6
 
 
-def test_step_underflow_is_reported():
+def test_step_underflow_is_reported(monkeypatch):
     # Chattering across a discontinuity stalls the stepper without growth;
-    # the failure surfaces as step underflow, not blow-up.
+    # the failure surfaces as step underflow, not blow-up. A smaller step
+    # budget keeps the test fast.
     def rhs(x):
         return np.array([1.0 if x[0] < 1.0 else -1.0])
 
+    monkeypatch.setattr(ke.dynamics, "MAX_STEPS", 20_000)
     field = ke.VectorField(1, rhs, name="chatter")
     with pytest.raises(ke.StepUnderflowError):
-        ke.flow(field, [0.0], 5.0, 1e-10, method="rk45", max_steps=20_000)
+        ke.flow(field, [0.0], 5.0, 1e-10, method="rk45")

@@ -83,6 +83,17 @@ def test_pullback_needs_a_manifold_with_locate(lin2d, horizontal_manifold):
         ke.pullback(lin2d.field, no_inverse, (0.0, 1.2), [1.0, 2.0])
 
 
+def test_pullback_onto_a_segment_in_space_is_refused():
+    # A segment in 3-D is not codimension one: it has no surface to cross.
+    field = ke.VectorField(
+        3, lambda x: np.stack([np.zeros_like(x[0]), np.zeros_like(x[0]), np.ones_like(x[0])])
+    )
+    mani = ke.segment_manifold((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), n=11)
+    assert mani.surface is None
+    with pytest.raises(ValueError, match="surface"):
+        ke.pullback(field, mani, (0.0, 2.0), [0.5, 0.0, 1.0])
+
+
 def test_pullback_ambiguous_crossing_on_rotation():
     def rhs(x):
         return np.array([-x[1], x[0]])
