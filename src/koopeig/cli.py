@@ -139,7 +139,10 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
     system, manifold, window = _prepare(cfg)
     if cfg.target is None:
         raise ConfigError("decompose needs a target expression", field="target")
-    q = parse_target(cfg.target, dim=system.field.dim, where="target")
+    dim = system.field.dim
+    if manifold.s_min == manifold.s_max and cfg.grid_n > 0:
+        raise ConfigError("the manifold has a single parameter: n must be 0", field="grid.n")
+    q = parse_target(cfg.target, dim=dim, where="target")
     grid = build_grid(
         system.field, manifold, window, cfg.grid_n, cfg.grid_m, cfg.integrator_tol
     )
@@ -186,15 +189,13 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
             h_rows.append((stage, s, v.real, v.imag))
     write_csv(out_dir / "h_functions.csv", ["stage", "s", "h_re", "h_im"], h_rows)
     grid_rows = []
+    points = grid.points.reshape(-1, dim).tolist()  # row-major over (s_i, r_j)
     for stage, term in enumerate(result.terms, start=1):
-        for i in range(grid.n_s):
-            for j in range(grid.n_r):
-                x = grid.points[i, j]
-                v = term.phi_grid[i, j]
-                grid_rows.append((stage, x[0], x[1], v.real, v.imag))
+        for x, v in zip(points, term.phi_grid.ravel()):
+            grid_rows.append((stage, *x, v.real, v.imag))
     write_csv(
         out_dir / "term_grids.csv",
-        ["stage", "x1", "x2", "phi_re", "phi_im"],
+        ["stage"] + [f"x{k + 1}" for k in range(dim)] + ["phi_re", "phi_im"],
         grid_rows,
     )
     return EXIT_OK

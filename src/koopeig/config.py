@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from .decomposition import default_candidates
 from .dynamics import BenchmarkSystem, make_system, system_names
 from .errors import ConfigError
 from .manifolds import DataManifold, circle_manifold, point_manifold, segment_manifold
@@ -303,7 +304,7 @@ class RunConfig:
     def candidate_lambdas(self) -> np.ndarray:
         spec = self.lambda_sweep
         if spec is None:
-            return np.linspace(-5.0, 5.0, 101).astype(complex)
+            return default_candidates()
         if "values" in spec:
             vals = spec["values"]
             if not isinstance(vals, list) or not vals:

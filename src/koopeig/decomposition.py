@@ -39,6 +39,8 @@ __all__ = [
 COEFF_FLOOR = 1e-14
 DEGENERATE_FLOOR = 1e-300
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section polish of a real eigenvalue stops at this bracket width.
+REFINE_WIDTH = 1e-3
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def build_grid(
     )
     r_nodes = np.linspace(t1, t2, m + 1) if m > 0 else np.array([t1])
     points = np.empty((s_nodes.size, r_nodes.size, manifold.dim))
-    anchors = np.array([manifold.embed(s) for s in s_nodes], dtype=float)
+    anchors = np.asarray(manifold.embed(s_nodes), dtype=float).T
     fwd = np.nonzero(r_nodes >= 0.0)[0]
     bwd = np.nonzero(r_nodes < 0.0)[0][::-1]  # walk 0 -> t1
     for cols in (fwd, bwd):
@@ -227,7 +229,6 @@ def _refine_lambda(
     target: TargetSample,
     cands: np.ndarray,
     best_idx: int,
-    width_tol: float = 1e-3,
 ) -> Optional[FitResult]:
     """Golden-section polish of the residual over real lambda near the argmin."""
     lo = float(cands[max(best_idx - 1, 0)].real)
@@ -240,7 +241,7 @@ def _refine_lambda(
     fit_c = fit_h(grid, target, c)
     fit_d = fit_h(grid, target, d)
     best = min(fit_c, fit_d, key=lambda f: f.residual_norm)
-    while b - a > width_tol:
+    while b - a > REFINE_WIDTH:
         if fit_c.residual_norm < fit_d.residual_norm:
             b, d, fit_d = d, c, fit_c
             c = b - GOLDEN * (b - a)

@@ -11,12 +11,11 @@ crossings. A single ``flow`` or ``find_crossings`` is the N = 1 case;
 ``flow_many`` and ``find_crossings_many`` march many states as one batch,
 and crossings are refined by vectorized bisection on the dense output.
 
-Right-hand-side contract: ``VectorField.rhs`` maps an array whose first axis
-is the state, shaped (d,) or (d, N), to an array of the same shape. Batches
-of N > 1 lanes call it once per stage with the whole (d, N) array, and a
-result of another shape is a ValueError naming the field. A batch of one
-lane calls it with a (d,) state, so a field written for single states
-still works in ``flow`` and ``find_crossings``.
+Right-hand-side contract: ``VectorField.rhs`` maps a (d, N) array of states
+to the (d, N) array of their derivatives. Every march, one lane included,
+calls it once per stage with the whole batch, and a result of another shape
+is a ValueError naming the field. An event likewise maps (d, N) states to
+(N,) values; the closed-form scan calls it on one (d,) state.
 
 Systems that admit a closed-form flow expose it on the ``VectorField``;
 ``method="auto"`` prefers it when present.
@@ -101,8 +100,7 @@ RUNNING, DONE, CROSSED, BLOW_UP, UNDERFLOW = range(5)
 class VectorField:
     """Right-hand side of an autonomous ODE on a d-dimensional state space.
 
-    ``rhs`` maps a (d,) state or a (d, N) batch of states to derivatives of
-    the same shape.
+    ``rhs`` maps a (d, N) batch of states to derivatives of the same shape.
     """
 
     dim: int
@@ -113,9 +111,6 @@ class VectorField:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.rhs(np.asarray(x, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -425,19 +420,6 @@ def _bisect_dense(event, lo, hi, y_lo, q, g_lo, tol) -> tuple[np.ndarray, np.nda
     return tau, y
 
 
-def _lane_rhs(field: VectorField, sign: float):
-    """The RHS of a one-lane batch: one (d,) state per call."""
-    rhs, d = field.rhs, field.dim
-
-    def fun(y):
-        out = np.asarray(rhs(y[:, 0]), dtype=float)
-        if out.shape != (d,):
-            raise ValueError(f"rhs of '{field.name}' returned shape {out.shape} for a state of shape ({d},)")
-        return (out if sign > 0 else -out).reshape(d, 1)
-
-    return fun
-
-
 def _batch_rhs(field: VectorField, sign: float):
     rhs = field.rhs
 
@@ -451,13 +433,6 @@ def _batch_rhs(field: VectorField, sign: float):
         return out if sign > 0 else -out
 
     return fun
-
-
-def _lane_event(event):
-    def g(y):
-        return np.array([float(event(y[:, j])) for j in range(y.shape[1])])
-
-    return g
 
 
 def _batch_event(event):
@@ -480,13 +455,9 @@ def _march(
     max_count: int = 1,
 ) -> RK45:
     """Run the stepper over the (d, N) lanes y0 along sign*F until every lane retires."""
-    one = y0.shape[1] == 1
     if event is not None:
-        event = _lane_event(event) if one else _batch_event(event)
-    solver = RK45(
-        _lane_rhs(field, sign) if one else _batch_rhs(field, sign),
-        y0, stops, tol, event=event, max_count=max_count,
-    )
+        event = _batch_event(event)
+    solver = RK45(_batch_rhs(field, sign), y0, stops, tol, event=event, max_count=max_count)
     while solver.running:
         solver.step()
     return solver
@@ -621,8 +592,9 @@ def find_crossings(
     Each crossing is refined by bisection to |event| < tol.  Blow-up or step
     underflow occurring after at least one crossing means the orbit left the
     domain and simply ends the scan; before any crossing it propagates.
-    A numeric field is the one-state case of ``find_crossings_many``; a
-    closed-form flow is scanned adaptively.
+    A numeric field is the one-state case of ``find_crossings_many``, and
+    ``event`` gets (d, 1) states there; a closed-form flow is scanned
+    adaptively, one (d,) state per event call.
     """
     x0 = _check_state(field, x0)
     found: list[tuple[float, np.ndarray]] = []
@@ -692,7 +664,7 @@ def find_crossings_many(
 ) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[KoopeigError]]]:
     """``find_crossings`` of the numeric flow for N states, marched as one batch.
 
-    ``event`` maps a (d, M) array to M values (a single state when N = 1).
+    ``event`` maps a (d, M) array to M values.
     Returns, per state, its crossings and its escape: the BlowUpError or
     StepUnderflowError that ends the orbit before any crossing, else None.
     """
@@ -761,10 +733,10 @@ def _lin1d(a: float = 1.0) -> BenchmarkSystem:
         return x * math.exp(g)
 
     fld = VectorField(1, rhs, name=f"lin1d(a={a:g})", closed_form_flow=closed)
-    mani = manifolds.point_manifold(1.0, name="lin1d-anchor")
+    mani = manifolds.point_manifold(1.0)
     from .eigenfunctions import ClosedFormEigenfunction
 
-    oracle = ClosedFormEigenfunction(complex(a), lambda x: complex(x[0]), fld, name="state-observer")
+    oracle = ClosedFormEigenfunction(complex(a), lambda x: complex(x[0]), fld)
     return BenchmarkSystem(fld, mani, (-1.0, 1.0), oracle)
 
 
@@ -781,12 +753,10 @@ def _lin2d(a1: float = 1.0, a2: float = 2.0) -> BenchmarkSystem:
         return x * np.exp(g)
 
     fld = VectorField(2, rhs, name=f"lin2d(a=({a1:g},{a2:g}))", closed_form_flow=closed)
-    mani = manifolds.segment_manifold(
-        (0.3, 1.0), (2.2, 1.0), n=121, s_range=(0.3, 2.2), name="horizontal-line"
-    )
+    mani = manifolds.segment_manifold((0.3, 1.0), (2.2, 1.0), n=121, s_range=(0.3, 2.2))
     from .eigenfunctions import ClosedFormEigenfunction
 
-    oracle = ClosedFormEigenfunction(complex(a2), lambda x: complex(x[1]), fld, name="x2-observer")
+    oracle = ClosedFormEigenfunction(complex(a2), lambda x: complex(x[1]), fld)
     return BenchmarkSystem(fld, mani, (0.0, 1.2), oracle)
 
 
@@ -822,7 +792,7 @@ def _hopf(mu: float = 1.0) -> BenchmarkSystem:
             return np.array([r * math.cos(th), r * math.sin(th)])
 
     fld = VectorField(2, rhs, name=f"hopf(mu={mu:g})", closed_form_flow=closed)
-    mani = manifolds.circle_manifold((0.0, 0.0), 5.0, n=257, name="R5-circle")
+    mani = manifolds.circle_manifold((0.0, 0.0), 5.0, n=257)
     return BenchmarkSystem(fld, mani, (0.0, 4.0), None)
 
 
@@ -831,9 +801,7 @@ def _vdp() -> BenchmarkSystem:
         return np.array([x[1], x[1] * (1.0 - x[0] * x[0]) - x[0]])
 
     fld = VectorField(2, rhs, name="vdp")
-    mani = manifolds.segment_manifold(
-        (1.0, 0.5), (2.0, 1.5), n=121, name="vdp-segment"
-    )
+    mani = manifolds.segment_manifold((1.0, 0.5), (2.0, 1.5), n=121)
     return BenchmarkSystem(fld, mani, (0.0, 2.0), None)
 
 
@@ -848,12 +816,10 @@ def _blowup() -> BenchmarkSystem:
         return x / denom
 
     fld = VectorField(1, rhs, name="blowup", closed_form_flow=closed)
-    mani = manifolds.point_manifold(1.0, name="blowup-anchor")
+    mani = manifolds.point_manifold(1.0)
     from .eigenfunctions import ClosedFormEigenfunction
 
-    oracle = ClosedFormEigenfunction(
-        1.0 + 0.0j, lambda x: complex(math.exp(-1.0 / x[0])), fld, name="exp(-1/x)"
-    )
+    oracle = ClosedFormEigenfunction(1.0 + 0.0j, lambda x: complex(math.exp(-1.0 / x[0])), fld)
     return BenchmarkSystem(fld, mani, (-1.0, 0.5), oracle)
 
 
@@ -865,9 +831,7 @@ def _action_angle() -> BenchmarkSystem:
         return np.array([x[0], x[1] + x[0] * t])
 
     fld = VectorField(2, rhs, name="action_angle", closed_form_flow=closed)
-    mani = manifolds.segment_manifold(
-        (0.5, 0.2), (2.5, 0.2), n=121, s_range=(0.5, 2.5), name="radial-ray"
-    )
+    mani = manifolds.segment_manifold((0.5, 0.2), (2.5, 0.2), n=121, s_range=(0.5, 2.5))
     return BenchmarkSystem(fld, mani, (0.0, 0.8), None)
 
 

@@ -251,16 +251,12 @@ class OpenEigenfunction(_EigenfunctionBase):
     field: VectorField
     t_window: tuple[float, float]
     tol: float = DEFAULT_TOL
-    name: str = ""
 
     def __post_init__(self):
         t1, t2 = self.t_window
         if not (t1 <= 0.0 <= t2):
             raise ValueError("t_window must contain 0")
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
-
-    def pullback(self, x) -> Pullback:
-        return pullback(self.field, self.manifold, self.t_window, x, self.tol)
 
     def pullback_many(self, points) -> list:
         return pullback_many(self.field, self.manifold, self.t_window, points, self.tol)
@@ -277,7 +273,6 @@ class ClosedFormEigenfunction(_EigenfunctionBase):
     eigenvalue: complex
     fn: Callable[[np.ndarray], complex]
     field: VectorField
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))

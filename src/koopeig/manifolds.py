@@ -4,6 +4,11 @@ A ``DataManifold`` is a parameterized codimension-one surface (a curve in
 the plane, a point on the line) on which initial data lives.  It also
 carries the signed distance to its supporting surface, which event
 detection uses to locate flow crossings.
+
+Every map of a manifold works on batches: ``embed`` and ``tangent`` take a
+float to a (d,) state and an (N,) array of parameters to a (d, N) array,
+and ``surface`` and ``locate`` take a (d,) state to a float and a (d, N)
+batch of states to an (N,) array.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ ZERO_FIELD_THRESHOLD = 1e-14
 class DataManifold:
     """Parameterized curve s in [s_min, s_max] -> state, transverse to a flow.
 
+    ``embed`` and its derivative ``tangent`` give a (d,) array for one
+    parameter and a (d, N) array for an (N,) array of parameters.
     ``surface`` is the signed distance to the supporting surface (the full
     line through a segment, the full circle through an arc) and ``locate``
     the inverse of ``embed``: the parameter of the manifold point nearest a
@@ -48,16 +55,15 @@ class DataManifold:
     parameterization wraps with period s_max - s_min.
     """
 
-    embed: Callable[[float], np.ndarray]
+    embed: Callable[[np.ndarray], np.ndarray]
     s_min: float
     s_max: float
     n_samples: int
     dim: int
-    tangent: Optional[Callable[[float], np.ndarray]] = None
-    surface: Optional[Callable[[np.ndarray], float]] = None
-    locate: Optional[Callable[[np.ndarray], float]] = None
+    tangent: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    surface: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    locate: Optional[Callable[[np.ndarray], np.ndarray]] = None
     closed: bool = False
-    name: str = "manifold"
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -83,7 +89,7 @@ class DataManifold:
 
     def sample_points(self) -> np.ndarray:
         if self._points_cache is None:
-            pts = np.array([self.embed(s) for s in self.parameter_grid()], dtype=float)
+            pts = np.asarray(self.embed(self.parameter_grid()), dtype=float).T
             object.__setattr__(self, "_points_cache", pts)
         return self._points_cache
 
@@ -93,17 +99,13 @@ class DataManifold:
         diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
         return max(diag, 1e-12)
 
-    def tangent_at(self, s: float) -> np.ndarray:
-        if self.tangent is not None:
-            return np.asarray(self.tangent(s), dtype=float)
-        ds = max(self.span, 1.0) * 1e-6
-        lo, hi = s - ds, s + ds
-        if not self.closed:
-            lo, hi = max(lo, self.s_min), min(hi, self.s_max)
-        return (np.asarray(self.embed(hi), float) - np.asarray(self.embed(lo), float)) / (hi - lo)
-
     def with_samples(self, n_samples: int) -> "DataManifold":
         return replace(self, n_samples=n_samples)
+
+
+def _column(v: np.ndarray, s) -> np.ndarray:
+    """A (d,) vector shaped to broadcast against parameters s: (d,) or (d, 1)."""
+    return v.reshape((-1,) + (1,) * np.ndim(s))
 
 
 def _per_state(x: np.ndarray, value):
@@ -116,7 +118,6 @@ def segment_manifold(
     p1: Sequence[float],
     n: int = 101,
     s_range: Optional[tuple[float, float]] = None,
-    name: str = "segment",
 ) -> DataManifold:
     """Straight segment from p0 to p1; parameter defaults to arclength.
 
@@ -141,10 +142,11 @@ def segment_manifold(
     dir2 = float(direction @ direction)
 
     def embed(s):
-        return p0 + (s - s0) * direction
+        s = np.asarray(s, float)
+        return _column(p0, s) + (s - s0) * _column(direction, s)
 
-    def tangent(_s):
-        return direction.copy()
+    def tangent(s):
+        return np.broadcast_to(_column(direction, s), (p0.size,) + np.shape(s)).copy()
 
     def locate(x):  # orthogonal projection onto the segment
         x = np.asarray(x, float)
@@ -170,7 +172,6 @@ def segment_manifold(
         tangent=tangent,
         surface=surface,
         locate=locate,
-        name=name,
     )
 
 
@@ -179,7 +180,6 @@ def circle_manifold(
     radius: float,
     arc: tuple[float, float] = (0.0, 2.0 * math.pi),
     n: int = 181,
-    name: str = "circle",
 ) -> DataManifold:
     """Circular arc parameterized by angle; a full turn wraps periodically."""
     c = np.asarray(center, dtype=float)
@@ -193,10 +193,10 @@ def circle_manifold(
     closed = abs((a1 - a0) - 2.0 * math.pi) < 1e-12
 
     def embed(s):
-        return c + radius * np.array([math.cos(s), math.sin(s)])
+        return _column(c, s) + radius * np.array([np.cos(s), np.sin(s)])
 
     def tangent(s):
-        return radius * np.array([-math.sin(s), math.cos(s)])
+        return radius * np.array([-np.sin(s), np.cos(s)])
 
     def surface(x):
         x = np.asarray(x, float)
@@ -219,16 +219,15 @@ def circle_manifold(
         surface=surface,
         locate=locate,
         closed=closed,
-        name=name,
     )
 
 
-def point_manifold(x0: float, name: str = "point") -> DataManifold:
+def point_manifold(x0: float) -> DataManifold:
     """Codimension-one manifold of a one-dimensional state space: a point."""
     x0 = float(x0)
 
-    def embed(_s):
-        return np.array([x0])
+    def embed(s):
+        return np.full((1,) + np.shape(s), x0)
 
     def surface(x):
         x = np.asarray(x, float)
@@ -244,10 +243,8 @@ def point_manifold(x0: float, name: str = "point") -> DataManifold:
         s_max=0.0,
         n_samples=1,
         dim=1,
-        tangent=None,
         surface=surface,
         locate=locate,
-        name=name,
     )
 
 
@@ -315,32 +312,35 @@ class TransversalityReport:
     margins: np.ndarray
 
 
-def _margin(tangent: np.ndarray, f: np.ndarray) -> float:
-    nt, nf = np.linalg.norm(tangent), np.linalg.norm(f)
-    if tangent.size == 2:
-        det = tangent[0] * f[1] - tangent[1] * f[0]
-        return abs(det) / (nt * nf)
-    m = np.column_stack([tangent / nt, f / nf])
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-
 def check_transversality(manifold: DataManifold, field: "VectorField") -> TransversalityReport:
-    """Minimum normalized crossing margin of the field against the curve's tangent."""
+    """Normalized crossing margin of the field against the manifold at every grid node.
+
+    On the line a nonzero field always crosses the point (margin 1); in the
+    plane the margin is |det[tangent, F]| / (|tangent| |F|). The field and
+    the manifold maps each run once, on all nodes as one batch.
+    """
     if manifold.dim != field.dim:
         raise ValueError("manifold and field dimensions differ")
+    if field.dim > 2:
+        raise ValueError("transversality is checked on the line and in the plane only")
+    if field.dim == 2 and manifold.tangent is None:
+        raise ValueError("a planar manifold needs a tangent to check transversality")
     grid = manifold.parameter_grid()
-    margins = np.empty(grid.size)
-    for k, s in enumerate(grid):
-        p = np.asarray(manifold.embed(s), dtype=float)
-        f = np.asarray(field.rhs(p), dtype=float)
-        if np.linalg.norm(f) < ZERO_FIELD_THRESHOLD:
-            raise ZeroFieldError(
-                f"vector field vanishes on the manifold at s={s:g}"
-            )
-        if field.dim == 1:
-            margins[k] = 1.0
-        else:
-            margins[k] = _margin(manifold.tangent_at(s), f)
+    pts = np.asarray(manifold.embed(grid), dtype=float)
+    f = np.asarray(field.rhs(pts), dtype=float)
+    if f.shape != pts.shape:
+        raise ValueError(
+            f"rhs of '{field.name}' returned shape {f.shape} for a batch of shape {pts.shape}"
+        )
+    norm_f = np.linalg.norm(f, axis=0)
+    zero = norm_f < ZERO_FIELD_THRESHOLD
+    if zero.any():
+        raise ZeroFieldError(f"vector field vanishes on the manifold at s={grid[zero][0]:g}")
+    if field.dim == 1:
+        margins = np.ones(grid.size)
+    else:
+        tan = np.asarray(manifold.tangent(grid), dtype=float)
+        margins = np.abs(tan[0] * f[1] - tan[1] * f[0]) / (np.linalg.norm(tan, axis=0) * norm_f)
     bad = margins < TRANSVERSALITY_THRESHOLD
     return TransversalityReport(
         min_margin=float(margins.min()),

@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# The wedge check samples WEDGE_POINTS points of actions in WEDGE_ANNULUS and
+# certifies the eigen-relation over the time WEDGE_T.
+WEDGE_ANNULUS = (0.5, 2.5)
+WEDGE_POINTS = 100
+WEDGE_T = 0.1
 
 
 @dataclass(frozen=True)
@@ -140,14 +145,11 @@ def wedge_point_spectrum_check(
     alpha_window: tuple[float, float],
     h: Callable[[float], complex],
     *,
-    annulus: tuple[float, float] = (0.5, 2.5),
-    n_points: int = 100,
-    t: float = 0.1,
     seed: int = 0,
 ) -> WedgeReport:
     """Certify that every tested eigenvalue admits an eigenfunction on a wedge.
 
-    The wedge (a,b) x (alpha1, alpha2) of the annulus is nonrecurrent, so
+    The wedge WEDGE_ANNULUS x (alpha1, alpha2) of the annulus is nonrecurrent, so
     phi(I, theta) = h(I) e^{lambda (theta - alpha1)/I} solves the
     eigen-relation exactly; the check drives it through the residual
     certificate at sampled interior points.
@@ -155,16 +157,13 @@ def wedge_point_spectrum_check(
     a1, a2 = float(alpha_window[0]), float(alpha_window[1])
     if not (0.0 <= a2 - a1 < TWO_PI):
         raise ValueError("wedge angular width must lie in [0, 2*pi)")
-    lo, hi = float(annulus[0]), float(annulus[1])
-    if lo <= 0:
-        raise ValueError("annulus must have positive inner action")
     system = make_system("action_angle")
     field = system.field
     rng = np.random.default_rng(seed)
-    actions = rng.uniform(lo, hi, n_points)
+    actions = rng.uniform(*WEDGE_ANNULUS, WEDGE_POINTS)
     # Keep theta + I*t inside the wedge so the flowed point stays evaluable.
-    theta_hi = a2 - actions * max(t, 0.0) - 1e-9
-    thetas = a1 + rng.uniform(0.0, 1.0, n_points) * np.maximum(theta_hi - a1, 0.0)
+    theta_hi = a2 - actions * WEDGE_T - 1e-9
+    thetas = a1 + rng.uniform(0.0, 1.0, WEDGE_POINTS) * np.maximum(theta_hi - a1, 0.0)
     points = np.column_stack([actions, thetas])
 
     lams = np.asarray(list(lambda_list), dtype=complex)
@@ -173,6 +172,6 @@ def wedge_point_spectrum_check(
         def phi(x, _lam=lam):
             return complex(h(x[0])) * cmath.exp(_lam * (x[1] - a1) / x[0])
 
-        eig = ClosedFormEigenfunction(complex(lam), phi, field, name="wedge")
-        residuals[k] = koopman_residual(eig, points, t)
+        eig = ClosedFormEigenfunction(complex(lam), phi, field)
+        residuals[k] = koopman_residual(eig, points, WEDGE_T)
     return WedgeReport(float(residuals.max()), lams, residuals)

@@ -125,6 +125,14 @@ def test_surface_is_vectorized(mani):
     assert values.shape == (6,)
     for j in range(6):
         assert values[j] == mani.surface(batch[:, j])
+    # embed and tangent map (N,) parameters to (d, N), column by column.
+    s = np.random.default_rng(5).uniform(mani.s_min, mani.s_max, 6)
+    maps = [mani.embed] + ([mani.tangent] if mani.tangent is not None else [])
+    for fn in maps:
+        out = fn(s)
+        assert out.shape == (mani.dim, 6)
+        for j in range(6):
+            assert np.array_equal(out[:, j], fn(s[j]))
 
 
 def test_batched_rhs_of_wrong_shape_names_the_field():
@@ -132,7 +140,8 @@ def test_batched_rhs_of_wrong_shape_names_the_field():
         return np.array([x[1], -x[0]]).reshape(-1)
 
     field = ke.VectorField(2, rhs, name="one-state-only")
-    assert ke.flow(field, [1.0, 0.0], 0.5, method="rk45").state.shape == (2,)
+    with pytest.raises(ValueError, match="one-state-only"):
+        ke.flow(field, [1.0, 0.0], 0.5, method="rk45")
     with pytest.raises(ValueError, match="one-state-only"):
         flow_many(field, [[1.0, 0.0], [0.0, 1.0]], [0.5])
 

@@ -340,6 +340,7 @@ BAD_CONFIGS = [
     ),
     ("eval", _with(LIN1D_CFG, manifold={"type": "point", "x0": 0}), "manifold"),
     ("eval", _with(LIN1D_CFG, manifold={"type": "segment", "from": [0.3], "to": [2.2]}), "manifold"),
+    ("decompose", _with(LIN1D_CFG, grid={"n": 4, "m": 4}, target="x1", K=2), "grid.n"),
 ]
 
 
@@ -348,3 +349,13 @@ def test_bad_config_exits_2_with_field_path(tmp_path, capsys, command, cfg, fiel
     path = write_config(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_decompose_one_dimensional_system(tmp_path):
+    # The point manifold has one parameter, so the grid has one node, n = 0.
+    cfg = _with(LIN1D_CFG, grid={"n": 0, "m": 4}, target="x1", K=2)
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["decompose", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    header, rows = read_csv(tmp_path / "out" / "term_grids.csv")
+    assert header == ["stage", "x1", "phi_re", "phi_im"]
+    assert rows.shape[0] % 5 == 0 and rows.shape[0] > 0

@@ -200,7 +200,7 @@ def test_step_underflow_is_reported(monkeypatch):
     # the failure surfaces as step underflow, not blow-up. A smaller step
     # budget keeps the test fast.
     def rhs(x):
-        return np.array([1.0 if x[0] < 1.0 else -1.0])
+        return np.where(x < 1.0, 1.0, -1.0)
 
     monkeypatch.setattr(ke.dynamics, "MAX_STEPS", 20_000)
     field = ke.VectorField(1, rhs, name="chatter")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -107,12 +108,12 @@ def test_transversality_horizontal_line_pass(lin2d, horizontal_manifold):
 def test_transversality_trajectory_arc_fails(lin2d):
     # A manifold laid along an orbit is parallel to the field everywhere.
     arc = ke.DataManifold(
-        embed=lambda s: np.array([math.exp(s), math.exp(2.0 * s)]),
+        embed=lambda s: np.array([np.exp(s), np.exp(2.0 * s)]),
         s_min=0.0,
         s_max=0.5,
         n_samples=41,
         dim=2,
-        tangent=lambda s: np.array([math.exp(s), 2.0 * math.exp(2.0 * s)]),
+        tangent=lambda s: np.array([np.exp(s), 2.0 * np.exp(2.0 * s)]),
     )
     report = ke.check_transversality(arc, lin2d.field)
     assert not report.passed
@@ -128,6 +129,40 @@ def test_transversality_zero_field(lin2d):
         ke.check_transversality(through_origin, lin2d.field)
 
 
+class _CountingField:
+    """A field whose rhs records the shape of every batch it receives."""
+
+    def __init__(self, field):
+        self.dim, self.name, self.shapes = field.dim, field.name, []
+        self._rhs = field.rhs
+
+    def rhs(self, x):
+        self.shapes.append(np.shape(x))
+        return self._rhs(x)
+
+
+def test_transversality_makes_one_batched_rhs_call(lin2d, horizontal_manifold):
+    field = _CountingField(lin2d.field)
+    report = ke.check_transversality(horizontal_manifold, field)
+    assert report.passed
+    assert field.shapes == [(2, horizontal_manifold.n_samples)]
+
+
+def test_transversality_is_refused_above_the_plane():
+    field = ke.VectorField(
+        3, lambda x: np.stack([np.zeros_like(x[0]), np.zeros_like(x[0]), np.ones_like(x[0])])
+    )
+    segment = ke.segment_manifold((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), n=11)
+    with pytest.raises(ValueError, match="plane"):
+        ke.check_transversality(segment, field)
+
+
+def test_transversality_needs_the_tangent_of_a_planar_manifold(lin2d, horizontal_manifold):
+    no_tangent = dataclasses.replace(horizontal_manifold, tangent=None)
+    with pytest.raises(ValueError, match="tangent"):
+        ke.check_transversality(no_tangent, lin2d.field)
+
+
 def test_transversality_point_manifold_1d():
     sysb = ke.make_system("blowup")
     report = ke.check_transversality(sysb.default_manifold, sysb.field)
@@ -141,7 +176,7 @@ def test_injectivity_segment_and_closed_circle():
     assert circle.closed
     assert check_injectivity(circle)  # wrap duplicate is not a violation
     folded = ke.DataManifold(
-        embed=lambda s: np.array([math.sin(math.pi * s), 0.0]),
+        embed=lambda s: np.array([np.sin(math.pi * s), np.zeros_like(s)]),
         s_min=0.0,
         s_max=1.0,
         n_samples=11,
