@@ -7,7 +7,6 @@ from .dynamics import (
     VectorField,
     flow,
     flow_many,
-    flow_to_event,
     make_system,
     system_names,
 )
@@ -36,7 +35,6 @@ from .errors import (
     EmptyTargetError,
     GridMismatchError,
     KoopeigError,
-    NoCrossingError,
     NotInDomainError,
     OutOfRangeError,
     StepUnderflowError,

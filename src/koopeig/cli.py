@@ -147,14 +147,12 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
         system.field, manifold, window, cfg.grid_n, cfg.grid_m, cfg.integrator_tol
     )
     target = TargetSample.from_function(grid, q)
-    result = greedy_decompose(
-        grid,
-        target,
-        cfg.candidate_lambdas(),
-        cfg.K,
-        cfg.stop_tol,
-        eig_tol=cfg.integrator_tol,
-    )
+    try:
+        result = greedy_decompose(
+            grid, target, cfg.candidate_lambdas(), cfg.K, cfg.stop_tol, eig_tol=cfg.integrator_tol
+        )
+    except OverflowError as exc:
+        raise ConfigError(str(exc), field="lambda_sweep") from exc
     report = {
         "command": "decompose",
         "terms": [

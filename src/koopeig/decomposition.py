@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import DEFAULT_TOL, VectorField, flow, flow_many  # noqa: F401
 from .eigenfunctions import OpenEigenfunction
 from .errors import EmptyTargetError
-from .manifolds import DataFunction, DataManifold
+from .manifolds import DataFunction, DataManifold, as_values
 
 __all__ = [
     "CharacteristicGrid",
@@ -108,15 +108,16 @@ class TargetSample:
         q = np.asarray(self.q_values, dtype=complex)
         if q.ndim != 2:
             raise ValueError("q_values must be a 2-d array")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("target samples must be finite")
         object.__setattr__(self, "q_values", q)
 
     @classmethod
-    def from_function(cls, grid: CharacteristicGrid, q: Callable[[np.ndarray], complex]) -> "TargetSample":
-        vals = np.empty((grid.n_s, grid.n_r), dtype=complex)
-        for i in range(grid.n_s):
-            for j in range(grid.n_r):
-                vals[i, j] = complex(q(grid.points[i, j]))
-        return cls(vals)
+    def from_function(cls, grid: CharacteristicGrid, q: Callable[[np.ndarray], np.ndarray]) -> "TargetSample":
+        """q on every grid node, with one call on the nodes as a (d, N) batch."""
+        nodes = grid.points.reshape(-1, grid.points.shape[-1])  # row-major over (s_i, r_j)
+        vals = as_values(q(nodes.T), nodes.shape[:1], "target")
+        return cls(vals.reshape(grid.n_s, grid.n_r))
 
     @property
     def b(self) -> np.ndarray:
@@ -132,14 +133,6 @@ class FitResult:
     degenerate: bool  # all-node e^{lambda r} column collapsed below floor
 
 
-def _time_weights(lam: complex, r_nodes: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        e = np.exp(complex(lam) * r_nodes)
-    if not np.all(np.isfinite(e.view(float))):
-        raise ValueError(f"e^(lambda r) overflows for lambda={lam}")
-    return e
-
-
 def fit_h(
     grid: CharacteristicGrid,
     target: TargetSample,
@@ -149,12 +142,17 @@ def fit_h(
 
     The design matrix E kron I decouples the fit into the per-node normal
     equation h_i = sum_j conj(e^{lambda r_j}) q_ij / sum_j |e^{lambda r_j}|^2.
+    An eigenvalue whose e^{lambda r} overflows, or the sum of whose squares
+    does, fits nothing: its residual is infinite, so no sweep picks it.
     """
     q = target.q_values
     if q.shape != (grid.n_s, grid.n_r):
         raise ValueError(f"target shaped {q.shape}, grid is {(grid.n_s, grid.n_r)}")
-    e = _time_weights(lam, grid.r_nodes)
-    denom = float(np.sum(np.abs(e) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(complex(lam) * grid.r_nodes)
+        denom = float(np.sum(np.abs(e) ** 2))
+    if not math.isfinite(denom):
+        return FitResult(complex(lam), np.zeros(grid.n_s, dtype=complex), math.inf, False)
     degenerate = denom < DEGENERATE_FLOOR
     if degenerate:
         h = np.zeros(grid.n_s, dtype=complex)
@@ -185,12 +183,15 @@ def sweep_lambda(
     """Fit every candidate eigenvalue and keep the argmin.
 
     Ties break toward the smallest |lambda|, then the smallest |Im lambda|.
+    Raises OverflowError when e^{lambda r} overflows for every candidate.
     """
     cands = np.asarray(candidates, dtype=complex)
     if cands.size == 0:
         raise ValueError("candidate list is empty")
     fits = [fit_h(grid, target, lam) for lam in cands]
     curve = np.array([f.residual_norm for f in fits])
+    if not np.isfinite(curve).any():
+        raise OverflowError("e^(lambda r) overflows over the time window for every candidate")
     best = min(
         range(cands.size),
         key=lambda k: (curve[k], abs(cands[k]), abs(cands[k].imag)),
@@ -297,7 +298,7 @@ def greedy_decompose(
             if polished is not None and polished.residual_norm < best.residual_norm:
                 best = polished
         curves.append(sweep)
-        e = _time_weights(best.lam, grid.r_nodes)
+        e = np.exp(best.lam * grid.r_nodes)
         p = np.outer(best.h_values, e)
         c = float(np.linalg.norm(p))
         if c < COEFF_FLOOR:

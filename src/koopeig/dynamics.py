@@ -18,7 +18,8 @@ is a ValueError naming the field. An event likewise maps (d, N) states to
 (N,) values; the closed-form scan calls it on one (d,) state.
 
 Systems that admit a closed-form flow expose it on the ``VectorField``;
-``method="auto"`` prefers it when present.
+``method="auto"`` prefers it when present. A closed-form flow is the one
+callable that still takes a single (d,) state and time (see ``VectorField``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUpError, KoopeigError, NoCrossingError, StepUnderflowError
+from .errors import BlowUpError, KoopeigError, StepUnderflowError
 from . import manifolds
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "as_states",
     "flow",
     "flow_many",
-    "flow_to_event",
     "find_crossings",
     "find_crossings_many",
     "is_numeric",
@@ -101,6 +101,10 @@ class VectorField:
     """Right-hand side of an autonomous ODE on a d-dimensional state space.
 
     ``rhs`` maps a (d, N) batch of states to derivatives of the same shape.
+    ``closed_form_flow(x, t)`` maps one (d,) state and one time to the (d,)
+    state at that time. It is the one callable of koopeig that does not take
+    batches: the exact crossing scan steps each state with its own time and
+    step size, so batching it waits for a lane-marching closed-form scan.
     """
 
     dim: int
@@ -683,38 +687,6 @@ def find_crossings_many(
     return found, escapes
 
 
-def flow_to_event(
-    field: VectorField,
-    x0,
-    event: Callable[[np.ndarray], float],
-    direction: str = "backward",
-    t_max: float = 10.0,
-    tol: float = DEFAULT_TOL,
-) -> tuple[np.ndarray, float]:
-    """Integrate until the event function changes sign; refine by bisection.
-
-    Returns (crossing state, time of flight).  The time of flight is the
-    non-negative elapsed flow time; the direction carries its sign.
-    """
-    x0 = _check_state(field, x0)
-    if direction not in ("backward", "forward"):
-        raise ValueError("direction must be 'backward' or 'forward'")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if abs(event(x0)) < tol:
-        return x0.copy(), 0.0
-    sign = -1.0 if direction == "backward" else 1.0
-    crossings = find_crossings(field, x0, event, sign, t_max, tol)
-    if not crossings:
-        raise NoCrossingError(
-            f"event did not change sign within {t_max:g} time units ({direction})"
-        )
-    tau, y = crossings[0]
-    return y, tau
-
-
 # ---------------------------------------------------------------------------
 # Benchmark systems
 # ---------------------------------------------------------------------------
@@ -736,7 +708,7 @@ def _lin1d(a: float = 1.0) -> BenchmarkSystem:
     mani = manifolds.point_manifold(1.0)
     from .eigenfunctions import ClosedFormEigenfunction
 
-    oracle = ClosedFormEigenfunction(complex(a), lambda x: complex(x[0]), fld)
+    oracle = ClosedFormEigenfunction(complex(a), lambda x: x[0], fld)
     return BenchmarkSystem(fld, mani, (-1.0, 1.0), oracle)
 
 
@@ -756,7 +728,7 @@ def _lin2d(a1: float = 1.0, a2: float = 2.0) -> BenchmarkSystem:
     mani = manifolds.segment_manifold((0.3, 1.0), (2.2, 1.0), n=121, s_range=(0.3, 2.2))
     from .eigenfunctions import ClosedFormEigenfunction
 
-    oracle = ClosedFormEigenfunction(complex(a2), lambda x: complex(x[1]), fld)
+    oracle = ClosedFormEigenfunction(complex(a2), lambda x: x[1], fld)
     return BenchmarkSystem(fld, mani, (0.0, 1.2), oracle)
 
 
@@ -819,7 +791,7 @@ def _blowup() -> BenchmarkSystem:
     mani = manifolds.point_manifold(1.0)
     from .eigenfunctions import ClosedFormEigenfunction
 
-    oracle = ClosedFormEigenfunction(1.0 + 0.0j, lambda x: complex(math.exp(-1.0 / x[0])), fld)
+    oracle = ClosedFormEigenfunction(1.0 + 0.0j, lambda x: np.exp(-1.0 / x[0]), fld)
     return BenchmarkSystem(fld, mani, (-1.0, 0.5), oracle)
 
 

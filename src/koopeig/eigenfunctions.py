@@ -35,7 +35,7 @@ from .errors import (
     NotInDomainError,
     StepUnderflowError,
 )
-from .manifolds import DataFunction, DataManifold
+from .manifolds import DataFunction, DataManifold, as_values
 
 __all__ = [
     "Pullback",
@@ -270,35 +270,37 @@ class OpenEigenfunction(_EigenfunctionBase):
 
 @dataclass(frozen=True)
 class ClosedFormEigenfunction(_EigenfunctionBase):
+    """Eigenfunction given by a formula: ``fn`` maps a (d, N) array of states
+    to their (N,) values."""
+
     eigenvalue: complex
-    fn: Callable[[np.ndarray], complex]
+    fn: Callable[[np.ndarray], np.ndarray]
     field: VectorField
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
     def values(self, points) -> np.ndarray:
-        return np.array([complex(self.fn(x)) for x in as_states(self.field, points)], dtype=complex)
+        pts = as_states(self.field, points)
+        return as_values(self.fn(pts.T), pts.shape[:1], "fn of a closed-form eigenfunction")
 
 
-def _safe_power(z: complex, alpha: float) -> complex:
-    """Principal-branch-safe power; non-integer exponents need z on [0, inf)."""
-    if alpha == 0.0:
-        return 1.0 + 0.0j
+def _safe_power(z: np.ndarray, alpha: float) -> np.ndarray:
+    """Principal-branch-safe power of every value; non-integer exponents need
+    every z on [0, inf)."""
+    z = np.asarray(z, dtype=complex)
     if float(alpha).is_integer():
-        if z == 0 and alpha < 0:
+        if alpha < 0 and np.any(z == 0):
             raise BranchCutError("negative integer power of zero")
-        return complex(z) ** int(alpha)
-    im_tol = 1e-12 * max(abs(z), 1.0)
-    if abs(z.imag) > im_tol or z.real < 0.0:
+        return z ** int(alpha)
+    off = (np.abs(z.imag) > 1e-12 * np.maximum(np.abs(z), 1.0)) | (z.real < 0.0)
+    if off.any():
         raise BranchCutError(
-            f"non-integer power {alpha:g} of non-positive-real value {z:.6g}"
+            f"non-integer power {alpha:g} of non-positive-real value {z[off][0]:.6g}"
         )
-    if z.real == 0.0:
-        if alpha < 0:
-            raise BranchCutError("negative power of zero")
-        return 0.0 + 0.0j
-    return complex(z.real ** alpha)
+    if alpha < 0 and np.any(z.real == 0.0):
+        raise BranchCutError("negative power of zero")
+    return (z.real ** alpha).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -328,7 +330,7 @@ class ProductEigenfunction(_EigenfunctionBase):
         out = np.ones(pts.shape[0], dtype=complex)
         for eig, alpha in self.factors:
             if alpha != 0.0:
-                out *= [_safe_power(complex(v), alpha) for v in eig.values(pts)]
+                out *= _safe_power(eig.values(pts), alpha)
         return out
 
 
@@ -448,16 +450,16 @@ def evaluate_points(
     the domain, and the miss reason (one of MISS_REASONS) of each None in
     point order.
 
-    A numerically integrated field pulls every point back in one batch.
+    A numerically integrated field pulls every point back in one batch, and
+    phi of every hit is one array expression.
     """
     pts = as_states(eig.field, points)
-    values: list[Optional[PointValue]] = []
-    misses: list[str] = []
-    for x, pb in zip(pts, eig.pullback_many(pts)):
-        if isinstance(pb, str):
-            values.append(None)
-            misses.append(pb)
-            continue
-        phi = eig.data(pb.s_star) * cmath.exp(complex(eig.eigenvalue) * pb.r_star)
-        values.append(PointValue(x, phi, pb.r_star, pb.s_star))
-    return values, misses
+    pbs = eig.pullback_many(pts)
+    hits = [i for i, pb in enumerate(pbs) if not isinstance(pb, str)]
+    r_star = np.array([pbs[i].r_star for i in hits])
+    s_star = np.array([pbs[i].s_star for i in hits])
+    phi = eig.data(s_star) * np.exp(eig.eigenvalue * r_star)
+    values: list[Optional[PointValue]] = [None] * len(pbs)
+    for i, v in zip(hits, phi.tolist()):
+        values[i] = PointValue(pts[i], v, pbs[i].r_star, pbs[i].s_star)
+    return values, [pb for pb in pbs if isinstance(pb, str)]

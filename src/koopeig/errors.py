@@ -28,10 +28,6 @@ class StepUnderflowError(KoopeigError):
     reason = STEP_UNDERFLOW
 
 
-class NoCrossingError(KoopeigError):
-    """Event function never changed sign within the time budget."""
-
-
 class NotInDomainError(KoopeigError):
     """Query point is outside the swept domain of an eigenfunction.
 

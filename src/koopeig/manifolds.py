@@ -8,7 +8,9 @@ detection uses to locate flow crossings.
 Every map of a manifold works on batches: ``embed`` and ``tangent`` take a
 float to a (d,) state and an (N,) array of parameters to a (d, N) array,
 and ``surface`` and ``locate`` take a (d,) state to a float and a (d, N)
-batch of states to an (N,) array.
+batch of states to an (N,) array. A ``DataFunction`` h likewise maps a
+float to a complex and an (N,) array of parameters to (N,) complex values,
+and the callable it is built from must take the whole parameter grid at once.
 """
 
 from __future__ import annotations
@@ -248,13 +250,33 @@ def point_manifold(x0: float) -> DataManifold:
     )
 
 
+def as_values(values, shape: tuple, name: str) -> np.ndarray:
+    """The values a function returned for a batch of inputs, as a complex array
+    of ``shape``; a scalar broadcasts. A result that does not broadcast is a
+    ValueError naming the function."""
+    out = np.asarray(values, dtype=complex)
+    if out.shape == shape:
+        return out
+    try:
+        return np.broadcast_to(out, shape).copy()
+    except ValueError:
+        raise ValueError(
+            f"{name} returned shape {out.shape} for a batch of shape {shape}; "
+            "it must map a batch elementwise"
+        ) from None
+
+
 @dataclass(frozen=True)
 class DataFunction:
-    """h: Lambda -> C, tabulated on the parameter grid with linear interpolation."""
+    """h: Lambda -> C, tabulated on the parameter grid with linear interpolation.
+
+    ``h(s)`` gives a complex for a float s and an (N,) array for an (N,)
+    array of parameters; ``closed_form`` maps parameters the same way.
+    """
 
     s_nodes: np.ndarray
     values: np.ndarray
-    closed_form: Optional[Callable[[float], complex]] = None
+    closed_form: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         s = np.asarray(self.s_nodes, dtype=float)
@@ -278,10 +300,10 @@ class DataFunction:
         return cls(manifold.parameter_grid(), values)
 
     @classmethod
-    def from_callable(cls, manifold: DataManifold, fn: Callable[[float], complex]) -> "DataFunction":
+    def from_callable(cls, manifold: DataManifold, fn: Callable[[np.ndarray], np.ndarray]) -> "DataFunction":
+        """Tabulate fn with one call on the whole parameter grid."""
         grid = manifold.parameter_grid()
-        values = np.array([complex(fn(s)) for s in grid])
-        return cls(grid, values, closed_form=fn)
+        return cls(grid, as_values(fn(grid), grid.shape, "data function"), closed_form=fn)
 
     @property
     def s_min(self) -> float:
@@ -291,17 +313,19 @@ class DataFunction:
     def s_max(self) -> float:
         return float(self.s_nodes[-1])
 
-    def __call__(self, s: float) -> complex:
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
         if self.closed_form is not None:
-            return complex(self.closed_form(s))
-        if s < self.s_min - EVAL_SLACK or s > self.s_max + EVAL_SLACK:
-            raise OutOfRangeError(
-                f"s={s:g} outside data grid [{self.s_min:g}, {self.s_max:g}]"
-            )
-        if self.s_nodes.size == 1:
-            return complex(self.values[0])
-        s = min(max(s, self.s_min), self.s_max)
-        return complex(np.interp(s, self.s_nodes, self.values))
+            out = as_values(self.closed_form(s), s.shape, "data function")
+        else:
+            outside = (s < self.s_min - EVAL_SLACK) | (s > self.s_max + EVAL_SLACK)
+            if outside.any():
+                raise OutOfRangeError(
+                    f"s={s[outside].flat[0]:g} outside data grid [{self.s_min:g}, {self.s_max:g}]"
+                )
+            # Beyond the slack-wide margins np.interp holds the end values.
+            out = np.interp(s, self.s_nodes, self.values)
+        return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

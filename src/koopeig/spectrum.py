@@ -143,7 +143,7 @@ class WedgeReport:
 def wedge_point_spectrum_check(
     lambda_list: Sequence[complex],
     alpha_window: tuple[float, float],
-    h: Callable[[float], complex],
+    h: Callable[[np.ndarray], np.ndarray],
     *,
     seed: int = 0,
 ) -> WedgeReport:
@@ -152,7 +152,8 @@ def wedge_point_spectrum_check(
     The wedge WEDGE_ANNULUS x (alpha1, alpha2) of the annulus is nonrecurrent, so
     phi(I, theta) = h(I) e^{lambda (theta - alpha1)/I} solves the
     eigen-relation exactly; the check drives it through the residual
-    certificate at sampled interior points.
+    certificate at sampled interior points. ``h`` maps an (N,) array of
+    actions to (N,) values.
     """
     a1, a2 = float(alpha_window[0]), float(alpha_window[1])
     if not (0.0 <= a2 - a1 < TWO_PI):
@@ -169,9 +170,8 @@ def wedge_point_spectrum_check(
     lams = np.asarray(list(lambda_list), dtype=complex)
     residuals = np.empty(lams.size)
     for k, lam in enumerate(lams):
-        def phi(x, _lam=lam):
-            return complex(h(x[0])) * cmath.exp(_lam * (x[1] - a1) / x[0])
+        def phi(x, lam=lam):
+            return h(x[0]) * np.exp(lam * (x[1] - a1) / x[0])
 
-        eig = ClosedFormEigenfunction(complex(lam), phi, field)
-        residuals[k] = koopman_residual(eig, points, WEDGE_T)
+        residuals[k] = koopman_residual(ClosedFormEigenfunction(lam, phi, field), points, WEDGE_T)
     return WedgeReport(float(residuals.max()), lams, residuals)

@@ -6,11 +6,16 @@ the manifold parameter s), a gaussian bump, or sin/cos of the parameter.
 
 Examples accepted for targets:     "gaussian(3, 10)", "x1^2*x2", "2*x2 + 1"
 Examples accepted for data h(s):   "1", "s", "s^2", "0.5*s + 2", "sin(s)"
+
+The parsed functions work on batches: a target maps a (d, N) array of
+states to (N,) complex values and one (d,) state to a complex; a data
+function maps an (N,) array of parameters to (N,) complex values and a float
+to a complex. A value that is not finite (``s^-1`` at s = 0) is a
+ConfigError naming the expression's field.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Callable
 
@@ -32,28 +37,32 @@ def _number(token: str, where: str) -> float:
     return float(token)
 
 
-def _parse_factor(token: str, variables: dict[str, int], where: str):
-    """Return (kind, payload): ('const', c) | ('pow', (index, p)) | ('trig', (fn, index))."""
+def _variable(var: str, variables: dict, where: str):
+    if var not in variables:
+        raise ConfigError(f"unknown variable {var!r}", field=where)
+    return variables[var]
+
+
+def _parse_factor(token: str, variables: dict, where: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The factor as a function of the batch: a number, sin/cos or a power of a variable."""
     token = token.strip()
     if _NUMBER.match(token):
-        return ("const", float(token))
+        c = float(token)
+        return lambda x: c
     m = _TRIG.match(token)
     if m:
-        var = m.group("var")
-        if var not in variables:
-            raise ConfigError(f"unknown variable {var!r}", field=where)
-        return ("trig", (m.group("fn"), variables[var]))
+        fn = np.sin if m.group("fn") == "sin" else np.cos
+        idx = _variable(m.group("var"), variables, where)
+        return lambda x: fn(x[idx])
     m = _POWER.match(token)
     if m:
-        var = m.group("var")
-        if var not in variables:
-            raise ConfigError(f"unknown variable {var!r}", field=where)
+        idx = _variable(m.group("var"), variables, where)
         p = float(m.group("pow")) if m.group("pow") else 1.0
-        return ("pow", (variables[var], p))
+        return lambda x: np.power(x[idx].astype(complex), p)
     raise ConfigError(f"cannot parse factor {token!r}", field=where)
 
 
-def _parse_term(term: str, variables: dict[str, int], where: str) -> Callable[[np.ndarray], complex]:
+def _parse_term(term: str, variables: dict, where: str) -> Callable[[np.ndarray], np.ndarray]:
     term = term.strip()
     if not term:
         raise ConfigError("empty term", field=where)
@@ -63,54 +72,45 @@ def _parse_term(term: str, variables: dict[str, int], where: str) -> Callable[[n
         width = _number(m.group(2).strip(), where)
         if width <= 0:
             raise ConfigError("gaussian width must be positive", field=where)
-
-        def gauss(x):
-            return amp * math.exp(-float(np.sum(np.square(x))) / width)
-
-        return gauss
+        return lambda x: amp * np.exp(-sum(np.square(x[idx]) for idx in variables.values()) / width)
 
     factors = [_parse_factor(f, variables, where) for f in term.split("*")]
 
     def evaluate(x):
         out = 1.0 + 0.0j
-        for kind, payload in factors:
-            if kind == "const":
-                out *= payload
-            elif kind == "pow":
-                idx, p = payload
-                base = complex(x[idx])
-                out *= base**p
-            else:
-                fn, idx = payload
-                out *= math.sin(float(x[idx])) if fn == "sin" else math.cos(float(x[idx]))
+        for factor in factors:
+            out = out * factor(x)
         return out
 
     return evaluate
 
 
-def _parse_sum(expr: str, variables: dict[str, int], where: str) -> Callable[[np.ndarray], complex]:
+def _parse_sum(expr: str, variables: dict, where: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The sum of the expression's terms; ``variables`` maps each name to its
+    index into the argument."""
     if not isinstance(expr, str) or not expr.strip():
         raise ConfigError("expression must be a non-empty string", field=where)
     terms = [_parse_term(t, variables, where) for t in expr.split("+")]
+    index = next(iter(variables.values()))  # any variable has the batch's shape
 
     def evaluate(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return complex(sum(t(x) for t in terms))
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = np.broadcast_to(sum(t(x) for t in terms), x[index].shape).astype(complex)
+        if not np.all(np.isfinite(out)):
+            raise ConfigError(f"{expr!r} is not finite at every sample", field=where)
+        return complex(out) if out.ndim == 0 else out
 
     return evaluate
 
 
-def parse_target(expr: str, dim: int = 2, where: str = "target") -> Callable[[np.ndarray], complex]:
-    """Observable q(x) over the state space."""
+def parse_target(expr: str, dim: int = 2, where: str = "target") -> Callable[[np.ndarray], np.ndarray]:
+    """Observable q(x) over the state space: (d, N) states to (N,) values."""
     variables = {f"x{i + 1}": i for i in range(dim)}
     return _parse_sum(expr, variables, where)
 
 
-def parse_data_fn(expr: str, where: str = "h") -> Callable[[float], complex]:
-    """Data function h(s) over the manifold parameter."""
-    inner = _parse_sum(expr, {"s": 0}, where)
-
-    def evaluate(s: float) -> complex:
-        return inner(np.array([float(s)]))
-
-    return evaluate
+def parse_data_fn(expr: str, where: str = "h") -> Callable[[np.ndarray], np.ndarray]:
+    """Data function h(s) over the manifold parameter: (N,) parameters to (N,) values."""
+    # The parameter is the whole argument: x[...] is x itself.
+    return _parse_sum(expr, {"s": ...}, where)

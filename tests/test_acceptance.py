@@ -111,7 +111,7 @@ def _vdp_fig7_decomposition(K=8, eig_tol=1e-9):
     mani = system.default_manifold
     grid = ke.build_grid(system.field, mani, (0.0, 2.0), 40, 40, 1e-10)
     target = TargetSample.from_function(
-        grid, lambda x: 3.0 * math.exp(-(x[0] ** 2 + x[1] ** 2) / 10.0)
+        grid, lambda x: 3.0 * np.exp(-(x[0] ** 2 + x[1] ** 2) / 10.0)
     )
     cands = np.linspace(-5.0, 5.0, 101).astype(complex)
     result = ke.greedy_decompose(

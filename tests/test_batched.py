@@ -1,5 +1,7 @@
 """The batched Dormand-Prince stepper: accuracy against scipy, the
-vectorized-RHS contract, and agreement of batched and one-point pullbacks."""
+vectorized-RHS contract, the elementwise contract of data functions,
+closed-form eigenfunctions and targets, and agreement of batched and
+one-point pullbacks."""
 
 import math
 import os
@@ -13,6 +15,7 @@ from scipy.integrate import solve_ivp
 
 import koopeig as ke
 from koopeig.dynamics import find_crossings_many, flow_many
+from koopeig.targets import parse_data_fn, parse_target
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -133,6 +136,121 @@ def test_surface_is_vectorized(mani):
         assert out.shape == (mani.dim, 6)
         for j in range(6):
             assert np.array_equal(out[:, j], fn(s[j]))
+
+
+# Every kind of term: number, monomial (integer, negative and fractional
+# powers, of negative values too), sin, cos, gaussian, and sums of them.
+TARGETS = [
+    "2.5", "x1", "x1^2*x2", "0.5*x1^-1", "x2^1.5", "sin(x1)", "cos(x2)",
+    "gaussian(3, 10)", "2*x2 + 1 + gaussian(1, 4)",
+]
+DATA_FNS = ["1", "s", "s^2", "0.5*s + 2", "s^-2", "s^0.5", "sin(s)", "cos(s)", "gaussian(2, 5)"]
+
+
+@pytest.mark.parametrize("expr", TARGETS)
+def test_parsed_target_is_elementwise(expr):
+    q = parse_target(expr)
+    batch = np.random.default_rng(6).uniform(-2.0, 2.0, (2, 9))
+    batch[:, 0] = [1.5, -0.5]
+    values = q(batch)
+    assert values.shape == (9,) and values.dtype == complex
+    for j in range(9):
+        assert values[j] == q(batch[:, j])  # one (d,) state gives a complex
+        assert values[j] == q(batch[:, j : j + 1])[0]
+
+
+@pytest.mark.parametrize("expr", DATA_FNS)
+def test_parsed_data_fn_is_elementwise(expr):
+    h = parse_data_fn(expr)
+    s = np.random.default_rng(7).uniform(0.2, 3.0, 9)
+    values = h(s)
+    assert values.shape == (9,) and values.dtype == complex
+    for j in range(9):
+        assert isinstance(h(float(s[j])), complex)
+        assert values[j] == h(float(s[j]))
+        assert values[j] == h(s[j : j + 1])[0]
+
+
+def test_parsed_non_finite_value_names_the_field():
+    with pytest.raises(ke.ConfigError, match="^h: "):
+        parse_data_fn("s^-1")(np.array([1.0, 0.0]))
+    with pytest.raises(ke.ConfigError, match="^target: "):
+        parse_target("x1^-1")(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("from_callable", [True, False])
+def test_data_function_is_elementwise(from_callable):
+    mani = ke.segment_manifold((0.0, 1.0), (2.0, 1.0), n=21, s_range=(0.5, 2.5))
+    calls = []
+
+    def fn(s):
+        calls.append(np.shape(s))
+        return np.cos(s) + 0.5j * s
+
+    if from_callable:
+        h = ke.DataFunction.from_callable(mani, fn)
+        assert calls == [(21,)]  # one call on the whole grid
+    else:
+        h = ke.DataFunction.from_samples(mani, fn(mani.parameter_grid()))
+    s = np.random.default_rng(8).uniform(0.5, 2.5, 7)
+    values = h(s)
+    assert values.shape == (7,)
+    for j in range(7):
+        assert isinstance(h(float(s[j])), complex)
+        assert values[j] == h(float(s[j]))
+    with pytest.raises(ValueError, match="data function"):
+        ke.DataFunction.from_callable(mani, lambda s: np.ones(3))
+
+
+def test_data_function_out_of_range_batch():
+    mani = ke.segment_manifold((0.0, 1.0), (1.0, 1.0), n=5, s_range=(0.0, 1.0))
+    h = ke.DataFunction.from_samples(mani, np.arange(5.0))
+    with pytest.raises(ke.OutOfRangeError, match="s=1.5"):
+        h(np.array([0.5, 1.5, 2.0]))
+
+
+def test_closed_form_and_product_eigenfunctions_are_elementwise():
+    field = ke.make_system("lin2d").field
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        return x[1] * np.exp(0.1j * x[0])
+
+    eig = ke.ClosedFormEigenfunction(2.0, fn, field)
+    pts = np.random.default_rng(9).uniform(0.5, 2.0, (8, 2))
+    values = eig.values(pts)
+    assert calls == [(2, 8)]  # one call on the (d, N) batch
+    real = ke.ClosedFormEigenfunction(2.0, lambda x: x[1], field)
+    for factor, alpha in [(eig, 3.0), (eig, -2.0), (real, 0.5), (real, -1.5)]:
+        power = ke.eig_power(factor, alpha)
+        batch = power.values(pts)
+        for j in range(8):
+            assert batch[j] == power(pts[j])
+    for j in range(8):
+        assert values[j] == eig(pts[j])
+    with pytest.raises(ValueError, match="closed-form eigenfunction"):
+        ke.ClosedFormEigenfunction(2.0, lambda x: x, field).values(pts)
+    with pytest.raises(ke.BranchCutError):
+        ke.eig_power(eig, 0.5).values(pts)
+
+
+def test_target_sample_makes_one_batched_call():
+    system = ke.make_system("vdp")
+    grid = ke.build_grid(system.field, system.default_manifold, (0.0, 1.0), 4, 3)
+    calls = []
+
+    def q(x):
+        calls.append(x.shape)
+        return x[0] * x[1]
+
+    target = ke.TargetSample.from_function(grid, q)
+    assert calls == [(2, 20)]
+    assert np.array_equal(target.q_values, grid.points[..., 0] * grid.points[..., 1])
+    with pytest.raises(ValueError, match="target"):
+        ke.TargetSample.from_function(grid, lambda x: x)
+    with pytest.raises(ValueError, match="finite"):
+        ke.TargetSample.from_function(grid, lambda x: np.where(x[0] > 1.5, np.inf, 1.0))
 
 
 def test_batched_rhs_of_wrong_shape_names_the_field():

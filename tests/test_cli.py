@@ -341,6 +341,15 @@ BAD_CONFIGS = [
     ("eval", _with(LIN1D_CFG, manifold={"type": "point", "x0": 0}), "manifold"),
     ("eval", _with(LIN1D_CFG, manifold={"type": "segment", "from": [0.3], "to": [2.2]}), "manifold"),
     ("decompose", _with(LIN1D_CFG, grid={"n": 4, "m": 4}, target="x1", K=2), "grid.n"),
+    # h and the target are infinite at s = 0 and on the grid row x1 = 0.
+    ("eval", _with(OBSERVER_CFG, manifold__s_range=[0.0, 2.0], eig__h="s^-1"), "eig.h"),
+    (
+        "decompose",
+        _with(OBSERVER_CFG, manifold__from=[0.0, 1.0], grid={"n": 4, "m": 4}, target="x1^-1", K=1),
+        "target",
+    ),
+    # e^(400 r) overflows over the window for the only candidate.
+    ("decompose", _with(DECOMPOSE_CFG, lambda_sweep={"values": [[400, 0]]}), "lambda_sweep"),
 ]
 
 
@@ -359,3 +368,18 @@ def test_decompose_one_dimensional_system(tmp_path):
     header, rows = read_csv(tmp_path / "out" / "term_grids.csv")
     assert header == ["stage", "x1", "phi_re", "phi_im"]
     assert rows.shape[0] % 5 == 0 and rows.shape[0] > 0
+
+
+def test_decompose_skips_overflowing_candidates(tmp_path):
+    # Over 150 time units e^(lambda r) overflows for the larger default
+    # candidates; they get an infinite residual and are never picked.
+    cfg = _with(DECOMPOSE_CFG, t_window=[0.0, 150.0], grid={"n": 4, "m": 20}, K=3)
+    del cfg["lambda_sweep"]
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["decompose", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "decomposition.json").read_text())
+    assert report["terms"]
+    assert all(math.isfinite(v) for term in report["terms"] for v in term["lambda"])
+    assert all(b <= a for a, b in zip(report["residuals"], report["residuals"][1:]))
+    _, curves = read_csv(tmp_path / "out" / "lambda_curves.csv")
+    assert np.isinf(curves[:, 3]).any() and np.isfinite(curves[:, 3]).any()

@@ -146,8 +146,11 @@ def test_fit_degenerate_column_flags_zero(lin2d):
     fit = fit_h(grid, target, -400.0)
     assert fit.degenerate
     assert np.array_equal(fit.h_values, np.zeros(2))
-    with pytest.raises(ValueError):
-        fit_h(grid, target, 400.0)  # overflow of e^(lambda r)
+    overflow = fit_h(grid, target, 400.0)  # e^(lambda r) overflows
+    assert overflow.residual_norm == math.inf and not overflow.degenerate
+    assert sweep_lambda(grid, target, [400.0, 1.0]).best_lambda == 1.0
+    with pytest.raises(OverflowError):
+        sweep_lambda(grid, target, [400.0, 500.0])
 
 
 def test_flatten_order_matches_kronecker_blocks(lin2d):
@@ -251,7 +254,7 @@ def test_greedy_empty_target(lin2d, small_grid):
 def test_greedy_terms_are_certified_eigenfunctions(lin2d, small_grid):
     rng = np.random.default_rng(13)
     target = TargetSample.from_function(
-        small_grid, lambda x: 3.0 * math.exp(-(x[0] ** 2 + x[1] ** 2) / 10.0)
+        small_grid, lambda x: 3.0 * np.exp(-(x[0] ** 2 + x[1] ** 2) / 10.0)
     )
     result = greedy_decompose(
         small_grid, target, np.linspace(-3, 3, 41), K=3, stop_tol=1e-14
@@ -268,7 +271,7 @@ def test_greedy_term_orbit_scaling():
     mani = system.default_manifold
     grid = ke.build_grid(system.field, mani, (0.0, 2.0), 16, 16, 1e-9)
     target = TargetSample.from_function(
-        grid, lambda x: 3.0 * math.exp(-(x[0] ** 2 + x[1] ** 2) / 10.0)
+        grid, lambda x: 3.0 * np.exp(-(x[0] ** 2 + x[1] ** 2) / 10.0)
     )
     result = greedy_decompose(
         grid, target, np.linspace(-5, 5, 41), K=2, stop_tol=1e-12, eig_tol=1e-9

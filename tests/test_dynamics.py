@@ -109,44 +109,35 @@ def test_closed_form_matches_rk45_on_hopf():
         assert np.allclose(exact, num, atol=1e-9)
 
 
-def test_flow_to_event_backward_linear(lin2d):
-    state, tof = ke.flow_to_event(
-        lin2d.field, [2.0, 4.0], lambda x: x[1] - 1.0, "backward", 5.0, 1e-10
+def test_find_crossings_backward_linear(lin2d):
+    ((tau, state),) = find_crossings(
+        lin2d.field, [2.0, 4.0], lambda x: x[1] - 1.0, -1.0, 5.0, 1e-10
     )
-    assert abs(tof - math.log(2.0)) < 1e-8
+    assert abs(tau - math.log(2.0)) < 1e-8
     assert np.allclose(state, [1.0, 1.0], atol=1e-8)
 
 
-def test_flow_to_event_already_on_surface(lin2d):
-    state, tof = ke.flow_to_event(
-        lin2d.field, [1.0, 1.0], lambda x: x[1] - 1.0, "backward", 5.0, 1e-10
-    )
-    assert tof == 0.0
-    assert np.array_equal(state, [1.0, 1.0])
-
-
-def test_flow_to_event_vdp_against_tight_oracle():
+def test_find_crossings_vdp_against_tight_oracle():
     # From (0.5, 0.5) the x2 = 2 surface is reached forward (the backward
     # orbit spirals into the origin and never gets there).
     system = ke.make_system("vdp")
     event = lambda x: x[1] - 2.0
-    state, tof = ke.flow_to_event(system.field, [0.5, 0.5], event, "forward", 10.0, 1e-10)
-    oracle_state, oracle_tof = ke.flow_to_event(
-        system.field, [0.5, 0.5], event, "forward", 10.0, 1e-12
+    ((tau, state),) = find_crossings(system.field, [0.5, 0.5], event, 1.0, 10.0, 1e-10)
+    ((oracle_tau, oracle_state),) = find_crossings(
+        system.field, [0.5, 0.5], event, 1.0, 10.0, 1e-12
     )
-    assert abs(tof - oracle_tof) < 1e-6
+    assert abs(tau - oracle_tau) < 1e-6
     assert np.max(np.abs(state - oracle_state)) < 1e-6
-    with pytest.raises(ke.NoCrossingError):
-        ke.flow_to_event(system.field, [0.5, 0.5], event, "backward", 10.0, 1e-10)
+    assert find_crossings(system.field, [0.5, 0.5], event, -1.0, 10.0, 1e-10) == []
 
 
-def test_flow_to_event_roundtrip():
+def test_find_crossings_roundtrip():
     system = ke.make_system("vdp")
     tol = 1e-10
-    state, tof = ke.flow_to_event(
-        system.field, [0.5, 0.5], lambda x: x[1] - 2.0, "forward", 10.0, tol
+    ((tau, state),) = find_crossings(
+        system.field, [0.5, 0.5], lambda x: x[1] - 2.0, 1.0, 10.0, tol
     )
-    back = ke.flow(system.field, state, -tof, tol).state
+    back = ke.flow(system.field, state, -tau, tol).state
     assert np.max(np.abs(back - [0.5, 0.5])) <= 100 * tol
 
 

@@ -156,7 +156,7 @@ def test_residual_zero_at_t0(observer_eig, unit_square_points):
 
 
 def test_residual_detects_corrupted_eigenvalue(lin2d, observer_eig, unit_square_points):
-    fake = ke.ClosedFormEigenfunction(2.5, lambda x: observer_eig(x), lin2d.field)
+    fake = ke.ClosedFormEigenfunction(2.5, lambda x: observer_eig.values(x.T), lin2d.field)
     res = ke.koopman_residual(fake, unit_square_points[:20], 0.1)
     assert res >= abs(math.exp(0.05) - 1.0) - 1e-3  # ~0.051
 
@@ -164,7 +164,7 @@ def test_residual_detects_corrupted_eigenvalue(lin2d, observer_eig, unit_square_
 def test_residual_random_keig_invariant(lin2d, horizontal_manifold):
     # Any data function on a transverse manifold yields a genuine eigenfunction.
     rng = np.random.default_rng(8)
-    h = ke.DataFunction.from_callable(horizontal_manifold, lambda s: math.cos(2 * s) + 1.5)
+    h = ke.DataFunction.from_callable(horizontal_manifold, lambda s: np.cos(2 * s) + 1.5)
     eig = ke.OpenEigenfunction(0.8 + 0.3j, h, horizontal_manifold, lin2d.field, (0.0, 1.2))
     pts = []
     while len(pts) < 100:
@@ -300,7 +300,7 @@ def test_restate_between_axis_curves_matches_formula(lin2d):
     # And the reverse direction: horizontal data read on a vertical curve is
     # h~(s) = h(s^(-a1/a2)) * s^(lambda/a2).
     hman = ke.segment_manifold((0.25, 1.0), (2.2, 1.0), n=181, s_range=(0.25, 2.2))
-    hh = ke.DataFunction.from_callable(hman, lambda s: math.cos(s))
+    hh = ke.DataFunction.from_callable(hman, lambda s: np.cos(s))
     heig = ke.OpenEigenfunction(lam, hh, hman, lin2d.field, (-1.0, 1.0))
     vt = ke.segment_manifold((1.0, 1.1), (1.0, 3.5), n=161, s_range=(1.1, 3.5))
     restated_v = ke.restate_data(heig, vt)
@@ -367,7 +367,7 @@ def test_levelset_hand_value(observer_eig, general_eig):
 
 def test_levelset_scalar_multiple(lin2d, observer_eig, unit_square_points):
     tripled = ke.ClosedFormEigenfunction(
-        observer_eig.eigenvalue, lambda x: 3.0 * observer_eig(x), lin2d.field
+        observer_eig.eigenvalue, lambda x: 3.0 * observer_eig.values(x.T), lin2d.field
     )
     vals = ke.levelset_transversality(observer_eig, tripled, unit_square_points)
     assert np.all(vals <= 1e-5)

@@ -84,7 +84,7 @@ def test_locate_off_the_manifold_goes_to_the_nearest_point():
 
 
 def test_data_function_samples_match_closed_form(horizontal_manifold):
-    fn = lambda s: complex(math.sin(s), 0.5 * s)
+    fn = lambda s: np.sin(s) + 0.5j * s
     h = ke.DataFunction.from_callable(horizontal_manifold, fn)
     grid = horizontal_manifold.parameter_grid()
     assert np.array_equal(h.values, np.array([fn(s) for s in grid]))
