@@ -29,10 +29,6 @@ EXIT_DOMAIN = 3
 EXIT_EMPTY = 4
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     tmp.write_text(text, encoding="utf-8")
@@ -40,9 +36,8 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -4,7 +4,8 @@ A characteristic grid S[i, j] = rho_{r_j}(embed(s_i)) turns the continuous
 fit  min_{lambda, h} || phi_{lambda,h} - q ||  into a sequence of structured
 least-squares problems: for fixed lambda the design matrix is E(lambda)
 kron I, so the fit decouples into one scalar normal equation per manifold
-node.  Sweeping lambda and repeatedly fitting the residual yields a small
+node, and one product q @ conj(E)^T fits a whole block of candidate lambdas.
+Repeatedly fitting the residual with the best candidate yields a small
 dictionary of genuine eigenfunctions tailored to the target observable.
 """
 
@@ -38,9 +39,13 @@ __all__ = [
 
 COEFF_FLOOR = 1e-14
 DEGENERATE_FLOOR = 1e-300
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Golden-section polish of a real eigenvalue stops at this bracket width.
-REFINE_WIDTH = 1e-3
+# The sweep's squared residuals cancel near the minimum; candidates within this
+# fraction of ||q||^2 of it are refitted directly.
+NEAR_BEST = 1e-12
+# A real eigenvalue is refined over this many points between the argmin's neighbours.
+REFINE_POINTS = 2001
+# The sweep builds E in blocks of about this many entries, to bound its memory.
+SWEEP_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -180,23 +185,42 @@ def sweep_lambda(
     target: TargetSample,
     candidates: Sequence[complex],
 ) -> SweepResult:
-    """Fit every candidate eigenvalue and keep the argmin.
+    """Fit every candidate eigenvalue with array operations and keep the argmin.
 
-    Ties break toward the smallest |lambda|, then the smallest |Im lambda|.
-    Raises OverflowError when e^{lambda r} overflows for every candidate.
+    With E[k, j] = e^{lambda_k r_j}, built SWEEP_BLOCK entries at a time, every
+    h is a column of q @ conj(E)^T scaled by 1 / sum_j |E[k, j]|^2, and every
+    squared residual follows from ||q||^2 - sum_j |E[k, j]|^2 sum_i |h_i|^2.
+    That identity cancels near the minimum, so the candidates within
+    NEAR_BEST ||q||^2 of it are refitted by ``fit_h``.  Ties break toward the
+    smallest |lambda|, then the smallest |Im lambda|, then the lowest index.
+    An overflowing candidate gets an infinite residual; raises OverflowError
+    when every candidate overflows.
     """
     cands = np.asarray(candidates, dtype=complex)
     if cands.size == 0:
         raise ValueError("candidate list is empty")
-    fits = [fit_h(grid, target, lam) for lam in cands]
-    curve = np.array([f.residual_norm for f in fits])
-    if not np.isfinite(curve).any():
+    q = target.q_values
+    q_sq = float(np.linalg.norm(q)) ** 2
+    sq = np.empty(cands.size)
+    step = max(1, SWEEP_BLOCK // grid.n_r)
+    for lo in range(0, cands.size, step):
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(np.outer(cands[lo:lo + step], grid.r_nodes))
+            denom = np.sum(np.abs(e) ** 2, axis=1)
+        finite = np.isfinite(denom)
+        fitted = finite & (denom >= DEGENERATE_FLOOR)
+        h = (q @ np.conj(e[fitted]).T) / denom[fitted]
+        block = sq[lo:lo + step]
+        block[:] = np.where(finite, q_sq, math.inf)
+        block[fitted] -= denom[fitted] * np.sum(np.abs(h) ** 2, axis=0)
+    if not np.isfinite(sq).any():
         raise OverflowError("e^(lambda r) overflows over the time window for every candidate")
-    best = min(
-        range(cands.size),
-        key=lambda k: (curve[k], abs(cands[k]), abs(cands[k].imag)),
-    )
-    return SweepResult(complex(cands[best]), fits[best], best, cands, curve)
+    near = np.flatnonzero(sq <= sq.min() + NEAR_BEST * q_sq)
+    fits = [fit_h(grid, target, lam) for lam in cands[near]]
+    curve = np.sqrt(np.maximum(sq, 0.0))
+    curve[near] = [f.residual_norm for f in fits]
+    k = np.lexsort((np.abs(cands[near].imag), np.abs(cands[near]), curve[near]))[0]
+    return SweepResult(complex(cands[near[k]]), fits[k], int(near[k]), cands, curve)
 
 
 @dataclass(frozen=True)
@@ -231,30 +255,12 @@ def _refine_lambda(
     cands: np.ndarray,
     best_idx: int,
 ) -> Optional[FitResult]:
-    """Golden-section polish of the residual over real lambda near the argmin."""
+    """Best fit of a fine sweep over real lambda between the argmin's neighbours."""
     lo = float(cands[max(best_idx - 1, 0)].real)
     hi = float(cands[min(best_idx + 1, cands.size - 1)].real)
     if hi <= lo:
         return None
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fit_c = fit_h(grid, target, c)
-    fit_d = fit_h(grid, target, d)
-    best = min(fit_c, fit_d, key=lambda f: f.residual_norm)
-    while b - a > REFINE_WIDTH:
-        if fit_c.residual_norm < fit_d.residual_norm:
-            b, d, fit_d = d, c, fit_c
-            c = b - GOLDEN * (b - a)
-            fit_c = fit_h(grid, target, c)
-        else:
-            a, c, fit_c = c, d, fit_d
-            d = a + GOLDEN * (b - a)
-            fit_d = fit_h(grid, target, d)
-        cur = fit_c if fit_c.residual_norm < fit_d.residual_norm else fit_d
-        if cur.residual_norm < best.residual_norm:
-            best = cur
-    return best
+    return sweep_lambda(grid, target, np.linspace(lo, hi, REFINE_POINTS)).best_fit
 
 
 def greedy_decompose(
@@ -270,10 +276,10 @@ def greedy_decompose(
 
     Per stage: sweep the candidate eigenvalues against the current residual,
     take p_k = E(lambda_k) kron h_k, normalize by c_k = ||p_k||, subtract.
-    On an all-real candidate grid the argmin is polished by golden section
-    between its neighbours. Stops early when c_k underflows or ||R_k||/||b|| < stop_tol.  Every term
-    is returned as a full eigenfunction object so the eigen-relation can be
-    certified downstream.
+    On an all-real candidate grid a finer sweep between the argmin's neighbours
+    replaces it if it fits better.  Stops early when c_k underflows or
+    ||R_k||/||b|| < stop_tol.  Every term is returned as a full eigenfunction
+    object so the eigen-relation can be certified downstream.
     """
     if K < 1:
         raise ValueError("K must be >= 1")

@@ -382,13 +382,10 @@ def check_injectivity(manifold: DataManifold) -> bool:
         return True
     spacing = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     tol = 1e-6 * max(float(np.median(spacing)), 1e-300)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if manifold.closed and i == 0 and j == n - 1:
-                continue  # wrap duplicate of a closed curve
-            if np.linalg.norm(pts[i] - pts[j]) <= tol:
-                return False
-    return True
+    close = np.triu(np.linalg.norm(pts[:, None] - pts[None], axis=-1) <= tol, k=1)
+    if manifold.closed:
+        close[0, n - 1] = False  # wrap duplicate of a closed curve
+    return not close.any()
 
 
 def data_compatibility(h: DataFunction, h_tilde: DataFunction) -> float:

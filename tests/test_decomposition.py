@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -194,6 +195,71 @@ def test_sweep_tie_breaks_to_smallest_magnitude(lin2d, small_grid):
     target = TargetSample(np.zeros((small_grid.n_s, small_grid.n_r), dtype=complex))
     sweep = sweep_lambda(small_grid, target, [3.0, -2.0, 2.0, 1.0])
     assert sweep.best_lambda == 1.0 + 0.0j
+
+
+def _reference_sweep(grid, target, cands):
+    """One fit_h per candidate; argmin by residual, |lambda|, |Im lambda|, index."""
+    fits = [fit_h(grid, target, lam) for lam in cands]
+    best = min(
+        range(len(cands)),
+        key=lambda k: (fits[k].residual_norm, abs(cands[k]), abs(cands[k].imag), k),
+    )
+    return fits, best
+
+
+CANDS = [0.5 + 1j, 400.0, 0.5 - 1j, -1.0, -400.0, -2 - 3j, 0.0, -2 + 3j, 1.5]
+
+
+@pytest.mark.parametrize(
+    "shift,kind,cands",
+    [
+        # 400 overflows sum |e|^2 only; -400 is an ordinary candidate.
+        (0.0, "random", CANDS),
+        # Times in [0.9, 1.9]: e^(400 r) overflows and -400 is degenerate.
+        (0.9, "random", CANDS),
+        # q = h e^((0.5+i) r): the identity cancels at the minimum.
+        (0.0, "exact", CANDS),
+        # More candidates than one SWEEP_BLOCK holds at 7 time nodes.
+        (0.9, "random", CANDS + list(np.linspace(-3, 3, 2400) + 1j)),
+        # A real target ties each conjugate pair exactly: the lower index wins.
+        (0.0, "real", [1.0, 0.5 - 2j, 400.0, 0.5 + 2j, 0.0, -400.0, -1 + 1j, -1 - 1j]),
+        (0.0, "real", [1.0, 0.5 + 2j, 400.0, 0.5 - 2j, 0.0, -400.0, -1 - 1j, -1 + 1j]),
+    ],
+)
+def test_sweep_curve_matches_fit_h(small_grid, shift, kind, cands):
+    grid = dataclasses.replace(small_grid, r_nodes=small_grid.r_nodes + shift)
+    rng = np.random.default_rng(11)
+    noise = rng.normal(size=(grid.n_s, grid.n_r))
+    if kind == "random":
+        q = noise + 1j * rng.normal(size=(grid.n_s, grid.n_r))
+    elif kind == "exact":
+        q = np.outer(np.cos(grid.s_nodes) + 1j, np.exp((0.5 + 1j) * grid.r_nodes))
+    else:
+        h = np.cos(grid.s_nodes) + 1.5
+        q = np.outer(h, np.exp((0.5 + 2j) * grid.r_nodes)).real + 0.1 * noise
+    target = TargetSample(q)
+    cands = np.asarray(cands, dtype=complex)
+    fits, best = _reference_sweep(grid, target, cands)
+    ref_curve = np.array([f.residual_norm for f in fits])
+    sweep = sweep_lambda(grid, target, cands)
+
+    assert np.array_equal(np.isinf(sweep.residual_curve), np.isinf(ref_curve))
+    assert np.isinf(ref_curve).any()
+    finite = np.isfinite(ref_curve)
+    assert np.all(
+        np.abs(sweep.residual_curve[finite] - ref_curve[finite]) <= 1e-12 * np.linalg.norm(q)
+    )
+    assert sweep.best_index == best and sweep.best_lambda == cands[best]
+    assert sweep.residual_curve[best] == ref_curve[best]  # the winner is fitted directly
+    assert sweep.best_fit.lam == fits[best].lam
+    assert np.array_equal(sweep.best_fit.h_values, fits[best].h_values)
+    assert sweep.best_fit.residual_norm == fits[best].residual_norm
+    assert sweep.best_fit.degenerate == fits[best].degenerate
+    if kind == "real":
+        (mate,) = np.flatnonzero(cands == np.conj(cands[best]))
+        assert mate > best and ref_curve[mate] == ref_curve[best]
+    else:
+        assert fits[4].degenerate == (shift > 0)
 
 
 # ---------------------------------------------------------------------------
