@@ -80,8 +80,8 @@ def build_grid(
 
     Every node flows from its anchor, forward and then backward, through
     ``flow_many``: a numerically integrated field marches all n+1 nodes as
-    one batch that lands exactly on each r_j, and a closed-form flow is
-    evaluated node by node.
+    one batch that lands exactly on each r_j, and a closed-form flow evaluates
+    them all in one call per direction.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be non-negative")

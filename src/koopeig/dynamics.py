@@ -15,16 +15,16 @@ Right-hand-side contract: ``VectorField.rhs`` maps a (d, N) array of states
 to the (d, N) array of their derivatives. Every march, one lane included,
 calls it once per stage with the whole batch, and a result of another shape
 is a ValueError naming the field. An event likewise maps (d, N) states to
-(N,) values; the closed-form scan calls it on one (d,) state.
+(N,) values.
 
 Systems that admit a closed-form flow expose it on the ``VectorField``;
-``method="auto"`` prefers it when present. A closed-form flow is the one
-callable that still takes a single (d,) state and time (see ``VectorField``).
+``method="auto"`` prefers it when present. A closed-form flow maps (d, N)
+states and (N,) times to (d, N), so the exact crossing scan samples one
+orbit at many times in one call (see ``find_crossings``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -101,16 +101,16 @@ class VectorField:
     """Right-hand side of an autonomous ODE on a d-dimensional state space.
 
     ``rhs`` maps a (d, N) batch of states to derivatives of the same shape.
-    ``closed_form_flow(x, t)`` maps one (d,) state and one time to the (d,)
-    state at that time. It is the one callable of koopeig that does not take
-    batches: the exact crossing scan steps each state with its own time and
-    step size, so batching it waits for a lane-marching closed-form scan.
+    ``closed_form_flow(x, t)`` maps a (d, N) batch of states and an (N,)
+    array of times to the (d, N) states, column j at time t[j]. A column
+    whose orbit escapes before its time comes back non-finite rather than
+    raising; koopeig calls the flow under ``np.errstate(all="ignore")``.
     """
 
     dim: int
     rhs: Callable[[np.ndarray], np.ndarray]
     name: str = "field"
-    closed_form_flow: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    closed_form_flow: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -166,14 +166,30 @@ def is_numeric(field: VectorField, method: str) -> bool:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _closed_eval(field: VectorField, x0: np.ndarray, t: float) -> np.ndarray:
-    y = field.closed_form_flow(x0, t)
-    n2 = float(y @ y)
-    if not math.isfinite(n2) or n2 > BLOWUP_BOUND * BLOWUP_BOUND:
+def _closed_flow(field: VectorField, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form flow of the (d, N) states x at the (N,) times t, and
+    which of its columns are blown: non-finite or beyond ``BLOWUP_BOUND``."""
+    with np.errstate(all="ignore"):
+        # Positional arguments: a wrapper of the flow may take *args only.
+        y = np.asarray(field.closed_form_flow(x, t), dtype=float)
+        if y.shape != x.shape:
+            raise ValueError(
+                f"closed_form_flow of '{field.name}' returned shape {y.shape} for a batch "
+                f"of shape {x.shape}; a closed-form flow must map (d, N) states and (N,) "
+                f"times to (d, N)"
+            )
+        return y, ~(_sum_sq(y) <= BLOWUP_BOUND**2)
+
+
+def _closed_at(field: VectorField, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``_closed_flow`` that raises BlowUpError for the first blown column."""
+    y, blown = _closed_flow(field, x, t)
+    if blown.any():
+        j = int(np.argmax(blown))
         raise BlowUpError(
-            f"closed-form flow of '{field.name}' left the bound {BLOWUP_BOUND:g} at t={t:g}",
-            time=t,
-            state=y,
+            f"closed-form flow of '{field.name}' left the bound {BLOWUP_BOUND:g} at t={t[j]:g}",
+            time=float(t[j]),
+            state=y[:, j].copy(),
         )
     return y
 
@@ -190,6 +206,11 @@ def _sum_sq(z: np.ndarray) -> np.ndarray:
     for row in z[1:]:
         acc = acc + row * row
     return acc
+
+
+def _sign_change(g_old: np.ndarray, g_new: np.ndarray) -> np.ndarray:
+    """Where an event crosses zero between two samples; a zero counts once."""
+    return (g_old * g_new <= 0.0) & ((g_old != 0.0) | (g_new != 0.0))
 
 
 def _rms(z: np.ndarray) -> np.ndarray:
@@ -349,7 +370,7 @@ class RK45:
             return
         g_new = self.event(self._y[:, idx])
         g_old = self._g[idx]
-        sel = (g_old * g_new <= 0.0) & ((g_old != 0.0) | (g_new != 0.0))
+        sel = _sign_change(g_old, g_new)
         self._g[idx] = g_new
         if not sel.any():
             return
@@ -393,8 +414,8 @@ class RK45:
 def _bisect_dense(event, lo, hi, y_lo, q, g_lo, tol) -> tuple[np.ndarray, np.ndarray]:
     """Bisect M brackets at once on their steps' dense output until |event| < tol.
 
-    Each bracket follows the scalar rule of ``_bisect_event``: start from the
-    step's end, halve the side without the sign change.
+    Each bracket starts from its step's end and halves the side without the
+    sign change, for at most ``BISECT_CAP`` halvings.
     """
     t0, hs = lo.copy(), hi - lo
     lo, hi, g_lo = lo.copy(), hi.copy(), g_lo.copy()
@@ -496,7 +517,7 @@ def flow(
     (closed form when the field has one, else numeric), "rk45", or "exact".
     """
     x0 = _check_state(field, x0)
-    if not math.isfinite(t):
+    if not np.isfinite(t):
         raise ValueError("t must be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -504,7 +525,7 @@ def flow(
     if t == 0.0:
         return FlowResult(x0.copy(), 0.0, 0)
     if not numeric:
-        return FlowResult(_closed_eval(field, x0, t), t, 0)
+        return FlowResult(_closed_at(field, x0[:, None], np.array([t]))[:, 0], t, 0)
     sign = 1.0 if t > 0 else -1.0
     solver = _march(field, x0[:, None], sign, [abs(t)], tol)
     if solver.status[0] != DONE:
@@ -524,8 +545,8 @@ def flow_many(
 
     The times share one sign and grow in magnitude. A numerically integrated
     field marches all states as one batch that lands exactly on each time;
-    a closed-form flow is evaluated point by point. The first state that
-    blows up or underflows raises, as in ``flow``.
+    a closed-form flow takes every state at every time in one call. The
+    first state that blows up or underflows raises, as in ``flow``.
     """
     x = as_states(field, states)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -543,8 +564,9 @@ def flow_many(
     if not moving.any() or x.shape[0] == 0:
         return out
     if not numeric:
-        for j in np.nonzero(moving)[0]:
-            out[j] = [_closed_eval(field, xi, times[j]) for xi in x]
+        n, t = x.shape[0], times[moving]
+        y = _closed_at(field, np.tile(x.T, t.size), np.repeat(t, n))
+        out[moving] = y.T.reshape(t.size, n, field.dim)
         return out
     sign = 1.0 if times[-1] > 0 else -1.0
     solver = _march(field, x.T, sign, mags[moving], tol)
@@ -555,35 +577,10 @@ def flow_many(
     return out
 
 
-def _bisect_event(
-    event: Callable[[np.ndarray], float],
-    state_at: Callable[[float], np.ndarray],
-    lo: float,
-    hi: float,
-    g_lo: float,
-    tol: float,
-) -> tuple[float, np.ndarray]:
-    """Shrink [lo, hi] with a sign change of event(state_at(.)) until |event| < tol."""
-    tau, y = hi, state_at(hi)
-    g = event(y)
-    for _ in range(BISECT_CAP):
-        if abs(g) < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        y_mid = state_at(mid)
-        g_mid = event(y_mid)
-        if g_lo * g_mid <= 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-        tau, y, g = mid, y_mid, g_mid
-    return tau, y
-
-
 def find_crossings(
     field: VectorField,
     x0,
-    event: Callable[[np.ndarray], float],
+    event: Callable[[np.ndarray], np.ndarray],
     sign: float,
     budget: float,
     tol: float = DEFAULT_TOL,
@@ -593,12 +590,20 @@ def find_crossings(
 ) -> list[tuple[float, np.ndarray]]:
     """Locate up to max_count sign changes of event along sign*F over [0, budget].
 
-    Each crossing is refined by bisection to |event| < tol.  Blow-up or step
-    underflow occurring after at least one crossing means the orbit left the
-    domain and simply ends the scan; before any crossing it propagates.
-    A numeric field is the one-state case of ``find_crossings_many``, and
-    ``event`` gets (d, 1) states there; a closed-form flow is scanned
-    adaptively, one (d,) state per event call.
+    ``event`` maps (d, N) states to (N,) values. Blow-up or step underflow
+    occurring after at least one crossing means the orbit left the domain
+    and simply ends the scan; before any crossing it propagates. A numeric
+    field is the one-state case of ``find_crossings_many``, whose crossings
+    are bisected to |event| < tol.
+
+    A closed-form flow is scanned exactly: each scan samples (lo, hi] at
+    ``CLOSED_SCAN_POINTS`` uniform times with one closed-form call and one
+    event call. A sign change is a crossing at its right sample when
+    |event| < tol there, else its interval is scanned again for one
+    crossing. The orbit ends at its first blown sample; the interval before
+    it is scanned again, so that crossings right before a finite-time
+    escape are found, until it is narrower than 1e-15 * budget, where the
+    orbit escapes. A sign change that narrow is taken at its right sample.
     """
     x0 = _check_state(field, x0)
     found: list[tuple[float, np.ndarray]] = []
@@ -613,46 +618,41 @@ def find_crossings(
             raise escape
         return found
 
-    # Adaptive scan: bound the state jump per step and halve on blow-up,
-    # so crossings right before a finite-time escape are still bracketed.
-    dt0 = budget / CLOSED_SCAN_POINTS
-    dt_max = budget / 16.0
-    tau_prev, y_prev, g_prev = 0.0, x0, event(x0)
-    dt = dt0
-    blew_up = None
-    while tau_prev < budget:
-        tau = min(tau_prev + dt, budget)
-        try:
-            y = _closed_eval(field, x0, sign * tau)
-        except BlowUpError as exc:
-            if dt < 1e-15 * budget:
-                blew_up = exc
-                break  # orbit escapes here; nothing beyond is reachable
-            dt *= 0.5
-            continue
-        if np.linalg.norm(y - y_prev) > 0.25 * (1.0 + np.linalg.norm(y_prev)):
-            if dt < 1e-15 * budget:
-                blew_up = BlowUpError("state jump does not resolve", time=tau)
-                break
-            dt *= 0.5
-            continue
-        g = event(y)
-        if g_prev * g <= 0.0 and (g_prev != 0.0 or g != 0.0):
-            tau_c, y_c = _bisect_event(
-                event,
-                lambda s: _closed_eval(field, x0, sign * s),
-                tau_prev,
-                tau,
-                g_prev,
-                tol,
-            )
-            found.append((tau_c, y_c))
-            if len(found) >= max_count:
-                return found
-        tau_prev, y_prev, g_prev = tau, y, g
-        dt = min(dt * 1.4, dt_max)
-    if blew_up is not None and not found:
-        raise blew_up
+    event = _batch_event(event)
+    floor = 1e-15 * budget
+    lanes = np.repeat(x0[:, None], CLOSED_SCAN_POINTS, axis=1)
+
+    def scan(lo: float, g_lo: float, hi: float, count: int):
+        """Up to count crossings over (lo, hi], and the blown sample that
+        ends the orbit there as (tau, state), or None."""
+        taus = np.linspace(lo, hi, CLOSED_SCAN_POINTS + 1)
+        y, blown = _closed_flow(field, lanes, sign * taus[1:])
+        end = int(np.argmax(blown)) if blown.any() else CLOSED_SCAN_POINTS
+        g = np.concatenate([[g_lo], event(y[:, :end]) if end else []])
+        hits: list[tuple[float, np.ndarray]] = []
+        for k in np.flatnonzero(_sign_change(g[:-1], g[1:])):
+            if abs(g[k + 1]) < tol or taus[k + 1] - taus[k] < floor:
+                hits.append((float(taus[k + 1]), y[:, k].copy()))
+            else:
+                hits += scan(taus[k], g[k], taus[k + 1], 1)[0]
+            if len(hits) >= count:
+                return hits, None
+        if end == CLOSED_SCAN_POINTS:
+            return hits, None
+        if taus[end + 1] - taus[end] < floor:
+            return hits, (float(taus[end + 1]), y[:, end].copy())
+        more, escape = scan(taus[end], g[end], taus[end + 1], count - len(hits))
+        return hits + more, escape
+
+    found, escape = scan(0.0, float(event(x0[:, None])[0]), budget, max_count)
+    if escape is not None and not found:
+        tau, state = escape
+        raise BlowUpError(
+            f"closed-form orbit of '{field.name}' escapes the bound {BLOWUP_BOUND:g} "
+            f"near tau={tau:g}",
+            time=sign * tau,
+            state=state,
+        )
     return found
 
 
@@ -699,10 +699,7 @@ def _lin1d(a: float = 1.0) -> BenchmarkSystem:
         return a * x
 
     def closed(x, t):
-        g = a * t
-        if g > 700.0:
-            raise BlowUpError("linear growth overflowed", time=t)
-        return x * math.exp(g)
+        return x * np.exp(a * t)
 
     fld = VectorField(1, rhs, name=f"lin1d(a={a:g})", closed_form_flow=closed)
     mani = manifolds.point_manifold(1.0)
@@ -719,10 +716,7 @@ def _lin2d(a1: float = 1.0, a2: float = 2.0) -> BenchmarkSystem:
         return (a * x.T).T  # component k scales by a[k] in every lane
 
     def closed(x, t):
-        g = a * t
-        if np.max(g) > 700.0:
-            raise BlowUpError("linear growth overflowed", time=t)
-        return x * np.exp(g)
+        return x * np.exp(np.multiply.outer(a, t))
 
     fld = VectorField(2, rhs, name=f"lin2d(a=({a1:g},{a2:g}))", closed_form_flow=closed)
     mani = manifolds.segment_manifold((0.3, 1.0), (2.2, 1.0), n=121, s_range=(0.3, 2.2))
@@ -743,25 +737,16 @@ def _hopf(mu: float = 1.0) -> BenchmarkSystem:
     if mu > 0:
 
         def closed(x, t):
-            r0 = math.hypot(x[0], x[1])
-            if r0 == 0.0:
-                return np.zeros(2)
-            th = math.atan2(x[1], x[0]) + t
-            if t >= 0.0:
-                denom = (mu - r0 * r0) * math.exp(-2.0 * mu * t) + r0 * r0
-                r = math.sqrt(mu) * r0 / math.sqrt(denom)
-            else:
-                if 2.0 * mu * t < -700.0:
-                    e2 = 0.0
-                else:
-                    e2 = math.exp(2.0 * mu * t)
-                denom = mu - r0 * r0 + e2 * r0 * r0
-                if denom <= 0.0:
-                    raise BlowUpError(
-                        "backward Hopf orbit escapes in finite time", time=t
-                    )
-                r = math.exp(mu * t) * math.sqrt(mu) * r0 / math.sqrt(denom)
-            return np.array([r * math.cos(th), r * math.sin(th)])
+            r0 = np.hypot(x[0], x[1])
+            th = np.arctan2(x[1], x[0]) + t
+            fwd = t >= 0.0
+            e2 = np.exp(-2.0 * mu * np.abs(t))  # exp(-2 mu t) forward, exp(2 mu t) backward
+            denom = np.where(fwd, (mu - r0 * r0) * e2 + r0 * r0, mu - r0 * r0 + e2 * r0 * r0)
+            r = np.exp(mu * np.minimum(t, 0.0)) * np.sqrt(mu) * r0 / np.sqrt(denom)
+            # denom <= 0: backward, the orbit has escaped in finite time;
+            # forward, it is the origin after exp(-2 mu t) underflows.
+            r = np.where(denom > 0.0, r, np.where(fwd, 0.0, np.inf))
+            return np.stack([r * np.cos(th), r * np.sin(th)])
 
     fld = VectorField(2, rhs, name=f"hopf(mu={mu:g})", closed_form_flow=closed)
     mani = manifolds.circle_manifold((0.0, 0.0), 5.0, n=257)
@@ -783,9 +768,7 @@ def _blowup() -> BenchmarkSystem:
 
     def closed(x, t):
         denom = 1.0 - x[0] * t
-        if denom <= 1e-300:
-            raise BlowUpError("quadratic growth blows up in finite time", time=t)
-        return x / denom
+        return np.where(denom > 0.0, x / denom, np.inf)  # past t = 1/x it has escaped
 
     fld = VectorField(1, rhs, name="blowup", closed_form_flow=closed)
     mani = manifolds.point_manifold(1.0)
@@ -800,7 +783,7 @@ def _action_angle() -> BenchmarkSystem:
         return np.stack([np.zeros_like(x[0]), x[0]])
 
     def closed(x, t):
-        return np.array([x[0], x[1] + x[0] * t])
+        return np.stack([x[0], x[1] + x[0] * t])
 
     fld = VectorField(2, rhs, name="action_angle", closed_form_flow=closed)
     mani = manifolds.segment_manifold((0.5, 0.2), (2.5, 0.2), n=121, s_range=(0.5, 2.5))

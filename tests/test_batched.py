@@ -114,6 +114,29 @@ def test_registry_rhs_is_vectorized(name):
         assert np.array_equal(out[:, j], field.rhs(batch[:, j]))
 
 
+CLOSED_FORMS = [n for n in ke.system_names() if ke.make_system(n).field.closed_form_flow]
+# A state and a time its orbit has escaped by: exp overflows, x' = x^2 past
+# t = 1/x, and the backward Hopf orbit outside the limit cycle.
+ESCAPES = {"lin1d": ([1.0], 800.0), "blowup": ([1.0], 1.5), "hopf": ([2.0, 0.0], -1.0)}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_registry_closed_form_is_vectorized(name):
+    field = ke.make_system(name).field
+    closed = field.closed_form_flow
+    batch = np.random.default_rng(3).uniform(0.3, 1.5, (field.dim, 7))
+    times = np.array([0.3, -0.1, 0.0, 0.5, -0.05, 0.2, -0.02])
+    out = closed(batch, times)
+    assert out.shape == batch.shape and np.all(np.isfinite(out))
+    for j in range(batch.shape[1]):
+        assert np.array_equal(out[:, j : j + 1], closed(batch[:, j : j + 1], times[j : j + 1]))
+    if name in ESCAPES:
+        x, t = ESCAPES[name]
+        with np.errstate(all="ignore"):  # as koopeig calls it
+            y = closed(np.array(x)[:, None], np.array([t]))
+        assert not np.linalg.norm(y) <= ke.dynamics.BLOWUP_BOUND
+
+
 @pytest.mark.parametrize(
     "mani",
     [
@@ -262,6 +285,15 @@ def test_batched_rhs_of_wrong_shape_names_the_field():
         ke.flow(field, [1.0, 0.0], 0.5, method="rk45")
     with pytest.raises(ValueError, match="one-state-only"):
         flow_many(field, [[1.0, 0.0], [0.0, 1.0]], [0.5])
+
+    def closed(x, t):  # written for single states: drops the batch axis
+        return x[:, 0]
+
+    field = ke.VectorField(2, rhs, name="one-state-closed-form", closed_form_flow=closed)
+    with pytest.raises(ValueError, match="one-state-closed-form"):
+        ke.flow(field, [1.0, 0.0], 0.5, method="exact")
+    with pytest.raises(ValueError, match="one-state-closed-form"):
+        ke.dynamics.find_crossings(field, [1.0, 0.0], lambda x: x[1], 1.0, 1.0, method="exact")
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,19 @@ def test_find_crossings_counts_multiple():
     assert len(hits) == 4  # two full revolutions: x2 vanishes four times
 
 
+@pytest.mark.parametrize("method", ["exact", "rk45"])
+def test_find_crossings_right_before_an_escape(method):
+    # x' = x^2 from x = 1 escapes at t = 1 and passes X at t = 1 - 1/X: for
+    # X = 1e9 that is within 1e-9 of the escape. Beyond BLOWUP_BOUND the
+    # orbit counts as escaped before it gets there.
+    field = ke.make_system("blowup").field
+    for level in (1e3, 1e6, 1e9):
+        ((tau, _),) = find_crossings(field, [1.0], lambda x: x[0] - level, 1.0, 2.0, method=method)
+        assert abs(tau - (1.0 - 1.0 / level)) <= 1e-9
+    with pytest.raises(ke.BlowUpError):
+        find_crossings(field, [1.0], lambda x: x[0] - 1e13, 1.0, 2.0, method=method)
+
+
 def test_registry_names_and_unknown():
     assert set(ke.system_names()) == {
         "action_angle", "blowup", "hopf", "lin1d", "lin2d", "vdp",

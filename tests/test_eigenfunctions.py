@@ -99,8 +99,8 @@ def test_pullback_ambiguous_crossing_on_rotation():
         return np.array([-x[1], x[0]])
 
     def closed(x, t):
-        c, s = math.cos(t), math.sin(t)
-        return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
+        c, s = np.cos(t), np.sin(t)
+        return np.stack([c * x[0] - s * x[1], s * x[0] + c * x[1]])
 
     mani = ke.segment_manifold((0.5, 0.0), (2.0, 0.0), n=31, s_range=(0.5, 2.0))
     for field in (
