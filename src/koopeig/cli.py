@@ -45,6 +45,13 @@ def write_json(path: Path, obj) -> None:
     _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _stage_rows(stages):
+    """CSV rows (stage, *columns) of per-stage blocks of columns, from stage 1,
+    one block at a time."""
+    for stage, columns in enumerate(stages, start=1):
+        yield from np.column_stack([np.full(len(columns[0]), stage), *columns]).tolist()
+
+
 def _c2l(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -167,29 +174,30 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
         ["k", "residual_norm"],
         [(k, r) for k, r in enumerate(result.residual_norms)],
     )
-    curve_rows = []
-    for stage, sweep in enumerate(result.lambda_curves, start=1):
-        for lam, res in zip(sweep.candidates, sweep.residual_curve):
-            curve_rows.append((stage, lam.real, lam.imag, res))
     write_csv(
         out_dir / "lambda_curves.csv",
         ["stage", "lambda_re", "lambda_im", "residual"],
-        curve_rows,
+        _stage_rows(
+            (sweep.candidates.real, sweep.candidates.imag, sweep.residual_curve)
+            for sweep in result.lambda_curves
+        ),
     )
-    h_rows = []
-    for stage, term in enumerate(result.terms, start=1):
-        for s, v in zip(term.data.s_nodes, term.data.values):
-            h_rows.append((stage, s, v.real, v.imag))
-    write_csv(out_dir / "h_functions.csv", ["stage", "s", "h_re", "h_im"], h_rows)
-    grid_rows = []
-    points = grid.points.reshape(-1, dim).tolist()  # row-major over (s_i, r_j)
-    for stage, term in enumerate(result.terms, start=1):
-        for x, v in zip(points, term.phi_grid.ravel()):
-            grid_rows.append((stage, *x, v.real, v.imag))
+    write_csv(
+        out_dir / "h_functions.csv",
+        ["stage", "s", "h_re", "h_im"],
+        _stage_rows(
+            (term.data.s_nodes, term.data.values.real, term.data.values.imag)
+            for term in result.terms
+        ),
+    )
+    points = grid.points.reshape(-1, dim)  # row-major over (s_i, r_j)
     write_csv(
         out_dir / "term_grids.csv",
         ["stage"] + [f"x{k + 1}" for k in range(dim)] + ["phi_re", "phi_im"],
-        grid_rows,
+        _stage_rows(
+            (points, term.phi_grid.real.ravel(), term.phi_grid.imag.ravel())
+            for term in result.terms
+        ),
     )
     return EXIT_OK
 

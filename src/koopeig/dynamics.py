@@ -9,7 +9,7 @@ derivative, under the fixed blow-up bound ``BLOWUP_BOUND``, step floor
 finishes its span, blows up, underflows, or has met ``max_count`` event
 crossings. A single ``flow`` or ``find_crossings`` is the N = 1 case;
 ``flow_many`` and ``find_crossings_many`` march many states as one batch,
-and crossings are refined by vectorized bisection on the dense output.
+and crossings are refined by Illinois steps on the dense output.
 
 Right-hand-side contract: ``VectorField.rhs`` maps a (d, N) array of states
 to the (d, N) array of their derivatives. Every march, one lane included,
@@ -20,7 +20,8 @@ is a ValueError naming the field. An event likewise maps (d, N) states to
 Systems that admit a closed-form flow expose it on the ``VectorField``;
 ``method="auto"`` prefers it when present. A closed-form flow maps (d, N)
 states and (N,) times to (d, N), so the exact crossing scan samples one
-orbit at many times in one call (see ``find_crossings``).
+orbit at many times in one call (see ``find_crossings``). Both crossing
+searches refine their brackets with the one Illinois refiner ``_refine``.
 """
 
 from __future__ import annotations
@@ -54,9 +55,12 @@ DEFAULT_TOL = 1e-10
 BLOWUP_BOUND = 1e12
 STEP_FLOOR = 1e-14
 MAX_STEPS = 1_000_000
-BISECT_CAP = 80
-# Sampling resolution of the event scan used on closed-form trajectories.
+# Illinois steps per event bracket at most (see ``_refine``).
+REFINE_CAP = 80
+# Sampling resolution of the event scan used on closed-form trajectories,
+# and the fractions of its interval [lo, hi] at which a scan samples.
 CLOSED_SCAN_POINTS = 128
+_FRACS = np.linspace(0.0, 1.0, CLOSED_SCAN_POINTS + 1)
 
 # Dormand-Prince 5(4): stage coefficients, fifth-order weights, error weights
 # (fifth minus fourth order, FSAL stage included) and the coefficients of the
@@ -377,7 +381,9 @@ class RK45:
         c = idx[sel]
         ks = [stage[:, c] for stage in k]
         q = np.stack([_combine(terms, ks) for terms in _P_TERMS])
-        self.brackets.append((self._lanes[c], tau[c], tau_new[c], y[:, c], q, g_old[sel]))
+        self.brackets.append(
+            (self._lanes[c], tau[c], tau_new[c], y[:, c], q, g_old[sel], g_new[sel])
+        )
         self._count[c] += 1
 
     def _retire(self, status: np.ndarray) -> None:
@@ -398,50 +404,88 @@ class RK45:
             self._g = self._g[keep]
 
     def crossings(self, tol: float) -> list[list[tuple[float, np.ndarray]]]:
-        """Each lane's bracketed crossings, refined to |event| < tol, in time order."""
+        """Each lane's bracketed crossings, refined to |event| < tol, in time order.
+
+        A bracket narrower than 1e-15 of the span is taken at its right end.
+        """
         found: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(self.status.size)]
         if not self.brackets:
             return found
-        lanes, lo, hi, y_lo, q, g_lo = (
+        lanes, lo, hi, y_lo, q, g_lo, g_hi = (
             np.concatenate(part, axis=-1) for part in zip(*self.brackets)
         )
-        tau, y = _bisect_dense(self.event, lo, hi, y_lo, q, g_lo, tol)
+        hs = hi - lo
+
+        def state_at(tau, j):
+            """The steps' dense output of the brackets j at the times tau."""
+            x = (tau - lo[j]) / hs[j]
+            x2 = x * x
+            x3 = x2 * x
+            poly = q[0][:, j] * x + q[1][:, j] * x2 + q[2][:, j] * x3 + q[3][:, j] * (x3 * x)
+            return y_lo[:, j] + hs[j] * poly
+
+        tau, y = _refine(self.event, state_at, lo, hi, g_lo, g_hi, tol, 1e-15 * self.stops[-1])
         for j in np.argsort(lanes, kind="stable"):
             found[lanes[j]].append((float(tau[j]), y[:, j].copy()))
         return found
 
 
-def _bisect_dense(event, lo, hi, y_lo, q, g_lo, tol) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect M brackets at once on their steps' dense output until |event| < tol.
+def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
+    """Refine M event brackets at once to |event| < tol by Illinois steps.
 
-    Each bracket starts from its step's end and halves the side without the
-    sign change, for at most ``BISECT_CAP`` halvings.
+    Bracket j holds a sign change of the event between lo[j], where it is
+    g_lo[j], and hi[j], where it is g_hi[j]. ``state_at(tau, j)`` gives the
+    (d, K) states of the K brackets j at their times tau. Each step takes
+    the secant root of the bracket's ends (the midpoint when that is not
+    strictly inside) and keeps the half with the sign change; an end kept
+    twice in a row has its value halved, so that neither end sticks
+    (modified regula falsi, Dowell & Jarratt, BIT 11, 1971). ``first``
+    replaces the first secant root of a bracket where it lies strictly
+    inside. A bracket narrower than ``floor``, or still open after
+    ``REFINE_CAP`` steps, is taken at its right end. A bracket whose
+    iterate has a non-finite event value (a blown state) stops with a NaN
+    time and NaN state, for the caller to search otherwise.
+
+    Returns the (M,) times and (d, M) states. Arithmetic is elementwise, so
+    a bracket's result does not depend on the others.
     """
-    t0, hs = lo.copy(), hi - lo
-    lo, hi, g_lo = lo.copy(), hi.copy(), g_lo.copy()
-
-    def state_at(tau, j):
-        x = (tau - t0[j]) / hs[j]
-        x2 = x * x
-        x3 = x2 * x
-        poly = q[0][:, j] * x + q[1][:, j] * x2 + q[2][:, j] * x3 + q[3][:, j] * (x3 * x)
-        return y_lo[:, j] + hs[j] * poly
-
-    every = np.arange(lo.size)
-    tau, y = hi.copy(), state_at(hi, every)
-    g = event(y)
-    for _ in range(BISECT_CAP):
-        j = np.nonzero(~(np.abs(g) < tol))[0]
-        if j.size == 0:
-            break
-        mid = 0.5 * (lo[j] + hi[j])
-        y_mid = state_at(mid, j)
-        g_mid = event(y_mid)
-        left = g_lo[j] * g_mid <= 0.0
-        hi[j] = np.where(left, mid, hi[j])
-        lo[j] = np.where(left, lo[j], mid)
-        g_lo[j] = np.where(left, g_lo[j], g_mid)
-        tau[j], y[:, j], g[j] = mid, y_mid, g_mid
+    a, b, fa, fb = lo, hi, g_lo, g_hi
+    tau = np.empty_like(a)
+    tau.fill(np.nan)
+    y = None
+    j = np.arange(a.size)  # the open brackets
+    last = None  # whether lo was kept at the last step
+    c = b - fb * (b - a) / (fb - fa)
+    if first is not None:
+        c = np.where((first > a) & (first < b), first, c)
+    for _ in range(REFINE_CAP):
+        inside = (c > a) & (c < b)
+        if not inside.all():
+            c = np.where(inside, c, 0.5 * (a + b))
+        y_c = state_at(c, j)
+        g_c = event(y_c)
+        if y is None:
+            y = np.empty((y_c.shape[0], tau.size))
+            y.fill(np.nan)
+        keep_lo = fa * g_c <= 0.0
+        if last is not None:  # Illinois: halve the value of an end kept twice
+            scale = np.where(keep_lo == last, 0.5, 1.0)
+            fa, fb = fa * scale, fb * scale
+        a, b = np.where(keep_lo, a, c), np.where(keep_lo, c, b)
+        fa, fb = np.where(keep_lo, fa, g_c), np.where(keep_lo, g_c, fb)
+        last = keep_lo
+        go = (np.abs(g_c) >= tol) & (b - a >= floor)  # False for NaN too
+        if not go.all():
+            done = np.abs(g_c) < tol
+            tau[j[done]], y[:, j[done]] = c[done], y_c[:, done]
+            narrow = ~(go | done) & np.isfinite(g_c)
+            if narrow.any():
+                tau[j[narrow]], y[:, j[narrow]] = b[narrow], state_at(b[narrow], j[narrow])
+            if not go.any():
+                return tau, y
+            j, a, b, fa, fb, last = j[go], a[go], b[go], fa[go], fb[go], last[go]
+        c = b - fb * (b - a) / (fb - fa)
+    tau[j], y[:, j] = b, state_at(b, j)
     return tau, y
 
 
@@ -577,6 +621,27 @@ def flow_many(
     return out
 
 
+def _inverse_interp(taus: np.ndarray, g: np.ndarray, k: int, last: int) -> float:
+    """A first iterate for the sign change between samples k and k+1: the
+    zero of the inverse interpolant tau(g) through the samples k-2 .. k+3
+    that lie within 0 .. last. NaN unless their values are finite and
+    strictly monotone, so that tau is a function of g."""
+    lo, hi = max(k - 2, 0), min(k + 3, last)
+    ts = (taus[lo : hi + 1] - taus[k]).tolist()
+    gs = g[lo : hi + 1].tolist()
+    steps = [g1 - g0 for g0, g1 in zip(gs, gs[1:])]
+    finite = all(-np.inf < v < np.inf for v in gs)
+    if not (finite and (all(v > 0.0 for v in steps) or all(v < 0.0 for v in steps))):
+        return np.nan
+    root = 0.0  # Lagrange form at g = 0, in times relative to sample k
+    for i, (t_i, g_i) in enumerate(zip(ts, gs)):
+        for m, g_m in enumerate(gs):
+            if m != i:
+                t_i *= g_m / (g_m - g_i)
+        root += t_i
+    return float(taus[k]) + root
+
+
 def find_crossings(
     field: VectorField,
     x0,
@@ -594,16 +659,19 @@ def find_crossings(
     occurring after at least one crossing means the orbit left the domain
     and simply ends the scan; before any crossing it propagates. A numeric
     field is the one-state case of ``find_crossings_many``, whose crossings
-    are bisected to |event| < tol.
+    are refined by ``_refine`` on the steps' dense output to |event| < tol.
 
     A closed-form flow is scanned exactly: each scan samples (lo, hi] at
     ``CLOSED_SCAN_POINTS`` uniform times with one closed-form call and one
     event call. A sign change is a crossing at its right sample when
-    |event| < tol there, else its interval is scanned again for one
-    crossing. The orbit ends at its first blown sample; the interval before
-    it is scanned again, so that crossings right before a finite-time
-    escape are found, until it is narrower than 1e-15 * budget, where the
-    orbit escapes. A sign change that narrow is taken at its right sample.
+    |event| < tol there. The scan's other sign changes are refined together
+    by ``_refine`` on the closed-form orbit, each from the inverse
+    interpolant through the samples around it (``_inverse_interp``); one
+    whose iterate is blown is scanned again. The orbit ends at its first
+    blown sample; the interval before it is scanned again, so that
+    crossings right before a finite-time escape are found, until it is
+    narrower than 1e-15 * budget, where the orbit escapes. A sign change
+    that narrow is taken at its right sample, and so is a refined bracket.
     """
     x0 = _check_state(field, x0)
     found: list[tuple[float, np.ndarray]] = []
@@ -622,22 +690,42 @@ def find_crossings(
     floor = 1e-15 * budget
     lanes = np.repeat(x0[:, None], CLOSED_SCAN_POINTS, axis=1)
 
+    def state_at(tau, _j):
+        """The orbit at the times tau; NaN where it is blown."""
+        y, blown = _closed_flow(field, lanes[:, : tau.size], sign * tau)
+        return np.where(blown, np.nan, y)
+
     def scan(lo: float, g_lo: float, hi: float, count: int):
         """Up to count crossings over (lo, hi], and the blown sample that
         ends the orbit there as (tau, state), or None."""
-        taus = np.linspace(lo, hi, CLOSED_SCAN_POINTS + 1)
+        taus = lo + (hi - lo) * _FRACS
         y, blown = _closed_flow(field, lanes, sign * taus[1:])
         end = int(np.argmax(blown)) if blown.any() else CLOSED_SCAN_POINTS
-        g = np.concatenate([[g_lo], event(y[:, :end]) if end else []])
+        g = np.empty(CLOSED_SCAN_POINTS + 1)
+        g[0] = g_lo
+        if end:
+            g[1 : end + 1] = event(y[:, :end])
+        ks = _sign_change(g[:end], g[1 : end + 1]).nonzero()[0][:count].tolist()
+        # A sign change is a crossing at its right sample when |event| < tol
+        # there; the others are refined together.
+        k_in = [k for k in ks if not (abs(g[k + 1]) < tol or taus[k + 1] - taus[k] < floor)]
+        refined = {}
+        if k_in:
+            first = np.array([_inverse_interp(taus, g, k, end) for k in k_in])
+            k_lo = np.array(k_in)
+            tau_in, y_in = _refine(
+                event, state_at, taus[k_lo], taus[k_lo + 1], g[k_lo], g[k_lo + 1],
+                tol, floor, first,
+            )
+            refined = dict(zip(k_in, zip(tau_in.tolist(), y_in.T)))
         hits: list[tuple[float, np.ndarray]] = []
-        for k in np.flatnonzero(_sign_change(g[:-1], g[1:])):
-            if abs(g[k + 1]) < tol or taus[k + 1] - taus[k] < floor:
-                hits.append((float(taus[k + 1]), y[:, k].copy()))
-            else:
+        for k in ks:
+            tau, state = refined.get(k, (float(taus[k + 1]), y[:, k]))
+            if np.isnan(tau):  # a blown iterate: sample the bracket again
                 hits += scan(taus[k], g[k], taus[k + 1], 1)[0]
-            if len(hits) >= count:
-                return hits, None
-        if end == CLOSED_SCAN_POINTS:
+            else:
+                hits.append((tau, state.copy()))
+        if len(hits) >= count or end == CLOSED_SCAN_POINTS:
             return hits, None
         if taus[end + 1] - taus[end] < floor:
             return hits, (float(taus[end + 1]), y[:, end].copy())

@@ -74,6 +74,7 @@ class DataManifold:
             raise ValueError("s_max must be >= s_min")
         object.__setattr__(self, "_grid_cache", None)
         object.__setattr__(self, "_points_cache", None)
+        object.__setattr__(self, "_extent_cache", None)
 
     @property
     def span(self) -> float:
@@ -97,9 +98,11 @@ class DataManifold:
 
     def extent(self) -> float:
         """Diagonal of the bounding box of the sampled curve (>= tiny)."""
-        pts = self.sample_points()
-        diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-        return max(diag, 1e-12)
+        if self._extent_cache is None:
+            pts = self.sample_points()
+            diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+            object.__setattr__(self, "_extent_cache", max(diag, 1e-12))
+        return self._extent_cache
 
     def with_samples(self, n_samples: int) -> "DataManifold":
         return replace(self, n_samples=n_samples)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import koopeig as ke
+from koopeig import dynamics
 from koopeig.dynamics import find_crossings
 
 
@@ -210,3 +212,153 @@ def test_step_underflow_is_reported(monkeypatch):
     field = ke.VectorField(1, rhs, name="chatter")
     with pytest.raises(ke.StepUnderflowError):
         ke.flow(field, [0.0], 5.0, 1e-10, method="rk45")
+
+
+# ---------------------------------------------------------------------------
+# Illinois bracket refiner shared by the RK45 and closed-form crossing searches
+# ---------------------------------------------------------------------------
+
+
+def _counted_state_at(state_at):
+    calls = []
+
+    def wrapped(tau, j):
+        calls.append(np.array(tau))
+        return state_at(tau, j)
+
+    return wrapped, calls
+
+
+def _refine_one(event, state_at, lo, hi, tol=1e-10, floor=1e-15, first=None):
+    lo, hi = np.array([lo]), np.array([hi])
+    g_lo, g_hi = event(state_at(lo, [0])), event(state_at(hi, [0]))
+    first = None if first is None else np.array([first])
+    tau, y = dynamics._refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first)
+    return float(tau[0]), y[:, 0]
+
+
+def test_refine_quartic_dense_output_bracket():
+    # A dense-output step of two lanes: y(x) = y0 + h * sum_p q_p x^(p+1) on [0, 1].
+    rng = np.random.default_rng(5)
+    t0, h = 0.4, 0.3
+    y0 = np.array([[0.2, -0.1], [1.0, 0.5]])
+    q = rng.normal(size=(4, 2, 2)) * 0.2
+    q[0, 0] = [2.0, 3.0]  # x1 rises through the level in both lanes
+
+    def state_at(tau, j):
+        x = (np.asarray(tau) - t0) / h
+        poly = sum(q[p][:, j] * x ** (p + 1) for p in range(4))
+        return y0[:, j] + h * poly
+
+    event = lambda y: y[0] - 0.35
+    lo, hi = np.full(2, t0), np.full(2, t0 + h)
+    every = np.arange(2)
+    g_lo, g_hi = event(state_at(lo, every)), event(state_at(hi, every))
+    assert np.all(g_lo < 0.0) and np.all(g_hi > 0.0)
+    counted, calls = _counted_state_at(state_at)
+    tau, y = dynamics._refine(event, counted, lo, hi, g_lo, g_hi, 1e-10, 1e-15)
+    assert np.all((tau > lo) & (tau < hi))
+    assert np.all(np.abs(event(y)) < 1e-10)
+    assert np.array_equal(y, state_at(tau, every))
+    assert len(calls) < 15  # bisection from a 0.3-wide step would take about 32
+
+
+@pytest.mark.parametrize("lo,hi,evaluations", [(0.68, 0.70, 5), (0.0, 1.05, 10)])
+def test_refine_closed_form_lin2d_bracket(lin2d, lo, hi, evaluations):
+    # Backward lin2d from (1.5, 4): x2 = 4 exp(-2 tau) meets x2 = 1 at ln(2).
+    # On the wide bracket, regula falsi without the Illinois halving keeps
+    # one end and takes 37 evaluations; bisection would take about 33.
+    x0 = np.array([[1.5], [4.0]])
+    state_at = lambda tau, j: lin2d.field.closed_form_flow(x0, -np.asarray(tau))
+    event = lambda y: y[1] - 1.0
+    counted, calls = _counted_state_at(state_at)
+    tau, y = _refine_one(event, counted, lo, hi)
+    assert lo < tau < hi
+    assert abs(y[1] - 1.0) < 1e-10
+    assert abs(tau - math.log(2.0)) < 1e-10
+    assert len(calls) - 2 <= evaluations  # after the two end values of _refine_one
+
+
+def test_refine_ignores_a_first_iterate_outside_its_bracket(lin2d):
+    x0 = np.array([[1.5], [4.0]])
+    state_at = lambda tau, j: lin2d.field.closed_form_flow(x0, -np.asarray(tau))
+    event = lambda y: y[1] - 1.0
+    plain = _refine_one(event, state_at, 0.6, 0.8)
+    for first in (0.6, 0.8, 0.9, -1.0, np.nan):
+        tau, y = _refine_one(event, state_at, 0.6, 0.8, first=first)
+        assert tau == plain[0] and np.array_equal(y, plain[1])
+    # A first iterate inside its bracket is the first state evaluated.
+    counted, calls = _counted_state_at(state_at)
+    _refine_one(event, counted, 0.6, 0.8, first=0.69)
+    assert calls[2][0] == 0.69  # after the two end values of _refine_one
+
+
+def test_refine_stops_a_blown_iterate_with_nan():
+    # x' = x^2 from x = 1 escapes at t = 1. The bracket's right end is past the
+    # escape, and its small value (standing in for a sample) puts the secant
+    # root past the escape as well.
+    field = ke.make_system("blowup").field
+    x0 = np.array([[1.0]])
+
+    def state_at(tau, j):
+        y, blown = dynamics._closed_flow(field, x0, np.asarray(tau))
+        return np.where(blown, np.nan, y)
+
+    event = lambda y: y[0] - 1e3
+    lo, hi = np.array([0.5]), np.array([1.5])
+    g_lo, g_hi = event(state_at(lo, [0])), np.array([1.0])
+    tau, y = dynamics._refine(event, state_at, lo, hi, g_lo, g_hi, 1e-10, 1e-15)
+    assert np.isnan(tau[0]) and np.all(np.isnan(y))
+    tau, y = dynamics._refine(event, state_at, lo, hi, g_lo, g_hi, 1e-10, 1e-15, np.array([1.2]))
+    assert np.isnan(tau[0]) and np.all(np.isnan(y))
+
+
+def test_refine_takes_a_sign_jump_at_the_floor():
+    # The event jumps from -1 to 1 at 0.3 and never vanishes.
+    state_at = lambda tau, j: np.asarray(tau, float)[None, :].copy()
+    event = lambda y: np.where(y[0] < 0.3, -1.0, 1.0)
+    floor = 1e-15
+    counted, calls = _counted_state_at(state_at)
+    tau, y = _refine_one(event, counted, 0.0, 1.0, floor=floor)
+    assert 0.3 <= tau <= 0.3 + floor
+    assert y[0] == tau and event(y[:, None])[0] == 1.0  # the right end of the last bracket
+    assert len(calls) <= dynamics.REFINE_CAP + 3
+
+
+def test_find_crossings_scans_a_bracket_again_after_a_blown_iterate(monkeypatch):
+    # x(t) = x0 + t, blown on the narrow hole (0.50599, 0.50601), which lies
+    # inside the first scan's bracket (0.5, 0.5078] around the crossing at
+    # 0.503 but between two samples of the bracket's own scan.
+    times = []
+
+    def closed(x, t):
+        times.append(t.copy())
+        return np.where((t > 0.50599) & (t < 0.50601), np.inf, x + t)
+
+    field = ke.VectorField(1, lambda x: np.ones_like(x), name="drift", closed_form_flow=closed)
+    monkeypatch.setattr(dynamics, "_inverse_interp", lambda taus, g, k, last: 0.506)
+    ((tau, state),) = find_crossings(field, [0.0], lambda x: x[0] - 0.503, 1.0, 1.0, method="exact")
+    assert abs(tau - 0.503) < 1e-10 and abs(state[0] - 0.503) < 1e-10
+    sizes = [t.size for t in times]
+    assert sizes[:3] == [dynamics.CLOSED_SCAN_POINTS, 1, dynamics.CLOSED_SCAN_POINTS]
+    assert times[1][0] == 0.506  # the blown iterate, then the bracket's own scan
+
+
+def test_closed_form_pullback_makes_few_flow_calls(lin2d):
+    # The benchmark's lin2d lattice. Re-scanning each bracket until
+    # |event| < tol took about 4.9 closed-form calls per point; one scan and
+    # one refinement from a four-sample first iterate take 2.9, and from the
+    # six-sample one 1.9.
+    calls = []
+
+    def closed(x, t):
+        calls.append(t.size)
+        return lin2d.field.closed_form_flow(x, t)
+
+    field = dataclasses.replace(lin2d.field, closed_form_flow=closed)
+    mani = ke.segment_manifold((0.3, 1.0), (2.2, 1.0), n=161, s_range=(0.3, 2.2))
+    x1, x2 = np.meshgrid(np.linspace(1.0, 2.0, 30), np.linspace(1.0, math.e**2, 30))
+    points = np.column_stack([x1.ravel(), x2.ravel()])
+    results = ke.pullback_many(field, mani, (0.0, 1.05), points)
+    assert all(isinstance(r, ke.Pullback) for r in results)
+    assert len(calls) / len(points) <= 2.5
