@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import default_candidates
+from .decomposition import CANDIDATE_COUNT, CANDIDATE_RANGE, default_candidates
 from .dynamics import BenchmarkSystem, make_system, system_names
 from .errors import ConfigError
 from .manifolds import DataManifold, circle_manifold, point_manifold, segment_manifold
@@ -312,10 +312,8 @@ class RunConfig:
             return np.array(
                 [_complex_of(v, "lambda_sweep.values") for v in vals], dtype=complex
             )
-        re_lo, re_hi = _pair(
-            spec.get("re_range", [-5.0, 5.0]), "lambda_sweep.re_range"
-        )
-        count = int(_expect(spec, "count", int, "lambda_sweep", default=101))
+        re_lo, re_hi = _pair(spec.get("re_range", CANDIDATE_RANGE), "lambda_sweep.re_range")
+        count = int(_expect(spec, "count", int, "lambda_sweep", default=CANDIDATE_COUNT))
         if count < 1:
             raise ConfigError("must be >= 1", field="lambda_sweep.count")
         re = np.linspace(re_lo, re_hi, count)

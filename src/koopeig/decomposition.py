@@ -46,6 +46,9 @@ NEAR_BEST = 1e-12
 REFINE_POINTS = 2001
 # The sweep builds E in blocks of about this many entries, to bound its memory.
 SWEEP_BLOCK = 2**14
+# The default lambda sweep: this many real candidates over this range.
+CANDIDATE_RANGE = (-5.0, 5.0)
+CANDIDATE_COUNT = 101
 
 
 @dataclass(frozen=True)
@@ -176,8 +179,9 @@ class SweepResult:
     residual_curve: np.ndarray
 
 
-def default_candidates(lo: float = -5.0, hi: float = 5.0, count: int = 101) -> np.ndarray:
-    return np.linspace(lo, hi, count).astype(complex)
+def default_candidates() -> np.ndarray:
+    """CANDIDATE_COUNT real candidate eigenvalues spread evenly over CANDIDATE_RANGE."""
+    return np.linspace(*CANDIDATE_RANGE, CANDIDATE_COUNT).astype(complex)
 
 
 def sweep_lambda(

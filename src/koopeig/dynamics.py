@@ -7,9 +7,8 @@ independent lanes. Each lane keeps its own step size, error control and FSAL
 derivative, under the fixed blow-up bound ``BLOWUP_BOUND``, step floor
 ``STEP_FLOOR`` and step budget ``MAX_STEPS``. A lane retires when it
 finishes its span, blows up, underflows, or has met ``max_count`` event
-crossings. A single ``flow`` or ``find_crossings`` is the N = 1 case;
-``flow_many`` and ``find_crossings_many`` march many states as one batch,
-and crossings are refined by Illinois steps on the dense output.
+crossings. ``flow_many`` and ``find_crossings_many`` march many states as
+one batch, and crossings are refined by Illinois steps on the dense output.
 
 Right-hand-side contract: ``VectorField.rhs`` maps a (d, N) array of states
 to the (d, N) array of their derivatives. Every march, one lane included,
@@ -20,8 +19,12 @@ is a ValueError naming the field. An event likewise maps (d, N) states to
 Systems that admit a closed-form flow expose it on the ``VectorField``;
 ``method="auto"`` prefers it when present. A closed-form flow maps (d, N)
 states and (N,) times to (d, N), so the exact crossing scan samples one
-orbit at many times in one call (see ``find_crossings``). Both crossing
+orbit at many times in one call (see ``_scan_closed``). Both crossing
 searches refine their brackets with the one Illinois refiner ``_refine``.
+
+For both kinds of flow, a one-state call is the N = 1 case of its batch
+call: ``flow`` of ``flow_many``, ``find_crossings`` of
+``find_crossings_many``.
 """
 
 from __future__ import annotations
@@ -125,7 +128,6 @@ class VectorField:
 class FlowResult:
     state: np.ndarray
     time_elapsed: float
-    steps_taken: int
 
 
 @dataclass(frozen=True)
@@ -137,13 +139,6 @@ class BenchmarkSystem:
     default_manifold: Optional["manifolds.DataManifold"]
     default_t_window: tuple[float, float]
     oracle_eigenfunction: Optional[object] = None
-
-
-def _check_state(field: VectorField, x0) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (field.dim,):
-        raise ValueError(f"state has dimension {x0.shape[0]}, field expects {field.dim}")
-    return x0
 
 
 def as_states(field: VectorField, states) -> np.ndarray:
@@ -524,8 +519,6 @@ def _march(
     max_count: int = 1,
 ) -> RK45:
     """Run the stepper over the (d, N) lanes y0 along sign*F until every lane retires."""
-    if event is not None:
-        event = _batch_event(event)
     solver = RK45(_batch_rhs(field, sign), y0, stops, tol, event=event, max_count=max_count)
     while solver.running:
         solver.step()
@@ -555,26 +548,13 @@ def flow(
     *,
     method: str = "auto",
 ) -> FlowResult:
-    """Advance x0 by time t along the field.
+    """Advance x0 by time t along the field: ``flow_many`` of one state.
 
     Negative t integrates the reversed field.  ``method`` is "auto"
     (closed form when the field has one, else numeric), "rk45", or "exact".
     """
-    x0 = _check_state(field, x0)
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    numeric = is_numeric(field, method)
-    if t == 0.0:
-        return FlowResult(x0.copy(), 0.0, 0)
-    if not numeric:
-        return FlowResult(_closed_at(field, x0[:, None], np.array([t]))[:, 0], t, 0)
-    sign = 1.0 if t > 0 else -1.0
-    solver = _march(field, x0[:, None], sign, [abs(t)], tol)
-    if solver.status[0] != DONE:
-        raise _lane_error(field, solver, 0, sign)
-    return FlowResult(solver.at_stops[-1, :, 0].copy(), t, int(solver.steps[0]))
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    return FlowResult(flow_many(field, x0, [t], tol, method=method)[-1, 0], t)
 
 
 def flow_many(
@@ -590,7 +570,8 @@ def flow_many(
     The times share one sign and grow in magnitude. A numerically integrated
     field marches all states as one batch that lands exactly on each time;
     a closed-form flow takes every state at every time in one call. The
-    first state that blows up or underflows raises, as in ``flow``.
+    first state that blows up or underflows raises its BlowUpError or
+    StepUnderflowError.
     """
     x = as_states(field, states)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -655,38 +636,40 @@ def find_crossings(
 ) -> list[tuple[float, np.ndarray]]:
     """Locate up to max_count sign changes of event along sign*F over [0, budget].
 
-    ``event`` maps (d, N) states to (N,) values. Blow-up or step underflow
-    occurring after at least one crossing means the orbit left the domain
-    and simply ends the scan; before any crossing it propagates. A numeric
-    field is the one-state case of ``find_crossings_many``, whose crossings
-    are refined by ``_refine`` on the steps' dense output to |event| < tol.
-
-    A closed-form flow is scanned exactly: each scan samples (lo, hi] at
-    ``CLOSED_SCAN_POINTS`` uniform times with one closed-form call and one
-    event call. A sign change is a crossing at its right sample when
-    |event| < tol there. The scan's other sign changes are refined together
-    by ``_refine`` on the closed-form orbit, each from the inverse
-    interpolant through the samples around it (``_inverse_interp``); one
-    whose iterate is blown is scanned again. The orbit ends at its first
-    blown sample; the interval before it is scanned again, so that
-    crossings right before a finite-time escape are found, until it is
-    narrower than 1e-15 * budget, where the orbit escapes. A sign change
-    that narrow is taken at its right sample, and so is a refined bracket.
+    ``find_crossings_many`` of one state. ``event`` maps (d, N) states to
+    (N,) values. Blow-up or step underflow occurring after at least one
+    crossing means the orbit left the domain and simply ends the scan;
+    before any crossing it propagates.
     """
-    x0 = _check_state(field, x0)
-    found: list[tuple[float, np.ndarray]] = []
-    if budget <= 0.0:
-        return found
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    (found,), (escape,) = find_crossings_many(
+        field, x0, event, sign, budget, tol, method=method, max_count=max_count
+    )
+    if escape is not None:
+        raise escape
+    return found
 
-    if is_numeric(field, method):
-        (found,), (escape,) = find_crossings_many(
-            field, x0[None], event, sign, budget, tol, max_count=max_count
-        )
-        if escape is not None:
-            raise escape
-        return found
 
-    event = _batch_event(event)
+def _scan_closed(
+    field: VectorField, x0: np.ndarray, event, sign: float, budget: float, tol: float, max_count: int
+) -> tuple[list[tuple[float, np.ndarray]], Optional[BlowUpError]]:
+    """The exact crossing scan of the closed-form orbit of the (d,) state x0.
+
+    Each scan samples (lo, hi] at ``CLOSED_SCAN_POINTS`` uniform times with
+    one closed-form call and one event call. A sign change is a crossing at
+    its right sample when |event| < tol there. The scan's other sign changes
+    are refined together by ``_refine`` on the closed-form orbit, each from
+    the inverse interpolant through the samples around it
+    (``_inverse_interp``); one whose iterate is blown is scanned again. The
+    orbit ends at its first blown sample; the interval before it is scanned
+    again, so that crossings right before a finite-time escape are found,
+    until it is narrower than 1e-15 * budget, where the orbit escapes. A
+    sign change that narrow is taken at its right sample, and so is a
+    refined bracket.
+
+    Returns the crossings and, when the orbit escapes before any of them,
+    the BlowUpError of the escape, else None.
+    """
     floor = 1e-15 * budget
     lanes = np.repeat(x0[:, None], CLOSED_SCAN_POINTS, axis=1)
 
@@ -733,15 +716,15 @@ def find_crossings(
         return hits + more, escape
 
     found, escape = scan(0.0, float(event(x0[:, None])[0]), budget, max_count)
-    if escape is not None and not found:
-        tau, state = escape
-        raise BlowUpError(
-            f"closed-form orbit of '{field.name}' escapes the bound {BLOWUP_BOUND:g} "
-            f"near tau={tau:g}",
-            time=sign * tau,
-            state=state,
-        )
-    return found
+    if escape is None or found:
+        return found, None
+    tau, state = escape
+    return found, BlowUpError(
+        f"closed-form orbit of '{field.name}' escapes the bound {BLOWUP_BOUND:g} "
+        f"near tau={tau:g}",
+        time=sign * tau,
+        state=state,
+    )
 
 
 def find_crossings_many(
@@ -752,18 +735,27 @@ def find_crossings_many(
     budget: float,
     tol: float = DEFAULT_TOL,
     *,
+    method: str = "auto",
     max_count: int = 1,
 ) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[KoopeigError]]]:
-    """``find_crossings`` of the numeric flow for N states, marched as one batch.
+    """Up to max_count crossings of event along sign*F over [0, budget] for N states.
 
-    ``event`` maps a (d, M) array to M values.
+    ``event`` maps a (d, M) array to M values. A numerically integrated
+    field marches every state as one lane of a batch, and its crossings are
+    refined by ``_refine`` on the steps' dense output to |event| < tol. A
+    closed-form flow is scanned exactly, state by state (``_scan_closed``).
     Returns, per state, its crossings and its escape: the BlowUpError or
     StepUnderflowError that ends the orbit before any crossing, else None.
     """
     x = as_states(field, states)
     n = x.shape[0]
+    numeric = is_numeric(field, method)
     if n == 0 or budget <= 0.0:
         return [[] for _ in range(n)], [None] * n
+    event = _batch_event(event)
+    if not numeric:
+        scans = [_scan_closed(field, x0, event, sign, budget, tol, max_count) for x0 in x]
+        return [found for found, _ in scans], [escape for _, escape in scans]
     solver = _march(field, x.T, sign, [budget], tol, event=event, max_count=max_count)
     found = solver.crossings(tol)
     escapes = [
@@ -825,16 +817,18 @@ def _hopf(mu: float = 1.0) -> BenchmarkSystem:
     if mu > 0:
 
         def closed(x, t):
-            r0 = np.hypot(x[0], x[1])
-            th = np.arctan2(x[1], x[0]) + t
+            # The start vector rotated by t and scaled by r / r0.
+            r2 = x[0] * x[0] + x[1] * x[1]
+            gap = mu - r2
             fwd = t >= 0.0
             e2 = np.exp(-2.0 * mu * np.abs(t))  # exp(-2 mu t) forward, exp(2 mu t) backward
-            denom = np.where(fwd, (mu - r0 * r0) * e2 + r0 * r0, mu - r0 * r0 + e2 * r0 * r0)
-            r = np.exp(mu * np.minimum(t, 0.0)) * np.sqrt(mu) * r0 / np.sqrt(denom)
+            denom = np.where(fwd, gap * e2 + r2, gap + e2 * r2)
+            scale = np.exp(mu * np.minimum(t, 0.0)) * np.sqrt(mu) / np.sqrt(denom)
             # denom <= 0: backward, the orbit has escaped in finite time;
             # forward, it is the origin after exp(-2 mu t) underflows.
-            r = np.where(denom > 0.0, r, np.where(fwd, 0.0, np.inf))
-            return np.stack([r * np.cos(th), r * np.sin(th)])
+            scale = np.where(denom > 0.0, scale, np.where(fwd, 0.0, np.inf))
+            c, s = scale * np.cos(t), scale * np.sin(t)
+            return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
 
     fld = VectorField(2, rhs, name=f"hopf(mu={mu:g})", closed_form_flow=closed)
     mani = manifolds.circle_manifold((0.0, 0.0), 5.0, n=257)

@@ -16,7 +16,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (
+# ``find_crossings`` is not called here, but perfbench/tracing.py patches
+# eigenfunctions.find_crossings.
+from .dynamics import (  # noqa: F401
     DEFAULT_TOL,
     VectorField,
     as_states,
@@ -30,10 +32,8 @@ from .errors import (
     AMBIGUOUS,
     NO_CROSSING,
     AmbiguousCrossingError,
-    BlowUpError,
     BranchCutError,
     NotInDomainError,
-    StepUnderflowError,
 )
 from .manifolds import DataFunction, DataManifold, as_values
 
@@ -70,9 +70,14 @@ class Pullback:
     foot: np.ndarray
 
 
-def _on_manifold(manifold: DataManifold, state: np.ndarray, s: float, on_tol: float) -> bool:
-    """Whether the state lies on the manifold itself, at its parameter s."""
-    return bool(np.linalg.norm(np.asarray(manifold.embed(s), float) - state) <= on_tol)
+def _on_manifold(
+    manifold: DataManifold, states: np.ndarray, on_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The parameters s of the (d, M) states and whether each state lies on
+    the manifold itself, at its parameter."""
+    s = manifold.locate(states)
+    gap = np.linalg.norm(np.asarray(manifold.embed(s), float) - states, axis=0)
+    return s, gap <= on_tol
 
 
 def _search_setup(manifold: DataManifold, t_window) -> tuple[float, float, float, float]:
@@ -87,16 +92,6 @@ def _search_setup(manifold: DataManifold, t_window) -> tuple[float, float, float
     slack = max(1e-9, 1e-3 * (t2 - t1))
     on_tol = max(1e-9, 1e-6 * manifold.extent())
     return t1, t2, slack, on_tol
-
-
-def _feet(manifold, crossings, on_tol: float) -> list:
-    """The crossings whose state lies on the manifold, as (tau, state, s)."""
-    hits = []
-    for tau, state in crossings:
-        s = manifold.locate(state)
-        if _on_manifold(manifold, state, s, on_tol):
-            hits.append((tau, state, s))
-    return hits
 
 
 def _settle(hits: list, direction: float, escape: Optional[str]):
@@ -127,36 +122,30 @@ def _pull(
 ) -> list:
     """The search behind ``pullback`` and ``pullback_many`` for the (N, d) points."""
     t1, t2, slack, on_tol = _search_setup(manifold, t_window)
-    numeric = is_numeric(field, method)
 
     def search(idx: list, sign: float, budget: float):
-        """Feet and escape reason of the points idx along sign*F over [0, budget]."""
-        if numeric:
-            crossings, escapes = find_crossings_many(
-                field, pts[idx], manifold.surface, sign, budget, tol, max_count=AMBIGUITY_COUNT
-            )
-        else:
-            crossings, escapes = [], []
-            for i in idx:
-                try:
-                    found, escape = find_crossings(
-                        field, pts[i], manifold.surface, sign, budget, tol,
-                        method=method, max_count=AMBIGUITY_COUNT,
-                    ), None
-                except (BlowUpError, StepUnderflowError) as exc:
-                    # Orbit escapes before meeting the manifold: nothing on this side.
-                    found, escape = [], exc
-                crossings.append(found)
-                escapes.append(escape)
-        feet = [_feet(manifold, c, on_tol) for c in crossings]
-        return dict(zip(idx, feet)), {i: e.reason if e else None for i, e in zip(idx, escapes)}
+        """Feet and escape reason of the points idx along sign*F over [0, budget];
+        a foot is a crossing whose state lies on the manifold, as (tau, state, s)."""
+        crossings, escapes = find_crossings_many(
+            field, pts[idx], manifold.surface, sign, budget, tol,
+            method=method, max_count=AMBIGUITY_COUNT,
+        )
+        feet: dict = {i: [] for i in idx}
+        flat = [(i, tau, state) for i, found in zip(idx, crossings) for tau, state in found]
+        if flat:
+            s, on = _on_manifold(manifold, np.column_stack([c[2] for c in flat]), on_tol)
+            for (i, tau, state), s_k, on_k in zip(flat, s.tolist(), on.tolist()):
+                if on_k:
+                    feet[i].append((tau, state, s_k))
+        return feet, {i: e.reason if e else None for i, e in zip(idx, escapes)}
 
     # A point on the manifold itself is its own foot, at r* = 0.
     results: list = [None] * pts.shape[0]
-    s_at = manifold.locate(pts.T)
-    for i in np.flatnonzero(np.abs(manifold.surface(pts.T)) < tol):
-        if _on_manifold(manifold, pts[i], s_at[i], on_tol):
-            results[i] = Pullback(0.0, float(s_at[i]), pts[i].copy())
+    near = np.flatnonzero(np.abs(manifold.surface(pts.T)) < tol)
+    if near.size:
+        s, on = _on_manifold(manifold, pts[near].T, on_tol)
+        for i, s_i in zip(near[on].tolist(), s[on].tolist()):
+            results[i] = Pullback(0.0, s_i, pts[i].copy())
     pending = [i for i, result in enumerate(results) if result is None]
 
     # Backward over the downstream part of the window, then (t1 < 0) forward.

@@ -70,33 +70,44 @@ def test_flow_many_reports_blow_up():
         flow_many(field, [[0.5], [1.0]], [1.5], method="rk45")
 
 
-def test_batched_crossings_match_one_lane():
+@pytest.mark.parametrize("method", ["rk45", "exact"])
+def test_batched_crossings_match_one_lane(method):
     def rhs(x):
         return np.array([-x[1], x[0]])
 
-    field = ke.VectorField(2, rhs, name="rotation")
+    def closed(x, t):  # rotation of every column by its time
+        c, s = np.cos(t), np.sin(t)
+        return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
+
+    field = ke.VectorField(2, rhs, name="rotation", closed_form_flow=closed)
     starts = np.array([[0.0, 1.0], [1.0, 0.5], [-2.0, 0.1]])
     found, escapes = find_crossings_many(
-        field, starts, lambda x: x[1], 1.0, 13.0, 1e-10, max_count=4
+        field, starts, lambda x: x[1], 1.0, 13.0, 1e-10, method=method, max_count=4
     )
     assert escapes == [None, None, None]
     for x0, lane in zip(starts, found):
         one = ke.dynamics.find_crossings(
-            field, x0, lambda x: x[1], 1.0, 13.0, 1e-10, max_count=4
+            field, x0, lambda x: x[1], 1.0, 13.0, 1e-10, method=method, max_count=4
         )
         assert len(lane) == len(one) == 4
         for (tau_b, y_b), (tau_1, y_1) in zip(lane, one):
             assert tau_b == tau_1 and np.array_equal(y_b, y_1)
 
 
-def test_batched_escape_is_the_one_lane_error():
+@pytest.mark.parametrize("method", ["rk45", "exact"])
+def test_batched_escape_is_the_one_lane_error(method):
     field = ke.make_system("blowup").field
     starts = [[1.0], [-1.0]]  # x' = x^2: the first escapes at t = 1, the second decays
-    found, escapes = find_crossings_many(field, starts, lambda x: x[0] + 2.0, 1.0, 1.5)
+    found, escapes = find_crossings_many(
+        field, starts, lambda x: x[0] + 2.0, 1.0, 1.5, method=method
+    )
     assert found[0] == [] and isinstance(escapes[0], ke.BlowUpError)
     assert escapes[0].reason == "blow_up" and escapes[1] is None
-    with pytest.raises(ke.BlowUpError):
-        ke.dynamics.find_crossings(field, [1.0], lambda x: x[0] + 2.0, 1.0, 1.5, method="rk45")
+    with pytest.raises(ke.BlowUpError) as raised:
+        ke.dynamics.find_crossings(field, [1.0], lambda x: x[0] + 2.0, 1.0, 1.5, method=method)
+    one = raised.value
+    assert str(one) == str(escapes[0]) and one.time == escapes[0].time
+    assert np.array_equal(one.state, escapes[0].state)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +351,33 @@ def test_batched_pullback_matches_one_point(setup):
     reasons = {pb for pb in batch if isinstance(pb, str)}
     assert reasons <= set(ke.MISS_REASONS)
     assert any(isinstance(pb, ke.Pullback) for pb in batch)
+
+
+def test_batched_on_manifold_test_matches_one_point():
+    field, mani, window, method, box = _vdp_setup()
+    span = mani.s_max - mani.s_min
+    # On the segment: its own foot at r* = 0. On its supporting line beyond
+    # an end: |surface| < tol, but locate clips to the end, so the point is
+    # searched. Then ordinary lattice points.
+    on = mani.embed(np.linspace(mani.s_min, mani.s_max, 7)).T
+    beyond = mani.embed(np.array([mani.s_min - 0.3 * span, mani.s_max + 0.2 * span])).T
+    assert np.all(np.abs(mani.surface(beyond.T)) < 1e-10)
+    g1, g2 = np.meshgrid(np.linspace(*box[0], 6), np.linspace(*box[1], 6))
+    pts = np.concatenate([on, beyond, np.column_stack([g1.ravel(), g2.ravel()])])
+    batch = ke.pullback_many(field, mani, window, pts, 1e-10, method=method)
+    for x, got in zip(pts, batch):
+        try:
+            want = ke.pullback(field, mani, window, x, 1e-10, method=method)
+        except (ke.NotInDomainError, ke.AmbiguousCrossingError) as exc:
+            assert got == exc.reason, f"at {x}"
+            continue
+        assert isinstance(got, ke.Pullback), f"at {x}: batched miss {got!r}"
+        assert got.r_star == want.r_star and got.s_star == want.s_star, f"at {x}"
+    assert all(pb.r_star == 0.0 for pb in batch[: len(on)])
+    searched = batch[len(on) :]
+    assert all(isinstance(pb, str) or pb.r_star != 0.0 for pb in searched[: len(beyond)])
+    hits = [pb for pb in searched if isinstance(pb, ke.Pullback)]
+    assert len(hits) < len(searched) and any(pb.r_star > 0.0 for pb in hits)
 
 
 def test_rotation_misses_cover_ambiguity_and_window():
