@@ -70,8 +70,12 @@ def test_flow_many_reports_blow_up():
         flow_many(field, [[0.5], [1.0]], [1.5], method="rk45")
 
 
-@pytest.mark.parametrize("method", ["rk45", "exact"])
-def test_batched_crossings_match_one_lane(method):
+def test_batched_crossings_match_one_lane():
+    for method in ("rk45", "exact"):
+        _check_crossings_match_one_lane(method)
+
+
+def _check_crossings_match_one_lane(method):
     def rhs(x):
         return np.array([-x[1], x[0]])
 
@@ -94,8 +98,12 @@ def test_batched_crossings_match_one_lane(method):
             assert tau_b == tau_1 and np.array_equal(y_b, y_1)
 
 
-@pytest.mark.parametrize("method", ["rk45", "exact"])
-def test_batched_escape_is_the_one_lane_error(method):
+def test_batched_escape_is_the_one_lane_error():
+    for method in ("rk45", "exact"):
+        _check_escape_is_the_one_lane_error(method)
+
+
+def _check_escape_is_the_one_lane_error(method):
     field = ke.make_system("blowup").field
     starts = [[1.0], [-1.0]]  # x' = x^2: the first escapes at t = 1, the second decays
     found, escapes = find_crossings_many(
