@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -34,33 +35,43 @@ def load_config_file(path) -> dict:
     return raw
 
 
-def _expect(raw: dict, key: str, kind, where: str, default=None, required=False):
+def _expect(raw: dict, key: str, kind: type, where: str, default=None, required=False):
+    """The dict, str or list at ``key``, or ``default`` when it is absent."""
+    path = f"{where}.{key}" if where else key
     if key not in raw:
         if required:
-            raise ConfigError("missing required field", field=f"{where}.{key}" if where else key)
+            raise ConfigError("missing required field", field=path)
         return default
-    val = raw[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(
-            f"expected {getattr(kind, '__name__', kind)}, got {type(val).__name__}",
-            field=f"{where}.{key}" if where else key,
-        )
-    return val
+    if not isinstance(raw[key], kind):
+        raise ConfigError(f"expected {kind.__name__}, got {type(raw[key]).__name__}", field=path)
+    return raw[key]
+
+
+def _number(value, where: str, *, integer=False, minimum=None, positive=False):
+    """The config number ``value`` as a float, or an int when ``integer``.
+
+    It must be finite, not a bool, integral when ``integer`` (4 or 4.0), at
+    least ``minimum`` and, when ``positive``, above 0. Anything else is a
+    ConfigError at ``where``: the value's field or the field of its list.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {type(value).__name__}", field=where)
+    if not abs(value) <= sys.float_info.max:  # NaN, Infinity or an int past the floats
+        raise ConfigError(f"must be finite, got {value!r}", field=where)
+    x = float(value)
+    if integer and not x.is_integer():
+        raise ConfigError(f"expected an integer, got {value!r}", field=where)
+    if minimum is not None and x < minimum:
+        raise ConfigError(f"must be >= {minimum}, got {value!r}", field=where)
+    if positive and x <= 0.0:
+        raise ConfigError(f"must be positive, got {value!r}", field=where)
+    return int(value) if integer else x
 
 
 def _pair(raw, where: str) -> tuple[float, float]:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ConfigError("expected a [lo, hi] pair", field=where)
-    try:
-        return float(raw[0]), float(raw[1])
-    except (TypeError, ValueError):
-        raise ConfigError("entries must be numbers", field=where) from None
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return _number(raw[0], where), _number(raw[1], where)
 
 
 def _lattice_axis(spec, where: str) -> np.ndarray:
@@ -68,19 +79,22 @@ def _lattice_axis(spec, where: str) -> np.ndarray:
     if not isinstance(spec, list) or len(spec) != 3:
         raise ConfigError("expected [lo, hi, count]", field=where)
     lo, hi, count = spec
-    if not (_is_number(lo) and _is_number(hi)):
-        raise ConfigError("lo and hi must be numbers", field=where)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ConfigError("count must be a positive integer", field=where)
-    return np.linspace(float(lo), float(hi), count)
+    return np.linspace(
+        _number(lo, where), _number(hi, where), _number(count, where, integer=True, minimum=1)
+    )
 
 
 def _complex_of(entry, where: str) -> complex:
-    if _is_number(entry):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_number, entry)):
-        return complex(float(entry[0]), float(entry[1]))
-    raise ConfigError("eigenvalues are numbers or [re, im] pairs", field=where)
+    """A number or an [re, im] pair -> the complex eigenvalue."""
+    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+        return complex(_number(entry[0], where), _number(entry[1], where))
+    return complex(_number(entry, where))
+
+
+def _vector(spec: dict, key: str) -> list[float]:
+    """The required manifold vector ``key``, e.g. a segment's ``from``."""
+    vec = _expect(spec, key, list, "manifold", required=True)
+    return [_number(v, f"manifold.{key}") for v in vec]
 
 
 @dataclass(frozen=True)
@@ -101,35 +115,30 @@ class SpectrumSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "SpectrumSpec":
         d = cls()
-        omega = float(_expect(raw, "omega", float, "spectrum", default=d.omega))
-        t = float(_expect(raw, "t", float, "spectrum", default=d.t))
-        n_list = raw.get("n_list", list(d.n_list))
-        if not isinstance(n_list, list) or not n_list or not all(
-            _is_number(n) and float(n).is_integer() and n >= 1 for n in n_list
-        ):
-            raise ConfigError(
-                "n_list must be a non-empty list of positive integers", field="spectrum.n_list"
-            )
+        omega = _number(raw.get("omega", d.omega), "spectrum.omega")
+        t = _number(raw.get("t", d.t), "spectrum.t")
+        n_list = _expect(raw, "n_list", list, "spectrum", default=list(d.n_list))
+        if not n_list:
+            raise ConfigError("must be a non-empty list", field="spectrum.n_list")
+        n_list = tuple(_number(n, "spectrum.n_list", integer=True, minimum=1) for n in n_list)
         annulus = _pair(raw.get("annulus", d.annulus), "spectrum.annulus")
         # The widest bump, of the smallest n, must fit inside the annulus.
-        half = 0.5 / int(min(n_list))
+        half = 0.5 / min(n_list)
         if omega - half < annulus[0] or omega + half > annulus[1]:
             raise ConfigError(
                 f"must contain the bump support [{omega - half:g}, {omega + half:g}]",
                 field="spectrum.annulus",
             )
-        quad_points = int(_expect(raw, "quad_points", int, "spectrum", default=d.quad_points))
-        if quad_points < 64:
-            raise ConfigError("must be >= 64", field="spectrum.quad_points")
+        quad_points = _number(
+            raw.get("quad_points", d.quad_points), "spectrum.quad_points", integer=True, minimum=64
+        )
 
         wedge = _expect(raw, "wedge", dict, "spectrum", default={})
         grid = _expect(wedge, "lambda_grid", dict, "spectrum.wedge", default={})
         where = "spectrum.wedge.lambda_grid"
         re_range = _pair(grid.get("re_range", d.re_range), f"{where}.re_range")
         im_range = _pair(grid.get("im_range", d.im_range), f"{where}.im_range")
-        count = int(_expect(grid, "count", int, where, default=d.count))
-        if count < 1:
-            raise ConfigError("must be >= 1", field=f"{where}.count")
+        count = _number(grid.get("count", d.count), f"{where}.count", integer=True, minimum=1)
         alpha_window = _pair(
             wedge.get("alpha_window", d.alpha_window), "spectrum.wedge.alpha_window"
         )
@@ -139,7 +148,7 @@ class SpectrumSpec:
             )
         h = _expect(wedge, "h", str, "spectrum.wedge", default=d.h)
         return cls(
-            omega, t, tuple(int(n) for n in n_list), annulus, quad_points,
+            omega, t, n_list, annulus, quad_points,
             re_range, im_range, count, alpha_window, h,
         )
 
@@ -154,7 +163,7 @@ class RunConfig:
     grid_m: int
     eig_lambda: Optional[complex]
     eig_h: Optional[str]
-    lattice: Optional[dict]
+    lattice: Optional[dict[str, np.ndarray]]  # axis name -> its samples
     target: Optional[str]
     lambda_sweep: Optional[dict]
     K: int
@@ -175,6 +184,7 @@ class RunConfig:
                 field="system.name",
             )
         params = _expect(system, "params", dict, "system", default={})
+        params = {key: _number(v, "system.params") for key, v in params.items()}
 
         manifold_spec = _expect(raw, "manifold", dict, "")
         t_window = raw.get("t_window")
@@ -184,10 +194,8 @@ class RunConfig:
                 raise ConfigError("must contain 0", field="t_window")
 
         grid = _expect(raw, "grid", dict, "", default={})
-        grid_n = int(_expect(grid, "n", int, "grid", default=40))
-        grid_m = int(_expect(grid, "m", int, "grid", default=40))
-        if grid_n < 0 or grid_m < 0:
-            raise ConfigError("n and m must be non-negative", field="grid")
+        grid_n = _number(grid.get("n", 40), "grid.n", integer=True, minimum=0)
+        grid_m = _number(grid.get("m", 40), "grid.m", integer=True, minimum=0)
 
         eig = _expect(raw, "eig", dict, "", default={})
         eig_lambda = (
@@ -197,23 +205,16 @@ class RunConfig:
 
         lattice = _expect(raw, "lattice", dict, "")
         if lattice is not None:
-            for axis, spec in lattice.items():
-                _lattice_axis(spec, f"lattice.{axis}")
+            lattice = {a: _lattice_axis(spec, f"lattice.{a}") for a, spec in lattice.items()}
 
         target = _expect(raw, "target", str, "")
         lambda_sweep = _expect(raw, "lambda_sweep", dict, "")
 
-        k_terms = int(_expect(raw, "K", int, "", default=8))
-        if k_terms < 1:
-            raise ConfigError("must be >= 1", field="K")
-        stop_tol = float(_expect(raw, "stop_tol", (int, float), "", default=1e-9))
-        integrator_tol = float(
-            _expect(raw, "integrator_tol", (int, float), "", default=1e-10)
-        )
-        if integrator_tol <= 0 or not math.isfinite(integrator_tol):
-            raise ConfigError("must be a positive number", field="integrator_tol")
+        k_terms = _number(raw.get("K", 8), "K", integer=True, minimum=1)
+        stop_tol = _number(raw.get("stop_tol", 1e-9), "stop_tol")
+        integrator_tol = _number(raw.get("integrator_tol", 1e-10), "integrator_tol", positive=True)
         output_dir = _expect(raw, "output_dir", str, "", default="out")
-        seed = int(_expect(raw, "seed", int, "", default=0))
+        seed = _number(raw.get("seed", 0), "seed", integer=True, minimum=0)
         spectrum = SpectrumSpec.from_dict(_expect(raw, "spectrum", dict, "", default={}))
 
         # The echo captures the scientific configuration; where the files
@@ -254,10 +255,9 @@ class RunConfig:
                 raise ConfigError("system has no default manifold", field="manifold")
             return system.default_manifold
         kind = _expect(spec, "type", str, "manifold", required=True)
-        n = int(_expect(spec, "n", int, "manifold", default=121))
+        n = _number(spec.get("n", 121), "manifold.n", integer=True, minimum=1)
         if kind == "segment":
-            p0 = _expect(spec, "from", list, "manifold", required=True)
-            p1 = _expect(spec, "to", list, "manifold", required=True)
+            p0, p1 = _vector(spec, "from"), _vector(spec, "to")
             s_range = spec.get("s_range")
             if s_range is not None:
                 s_range = _pair(s_range, "manifold.s_range")
@@ -266,8 +266,8 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc), field="manifold") from exc
         if kind == "circle":
-            center = _expect(spec, "center", list, "manifold", required=True)
-            radius = float(_expect(spec, "radius", (int, float), "manifold", required=True))
+            center = _vector(spec, "center")
+            radius = _number(spec.get("radius"), "manifold.radius", positive=True)
             arc = spec.get("arc")
             arc = _pair(arc, "manifold.arc") if arc is not None else (0.0, 2.0 * math.pi)
             try:
@@ -275,8 +275,7 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc), field="manifold") from exc
         if kind == "point":
-            x0 = float(_expect(spec, "x0", (int, float), "manifold", required=True))
-            return point_manifold(x0)
+            return point_manifold(_number(spec.get("x0"), "manifold.x0"))
         raise ConfigError(f"unknown manifold type {kind!r}", field="manifold.type")
 
     def lattice_points(self, dim: int) -> np.ndarray:
@@ -293,9 +292,7 @@ class RunConfig:
                 f"got {', '.join(sorted(self.lattice)) or 'none'}",
                 field="lattice",
             )
-        grids = np.meshgrid(
-            *[_lattice_axis(self.lattice[a], f"lattice.{a}") for a in axes], indexing="ij"
-        )
+        grids = np.meshgrid(*[self.lattice[a] for a in axes], indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
     def window(self, system: BenchmarkSystem) -> tuple[float, float]:
@@ -313,13 +310,15 @@ class RunConfig:
                 [_complex_of(v, "lambda_sweep.values") for v in vals], dtype=complex
             )
         re_lo, re_hi = _pair(spec.get("re_range", CANDIDATE_RANGE), "lambda_sweep.re_range")
-        count = int(_expect(spec, "count", int, "lambda_sweep", default=CANDIDATE_COUNT))
-        if count < 1:
-            raise ConfigError("must be >= 1", field="lambda_sweep.count")
+        count = _number(
+            spec.get("count", CANDIDATE_COUNT), "lambda_sweep.count", integer=True, minimum=1
+        )
         re = np.linspace(re_lo, re_hi, count)
         if "im_range" in spec:
             im_lo, im_hi = _pair(spec["im_range"], "lambda_sweep.im_range")
-            im_count = int(_expect(spec, "im_count", int, "lambda_sweep", default=count))
+            im_count = _number(
+                spec.get("im_count", count), "lambda_sweep.im_count", integer=True, minimum=1
+            )
             im = np.linspace(im_lo, im_hi, im_count)
             grid_re, grid_im = np.meshgrid(re, im, indexing="ij")
             return (grid_re + 1j * grid_im).ravel()

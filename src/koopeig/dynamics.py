@@ -238,8 +238,8 @@ class RK45:
     each accepted step that changes its sign records a bracket with the
     step's dense output, and a lane retires after ``max_count`` of them.
     ``step()`` makes one attempt for every running lane. When the batch has
-    run out, ``status``, ``tau``, ``y`` and ``steps`` hold each lane's
-    retirement state, and ``crossings(tol)`` refines the brackets.
+    run out, ``status``, ``tau`` and ``y`` hold each lane's retirement
+    state, and ``crossings(tol)`` refines the brackets.
     """
 
     def __init__(
@@ -265,7 +265,6 @@ class RK45:
         self.status = np.full(n, RUNNING)
         self.tau = np.zeros(n)
         self.y = y.copy()
-        self.steps = np.zeros(n, dtype=int)
         self.at_stops = np.full((self.stops.size, d, n), np.nan)
         self.brackets: list[tuple] = []
         # Working arrays of the running lanes only.
@@ -389,7 +388,6 @@ class RK45:
         self.status[lanes] = status[out]
         self.tau[lanes] = self._tau[out]
         self.y[:, lanes] = self._y[:, out]
-        self.steps[lanes] = self._steps[out]
         keep = ~out
         self._lanes = self._lanes[keep]
         self._y, self._f = self._y[:, keep], self._f[:, keep]
@@ -663,9 +661,10 @@ def _scan_closed(
     (``_inverse_interp``); one whose iterate is blown is scanned again. The
     orbit ends at its first blown sample; the interval before it is scanned
     again, so that crossings right before a finite-time escape are found,
-    until it is narrower than 1e-15 * budget, where the orbit escapes. A
-    sign change that narrow is taken at its right sample, and so is a
-    refined bracket.
+    until the next scan's samples would lie closer than the floor
+    1e-15 * budget; the orbit escapes at that interval's right end. A sign
+    change narrower than the floor is taken at its right sample, and so is
+    a refined bracket.
 
     Returns the crossings and, when the orbit escapes before any of them,
     the BlowUpError of the escape, else None.
@@ -710,7 +709,7 @@ def _scan_closed(
                 hits.append((tau, state.copy()))
         if len(hits) >= count or end == CLOSED_SCAN_POINTS:
             return hits, None
-        if taus[end + 1] - taus[end] < floor:
+        if taus[end + 1] - taus[end] < CLOSED_SCAN_POINTS * floor:
             return hits, (float(taus[end + 1]), y[:, end].copy())
         more, escape = scan(taus[end], g[end], taus[end + 1], count - len(hits))
         return hits + more, escape

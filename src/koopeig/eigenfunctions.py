@@ -247,9 +247,6 @@ class OpenEigenfunction(_EigenfunctionBase):
             raise ValueError("t_window must contain 0")
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
-    def pullback_many(self, points) -> list:
-        return pullback_many(self.field, self.manifold, self.t_window, points, self.tol)
-
     def values(self, points) -> np.ndarray:
         found, misses = evaluate_points(self, points)
         if misses:
@@ -443,7 +440,7 @@ def evaluate_points(
     phi of every hit is one array expression.
     """
     pts = as_states(eig.field, points)
-    pbs = eig.pullback_many(pts)
+    pbs = pullback_many(eig.field, eig.manifold, eig.t_window, pts, eig.tol)
     hits = [i for i, pb in enumerate(pbs) if not isinstance(pb, str)]
     r_star = np.array([pbs[i].r_star for i in hits])
     s_star = np.array([pbs[i].s_star for i in hits])

@@ -350,13 +350,42 @@ BAD_CONFIGS = [
     ),
     # e^(400 r) overflows over the window for the only candidate.
     ("decompose", _with(DECOMPOSE_CFG, lambda_sweep={"values": [[400, 0]]}), "lambda_sweep"),
+    # Every number is finite, not a bool, integral where an integer is due
+    # and within its bound; a command may carry flags that override the config.
+    (
+        "decompose",
+        _with(DECOMPOSE_CFG, lambda_sweep__im_range=[-1.0, 1.0], lambda_sweep__im_count=0),
+        "lambda_sweep.im_count",
+    ),
+    (
+        "decompose",
+        _with(DECOMPOSE_CFG, lambda_sweep__im_range=[-1.0, 1.0], lambda_sweep__im_count=-1),
+        "lambda_sweep.im_count",
+    ),
+    ("eval", _with(OBSERVER_CFG, seed=-1), "seed"),
+    ("eval --seed -1", OBSERVER_CFG, "seed"),
+    ("eval", _with(OBSERVER_CFG, t_window=[0, math.inf]), "t_window"),
+    ("eval", _with(OBSERVER_CFG, t_window=["0", "1"]), "t_window"),
+    ("eval", _with(OBSERVER_CFG, eig__lambda=math.nan), "eig.lambda"),
+    ("decompose", _with(DECOMPOSE_CFG, K=True), "K"),
+    ("eval", _with(OBSERVER_CFG, integrator_tol=True), "integrator_tol"),
+    (
+        "eval",
+        _with(
+            OBSERVER_CFG,
+            system={"name": "hopf"},
+            manifold={"type": "circle", "center": [0.0, 0.0], "radius": math.inf},
+        ),
+        "manifold.radius",
+    ),
+    ("eval", _with(OBSERVER_CFG, system__params={"a1": math.nan}), "system.params"),
 ]
 
 
 @pytest.mark.parametrize("command,cfg,field", BAD_CONFIGS)
 def test_bad_config_exits_2_with_field_path(tmp_path, capsys, command, cfg, field):
     path = write_config(tmp_path / "cfg.json", cfg)
-    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert main([*command.split(), "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
