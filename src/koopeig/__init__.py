@@ -3,7 +3,6 @@ with greedy least-squares eigenfunction dictionaries for target observables."""
 
 from .dynamics import (
     BenchmarkSystem,
-    FlowResult,
     VectorField,
     flow,
     flow_many,

@@ -151,7 +151,7 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
     target = TargetSample.from_function(grid, q)
     try:
         result = greedy_decompose(
-            grid, target, cfg.candidate_lambdas(), cfg.K, cfg.stop_tol, eig_tol=cfg.integrator_tol
+            grid, target, cfg.candidates, cfg.K, cfg.stop_tol, eig_tol=cfg.integrator_tol
         )
     except OverflowError as exc:
         raise ConfigError(str(exc), field="lambda_sweep") from exc

@@ -97,6 +97,60 @@ def _vector(spec: dict, key: str) -> list[float]:
     return [_number(v, f"manifold.{key}") for v in vec]
 
 
+def _manifold(spec: dict) -> DataManifold:
+    """The ``manifold`` section -> the data manifold it describes."""
+    kind = _expect(spec, "type", str, "manifold", required=True)
+    n = _number(spec.get("n", 121), "manifold.n", integer=True, minimum=1)
+    if kind == "segment":
+        p0, p1 = _vector(spec, "from"), _vector(spec, "to")
+        s_range = spec.get("s_range")
+        if s_range is not None:
+            s_range = _pair(s_range, "manifold.s_range")
+        try:
+            return segment_manifold(p0, p1, n=n, s_range=s_range)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field="manifold") from exc
+    if kind == "circle":
+        center = _vector(spec, "center")
+        radius = _number(spec.get("radius"), "manifold.radius", positive=True)
+        arc = spec.get("arc")
+        arc = _pair(arc, "manifold.arc") if arc is not None else (0.0, 2.0 * math.pi)
+        try:
+            return circle_manifold(center, radius, arc=arc, n=n)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field="manifold") from exc
+    if kind == "point":
+        return point_manifold(_number(spec.get("x0"), "manifold.x0"))
+    raise ConfigError(f"unknown manifold type {kind!r}", field="manifold.type")
+
+
+def _candidates(spec: Optional[dict]) -> np.ndarray:
+    """The ``lambda_sweep`` section -> the candidate eigenvalues of decompose."""
+    if spec is None:
+        return default_candidates()
+    if "values" in spec:
+        vals = spec["values"]
+        if not isinstance(vals, list) or not vals:
+            raise ConfigError("values must be a non-empty list", field="lambda_sweep.values")
+        return np.array([_complex_of(v, "lambda_sweep.values") for v in vals], dtype=complex)
+    re_lo, re_hi = _pair(spec.get("re_range", CANDIDATE_RANGE), "lambda_sweep.re_range")
+    count = _number(
+        spec.get("count", CANDIDATE_COUNT), "lambda_sweep.count", integer=True, minimum=1
+    )
+    re = np.linspace(re_lo, re_hi, count)
+    if "im_range" not in spec:
+        if "im_count" in spec:
+            raise ConfigError("needs im_range", field="lambda_sweep.im_count")
+        return re.astype(complex)
+    im_lo, im_hi = _pair(spec["im_range"], "lambda_sweep.im_range")
+    im_count = _number(
+        spec.get("im_count", count), "lambda_sweep.im_count", integer=True, minimum=1
+    )
+    im = np.linspace(im_lo, im_hi, im_count)
+    grid_re, grid_im = np.meshgrid(re, im, indexing="ij")
+    return (grid_re + 1j * grid_im).ravel()
+
+
 @dataclass(frozen=True)
 class SpectrumSpec:
     """The ``spectrum`` section: bump scaling on the annulus and the wedge check."""
@@ -157,7 +211,7 @@ class SpectrumSpec:
 class RunConfig:
     system_name: str
     system_params: dict
-    manifold_spec: Optional[dict]
+    manifold: Optional[DataManifold]  # None: the system's default manifold
     t_window: Optional[tuple[float, float]]
     grid_n: int
     grid_m: int
@@ -165,7 +219,7 @@ class RunConfig:
     eig_h: Optional[str]
     lattice: Optional[dict[str, np.ndarray]]  # axis name -> its samples
     target: Optional[str]
-    lambda_sweep: Optional[dict]
+    candidates: np.ndarray  # of the lambda sweep
     K: int
     stop_tol: float
     integrator_tol: float
@@ -186,7 +240,9 @@ class RunConfig:
         params = _expect(system, "params", dict, "system", default={})
         params = {key: _number(v, "system.params") for key, v in params.items()}
 
-        manifold_spec = _expect(raw, "manifold", dict, "")
+        manifold = _expect(raw, "manifold", dict, "")
+        if manifold is not None:
+            manifold = _manifold(manifold)
         t_window = raw.get("t_window")
         if t_window is not None:
             t_window = _pair(t_window, "t_window")
@@ -208,7 +264,7 @@ class RunConfig:
             lattice = {a: _lattice_axis(spec, f"lattice.{a}") for a, spec in lattice.items()}
 
         target = _expect(raw, "target", str, "")
-        lambda_sweep = _expect(raw, "lambda_sweep", dict, "")
+        candidates = _candidates(_expect(raw, "lambda_sweep", dict, ""))
 
         k_terms = _number(raw.get("K", 8), "K", integer=True, minimum=1)
         stop_tol = _number(raw.get("stop_tol", 1e-9), "stop_tol")
@@ -224,7 +280,7 @@ class RunConfig:
         return cls(
             system_name=name,
             system_params=params,
-            manifold_spec=manifold_spec,
+            manifold=manifold,
             t_window=t_window,
             grid_n=grid_n,
             grid_m=grid_m,
@@ -232,7 +288,7 @@ class RunConfig:
             eig_h=eig_h,
             lattice=lattice,
             target=target,
-            lambda_sweep=lambda_sweep,
+            candidates=candidates,
             K=k_terms,
             stop_tol=stop_tol,
             integrator_tol=integrator_tol,
@@ -249,34 +305,12 @@ class RunConfig:
             raise ConfigError(str(exc), field="system.params") from exc
 
     def make_manifold(self, system: BenchmarkSystem) -> DataManifold:
-        spec = self.manifold_spec
-        if spec is None:
-            if system.default_manifold is None:
-                raise ConfigError("system has no default manifold", field="manifold")
-            return system.default_manifold
-        kind = _expect(spec, "type", str, "manifold", required=True)
-        n = _number(spec.get("n", 121), "manifold.n", integer=True, minimum=1)
-        if kind == "segment":
-            p0, p1 = _vector(spec, "from"), _vector(spec, "to")
-            s_range = spec.get("s_range")
-            if s_range is not None:
-                s_range = _pair(s_range, "manifold.s_range")
-            try:
-                return segment_manifold(p0, p1, n=n, s_range=s_range)
-            except ValueError as exc:
-                raise ConfigError(str(exc), field="manifold") from exc
-        if kind == "circle":
-            center = _vector(spec, "center")
-            radius = _number(spec.get("radius"), "manifold.radius", positive=True)
-            arc = spec.get("arc")
-            arc = _pair(arc, "manifold.arc") if arc is not None else (0.0, 2.0 * math.pi)
-            try:
-                return circle_manifold(center, radius, arc=arc, n=n)
-            except ValueError as exc:
-                raise ConfigError(str(exc), field="manifold") from exc
-        if kind == "point":
-            return point_manifold(_number(spec.get("x0"), "manifold.x0"))
-        raise ConfigError(f"unknown manifold type {kind!r}", field="manifold.type")
+        """The configured manifold, else the system's default one."""
+        if self.manifold is not None:
+            return self.manifold
+        if system.default_manifold is None:
+            raise ConfigError("system has no default manifold", field="manifold")
+        return system.default_manifold
 
     def lattice_points(self, dim: int) -> np.ndarray:
         """The lattice as (N, dim) points, axis x1 outermost.
@@ -297,29 +331,3 @@ class RunConfig:
 
     def window(self, system: BenchmarkSystem) -> tuple[float, float]:
         return self.t_window if self.t_window is not None else system.default_t_window
-
-    def candidate_lambdas(self) -> np.ndarray:
-        spec = self.lambda_sweep
-        if spec is None:
-            return default_candidates()
-        if "values" in spec:
-            vals = spec["values"]
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError("values must be a non-empty list", field="lambda_sweep.values")
-            return np.array(
-                [_complex_of(v, "lambda_sweep.values") for v in vals], dtype=complex
-            )
-        re_lo, re_hi = _pair(spec.get("re_range", CANDIDATE_RANGE), "lambda_sweep.re_range")
-        count = _number(
-            spec.get("count", CANDIDATE_COUNT), "lambda_sweep.count", integer=True, minimum=1
-        )
-        re = np.linspace(re_lo, re_hi, count)
-        if "im_range" in spec:
-            im_lo, im_hi = _pair(spec["im_range"], "lambda_sweep.im_range")
-            im_count = _number(
-                spec.get("im_count", count), "lambda_sweep.im_count", integer=True, minimum=1
-            )
-            im = np.linspace(im_lo, im_hi, im_count)
-            grid_re, grid_im = np.meshgrid(re, im, indexing="ij")
-            return (grid_re + 1j * grid_im).ravel()
-        return re.astype(complex)

@@ -16,11 +16,13 @@ calls it once per stage with the whole batch, and a result of another shape
 is a ValueError naming the field. An event likewise maps (d, N) states to
 (N,) values.
 
-Systems that admit a closed-form flow expose it on the ``VectorField``;
-``method="auto"`` prefers it when present. A closed-form flow maps (d, N)
-states and (N,) times to (d, N), so the exact crossing scan samples one
-orbit at many times in one call (see ``_scan_closed``). Both crossing
-searches refine their brackets with the one Illinois refiner ``_refine``.
+The field chooses how it is flowed. A field with a ``closed_form_flow`` is
+always flowed and scanned through it, and a field without one is marched by
+``RK45``; ``dataclasses.replace(field, closed_form_flow=None)`` is its
+marched twin. A closed-form flow maps (d, N) states and (N,) times to
+(d, N), so the exact crossing scan samples one orbit at many times in one
+call (see ``_scan_closed``). Both crossing searches refine their brackets
+with the one Illinois refiner ``_refine``.
 
 For both kinds of flow, a one-state call is the N = 1 case of its batch
 call: ``flow`` of ``flow_many``, ``find_crossings`` of
@@ -39,7 +41,6 @@ from . import manifolds
 
 __all__ = [
     "VectorField",
-    "FlowResult",
     "BenchmarkSystem",
     "RK45",
     "as_states",
@@ -47,7 +48,6 @@ __all__ = [
     "flow_many",
     "find_crossings",
     "find_crossings_many",
-    "is_numeric",
     "make_system",
     "system_names",
     "DEFAULT_TOL",
@@ -112,6 +112,7 @@ class VectorField:
     array of times to the (d, N) states, column j at time t[j]. A column
     whose orbit escapes before its time comes back non-finite rather than
     raising; koopeig calls the flow under ``np.errstate(all="ignore")``.
+    A field that has one is always flowed through it, never marched.
     """
 
     dim: int
@@ -122,12 +123,6 @@ class VectorField:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-
-
-@dataclass(frozen=True)
-class FlowResult:
-    state: np.ndarray
-    time_elapsed: float
 
 
 @dataclass(frozen=True)
@@ -149,20 +144,6 @@ def as_states(field: VectorField, states) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != field.dim:
         raise ValueError(f"states shaped {x.shape}, field expects (N, {field.dim})")
     return x
-
-
-def is_numeric(field: VectorField, method: str) -> bool:
-    """Whether ``method`` integrates the field numerically: "rk45", or "auto"
-    on a field without a closed-form flow. "exact" needs the closed form."""
-    if method == "auto":
-        return field.closed_form_flow is None
-    if method == "exact":
-        if field.closed_form_flow is None:
-            raise ValueError(f"field '{field.name}' has no closed-form flow")
-        return False
-    if method == "rk45":
-        return True
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _closed_flow(field: VectorField, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -538,35 +519,18 @@ def _lane_error(field: VectorField, solver: RK45, lane: int, sign: float) -> Koo
     )
 
 
-def flow(
-    field: VectorField,
-    x0,
-    t: float,
-    tol: float = DEFAULT_TOL,
-    *,
-    method: str = "auto",
-) -> FlowResult:
-    """Advance x0 by time t along the field: ``flow_many`` of one state.
-
-    Negative t integrates the reversed field.  ``method`` is "auto"
-    (closed form when the field has one, else numeric), "rk45", or "exact".
-    """
+def flow(field: VectorField, x0, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The (d,) state x0 advanced by time t along the field: ``flow_many`` of
+    one state. Negative t integrates the reversed field."""
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    return FlowResult(flow_many(field, x0, [t], tol, method=method)[-1, 0], t)
+    return flow_many(field, x0, [t], tol)[-1, 0]
 
 
-def flow_many(
-    field: VectorField,
-    states,
-    times,
-    tol: float = DEFAULT_TOL,
-    *,
-    method: str = "auto",
-) -> np.ndarray:
+def flow_many(field: VectorField, states, times, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Images of N states at several times, shaped (len(times), N, d).
 
-    The times share one sign and grow in magnitude. A numerically integrated
-    field marches all states as one batch that lands exactly on each time;
+    The times share one sign and grow in magnitude. A field without a closed
+    form marches all states as one batch that lands exactly on each time;
     a closed-form flow takes every state at every time in one call. The
     first state that blows up or underflows raises its BlowUpError or
     StepUnderflowError.
@@ -580,13 +544,12 @@ def flow_many(
         raise ValueError("times must share one sign")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    numeric = is_numeric(field, method)
     out = np.empty((times.size, x.shape[0], field.dim))
     moving = mags > 0.0
     out[~moving] = x
     if not moving.any() or x.shape[0] == 0:
         return out
-    if not numeric:
+    if field.closed_form_flow is not None:
         n, t = x.shape[0], times[moving]
         y = _closed_at(field, np.tile(x.T, t.size), np.repeat(t, n))
         out[moving] = y.T.reshape(t.size, n, field.dim)
@@ -629,7 +592,6 @@ def find_crossings(
     budget: float,
     tol: float = DEFAULT_TOL,
     *,
-    method: str = "auto",
     max_count: int = 1,
 ) -> list[tuple[float, np.ndarray]]:
     """Locate up to max_count sign changes of event along sign*F over [0, budget].
@@ -641,7 +603,7 @@ def find_crossings(
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     (found,), (escape,) = find_crossings_many(
-        field, x0, event, sign, budget, tol, method=method, max_count=max_count
+        field, x0, event, sign, budget, tol, max_count=max_count
     )
     if escape is not None:
         raise escape
@@ -734,13 +696,12 @@ def find_crossings_many(
     budget: float,
     tol: float = DEFAULT_TOL,
     *,
-    method: str = "auto",
     max_count: int = 1,
 ) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[KoopeigError]]]:
     """Up to max_count crossings of event along sign*F over [0, budget] for N states.
 
-    ``event`` maps a (d, M) array to M values. A numerically integrated
-    field marches every state as one lane of a batch, and its crossings are
+    ``event`` maps a (d, M) array to M values. A field without a closed
+    form marches every state as one lane of a batch, and its crossings are
     refined by ``_refine`` on the steps' dense output to |event| < tol. A
     closed-form flow is scanned exactly, state by state (``_scan_closed``).
     Returns, per state, its crossings and its escape: the BlowUpError or
@@ -748,11 +709,10 @@ def find_crossings_many(
     """
     x = as_states(field, states)
     n = x.shape[0]
-    numeric = is_numeric(field, method)
     if n == 0 or budget <= 0.0:
         return [[] for _ in range(n)], [None] * n
     event = _batch_event(event)
-    if not numeric:
+    if field.closed_form_flow is not None:
         scans = [_scan_closed(field, x0, event, sign, budget, tol, max_count) for x0 in x]
         return [found for found, _ in scans], [escape for _, escape in scans]
     solver = _march(field, x.T, sign, [budget], tol, event=event, max_count=max_count)

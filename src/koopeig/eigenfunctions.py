@@ -26,7 +26,6 @@ from .dynamics import (  # noqa: F401
     find_crossings_many,
     flow,
     flow_many,
-    is_numeric,
 )
 from .errors import (
     AMBIGUOUS,
@@ -118,7 +117,6 @@ def _pull(
     t_window,
     pts: np.ndarray,
     tol: float,
-    method: str,
 ) -> list:
     """The search behind ``pullback`` and ``pullback_many`` for the (N, d) points."""
     t1, t2, slack, on_tol = _search_setup(manifold, t_window)
@@ -127,8 +125,7 @@ def _pull(
         """Feet and escape reason of the points idx along sign*F over [0, budget];
         a foot is a crossing whose state lies on the manifold, as (tau, state, s)."""
         crossings, escapes = find_crossings_many(
-            field, pts[idx], manifold.surface, sign, budget, tol,
-            method=method, max_count=AMBIGUITY_COUNT,
+            field, pts[idx], manifold.surface, sign, budget, tol, max_count=AMBIGUITY_COUNT
         )
         feet: dict = {i: [] for i in idx}
         flat = [(i, tau, state) for i, found in zip(idx, crossings) for tau, state in found]
@@ -168,8 +165,6 @@ def pullback(
     t_window: tuple[float, float],
     x,
     tol: float = DEFAULT_TOL,
-    *,
-    method: str = "auto",
 ) -> Pullback:
     """Locate the in-window intersection of the orbit through x with the manifold.
 
@@ -180,7 +175,7 @@ def pullback(
     in the same direction (a nonrecurrence violation).
     """
     pts = as_states(field, [np.asarray(x, dtype=float).reshape(-1)])
-    (result,) = _pull(field, manifold, t_window, pts, tol, method)
+    (result,) = _pull(field, manifold, t_window, pts, tol)
     if isinstance(result, str):
         raise _miss_error(result)
     return result
@@ -192,25 +187,23 @@ def pullback_many(
     t_window: tuple[float, float],
     points,
     tol: float = DEFAULT_TOL,
-    *,
-    method: str = "auto",
 ) -> list:
     """``pullback`` of N points: per point a Pullback or its miss reason.
 
-    A miss reason is one of MISS_REASONS. A numerically integrated field
+    A miss reason is one of MISS_REASONS. A field without a closed form
     marches every point as one lane of a batch, backward and then (when
     t1 < 0) forward, under the rules of ``pullback``; a closed-form flow runs
     the exact scan point by point.
     """
     pts = as_states(field, points)
-    if is_numeric(field, method):
-        return _pull(field, manifold, t_window, pts, tol, method)
+    if field.closed_form_flow is None:
+        return _pull(field, manifold, t_window, pts, tol)
     # One ``pullback`` call per point, so that perfbench/tracing.py, which
     # patches eigenfunctions.pullback, times each exact scan.
     out: list = []
     for x in pts:
         try:
-            out.append(pullback(field, manifold, t_window, x, tol, method=method))
+            out.append(pullback(field, manifold, t_window, x, tol))
         except (NotInDomainError, AmbiguousCrossingError) as exc:
             out.append(exc.reason)
     return out
@@ -366,7 +359,7 @@ def orbit_scaling_defect(
 ) -> float:
     """Absolute defect |phi(rho_r(x)) - phi(x) e^{lambda r}| for one orbit hop."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    y = flow(eig.field, x, r, tol).state
+    y = flow(eig.field, x, r, tol)
     phi_x, phi_y = eig.values([x, y])
     return abs(complex(phi_y) - complex(phi_x) * cmath.exp(complex(eig.eigenvalue) * r))
 
@@ -436,7 +429,7 @@ def evaluate_points(
     the domain, and the miss reason (one of MISS_REASONS) of each None in
     point order.
 
-    A numerically integrated field pulls every point back in one batch, and
+    A field without a closed form pulls every point back in one batch, and
     phi of every hit is one array expression.
     """
     pts = as_states(eig.field, points)

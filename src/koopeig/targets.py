@@ -29,6 +29,8 @@ _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _GAUSSIAN = re.compile(r"^gaussian\(\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
 _POWER = re.compile(r"^(?P<var>[a-zA-Z]\w*)(\^(?P<pow>[+-]?\d+\.?\d*))?$")
 _TRIG = re.compile(r"^(?P<fn>sin|cos)\(\s*(?P<var>[a-zA-Z]\w*)\s*\)$")
+# A "+" between terms: not the sign of an exponent, as in 1e+3 or x1^+2.
+_PLUS = re.compile(r"(?<![\d.][eE])(?<!\^)\+")
 
 
 def _number(token: str, where: str) -> float:
@@ -90,7 +92,7 @@ def _parse_sum(expr: str, variables: dict, where: str) -> Callable[[np.ndarray],
     index into the argument."""
     if not isinstance(expr, str) or not expr.strip():
         raise ConfigError("expression must be a non-empty string", field=where)
-    terms = [_parse_term(t, variables, where) for t in expr.split("+")]
+    terms = [_parse_term(t, variables, where) for t in _PLUS.split(expr)]
     index = next(iter(variables.values()))  # any variable has the batch's shape
 
     def evaluate(x):

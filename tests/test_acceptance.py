@@ -151,7 +151,7 @@ def test_criterion_04_koopman_certification():
             while len(pts) < 100:
                 s = rng.uniform(vman.s_min + 0.05 * span, vman.s_max - 0.05 * span)
                 tau = rng.uniform(0.05, 1.85)
-                pts.append(ke.flow(vdp.field, vman.embed(s), tau, 1e-10).state)
+                pts.append(ke.flow(vdp.field, vman.embed(s), tau, 1e-10))
             res = ke.koopman_residual(term.eigenfunction, pts, 0.1, tol=1e-9)
             assert res <= 1e-3, f"vdp term {k} residual {res:.2e}"
 

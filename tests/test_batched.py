@@ -3,6 +3,7 @@ vectorized-RHS contract, the elementwise contract of data functions,
 closed-form eigenfunctions and targets, and agreement of batched and
 one-point pullbacks."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -18,6 +19,11 @@ from koopeig.dynamics import find_crossings_many, flow_many
 from koopeig.targets import parse_data_fn, parse_target
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _rk45(field):
+    """The field's twin without its closed form, which RK45 marches."""
+    return dataclasses.replace(field, closed_form_flow=None)
 
 
 def _dop853(field, x0, t):
@@ -42,12 +48,12 @@ ORACLE_CASES = [
 
 @pytest.mark.parametrize("name,starts,t", ORACLE_CASES)
 def test_stepper_matches_dop853(name, starts, t):
-    field = ke.make_system(name).field
+    field = _rk45(ke.make_system(name).field)
     tol = 1e-10
-    batch = flow_many(field, starts, [t], tol, method="rk45")[0]
+    batch = flow_many(field, starts, [t], tol)[0]
     for x0, got in zip(starts, batch):
         ref = _dop853(field, x0, t)
-        one = ke.flow(field, x0, t, tol, method="rk45").state
+        one = ke.flow(field, x0, t, tol)
         assert np.max(np.abs(one - ref)) <= 100 * tol
         assert np.max(np.abs(got - ref)) <= 100 * tol
 
@@ -65,9 +71,9 @@ def test_flow_many_lands_on_every_time():
 
 
 def test_flow_many_reports_blow_up():
-    field = ke.make_system("blowup").field
+    field = _rk45(ke.make_system("blowup").field)
     with pytest.raises(ke.BlowUpError):
-        flow_many(field, [[0.5], [1.0]], [1.5], method="rk45")
+        flow_many(field, [[0.5], [1.0]], [1.5])
 
 
 def test_batched_crossings_match_one_lane():
@@ -83,16 +89,16 @@ def _check_crossings_match_one_lane(method):
         c, s = np.cos(t), np.sin(t)
         return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
 
-    field = ke.VectorField(2, rhs, name="rotation", closed_form_flow=closed)
+    field = ke.VectorField(
+        2, rhs, name="rotation", closed_form_flow=closed if method == "exact" else None
+    )
     starts = np.array([[0.0, 1.0], [1.0, 0.5], [-2.0, 0.1]])
     found, escapes = find_crossings_many(
-        field, starts, lambda x: x[1], 1.0, 13.0, 1e-10, method=method, max_count=4
+        field, starts, lambda x: x[1], 1.0, 13.0, 1e-10, max_count=4
     )
     assert escapes == [None, None, None]
     for x0, lane in zip(starts, found):
-        one = ke.dynamics.find_crossings(
-            field, x0, lambda x: x[1], 1.0, 13.0, 1e-10, method=method, max_count=4
-        )
+        one = ke.dynamics.find_crossings(field, x0, lambda x: x[1], 1.0, 13.0, 1e-10, max_count=4)
         assert len(lane) == len(one) == 4
         for (tau_b, y_b), (tau_1, y_1) in zip(lane, one):
             assert tau_b == tau_1 and np.array_equal(y_b, y_1)
@@ -105,14 +111,14 @@ def test_batched_escape_is_the_one_lane_error():
 
 def _check_escape_is_the_one_lane_error(method):
     field = ke.make_system("blowup").field
+    if method == "rk45":
+        field = _rk45(field)
     starts = [[1.0], [-1.0]]  # x' = x^2: the first escapes at t = 1, the second decays
-    found, escapes = find_crossings_many(
-        field, starts, lambda x: x[0] + 2.0, 1.0, 1.5, method=method
-    )
+    found, escapes = find_crossings_many(field, starts, lambda x: x[0] + 2.0, 1.0, 1.5)
     assert found[0] == [] and isinstance(escapes[0], ke.BlowUpError)
     assert escapes[0].reason == "blow_up" and escapes[1] is None
     with pytest.raises(ke.BlowUpError) as raised:
-        ke.dynamics.find_crossings(field, [1.0], lambda x: x[0] + 2.0, 1.0, 1.5, method=method)
+        ke.dynamics.find_crossings(field, [1.0], lambda x: x[0] + 2.0, 1.0, 1.5)
     one = raised.value
     assert str(one) == str(escapes[0]) and one.time == escapes[0].time
     assert np.array_equal(one.state, escapes[0].state)
@@ -220,6 +226,14 @@ def test_parsed_non_finite_value_names_the_field():
         parse_target("x1^-1")(np.zeros((2, 3)))
 
 
+def test_parsed_exponent_sign_is_not_a_term():
+    s = np.random.default_rng(7).uniform(0.2, 3.0, 9)
+    assert np.array_equal(parse_data_fn("1e+3*s")(s), parse_data_fn("1000*s")(s))
+    x = np.random.default_rng(6).uniform(0.2, 3.0, (2, 9))
+    assert np.array_equal(parse_target("x1 + 2.5e+0*x2")(x), parse_target("x1 + 2.5*x2")(x))
+    assert np.array_equal(parse_target("x1^+2 + 1")(x), parse_target("x1^2 + 1")(x))
+
+
 @pytest.mark.parametrize("from_callable", [True, False])
 def test_data_function_is_elementwise(from_callable):
     mani = ke.segment_manifold((0.0, 1.0), (2.0, 1.0), n=21, s_range=(0.5, 2.5))
@@ -301,7 +315,7 @@ def test_batched_rhs_of_wrong_shape_names_the_field():
 
     field = ke.VectorField(2, rhs, name="one-state-only")
     with pytest.raises(ValueError, match="one-state-only"):
-        ke.flow(field, [1.0, 0.0], 0.5, method="rk45")
+        ke.flow(field, [1.0, 0.0], 0.5)
     with pytest.raises(ValueError, match="one-state-only"):
         flow_many(field, [[1.0, 0.0], [0.0, 1.0]], [0.5])
 
@@ -310,9 +324,45 @@ def test_batched_rhs_of_wrong_shape_names_the_field():
 
     field = ke.VectorField(2, rhs, name="one-state-closed-form", closed_form_flow=closed)
     with pytest.raises(ValueError, match="one-state-closed-form"):
-        ke.flow(field, [1.0, 0.0], 0.5, method="exact")
+        ke.flow(field, [1.0, 0.0], 0.5)
     with pytest.raises(ValueError, match="one-state-closed-form"):
-        ke.dynamics.find_crossings(field, [1.0, 0.0], lambda x: x[1], 1.0, 1.0, method="exact")
+        ke.dynamics.find_crossings(field, [1.0, 0.0], lambda x: x[1], 1.0, 1.0)
+
+
+def test_the_field_chooses_how_it_is_flowed(lin2d):
+    # lin2d is flowed, scanned and pulled back through its closed form; its
+    # twin without one is marched by RK45. Both give the same answers.
+    calls = {"rhs": 0, "closed": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    exact = dataclasses.replace(
+        lin2d.field,
+        rhs=counted("rhs", lin2d.field.rhs),
+        closed_form_flow=counted("closed", lin2d.field.closed_form_flow),
+    )
+    mani = ke.segment_manifold((0.3, 1.0), (2.2, 1.0), n=121, s_range=(0.3, 2.2))
+    pts = np.array([[1.0, 1.5], [1.5, 3.0], [2.0, 6.0]])
+
+    def run(field):
+        images = flow_many(field, pts, [-0.1, -0.4], 1e-10)
+        found, _ = find_crossings_many(field, pts, lambda x: x[1] - 1.0, -1.0, 2.0, 1e-10)
+        pbs = ke.pullback_many(field, mani, (0.0, 1.2), pts, 1e-10)
+        taus = [tau for ((tau, _),) in found]
+        feet = [v for pb in pbs for v in (pb.r_star, pb.s_star)]
+        return np.concatenate([images.ravel(), taus, feet])
+
+    closed_form = run(exact)
+    assert calls["rhs"] == 0 and calls["closed"] > 0
+    calls.update(rhs=0, closed=0)
+    marched = run(_rk45(exact))
+    assert calls["closed"] == 0 and calls["rhs"] > 0
+    assert np.max(np.abs(closed_form - marched)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -326,30 +376,30 @@ def _rotation_setup():
 
     field = ke.VectorField(2, rhs, name="rotation")
     mani = ke.segment_manifold((0.5, 0.0), (2.0, 0.0), n=31, s_range=(0.5, 2.0))
-    return field, mani, (-1.0, 7.0), "auto", ((-2.5, 2.5), (-2.5, 2.5))
+    return field, mani, (-1.0, 7.0), ((-2.5, 2.5), (-2.5, 2.5))
 
 
 def _vdp_setup():
     system = ke.make_system("vdp")
-    return system.field, system.default_manifold, (0.0, 2.0), "auto", ((-0.2, 2.2), (-1.9, 1.5))
+    return system.field, system.default_manifold, (0.0, 2.0), ((-0.2, 2.2), (-1.9, 1.5))
 
 
 def _lin2d_setup():
     system = ke.make_system("lin2d", a1=1.0, a2=2.0)
     mani = ke.segment_manifold((0.3, 1.0), (2.2, 1.0), n=121, s_range=(0.3, 2.2))
-    return system.field, mani, (-0.1, 1.1), "rk45", ((0.2, 2.6), (0.6, 12.0))
+    return _rk45(system.field), mani, (-0.1, 1.1), ((0.2, 2.6), (0.6, 12.0))
 
 
 @pytest.mark.parametrize("setup", [_vdp_setup, _lin2d_setup, _rotation_setup])
 def test_batched_pullback_matches_one_point(setup):
-    field, mani, window, method, box = setup()
+    field, mani, window, box = setup()
     rng = np.random.default_rng(2024)
     pts = np.column_stack([rng.uniform(*box[0], 200), rng.uniform(*box[1], 200)])
-    batch = ke.pullback_many(field, mani, window, pts, 1e-10, method=method)
+    batch = ke.pullback_many(field, mani, window, pts, 1e-10)
     assert len(batch) == 200
     for x, got in zip(pts, batch):
         try:
-            want = ke.pullback(field, mani, window, x, 1e-10, method=method)
+            want = ke.pullback(field, mani, window, x, 1e-10)
         except (ke.NotInDomainError, ke.AmbiguousCrossingError) as exc:
             assert got == exc.reason, f"at {x}"
             continue
@@ -362,7 +412,7 @@ def test_batched_pullback_matches_one_point(setup):
 
 
 def test_batched_on_manifold_test_matches_one_point():
-    field, mani, window, method, box = _vdp_setup()
+    field, mani, window, box = _vdp_setup()
     span = mani.s_max - mani.s_min
     # On the segment: its own foot at r* = 0. On its supporting line beyond
     # an end: |surface| < tol, but locate clips to the end, so the point is
@@ -372,10 +422,10 @@ def test_batched_on_manifold_test_matches_one_point():
     assert np.all(np.abs(mani.surface(beyond.T)) < 1e-10)
     g1, g2 = np.meshgrid(np.linspace(*box[0], 6), np.linspace(*box[1], 6))
     pts = np.concatenate([on, beyond, np.column_stack([g1.ravel(), g2.ravel()])])
-    batch = ke.pullback_many(field, mani, window, pts, 1e-10, method=method)
+    batch = ke.pullback_many(field, mani, window, pts, 1e-10)
     for x, got in zip(pts, batch):
         try:
-            want = ke.pullback(field, mani, window, x, 1e-10, method=method)
+            want = ke.pullback(field, mani, window, x, 1e-10)
         except (ke.NotInDomainError, ke.AmbiguousCrossingError) as exc:
             assert got == exc.reason, f"at {x}"
             continue
@@ -389,9 +439,9 @@ def test_batched_on_manifold_test_matches_one_point():
 
 
 def test_rotation_misses_cover_ambiguity_and_window():
-    field, mani, window, method, _ = _rotation_setup()
+    field, mani, window, _ = _rotation_setup()
     pts = [[1.0, 0.3], [1.0, -0.5], [0.1, 0.1], [-1.0, 0.0]]
-    got = ke.pullback_many(field, mani, window, pts, 1e-10, method=method)
+    got = ke.pullback_many(field, mani, window, pts, 1e-10)
     assert got[0] == "ambiguous"  # angle 0.29 < 7 - 2 pi: met twice backward
     # angle 2 pi - 0.46: one backward crossing of the segment inside the window
     assert got[1].r_star == pytest.approx(2.0 * math.pi - math.atan2(0.5, 1.0), abs=1e-8)

@@ -379,6 +379,16 @@ BAD_CONFIGS = [
         "manifold.radius",
     ),
     ("eval", _with(OBSERVER_CFG, system__params={"a1": math.nan}), "system.params"),
+    # Every command checks every section, also those it does not use.
+    ("spectrum", _with(SPECTRUM_CFG, lambda_sweep={"re_range": [1]}), "lambda_sweep.re_range"),
+    ("eval", _with(OBSERVER_CFG, lambda_sweep={"im_count": 0}), "lambda_sweep.im_count"),
+    ("spectrum", _with(SPECTRUM_CFG, manifold={"type": "bogus"}), "manifold.type"),
+    # im_count without im_range would be ignored.
+    (
+        "decompose",
+        _with(DECOMPOSE_CFG, lambda_sweep={"re_range": [-1, 1], "count": 3, "im_count": 3}),
+        "lambda_sweep.im_count",
+    ),
 ]
 
 

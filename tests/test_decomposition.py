@@ -62,9 +62,7 @@ def test_grid_column_continuation_matches_direct_flow():
     grid = ke.build_grid(system.field, mani, (0.0, 1.6), 4, 8, tol)
     for i in range(5):
         for j in [3, 8]:
-            direct = ke.flow(
-                system.field, mani.embed(grid.s_nodes[i]), grid.r_nodes[j], tol
-            ).state
+            direct = ke.flow(system.field, mani.embed(grid.s_nodes[i]), grid.r_nodes[j], tol)
             assert np.max(np.abs(grid.points[i, j] - direct)) <= 100 * tol
 
 
