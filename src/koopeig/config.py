@@ -47,6 +47,13 @@ def _expect(raw: dict, key: str, kind: type, where: str, default=None, required=
     return raw[key]
 
 
+def _known(raw: dict, keys: tuple[str, ...], where: str) -> None:
+    """Refuse a key of ``raw`` that its reader does not read."""
+    for key in raw:
+        if key not in keys:
+            raise ConfigError("unknown key", field=f"{where}.{key}" if where else key)
+
+
 def _number(value, where: str, *, integer=False, minimum=None, positive=False):
     """The config number ``value`` as a float, or an int when ``integer``.
 
@@ -97,9 +104,20 @@ def _vector(spec: dict, key: str) -> list[float]:
     return [_number(v, f"manifold.{key}") for v in vec]
 
 
+# The keys of each manifold type besides "type" and "n".
+_MANIFOLD_KEYS = {
+    "segment": ("from", "to", "s_range"),
+    "circle": ("center", "radius", "arc"),
+    "point": ("x0",),
+}
+
+
 def _manifold(spec: dict) -> DataManifold:
     """The ``manifold`` section -> the data manifold it describes."""
     kind = _expect(spec, "type", str, "manifold", required=True)
+    if kind not in _MANIFOLD_KEYS:
+        raise ConfigError(f"unknown manifold type {kind!r}", field="manifold.type")
+    _known(spec, ("type", "n") + _MANIFOLD_KEYS[kind], "manifold")
     n = _number(spec.get("n", 121), "manifold.n", integer=True, minimum=1)
     if kind == "segment":
         p0, p1 = _vector(spec, "from"), _vector(spec, "to")
@@ -119,9 +137,7 @@ def _manifold(spec: dict) -> DataManifold:
             return circle_manifold(center, radius, arc=arc, n=n)
         except ValueError as exc:
             raise ConfigError(str(exc), field="manifold") from exc
-    if kind == "point":
-        return point_manifold(_number(spec.get("x0"), "manifold.x0"))
-    raise ConfigError(f"unknown manifold type {kind!r}", field="manifold.type")
+    return point_manifold(_number(spec.get("x0"), "manifold.x0"))
 
 
 def _candidates(spec: Optional[dict]) -> np.ndarray:
@@ -129,10 +145,17 @@ def _candidates(spec: Optional[dict]) -> np.ndarray:
     if spec is None:
         return default_candidates()
     if "values" in spec:
+        if len(spec) > 1:
+            raise ConfigError(
+                "values lists the candidates; it takes no "
+                + ", ".join(key for key in spec if key != "values"),
+                field="lambda_sweep",
+            )
         vals = spec["values"]
         if not isinstance(vals, list) or not vals:
             raise ConfigError("values must be a non-empty list", field="lambda_sweep.values")
         return np.array([_complex_of(v, "lambda_sweep.values") for v in vals], dtype=complex)
+    _known(spec, ("re_range", "count", "im_range", "im_count"), "lambda_sweep")
     re_lo, re_hi = _pair(spec.get("re_range", CANDIDATE_RANGE), "lambda_sweep.re_range")
     count = _number(
         spec.get("count", CANDIDATE_COUNT), "lambda_sweep.count", integer=True, minimum=1
@@ -169,6 +192,7 @@ class SpectrumSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "SpectrumSpec":
         d = cls()
+        _known(raw, ("omega", "t", "n_list", "annulus", "quad_points", "wedge"), "spectrum")
         omega = _number(raw.get("omega", d.omega), "spectrum.omega")
         t = _number(raw.get("t", d.t), "spectrum.t")
         n_list = _expect(raw, "n_list", list, "spectrum", default=list(d.n_list))
@@ -188,8 +212,10 @@ class SpectrumSpec:
         )
 
         wedge = _expect(raw, "wedge", dict, "spectrum", default={})
+        _known(wedge, ("lambda_grid", "alpha_window", "h"), "spectrum.wedge")
         grid = _expect(wedge, "lambda_grid", dict, "spectrum.wedge", default={})
         where = "spectrum.wedge.lambda_grid"
+        _known(grid, ("re_range", "im_range", "count"), where)
         re_range = _pair(grid.get("re_range", d.re_range), f"{where}.re_range")
         im_range = _pair(grid.get("im_range", d.im_range), f"{where}.im_range")
         count = _number(grid.get("count", d.count), f"{where}.count", integer=True, minimum=1)
@@ -205,6 +231,13 @@ class SpectrumSpec:
             omega, t, n_list, annulus, quad_points,
             re_range, im_range, count, alpha_window, h,
         )
+
+
+# The top-level sections and values of a config.
+_TOP_KEYS = (
+    "system", "manifold", "t_window", "grid", "eig", "lattice", "target", "lambda_sweep",
+    "K", "stop_tol", "integrator_tol", "output_dir", "seed", "spectrum",
+)
 
 
 @dataclass
@@ -230,7 +263,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        _known(raw, _TOP_KEYS, "")
         system = _expect(raw, "system", dict, "", default={"name": "lin2d"})
+        _known(system, ("name", "params"), "system")
         name = _expect(system, "name", str, "system", required=True)
         if name not in system_names():
             raise ConfigError(
@@ -250,10 +285,12 @@ class RunConfig:
                 raise ConfigError("must contain 0", field="t_window")
 
         grid = _expect(raw, "grid", dict, "", default={})
+        _known(grid, ("n", "m"), "grid")
         grid_n = _number(grid.get("n", 40), "grid.n", integer=True, minimum=0)
         grid_m = _number(grid.get("m", 40), "grid.m", integer=True, minimum=0)
 
         eig = _expect(raw, "eig", dict, "", default={})
+        _known(eig, ("lambda", "h"), "eig")
         eig_lambda = (
             _complex_of(eig["lambda"], "eig.lambda") if "lambda" in eig else None
         )
@@ -261,6 +298,7 @@ class RunConfig:
 
         lattice = _expect(raw, "lattice", dict, "")
         if lattice is not None:
+            _known(lattice, tuple(f"x{k + 1}" for k in range(len(lattice))), "lattice")
             lattice = {a: _lattice_axis(spec, f"lattice.{a}") for a, spec in lattice.items()}
 
         target = _expect(raw, "target", str, "")

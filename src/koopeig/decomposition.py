@@ -44,7 +44,8 @@ DEGENERATE_FLOOR = 1e-300
 NEAR_BEST = 1e-12
 # A real eigenvalue is refined over this many points between the argmin's neighbours.
 REFINE_POINTS = 2001
-# The sweep builds E in blocks of about this many entries, to bound its memory.
+# E is built in blocks of about this many entries: a decomposition holds all of
+# E, and each block's products with the stage residual stay this small.
 SWEEP_BLOCK = 2**14
 # The default lambda sweep: this many real candidates over this range.
 CANDIDATE_RANGE = (-5.0, 5.0)
@@ -184,14 +185,46 @@ def default_candidates() -> np.ndarray:
     return np.linspace(*CANDIDATE_RANGE, CANDIDATE_COUNT).astype(complex)
 
 
+@dataclass(frozen=True)
+class _Block:
+    """The exponentials E[k, j] = e^{lambda_k r_j} of candidates lo, lo+1, ...
+
+    Only the fitted rows are kept, conjugated and transposed for the product
+    with q: a candidate whose sum of squares overflows or lies below
+    DEGENERATE_FLOOR fits nothing.
+    """
+
+    lo: int
+    denom: np.ndarray  # sum_j |E[k, j]|^2 of every candidate of the block
+    finite: np.ndarray  # denom is finite
+    fitted: np.ndarray  # denom is finite and at least DEGENERATE_FLOOR
+    conj_t: np.ndarray  # conj(E[fitted]).T, shaped (m+1, fitted.sum())
+
+
+def _exponentials(cands: np.ndarray, r_nodes: np.ndarray) -> list[_Block]:
+    """E for the candidates at the time nodes, SWEEP_BLOCK entries per block."""
+    blocks = []
+    step = max(1, SWEEP_BLOCK // r_nodes.size)
+    for lo in range(0, cands.size, step):
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(np.outer(cands[lo:lo + step], r_nodes))
+            denom = np.sum(np.abs(e) ** 2, axis=1)
+        finite = np.isfinite(denom)
+        fitted = finite & (denom >= DEGENERATE_FLOOR)
+        blocks.append(_Block(lo, denom, finite, fitted, np.conj(e[fitted]).T))
+    return blocks
+
+
 def sweep_lambda(
     grid: CharacteristicGrid,
     target: TargetSample,
     candidates: Sequence[complex],
+    *,
+    exponentials: Optional[list[_Block]] = None,
 ) -> SweepResult:
     """Fit every candidate eigenvalue with array operations and keep the argmin.
 
-    With E[k, j] = e^{lambda_k r_j}, built SWEEP_BLOCK entries at a time, every
+    With E[k, j] = e^{lambda_k r_j}, in blocks of SWEEP_BLOCK entries, every
     h is a column of q @ conj(E)^T scaled by 1 / sum_j |E[k, j]|^2, and every
     squared residual follows from ||q||^2 - sum_j |E[k, j]|^2 sum_i |h_i|^2.
     That identity cancels near the minimum, so the candidates within
@@ -199,24 +232,29 @@ def sweep_lambda(
     smallest |lambda|, then the smallest |Im lambda|, then the lowest index.
     An overflowing candidate gets an infinite residual; raises OverflowError
     when every candidate overflows.
+
+    ``exponentials`` are the blocks of ``_exponentials(candidates,
+    grid.r_nodes)``, for a caller that sweeps the same candidates against
+    several targets; they are built here when omitted.  Blocks for another
+    number of candidates or of time nodes raise ValueError.
     """
     cands = np.asarray(candidates, dtype=complex)
     if cands.size == 0:
         raise ValueError("candidate list is empty")
+    if exponentials is None:
+        exponentials = _exponentials(cands, grid.r_nodes)
+    elif sum(blk.denom.size for blk in exponentials) != cands.size or any(
+        blk.conj_t.shape[0] != grid.n_r for blk in exponentials
+    ):
+        raise ValueError("exponentials were built for other candidates or time nodes")
     q = target.q_values
     q_sq = float(np.linalg.norm(q)) ** 2
     sq = np.empty(cands.size)
-    step = max(1, SWEEP_BLOCK // grid.n_r)
-    for lo in range(0, cands.size, step):
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = np.exp(np.outer(cands[lo:lo + step], grid.r_nodes))
-            denom = np.sum(np.abs(e) ** 2, axis=1)
-        finite = np.isfinite(denom)
-        fitted = finite & (denom >= DEGENERATE_FLOOR)
-        h = (q @ np.conj(e[fitted]).T) / denom[fitted]
-        block = sq[lo:lo + step]
-        block[:] = np.where(finite, q_sq, math.inf)
-        block[fitted] -= denom[fitted] * np.sum(np.abs(h) ** 2, axis=0)
+    for blk in exponentials:
+        h = (q @ blk.conj_t) / blk.denom[blk.fitted]
+        block = sq[blk.lo:blk.lo + blk.denom.size]
+        block[:] = np.where(blk.finite, q_sq, math.inf)
+        block[blk.fitted] -= blk.denom[blk.fitted] * np.sum(np.abs(h) ** 2, axis=0)
     if not np.isfinite(sq).any():
         raise OverflowError("e^(lambda r) overflows over the time window for every candidate")
     near = np.flatnonzero(sq <= sq.min() + NEAR_BEST * q_sq)
@@ -259,9 +297,16 @@ def _refine_lambda(
     cands: np.ndarray,
     best_idx: int,
 ) -> Optional[FitResult]:
-    """Best fit of a fine sweep over real lambda between the argmin's neighbours."""
-    lo = float(cands[max(best_idx - 1, 0)].real)
-    hi = float(cands[min(best_idx + 1, cands.size - 1)].real)
+    """Best fit of a fine sweep over real lambda between the argmin's neighbours.
+
+    The neighbours are the nearest candidates below and above the argmin by
+    value, so the order of the candidate list does not matter.
+    """
+    re = cands.real
+    best = re[best_idx]
+    below, above = re[re < best], re[re > best]
+    lo = float(below.max()) if below.size else float(best)
+    hi = float(above.min()) if above.size else float(best)
     if hi <= lo:
         return None
     return sweep_lambda(grid, target, np.linspace(lo, hi, REFINE_POINTS)).best_fit
@@ -280,6 +325,7 @@ def greedy_decompose(
 
     Per stage: sweep the candidate eigenvalues against the current residual,
     take p_k = E(lambda_k) kron h_k, normalize by c_k = ||p_k||, subtract.
+    The candidates' exponentials are built once and shared by every stage.
     On an all-real candidate grid a finer sweep between the argmin's neighbours
     replaces it if it fits better.  Stops early when c_k underflows or
     ||R_k||/||b|| < stop_tol.  Every term is returned as a full eigenfunction
@@ -295,13 +341,15 @@ def greedy_decompose(
     all_real = bool(np.all(cands.imag == 0.0))
     term_manifold = grid.manifold.with_samples(grid.n_s)
 
+    # E depends only on the candidates and the time nodes: every stage shares it.
+    exponentials = _exponentials(cands, grid.r_nodes)
     residual_q = target.q_values.copy()
     residual_norms = [b_norm]
     terms: list[Term] = []
     curves: list[SweepResult] = []
     for _ in range(K):
         stage_target = TargetSample(residual_q)
-        sweep = sweep_lambda(grid, stage_target, cands)
+        sweep = sweep_lambda(grid, stage_target, cands, exponentials=exponentials)
         best = sweep.best_fit
         if all_real and cands.size > 1:
             polished = _refine_lambda(grid, stage_target, cands, sweep.best_index)

@@ -389,6 +389,15 @@ BAD_CONFIGS = [
         _with(DECOMPOSE_CFG, lambda_sweep={"re_range": [-1, 1], "count": 3, "im_count": 3}),
         "lambda_sweep.im_count",
     ),
+    # A key that no reader reads, or that values makes unused, is refused.
+    ("eval", _with(OBSERVER_CFG, lamda_sweep=3), "lamda_sweep"),
+    ("eval", _with(OBSERVER_CFG, eig__hh=1), "eig.hh"),
+    ("decompose", _with(DECOMPOSE_CFG, lattice={"x1": [0, 1, 3], "y": [0, 1, 3]}), "lattice.y"),
+    (
+        "eval",
+        _with(OBSERVER_CFG, lambda_sweep={"values": [1.0], "count": "x", "im_count": 0}),
+        "lambda_sweep",
+    ),
 ]
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import koopeig as ke
+from koopeig import decomposition
 from koopeig.decomposition import (
     CharacteristicGrid,
     TargetSample,
@@ -353,3 +354,84 @@ def test_greedy_complex_candidates_skip_refinement(lin2d, small_grid):
     result = greedy_decompose(small_grid, target, cands, K=2, stop_tol=1e-10)
     assert result.terms[0].eigenvalue == lam
     assert result.residual_norms[-1] <= 1e-10 * result.residual_norms[0]
+
+
+def test_greedy_refinement_ignores_candidate_order():
+    # x2^1.3 = h(s) e^(2.6 r) on lin2d: the refinement between the argmin's
+    # neighbours by value finds 2.6 whatever the order of the list.
+    system = ke.make_system("lin2d")
+    grid = ke.build_grid(system.field, system.default_manifold, system.default_t_window, 10, 10)
+    target = TargetSample.from_function(grid, lambda x: x[1] ** 1.3)
+    ascending = np.linspace(-5.0, 5.0, 11)
+    results = [
+        greedy_decompose(grid, target, cands, K=1)
+        for cands in (ascending, ascending[::-1], np.random.default_rng(0).permutation(ascending))
+    ]
+    for result in results:
+        assert result.terms[0].eigenvalue == pytest.approx(2.6, abs=1e-9)
+        assert result.residual_norms[-1] <= 1e-12 * result.residual_norms[0]
+        assert result.terms[0].eigenvalue == results[0].terms[0].eigenvalue
+
+
+def _recorded_sweeps(monkeypatch):
+    """Every call of ``decomposition.sweep_lambda`` with shared exponentials."""
+    calls = []
+    sweep = decomposition.sweep_lambda
+
+    def recording(grid, target, candidates, **kwargs):
+        result = sweep(grid, target, candidates, **kwargs)
+        if kwargs.get("exponentials") is not None:
+            calls.append((target, result))
+        return result
+
+    monkeypatch.setattr(decomposition, "sweep_lambda", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "cands",
+    [
+        np.linspace(-3, 3, 41),
+        (np.linspace(-3, 3, 13)[:, None] + 1j * np.linspace(-2, 2, 5)).ravel(),
+    ],
+    ids=["real", "complex"],
+)
+def test_greedy_stages_match_a_fresh_sweep(monkeypatch, small_grid, cands):
+    rng = np.random.default_rng(14)
+    target = TargetSample(rng.normal(size=(small_grid.n_s, small_grid.n_r)) + 0j)
+    calls = _recorded_sweeps(monkeypatch)
+    result = greedy_decompose(small_grid, target, cands, K=4, stop_tol=1e-14)
+    assert len(calls) == len(result.lambda_curves) == 4
+    for (stage_target, shared), curve in zip(calls, result.lambda_curves):
+        assert shared is curve
+        fresh = sweep_lambda(small_grid, stage_target, cands)
+        assert np.array_equal(shared.residual_curve, fresh.residual_curve)
+        assert shared.best_lambda == fresh.best_lambda
+        assert np.array_equal(shared.best_fit.h_values, fresh.best_fit.h_values)
+
+
+def test_greedy_builds_the_exponentials_once(monkeypatch, small_grid):
+    built = []
+    exponentials = decomposition._exponentials
+
+    def counting(cands, r_nodes):
+        built.append(cands.size)
+        return exponentials(cands, r_nodes)
+
+    monkeypatch.setattr(decomposition, "_exponentials", counting)
+    rng = np.random.default_rng(15)
+    target = TargetSample(rng.normal(size=(small_grid.n_s, small_grid.n_r)) + 0j)
+    cands = (np.linspace(-3, 3, 13)[:, None] + 1j * np.linspace(-2, 2, 5)).ravel()
+    result = greedy_decompose(small_grid, target, cands, K=4, stop_tol=1e-14)
+    assert len(result.terms) == 4
+    assert built == [cands.size]
+
+
+def test_sweep_refuses_mismatched_exponentials(small_grid):
+    target = TargetSample(np.ones((small_grid.n_s, small_grid.n_r), dtype=complex))
+    cands = np.linspace(-1.0, 1.0, 5).astype(complex)
+    other_count = decomposition._exponentials(cands[:4], small_grid.r_nodes)
+    other_nodes = decomposition._exponentials(cands, small_grid.r_nodes[:-1])
+    for exponentials in (other_count, other_nodes):
+        with pytest.raises(ValueError, match="exponentials"):
+            sweep_lambda(small_grid, target, cands, exponentials=exponentials)
