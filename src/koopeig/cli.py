@@ -21,7 +21,6 @@ from .eigenfunctions import OpenEigenfunction, evaluate_points, koopman_residual
 from .errors import MISS_REASONS, ConfigError, EmptyTargetError, NotInDomainError, ZeroFieldError
 from .manifolds import DataFunction, check_transversality
 from .spectrum import scaling_fit, wedge_point_spectrum_check
-from .targets import parse_data_fn, parse_target
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,7 +59,6 @@ def _c2l(z: complex) -> list[float]:
 def _prepare(cfg: RunConfig):
     system = cfg.make_system()
     manifold = cfg.make_manifold(system)
-    window = cfg.window(system)
     try:
         report = check_transversality(manifold, system.field)
     except (ValueError, ZeroFieldError) as exc:
@@ -76,17 +74,19 @@ def _prepare(cfg: RunConfig):
             f"{report.violations[:3].tolist()}...)",
             field="manifold",
         )
-    return system, manifold, window
+    return system, manifold
 
 
 def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
-    system, manifold, window = _prepare(cfg)
+    system, manifold = _prepare(cfg)
+    window = cfg.t_window
     if cfg.eig_lambda is None or cfg.eig_h is None:
         raise ConfigError("eval needs eig.lambda and eig.h", field="eig")
+    if cfg.lattice is None:
+        raise ConfigError("eval needs a lattice", field="lattice")
     dim = system.field.dim
-    points = cfg.lattice_points(dim)
-    h_fn = parse_data_fn(cfg.eig_h, where="eig.h")
-    data = DataFunction.from_callable(manifold, h_fn)
+    points = cfg.lattice
+    data = DataFunction.from_callable(manifold, cfg.eig_h)
     eig = OpenEigenfunction(
         cfg.eig_lambda, data, manifold, system.field, window, tol=cfg.integrator_tol
     )
@@ -138,17 +138,16 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
-    system, manifold, window = _prepare(cfg)
+    system, manifold = _prepare(cfg)
     if cfg.target is None:
         raise ConfigError("decompose needs a target expression", field="target")
     dim = system.field.dim
     if manifold.s_min == manifold.s_max and cfg.grid_n > 0:
         raise ConfigError("the manifold has a single parameter: n must be 0", field="grid.n")
-    q = parse_target(cfg.target, dim=dim, where="target")
     grid = build_grid(
-        system.field, manifold, window, cfg.grid_n, cfg.grid_m, cfg.integrator_tol
+        system.field, manifold, cfg.t_window, cfg.grid_n, cfg.grid_m, cfg.integrator_tol
     )
-    target = TargetSample.from_function(grid, q)
+    target = TargetSample.from_function(grid, cfg.target)
     try:
         result = greedy_decompose(
             grid, target, cfg.candidates, cfg.K, cfg.stop_tol, eig_tol=cfg.integrator_tol
@@ -220,8 +219,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     res = np.linspace(*spec.re_range, spec.count)
     ims = np.linspace(*spec.im_range, spec.count)
     lams = [complex(a, b) for a in res for b in ims]
-    h = parse_data_fn(spec.h, where="spectrum.wedge.h")
-    wedge = wedge_point_spectrum_check(lams, spec.alpha_window, h, seed=cfg.seed)
+    wedge = wedge_point_spectrum_check(lams, spec.alpha_window, spec.h, seed=cfg.seed)
     summary = {
         "command": "spectrum",
         "omega": spec.omega,

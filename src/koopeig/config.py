@@ -5,16 +5,17 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .decomposition import CANDIDATE_COUNT, CANDIDATE_RANGE, default_candidates
-from .dynamics import BenchmarkSystem, make_system, system_names
+from .dynamics import BenchmarkSystem, make_system
 from .errors import ConfigError
 from .manifolds import DataManifold, circle_manifold, point_manifold, segment_manifold
+from .targets import parse_data_fn, parse_target
 
 __all__ = ["RunConfig", "SpectrumSpec", "load_config_file"]
 
@@ -89,6 +90,23 @@ def _lattice_axis(spec, where: str) -> np.ndarray:
     return np.linspace(
         _number(lo, where), _number(hi, where), _number(count, where, integer=True, minimum=1)
     )
+
+
+def _lattice(spec: dict, dim: int) -> np.ndarray:
+    """The ``lattice`` section -> its (N, dim) points, axis x1 outermost.
+
+    A dim-dimensional system needs exactly the axes x1 .. x<dim>.
+    """
+    _known(spec, tuple(f"x{k + 1}" for k in range(len(spec))), "lattice")
+    axes = [_lattice_axis(spec[f"x{k + 1}"], f"lattice.x{k + 1}") for k in range(len(spec))]
+    if len(axes) != dim:
+        raise ConfigError(
+            f"a {dim}-dimensional system needs the axes "
+            f"{', '.join(f'x{k + 1}' for k in range(dim))}; got {', '.join(sorted(spec)) or 'none'}",
+            field="lattice",
+        )
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def _complex_of(entry, where: str) -> complex:
@@ -187,7 +205,7 @@ class SpectrumSpec:
     im_range: tuple[float, float] = (-2.0, 2.0)  # wedge.lambda_grid
     count: int = 5  # wedge.lambda_grid
     alpha_window: tuple[float, float] = (0.2, 2.2)  # wedge
-    h: str = "1"  # wedge
+    h: Callable[[np.ndarray], np.ndarray] = parse_data_fn("1")  # wedge: h(s)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SpectrumSpec":
@@ -226,7 +244,8 @@ class SpectrumSpec:
             raise ConfigError(
                 "angular width must lie in [0, 2*pi)", field="spectrum.wedge.alpha_window"
             )
-        h = _expect(wedge, "h", str, "spectrum.wedge", default=d.h)
+        h = _expect(wedge, "h", str, "spectrum.wedge")
+        h = d.h if h is None else parse_data_fn(h, where="spectrum.wedge.h")
         return cls(
             omega, t, n_list, annulus, quad_points,
             re_range, im_range, count, alpha_window, h,
@@ -242,24 +261,23 @@ _TOP_KEYS = (
 
 @dataclass
 class RunConfig:
-    system_name: str
-    system_params: dict
-    manifold: Optional[DataManifold]  # None: the system's default manifold
-    t_window: Optional[tuple[float, float]]
+    system: BenchmarkSystem
+    manifold: DataManifold  # the configured one, else the system's default
+    t_window: tuple[float, float]  # the configured one, else the system's default
     grid_n: int
     grid_m: int
     eig_lambda: Optional[complex]
-    eig_h: Optional[str]
-    lattice: Optional[dict[str, np.ndarray]]  # axis name -> its samples
-    target: Optional[str]
+    eig_h: Optional[Callable[[np.ndarray], np.ndarray]]  # h(s) of the eigenfunction
+    lattice: Optional[np.ndarray]  # (N, d) points, axis x1 outermost
+    target: Optional[Callable[[np.ndarray], np.ndarray]]  # q(x) of the decomposition
     candidates: np.ndarray  # of the lambda sweep
     K: int
     stop_tol: float
     integrator_tol: float
     output_dir: str
     seed: int
-    spectrum: SpectrumSpec = field(default_factory=SpectrumSpec)
-    echo: dict = field(default_factory=dict)
+    spectrum: SpectrumSpec
+    echo: dict
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -267,19 +285,22 @@ class RunConfig:
         system = _expect(raw, "system", dict, "", default={"name": "lin2d"})
         _known(system, ("name", "params"), "system")
         name = _expect(system, "name", str, "system", required=True)
-        if name not in system_names():
-            raise ConfigError(
-                f"unknown system {name!r}; available: {', '.join(system_names())}",
-                field="system.name",
-            )
         params = _expect(system, "params", dict, "system", default={})
         params = {key: _number(v, "system.params") for key, v in params.items()}
+        try:
+            system = make_system(name, **params)
+        except KeyError as exc:  # its message names the available systems
+            raise ConfigError(exc.args[0], field="system.name") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc), field="system.params") from exc
+        dim = system.field.dim
 
         manifold = _expect(raw, "manifold", dict, "")
-        if manifold is not None:
-            manifold = _manifold(manifold)
+        manifold = system.default_manifold if manifold is None else _manifold(manifold)
         t_window = raw.get("t_window")
-        if t_window is not None:
+        if t_window is None:
+            t_window = system.default_t_window
+        else:
             t_window = _pair(t_window, "t_window")
             if not (t_window[0] <= 0.0 <= t_window[1]):
                 raise ConfigError("must contain 0", field="t_window")
@@ -295,13 +316,15 @@ class RunConfig:
             _complex_of(eig["lambda"], "eig.lambda") if "lambda" in eig else None
         )
         eig_h = _expect(eig, "h", str, "eig")
+        if eig_h is not None:
+            eig_h = parse_data_fn(eig_h, where="eig.h")
 
         lattice = _expect(raw, "lattice", dict, "")
         if lattice is not None:
-            _known(lattice, tuple(f"x{k + 1}" for k in range(len(lattice))), "lattice")
-            lattice = {a: _lattice_axis(spec, f"lattice.{a}") for a, spec in lattice.items()}
-
+            lattice = _lattice(lattice, dim)
         target = _expect(raw, "target", str, "")
+        if target is not None:
+            target = parse_target(target, dim=dim, where="target")
         candidates = _candidates(_expect(raw, "lambda_sweep", dict, ""))
 
         k_terms = _number(raw.get("K", 8), "K", integer=True, minimum=1)
@@ -316,8 +339,7 @@ class RunConfig:
         echo = {k: v for k, v in raw.items() if k != "output_dir"}
 
         return cls(
-            system_name=name,
-            system_params=params,
+            system=system,
             manifold=manifold,
             t_window=t_window,
             grid_n=grid_n,
@@ -336,36 +358,9 @@ class RunConfig:
             echo=echo,
         )
 
+    # Accessors only because perfbench's traced runs wrap both (a tracer quirk).
     def make_system(self) -> BenchmarkSystem:
-        try:
-            return make_system(self.system_name, **self.system_params)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc), field="system.params") from exc
+        return self.system
 
     def make_manifold(self, system: BenchmarkSystem) -> DataManifold:
-        """The configured manifold, else the system's default one."""
-        if self.manifold is not None:
-            return self.manifold
-        if system.default_manifold is None:
-            raise ConfigError("system has no default manifold", field="manifold")
-        return system.default_manifold
-
-    def lattice_points(self, dim: int) -> np.ndarray:
-        """The lattice as (N, dim) points, axis x1 outermost.
-
-        A dim-dimensional system needs exactly the axes x1 .. x<dim>.
-        """
-        axes = [f"x{k + 1}" for k in range(dim)]
-        if self.lattice is None:
-            raise ConfigError("eval needs a lattice", field="lattice")
-        if sorted(self.lattice) != sorted(axes):
-            raise ConfigError(
-                f"a {dim}-dimensional system needs the axes {', '.join(axes)}; "
-                f"got {', '.join(sorted(self.lattice)) or 'none'}",
-                field="lattice",
-            )
-        grids = np.meshgrid(*[self.lattice[a] for a in axes], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-    def window(self, system: BenchmarkSystem) -> tuple[float, float]:
-        return self.t_window if self.t_window is not None else system.default_t_window
+        return self.manifold

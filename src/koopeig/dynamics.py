@@ -131,7 +131,7 @@ class BenchmarkSystem:
     one is known in closed form, a reference eigenfunction for certification."""
 
     field: VectorField
-    default_manifold: Optional["manifolds.DataManifold"]
+    default_manifold: "manifolds.DataManifold"
     default_t_window: tuple[float, float]
     oracle_eigenfunction: Optional[object] = None
 

@@ -20,4 +20,4 @@ def test_readme_python_blocks_run():
 def test_readme_config_reference_loads():
     (block,) = re.findall(r"^```jsonc\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     cfg = RunConfig.from_dict(json.loads(re.sub(r"//.*$", "", block, flags=re.M)))
-    assert cfg.system_name == "vdp" and cfg.seed == 0
+    assert cfg.system.field.name == "vdp" and cfg.seed == 0
