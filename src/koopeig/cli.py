@@ -18,7 +18,15 @@ import numpy as np
 from .config import RunConfig, load_config_file
 from .decomposition import TargetSample, build_grid, greedy_decompose
 from .eigenfunctions import OpenEigenfunction, evaluate_points, koopman_residual
-from .errors import MISS_REASONS, ConfigError, EmptyTargetError, NotInDomainError, ZeroFieldError
+from .errors import (
+    MISS_REASONS,
+    BlowUpError,
+    ConfigError,
+    EmptyTargetError,
+    NotInDomainError,
+    StepUnderflowError,
+    ZeroFieldError,
+)
 from .manifolds import DataFunction, check_transversality
 from .spectrum import scaling_fit, wedge_point_spectrum_check
 
@@ -144,9 +152,12 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
     dim = system.field.dim
     if manifold.s_min == manifold.s_max and cfg.grid_n > 0:
         raise ConfigError("the manifold has a single parameter: n must be 0", field="grid.n")
-    grid = build_grid(
-        system.field, manifold, cfg.t_window, cfg.grid_n, cfg.grid_m, cfg.integrator_tol
-    )
+    try:
+        grid = build_grid(
+            system.field, manifold, cfg.t_window, cfg.grid_n, cfg.grid_m, cfg.integrator_tol
+        )
+    except (BlowUpError, StepUnderflowError) as exc:
+        raise ConfigError(f"the grid's flow escapes: {exc}", field="t_window") from exc
     target = TargetSample.from_function(grid, cfg.target)
     try:
         result = greedy_decompose(

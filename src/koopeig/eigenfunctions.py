@@ -31,8 +31,10 @@ from .errors import (
     AMBIGUOUS,
     NO_CROSSING,
     AmbiguousCrossingError,
+    BlowUpError,
     BranchCutError,
     NotInDomainError,
+    StepUnderflowError,
 )
 from .manifolds import DataFunction, DataManifold, as_values
 
@@ -336,14 +338,18 @@ def koopman_residual(
 
     This is the universal certificate that an object is a genuine
     eigenfunction; it propagates NotInDomainError when a point or its
-    t-image leaves the domain. The points flow as one batch, and phi is
+    t-image leaves the domain, also when its orbit escapes on the way there
+    (with the escape's reason). The points flow as one batch, and phi is
     evaluated at both ends of every orbit in one call.
     """
     pts = as_states(eig.field, points)
     if pts.shape[0] == 0:
         return 0.0
     factor = cmath.exp(complex(eig.eigenvalue) * t)
-    ends = flow_many(eig.field, pts, [t], tol)[0]
+    try:
+        ends = flow_many(eig.field, pts, [t], tol)[0]
+    except (BlowUpError, StepUnderflowError) as exc:
+        raise NotInDomainError(str(exc), reason=exc.reason) from exc
     phi = eig.values(np.concatenate([pts, ends]))
     phi_x, phi_y = phi[: pts.shape[0]], phi[pts.shape[0]:]
     defect = np.abs(phi_y - factor * phi_x) / np.maximum(1.0, np.abs(phi_x))

@@ -398,6 +398,23 @@ BAD_CONFIGS = [
         _with(OBSERVER_CFG, lambda_sweep={"values": [1.0], "count": "x", "im_count": 0}),
         "lambda_sweep",
     ),
+    # The system, the lattice and both expressions are checked by every command.
+    ("spectrum", _with(SPECTRUM_CFG, system__params={"bogus": 1}), "system.params"),
+    (
+        "spectrum",
+        _with(SPECTRUM_CFG, system={"name": "lin1d"}, lattice={"x1": [0, 1, 3], "x2": [0, 1, 3]}),
+        "lattice",
+    ),
+    ("spectrum", _with(SPECTRUM_CFG, target="x3^2"), "target"),
+    ("decompose", _with(DECOMPOSE_CFG, eig={"h": "s**2"}), "eig.h"),
+    # The grid's flow escapes inside the window: x' = x^2 from x = 1 at t = 1.
+    (
+        "decompose",
+        {"system": {"name": "blowup"}, "t_window": [0, 2], "grid": {"n": 0, "m": 10},
+         "target": "x1", "K": 1},
+        "t_window",
+    ),
+    ("decompose", _with(DECOMPOSE_CFG, t_window=[-30, 2], grid={"n": 4, "m": 4}), "t_window"),
 ]
 
 
@@ -406,6 +423,22 @@ def test_bad_config_exits_2_with_field_path(tmp_path, capsys, command, cfg, fiel
     path = write_config(tmp_path / "cfg.json", cfg)
     assert main([*command.split(), "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_eval_spot_check_of_escaping_images_is_null(tmp_path):
+    # x' = x^2 escapes within t = 0.1 from x > 10, so the spot check's
+    # t-images of the large lattice points blow up: it reports no residual.
+    cfg = {
+        "system": {"name": "blowup"},
+        "t_window": [0, 2],
+        "eig": {"lambda": 1, "h": "1"},
+        "lattice": {"x1": [1, 1e6, 400]},
+    }
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
+    assert summary["in_domain_points"] == summary["lattice_points"] == 400
+    assert summary["spot_check_residual"] is None
 
 
 def test_decompose_one_dimensional_system(tmp_path):

@@ -162,6 +162,14 @@ def test_residual_detects_corrupted_eigenvalue(lin2d, observer_eig, unit_square_
     assert res >= abs(math.exp(0.05) - 1.0) - 1e-3  # ~0.051
 
 
+def test_residual_of_an_escaping_image_is_not_in_domain():
+    # x' = x^2 from x = 20 escapes at t = 0.05, before the hop of 0.1.
+    oracle = ke.make_system("blowup").oracle_eigenfunction
+    with pytest.raises(ke.NotInDomainError) as info:
+        ke.koopman_residual(oracle, [[0.5], [20.0]], 0.1)
+    assert info.value.reason == "blow_up"
+
+
 def test_residual_random_keig_invariant(lin2d, horizontal_manifold):
     # Any data function on a transverse manifold yields a genuine eigenfunction.
     rng = np.random.default_rng(8)
