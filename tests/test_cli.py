@@ -418,6 +418,14 @@ BAD_CONFIGS = [
 ]
 
 
+def test_complex_lambda_grid_is_re_major():
+    from koopeig.config import RunConfig
+
+    sweep = {"re_range": [-5, 5], "count": 3, "im_range": [-1, 1], "im_count": 2}
+    cfg = RunConfig.from_dict({"lambda_sweep": sweep})
+    assert cfg.candidates.tolist() == [-5 - 1j, -5 + 1j, -1j, 1j, 5 - 1j, 5 + 1j]
+
+
 @pytest.mark.parametrize("command,cfg,field", BAD_CONFIGS)
 def test_bad_config_exits_2_with_field_path(tmp_path, capsys, command, cfg, field):
     path = write_config(tmp_path / "cfg.json", cfg)

@@ -325,6 +325,36 @@ def test_refine_takes_a_sign_jump_at_the_floor():
     assert len(calls) <= dynamics.REFINE_CAP + 3
 
 
+def test_refine_takes_an_open_bracket_at_its_right_end_after_the_cap(lin2d, monkeypatch):
+    # The wide lin2d bracket needs about 10 steps; after 3 it is still open.
+    monkeypatch.setattr(dynamics, "REFINE_CAP", 3)
+    x0 = np.array([[1.5], [4.0]])
+    state_at = lambda tau, j: lin2d.field.closed_form_flow(x0, -np.asarray(tau))
+    event = lambda y: y[1] - 1.0
+    counted, calls = _counted_state_at(state_at)
+    tau, y = _refine_one(event, counted, 0.0, 1.05)
+    assert len(calls) == 2 + 3 + 1  # the two end values, 3 steps, the right end
+    assert calls[-1][0] == tau and np.array_equal(y, state_at(np.array([tau]), [0])[:, 0])
+    assert math.log(2.0) < tau <= 1.05  # the root lies left of the right end
+    assert event(y[:, None])[0] <= -1e-10  # the sign of the event at hi, not converged
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        [-3.0, -2.0, -1.0, -0.5, 0.5, 0.2, 1.0, 2.0],  # a fold inside the samples
+        [-3.0, -2.0, -np.inf, -0.5, 0.5, 1.0, 1.5, 2.0],  # a blown sample
+        [-3.0, -2.0, -1.0, -0.5, 0.5, np.nan, 1.5, 2.0],
+    ],
+)
+def test_inverse_interp_is_nan_unless_finite_and_monotone(g):
+    taus = np.linspace(0.0, 0.7, 8)
+    assert np.isnan(dynamics._inverse_interp(taus, np.array(g), 3, 7))
+    # The same samples made finite and monotone: the zero of the line g = tau - 0.35.
+    line = taus - 0.35
+    assert dynamics._inverse_interp(taus, line, 3, 7) == pytest.approx(0.35, abs=1e-12)
+
+
 def test_find_crossings_scans_a_bracket_again_after_a_blown_iterate(monkeypatch):
     # x(t) = x0 + t, blown on the narrow hole (0.50599, 0.50601), which lies
     # inside the first scan's bracket (0.5, 0.5078] around the crossing at
