@@ -1,4 +1,12 @@
-"""Run configuration: JSON file + flag overrides -> validated RunConfig."""
+"""Run configuration: JSON file + flag overrides -> validated RunConfig.
+
+``RunConfig.from_dict`` reads every section for every command. It builds
+the system, resolves the manifold and the window (the configured ones, else
+the system's defaults), turns the lattice into points checked against the
+system's dimension, and parses the expressions. A bad section is a
+ConfigError naming its field before any command runs; the commands only
+run what it built.
+"""
 
 from __future__ import annotations
 
@@ -97,12 +105,13 @@ def _lattice(spec: dict, dim: int) -> np.ndarray:
 
     A dim-dimensional system needs exactly the axes x1 .. x<dim>.
     """
-    _known(spec, tuple(f"x{k + 1}" for k in range(len(spec))), "lattice")
-    axes = [_lattice_axis(spec[f"x{k + 1}"], f"lattice.x{k + 1}") for k in range(len(spec))]
+    names = tuple(f"x{k + 1}" for k in range(len(spec)))
+    _known(spec, names, "lattice")
+    axes = [_lattice_axis(spec[a], f"lattice.{a}") for a in names]
     if len(axes) != dim:
+        needed = ", ".join(f"x{k + 1}" for k in range(dim))
         raise ConfigError(
-            f"a {dim}-dimensional system needs the axes "
-            f"{', '.join(f'x{k + 1}' for k in range(dim))}; got {', '.join(sorted(spec)) or 'none'}",
+            f"a {dim}-dimensional system needs the axes {needed}; got {', '.join(names) or 'none'}",
             field="lattice",
         )
     grids = np.meshgrid(*axes, indexing="ij")
