@@ -227,10 +227,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
             )
         ),
     )
-    res = np.linspace(*spec.re_range, spec.count)
-    ims = np.linspace(*spec.im_range, spec.count)
-    lams = [complex(a, b) for a in res for b in ims]
-    wedge = wedge_point_spectrum_check(lams, spec.alpha_window, spec.h, seed=cfg.seed)
+    wedge = wedge_point_spectrum_check(spec.lambdas, spec.alpha_window, spec.h, seed=cfg.seed)
     summary = {
         "command": "spectrum",
         "omega": spec.omega,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -183,22 +183,32 @@ def _candidates(spec: Optional[dict]) -> np.ndarray:
             raise ConfigError("values must be a non-empty list", field="lambda_sweep.values")
         return np.array([_complex_of(v, "lambda_sweep.values") for v in vals], dtype=complex)
     _known(spec, ("re_range", "count", "im_range", "im_count"), "lambda_sweep")
-    re_lo, re_hi = _pair(spec.get("re_range", CANDIDATE_RANGE), "lambda_sweep.re_range")
+    re_range = _pair(spec.get("re_range", CANDIDATE_RANGE), "lambda_sweep.re_range")
     count = _number(
         spec.get("count", CANDIDATE_COUNT), "lambda_sweep.count", integer=True, minimum=1
     )
-    re = np.linspace(re_lo, re_hi, count)
     if "im_range" not in spec:
         if "im_count" in spec:
             raise ConfigError("needs im_range", field="lambda_sweep.im_count")
-        return re.astype(complex)
-    im_lo, im_hi = _pair(spec["im_range"], "lambda_sweep.im_range")
+        return np.linspace(*re_range, count).astype(complex)
+    im_range = _pair(spec["im_range"], "lambda_sweep.im_range")
     im_count = _number(
         spec.get("im_count", count), "lambda_sweep.im_count", integer=True, minimum=1
     )
-    im = np.linspace(im_lo, im_hi, im_count)
+    return _complex_grid(re_range, count, im_range, im_count)
+
+
+def _complex_grid(re_range, re_count: int, im_range, im_count: int) -> np.ndarray:
+    """Every re + i*im of the two evenly spaced axes, re-major."""
+    re = np.linspace(*re_range, re_count)
+    im = np.linspace(*im_range, im_count)
     grid_re, grid_im = np.meshgrid(re, im, indexing="ij")
     return (grid_re + 1j * grid_im).ravel()
+
+
+# The defaults of spectrum.wedge.lambda_grid: re_range and im_range, and count.
+_WEDGE_RANGE = (-2.0, 2.0)
+_WEDGE_COUNT = 5
 
 
 @dataclass(frozen=True)
@@ -210,9 +220,9 @@ class SpectrumSpec:
     n_list: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256)
     annulus: tuple[float, float] = (0.25, 4.0)
     quad_points: int = 256
-    re_range: tuple[float, float] = (-2.0, 2.0)  # wedge.lambda_grid
-    im_range: tuple[float, float] = (-2.0, 2.0)  # wedge.lambda_grid
-    count: int = 5  # wedge.lambda_grid
+    lambdas: np.ndarray = field(  # wedge.lambda_grid: the tested eigenvalues, re-major
+        default_factory=lambda: _complex_grid(_WEDGE_RANGE, _WEDGE_COUNT, _WEDGE_RANGE, _WEDGE_COUNT)
+    )
     alpha_window: tuple[float, float] = (0.2, 2.2)  # wedge
     h: Callable[[np.ndarray], np.ndarray] = parse_data_fn("1")  # wedge: h(s)
 
@@ -243,9 +253,9 @@ class SpectrumSpec:
         grid = _expect(wedge, "lambda_grid", dict, "spectrum.wedge", default={})
         where = "spectrum.wedge.lambda_grid"
         _known(grid, ("re_range", "im_range", "count"), where)
-        re_range = _pair(grid.get("re_range", d.re_range), f"{where}.re_range")
-        im_range = _pair(grid.get("im_range", d.im_range), f"{where}.im_range")
-        count = _number(grid.get("count", d.count), f"{where}.count", integer=True, minimum=1)
+        re_range = _pair(grid.get("re_range", _WEDGE_RANGE), f"{where}.re_range")
+        im_range = _pair(grid.get("im_range", _WEDGE_RANGE), f"{where}.im_range")
+        count = _number(grid.get("count", _WEDGE_COUNT), f"{where}.count", integer=True, minimum=1)
         alpha_window = _pair(
             wedge.get("alpha_window", d.alpha_window), "spectrum.wedge.alpha_window"
         )
@@ -255,10 +265,8 @@ class SpectrumSpec:
             )
         h = _expect(wedge, "h", str, "spectrum.wedge")
         h = d.h if h is None else parse_data_fn(h, where="spectrum.wedge.h")
-        return cls(
-            omega, t, n_list, annulus, quad_points,
-            re_range, im_range, count, alpha_window, h,
-        )
+        lambdas = _complex_grid(re_range, count, im_range, count)
+        return cls(omega, t, n_list, annulus, quad_points, lambdas, alpha_window, h)
 
 
 # The top-level sections and values of a config.

@@ -81,30 +81,6 @@ def _on_manifold(
     return s, gap <= on_tol
 
 
-def _search_setup(manifold: DataManifold, t_window) -> tuple[float, float, float, float]:
-    """(t1, t2, window slack, on-manifold tolerance) of a pullback."""
-    if manifold.surface is None:
-        raise ValueError("manifold carries no supporting-surface distance")
-    if manifold.locate is None:
-        raise ValueError("manifold carries no locate, the inverse of its embedding")
-    t1, t2 = float(t_window[0]), float(t_window[1])
-    if not (t1 <= 0.0 <= t2):
-        raise ValueError("t_window must contain 0")
-    slack = max(1e-9, 1e-3 * (t2 - t1))
-    on_tol = max(1e-9, 1e-6 * manifold.extent())
-    return t1, t2, slack, on_tol
-
-
-def _settle(hits: list, direction: float, escape: Optional[str]):
-    """A Pullback, or the miss reason when there is not exactly one hit."""
-    if not hits:
-        return escape or NO_CROSSING
-    if len(hits) > 1:
-        return AMBIGUOUS
-    tau, state, s = hits[0]
-    return Pullback(direction * tau, s, state)
-
-
 def _miss_error(reason: str) -> Exception:
     if reason == AMBIGUOUS:
         return AmbiguousCrossingError("orbit meets the data manifold more than once in one direction")
@@ -120,45 +96,61 @@ def _pull(
     pts: np.ndarray,
     tol: float,
 ) -> list:
-    """The search behind ``pullback`` and ``pullback_many`` for the (N, d) points."""
-    t1, t2, slack, on_tol = _search_setup(manifold, t_window)
+    """The search behind ``pullback`` and ``pullback_many``: per (N, d) point
+    a Pullback or its miss reason.
 
-    def search(idx: list, sign: float, budget: float):
-        """Feet and escape reason of the points idx along sign*F over [0, budget];
-        a foot is a crossing whose state lies on the manifold, as (tau, state, s)."""
-        crossings, escapes = find_crossings_many(
-            field, pts[idx], manifold.surface, sign, budget, tol, max_count=AMBIGUITY_COUNT
-        )
-        feet: dict = {i: [] for i in idx}
-        flat = [(i, tau, state) for i, found in zip(idx, crossings) for tau, state in found]
-        if flat:
-            s, on = _on_manifold(manifold, np.column_stack([c[2] for c in flat]), on_tol)
-            for (i, tau, state), s_k, on_k in zip(flat, s.tolist(), on.tolist()):
-                if on_k:
-                    feet[i].append((tau, state, s_k))
-        return feet, {i: e.reason if e else None for i, e in zip(idx, escapes)}
+    A point on the manifold itself is its own foot, at r* = 0. The others are
+    searched backward over the downstream part of the window, t2 plus a
+    slack, and then, when t1 < 0, forward over the upstream part, -t1 plus
+    the slack. A foot is a crossing of the supporting surface whose state
+    lies on the manifold. The rules that settle a point:
 
-    # A point on the manifold itself is its own foot, at r* = 0.
+    - only a point with no backward foot is searched forward;
+    - one foot in a direction is the pullback: r* = tau backward, and
+      r* = -tau < 0 forward, where tau is the time of flight to the foot;
+    - more than one foot in a direction is AMBIGUOUS;
+    - a point with no foot in either direction misses with the reason of its
+      first escape (blow-up or step underflow), else with NO_CROSSING.
+    """
+    if manifold.surface is None:
+        raise ValueError("manifold carries no supporting-surface distance")
+    if manifold.locate is None:
+        raise ValueError("manifold carries no locate, the inverse of its embedding")
+    t1, t2 = float(t_window[0]), float(t_window[1])
+    if not (t1 <= 0.0 <= t2):
+        raise ValueError("t_window must contain 0")
+    slack = max(1e-9, 1e-3 * (t2 - t1))
+    on_tol = max(1e-9, 1e-6 * manifold.extent())
+
     results: list = [None] * pts.shape[0]
     near = np.flatnonzero(np.abs(manifold.surface(pts.T)) < tol)
     if near.size:
         s, on = _on_manifold(manifold, pts[near].T, on_tol)
         for i, s_i in zip(near[on].tolist(), s[on].tolist()):
             results[i] = Pullback(0.0, s_i, pts[i].copy())
-    pending = [i for i, result in enumerate(results) if result is None]
-
-    # Backward over the downstream part of the window, then (t1 < 0) forward.
-    hits, escapes = search(pending, -1.0, t2 + slack)
-    direction = dict.fromkeys(pending, 1.0)
-    retry = [i for i in pending if not hits[i]] if t1 < 0.0 else []
-    if retry:
-        hits_fwd, escapes_fwd = search(retry, 1.0, -t1 + slack)
-        for i in retry:
-            hits[i], direction[i] = hits_fwd[i], -1.0
-            escapes[i] = escapes[i] or escapes_fwd[i]
-    for i in pending:
-        results[i] = _settle(hits[i], direction[i], escapes[i])
-    return results
+    escapes: dict = {}
+    passes = [(-1.0, t2 + slack)] + ([(1.0, -t1 + slack)] if t1 < 0.0 else [])
+    for sign, budget in passes:
+        idx = [i for i, result in enumerate(results) if result is None]
+        crossings, escaped = find_crossings_many(
+            field, pts[idx], manifold.surface, sign, budget, tol, max_count=AMBIGUITY_COUNT
+        )
+        feet: dict = {}
+        flat = [(i, tau, state) for i, found in zip(idx, crossings) for tau, state in found]
+        if flat:
+            s, on = _on_manifold(manifold, np.column_stack([c[2] for c in flat]), on_tol)
+            for (i, tau, state), s_k, on_k in zip(flat, s.tolist(), on.tolist()):
+                if on_k:
+                    feet.setdefault(i, []).append(Pullback(-sign * tau, s_k, state))
+        for i, exc in zip(idx, escaped):
+            if i in feet:
+                results[i] = feet[i][0] if len(feet[i]) == 1 else AMBIGUOUS
+            elif exc is not None:
+                escapes.setdefault(i, exc.reason)
+    return [
+        escapes.get(i, NO_CROSSING) if result is None else result
+        for i, result in enumerate(results)
+    ]
 
 
 def pullback(
@@ -171,8 +163,9 @@ def pullback(
     """Locate the in-window intersection of the orbit through x with the manifold.
 
     Searches backward over the downstream part of the window first and, when
-    t1 < 0 and the backward search fails, forward over the upstream part.
-    Raises NotInDomainError when no intersection exists in the window and
+    t1 < 0 and the point has no backward foot, forward over the upstream
+    part; ``_pull`` states the rules that settle the point. Raises
+    NotInDomainError when no intersection exists in the window and
     AmbiguousCrossingError when the orbit meets the manifold more than once
     in the same direction (a nonrecurrence violation).
     """
@@ -194,7 +187,7 @@ def pullback_many(
 
     A miss reason is one of MISS_REASONS. A field without a closed form
     marches every point as one lane of a batch, backward and then (when
-    t1 < 0) forward, under the rules of ``pullback``; a closed-form flow runs
+    t1 < 0) forward, under the rules of ``_pull``; a closed-form flow runs
     the exact scan point by point.
     """
     pts = as_states(field, points)

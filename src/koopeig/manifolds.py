@@ -72,8 +72,6 @@ class DataManifold:
             raise ValueError("n_samples must be >= 1")
         if self.s_max < self.s_min:
             raise ValueError("s_max must be >= s_min")
-        object.__setattr__(self, "_grid_cache", None)
-        object.__setattr__(self, "_points_cache", None)
         object.__setattr__(self, "_extent_cache", None)
 
     @property
@@ -81,20 +79,12 @@ class DataManifold:
         return self.s_max - self.s_min
 
     def parameter_grid(self) -> np.ndarray:
-        if self._grid_cache is None:
-            grid = (
-                np.array([self.s_min])
-                if self.n_samples == 1
-                else np.linspace(self.s_min, self.s_max, self.n_samples)
-            )
-            object.__setattr__(self, "_grid_cache", grid)
-        return self._grid_cache
+        """A new (n_samples,) array of evenly spaced parameters."""
+        return np.linspace(self.s_min, self.s_max, self.n_samples)
 
     def sample_points(self) -> np.ndarray:
-        if self._points_cache is None:
-            pts = np.asarray(self.embed(self.parameter_grid()), dtype=float).T
-            object.__setattr__(self, "_points_cache", pts)
-        return self._points_cache
+        """A new (n_samples, d) array of the manifold's points at the parameter grid."""
+        return np.asarray(self.embed(self.parameter_grid()), dtype=float).T
 
     def extent(self) -> float:
         """Diagonal of the bounding box of the sampled curve (>= tiny)."""

@@ -76,7 +76,11 @@ def _parse_term(term: str, variables: dict, where: str) -> Callable[[np.ndarray]
             raise ConfigError("gaussian width must be positive", field=where)
         return lambda x: amp * np.exp(-sum(np.square(x[idx]) for idx in variables.values()) / width)
 
-    factors = [_parse_factor(f, variables, where) for f in term.split("*")]
+    tokens = term.split("*")
+    if not all(token.strip() for token in tokens):
+        hint = "; powers are written with ^, not **" if "**" in term else ""
+        raise ConfigError(f"empty factor in term {term!r}{hint}", field=where)
+    factors = [_parse_factor(token, variables, where) for token in tokens]
 
     def evaluate(x):
         out = 1.0 + 0.0j

@@ -424,6 +424,9 @@ def test_complex_lambda_grid_is_re_major():
     sweep = {"re_range": [-5, 5], "count": 3, "im_range": [-1, 1], "im_count": 2}
     cfg = RunConfig.from_dict({"lambda_sweep": sweep})
     assert cfg.candidates.tolist() == [-5 - 1j, -5 + 1j, -1j, 1j, 5 - 1j, 5 + 1j]
+    wedge = {"re_range": [-1, 1], "im_range": [0, 2], "count": 2}
+    cfg = RunConfig.from_dict({"spectrum": {"wedge": {"lambda_grid": wedge}}})
+    assert cfg.spectrum.lambdas.tolist() == [-1, -1 + 2j, 1, 1 + 2j]
 
 
 @pytest.mark.parametrize("command,cfg,field", BAD_CONFIGS)
@@ -431,6 +434,19 @@ def test_bad_config_exits_2_with_field_path(tmp_path, capsys, command, cfg, fiel
     path = write_config(tmp_path / "cfg.json", cfg)
     assert main([*command.split(), "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "h,message",
+    [
+        ("s**2", "empty factor in term 's**2'; powers are written with ^, not **"),
+        ("1 + 2*s*", "empty factor in term '2*s*'"),
+    ],
+)
+def test_empty_factor_names_its_term(tmp_path, capsys, h, message):
+    path = write_config(tmp_path / "cfg.json", _with(DECOMPOSE_CFG, eig={"h": h}))
+    assert main(["decompose", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: eig.h: {message}\n"
 
 
 def test_eval_spot_check_of_escaping_images_is_null(tmp_path):

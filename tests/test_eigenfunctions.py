@@ -115,6 +115,40 @@ def test_pullback_ambiguous_crossing_on_rotation():
         assert pb.r_star == pytest.approx(math.atan2(0.5, 1.0), abs=1e-8)
 
 
+def test_pullback_settle_rules():
+    def rhs(x):
+        return np.array([-x[1], x[0]])
+
+    def closed(x, t):
+        c, s = np.cos(t), np.sin(t)
+        return np.stack([c * x[0] - s * x[1], s * x[0] + c * x[1]])
+
+    mani = ke.segment_manifold((0.5, 0.0), (2.0, 0.0), n=31, s_range=(0.5, 2.0))
+    x = [math.cos(0.29), math.sin(0.29)]
+    for field in (
+        ke.VectorField(2, rhs, name="rotation"),
+        ke.VectorField(2, rhs, name="rotation-cf", closed_form_flow=closed),
+    ):
+        # Met twice backward: ambiguous, and not searched forward, where the
+        # orbit meets the segment once.
+        assert ke.pullback_many(field, mani, (-6.1, 7.0), [x], 1e-10) == ["ambiguous"]
+        # No backward foot: the forward foot, at r* < 0.
+        (pb,) = ke.pullback_many(field, mani, (-6.1, 0.1), [x], 1e-10)
+        assert pb.r_star == pytest.approx(-(2.0 * math.pi - 0.29), abs=1e-8)
+        assert pb.s_star == pytest.approx(1.0, abs=1e-8)
+
+    exact = ke.make_system("blowup").field
+    for field in (exact, dataclasses.replace(exact, closed_form_flow=None)):
+        # x' = x^2: from -1 the orbit escapes backward and never reaches 1 forward.
+        assert ke.pullback_many(field, ke.point_manifold(1.0), (-1.0, 2.0), [[-1.0]]) == [
+            "blow_up"
+        ]
+        # From 2 it stays above 0.5 backward and escapes forward.
+        assert ke.pullback_many(field, ke.point_manifold(0.5), (-1.0, 1.0), [[2.0]]) == [
+            "blow_up"
+        ]
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------

@@ -33,6 +33,15 @@ def test_eval_h_out_of_range():
         h(1.0 + 1e-6)
 
 
+def test_writing_a_returned_grid_leaves_the_manifold_unchanged():
+    mani = ke.segment_manifold((0.0, 1.0), (1.0, 1.0), n=5, s_range=(0.0, 1.0))
+    h = ke.DataFunction.from_callable(mani, lambda s: s)
+    mani.parameter_grid()[0] = mani.sample_points()[0, 0] = h.s_nodes[1] = 9.0
+    assert mani.parameter_grid().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert mani.sample_points()[:2].tolist() == [[0.0, 1.0], [0.25, 1.0]]
+    assert ke.point_manifold(2.0).parameter_grid().tolist() == [0.0]
+
+
 LOCATE_CASES = {
     "segment-2d": lambda: ke.segment_manifold((1.0, 0.5), (2.0, 1.5), n=121),
     "segment-3d": lambda: ke.segment_manifold(
