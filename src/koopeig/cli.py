@@ -20,11 +20,9 @@ from .decomposition import TargetSample, build_grid, greedy_decompose
 from .eigenfunctions import OpenEigenfunction, evaluate_points, koopman_residual
 from .errors import (
     MISS_REASONS,
-    BlowUpError,
     ConfigError,
     EmptyTargetError,
     NotInDomainError,
-    StepUnderflowError,
     ZeroFieldError,
 )
 from .manifolds import DataFunction, check_transversality
@@ -152,11 +150,13 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
     dim = system.field.dim
     if manifold.s_min == manifold.s_max and cfg.grid_n > 0:
         raise ConfigError("the manifold has a single parameter: n must be 0", field="grid.n")
+    if cfg.t_window[0] == cfg.t_window[1] and cfg.grid_m > 0:
+        raise ConfigError("the window has a single time: m must be 0", field="grid.m")
     try:
         grid = build_grid(
             system.field, manifold, cfg.t_window, cfg.grid_n, cfg.grid_m, cfg.integrator_tol
         )
-    except (BlowUpError, StepUnderflowError) as exc:
+    except NotInDomainError as exc:
         raise ConfigError(f"the grid's flow escapes: {exc}", field="t_window") from exc
     target = TargetSample.from_function(grid, cfg.target)
     try:
@@ -232,7 +232,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
         "command": "spectrum",
         "omega": spec.omega,
         "t": spec.t,
-        "slope": None if len(fit.n_values) < 2 else fit.slope,
+        "slope": fit.slope if np.isfinite(fit.slope) else None,
         "rows": [
             {
                 "n": int(n),
@@ -286,12 +286,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = RunConfig.from_dict(raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+        out_dir = Path(cfg.output_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(str(exc), field="output_dir") from exc
         if args.command == "eval":
             return cmd_eval(cfg, out_dir)
         if args.command == "decompose":

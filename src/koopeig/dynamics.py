@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUpError, KoopeigError, StepUnderflowError
+from .errors import BlowUpError, NotInDomainError, StepUnderflowError
 from . import manifolds
 
 __all__ = [
@@ -504,7 +504,7 @@ def _march(
     return solver
 
 
-def _lane_error(field: VectorField, solver: RK45, lane: int, sign: float) -> KoopeigError:
+def _lane_error(field: VectorField, solver: RK45, lane: int, sign: float) -> NotInDomainError:
     tau = float(solver.tau[lane])
     if solver.status[lane] == BLOW_UP:
         return BlowUpError(
@@ -697,7 +697,7 @@ def find_crossings_many(
     tol: float = DEFAULT_TOL,
     *,
     max_count: int = 1,
-) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[KoopeigError]]]:
+) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[NotInDomainError]]]:
     """Up to max_count crossings of event along sign*F over [0, budget] for N states.
 
     ``event`` maps a (d, M) array to M values. A field without a closed

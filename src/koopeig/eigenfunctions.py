@@ -31,10 +31,8 @@ from .errors import (
     AMBIGUOUS,
     NO_CROSSING,
     AmbiguousCrossingError,
-    BlowUpError,
     BranchCutError,
     NotInDomainError,
-    StepUnderflowError,
 )
 from .manifolds import DataFunction, DataManifold, as_values
 
@@ -81,12 +79,10 @@ def _on_manifold(
     return s, gap <= on_tol
 
 
-def _miss_error(reason: str) -> Exception:
+def _miss_error(reason: str) -> NotInDomainError:
     if reason == AMBIGUOUS:
         return AmbiguousCrossingError("orbit meets the data manifold more than once in one direction")
-    return NotInDomainError(
-        "orbit does not meet the data manifold inside the time window", reason=reason
-    )
+    return NotInDomainError("orbit does not meet the data manifold inside the time window", reason)
 
 
 def _pull(
@@ -164,10 +160,10 @@ def pullback(
 
     Searches backward over the downstream part of the window first and, when
     t1 < 0 and the point has no backward foot, forward over the upstream
-    part; ``_pull`` states the rules that settle the point. Raises
-    NotInDomainError when no intersection exists in the window and
+    part; ``_pull`` states the rules that settle the point. A miss raises
     AmbiguousCrossingError when the orbit meets the manifold more than once
-    in the same direction (a nonrecurrence violation).
+    in the same direction (nonrecurrence fails), else NotInDomainError with
+    NO_CROSSING or the reason of the search's escape, BLOW_UP or STEP_UNDERFLOW.
     """
     pts = as_states(field, [np.asarray(x, dtype=float).reshape(-1)])
     (result,) = _pull(field, manifold, t_window, pts, tol)
@@ -199,7 +195,7 @@ def pullback_many(
     for x in pts:
         try:
             out.append(pullback(field, manifold, t_window, x, tol))
-        except (NotInDomainError, AmbiguousCrossingError) as exc:
+        except NotInDomainError as exc:
             out.append(exc.reason)
     return out
 
@@ -236,6 +232,7 @@ class OpenEigenfunction(_EigenfunctionBase):
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
     def values(self, points) -> np.ndarray:
+        """phi at N points; the first miss raises its ``pullback`` NotInDomainError."""
         found, misses = evaluate_points(self, points)
         if misses:
             raise _miss_error(misses[0])
@@ -330,19 +327,16 @@ def koopman_residual(
     """Worst relative defect of phi(rho_t(x)) = e^{lambda t} phi(x) over the points.
 
     This is the universal certificate that an object is a genuine
-    eigenfunction; it propagates NotInDomainError when a point or its
-    t-image leaves the domain, also when its orbit escapes on the way there
-    (with the escape's reason). The points flow as one batch, and phi is
-    evaluated at both ends of every orbit in one call.
+    eigenfunction. A point or t-image outside the domain raises its
+    NotInDomainError: BlowUpError or StepUnderflowError when the orbit escapes
+    on the way, else the miss of ``values``. The points flow as one batch, and
+    phi is evaluated at both ends of every orbit in one call.
     """
     pts = as_states(eig.field, points)
     if pts.shape[0] == 0:
         return 0.0
     factor = cmath.exp(complex(eig.eigenvalue) * t)
-    try:
-        ends = flow_many(eig.field, pts, [t], tol)[0]
-    except (BlowUpError, StepUnderflowError) as exc:
-        raise NotInDomainError(str(exc), reason=exc.reason) from exc
+    ends = flow_many(eig.field, pts, [t], tol)[0]
     phi = eig.values(np.concatenate([pts, ends]))
     phi_x, phi_y = phi[: pts.shape[0]], phi[pts.shape[0]:]
     defect = np.abs(phi_y - factor * phi_x) / np.maximum(1.0, np.abs(phi_x))

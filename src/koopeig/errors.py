@@ -2,7 +2,7 @@
 
 # Why a point is outside an eigenfunction's domain: no crossing of the data
 # manifold in the window, more than one, or an orbit that blew up or stalled
-# before any. Each error that ends a search carries its reason.
+# before any. Every miss is a NotInDomainError whose ``reason`` is one of these.
 MISS_REASONS = ("no_crossing", "ambiguous", "blow_up", "step_underflow")
 NO_CROSSING, AMBIGUOUS, BLOW_UP, STEP_UNDERFLOW = MISS_REASONS
 
@@ -11,8 +11,26 @@ class KoopeigError(Exception):
     """Base class for all library errors."""
 
 
-class BlowUpError(KoopeigError):
-    """Trajectory norm exceeded the blow-up bound before the requested time."""
+class NotInDomainError(KoopeigError):
+    """Query point is outside the swept domain of an eigenfunction: ``reason``
+    is NO_CROSSING unless given. Each subclass fixes its own reason."""
+
+    reason = NO_CROSSING
+
+    def __init__(self, message, reason=None):
+        super().__init__(message)
+        if reason is not None:
+            self.reason = reason
+
+
+class AmbiguousCrossingError(NotInDomainError):
+    """Orbit met the data manifold more than once in one direction: AMBIGUOUS."""
+
+    reason = AMBIGUOUS
+
+
+class BlowUpError(NotInDomainError):
+    """Trajectory norm exceeded the blow-up bound at ``time``: BLOW_UP."""
 
     reason = BLOW_UP
 
@@ -22,28 +40,10 @@ class BlowUpError(KoopeigError):
         self.state = state
 
 
-class StepUnderflowError(KoopeigError):
-    """Adaptive step size fell below the hard floor."""
+class StepUnderflowError(NotInDomainError):
+    """Adaptive step size fell below the hard floor: STEP_UNDERFLOW."""
 
     reason = STEP_UNDERFLOW
-
-
-class NotInDomainError(KoopeigError):
-    """Query point is outside the swept domain of an eigenfunction.
-
-    ``reason`` says why the orbit missed the data manifold: NO_CROSSING,
-    BLOW_UP or STEP_UNDERFLOW.
-    """
-
-    def __init__(self, message, reason=NO_CROSSING):
-        super().__init__(message)
-        self.reason = reason
-
-
-class AmbiguousCrossingError(KoopeigError):
-    """Backward/forward orbit met the data manifold more than once in-window."""
-
-    reason = AMBIGUOUS
 
 
 class OutOfRangeError(KoopeigError):

@@ -246,6 +246,29 @@ def test_spectrum_single_n_omits_slope(tmp_path):
     assert len(summary["rows"]) == 1
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_spectrum_zero_time_writes_null_slope(tmp_path):
+    # At t = 0 every residual is 0, so the log-log slope is undefined.
+    cfg = write_config(tmp_path / "cfg.json", _with(SPECTRUM_CFG, spectrum__t=0))
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "spectrum_summary.json").read_text()
+    summary = json.loads(text, parse_constant=_refuse_constant)
+    assert summary["slope"] is None
+    assert all(row["residual"] == 0.0 for row in summary["rows"])
+
+
+def test_unmakeable_output_dir_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", SPECTRUM_CFG)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "below"):
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: output_dir: ")
+
+
 def test_flag_overrides_survive_in_echo(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", SPECTRUM_CFG)
     assert main([
@@ -415,6 +438,8 @@ BAD_CONFIGS = [
         "t_window",
     ),
     ("decompose", _with(DECOMPOSE_CFG, t_window=[-30, 2], grid={"n": 4, "m": 4}), "t_window"),
+    # A window with a single time has a single grid column.
+    ("decompose", _with(OBSERVER_CFG, t_window=[0, 0], grid={"n": 3, "m": 3}, target="x1"), "grid.m"),
 ]
 
 
@@ -462,6 +487,25 @@ def test_eval_spot_check_of_escaping_images_is_null(tmp_path):
     assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
     assert summary["in_domain_points"] == summary["lattice_points"] == 400
+    assert summary["spot_check_residual"] is None
+
+
+def test_eval_spot_check_of_ambiguous_images_is_null(tmp_path):
+    # The point has one foot, at r* ~ 6.03, just before the orbit's next pass
+    # through the segment: its image at t = 0.1 pulls back ambiguous.
+    cfg = {
+        "system": {"name": "vdp"},
+        "t_window": [0, 10],
+        "eig": {"lambda": 1, "h": "1"},
+        "lattice": {
+            "x1": [1.7525232200938146, 1.7525232200938146, 1],
+            "x2": [1.4343331495134786, 1.4343331495134786, 1],
+        },
+    }
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
+    assert summary["in_domain_points"] == 1
     assert summary["spot_check_residual"] is None
 
 

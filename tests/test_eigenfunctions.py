@@ -149,6 +149,36 @@ def test_pullback_settle_rules():
         ]
 
 
+def _rotation_pullback(t_window):
+    field = ke.VectorField(2, lambda x: np.array([-x[1], x[0]]), name="rotation")
+    mani = ke.segment_manifold((0.5, 0.0), (2.0, 0.0), n=31, s_range=(0.5, 2.0))
+    return lambda: ke.pullback(field, mani, t_window, [math.cos(0.29), math.sin(0.29)], 1e-10)
+
+
+@pytest.mark.parametrize(
+    "reason,miss,cls",
+    [
+        # Met twice backward, as in test_pullback_settle_rules.
+        ("ambiguous", _rotation_pullback((-6.1, 7.0)), ke.AmbiguousCrossingError),
+        # Backward over 0.1 the orbit does not reach the segment.
+        ("no_crossing", _rotation_pullback((0.0, 0.1)), ke.NotInDomainError),
+        # x' = x^2 from 1 escapes at t = 1.
+        ("blow_up", lambda: ke.flow(ke.make_system("blowup").field, [1.0], 2.0), ke.BlowUpError),
+        # A NaN derivative rejects every step, down to the step floor.
+        (
+            "step_underflow",
+            lambda: ke.flow(ke.VectorField(1, lambda x: np.full_like(x, np.nan)), [0.0], 1.0),
+            ke.StepUnderflowError,
+        ),
+    ],
+)
+def test_every_miss_is_not_in_domain_with_its_reason(reason, miss, cls):
+    with pytest.raises(ke.NotInDomainError) as info:
+        miss()
+    assert type(info.value) is cls
+    assert info.value.reason == reason
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
