@@ -34,27 +34,52 @@ EXIT_DOMAIN = 3
 EXIT_EMPTY = 4
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the text chunks to a temp file and rename it over ``path``; a failed
+    write removes the temp file."""
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
-    _write_atomic(path, "\n".join(lines) + "\n")
+def _cells(column) -> list[str]:
+    """The "%.17g" strings of a 1-D column, from one formatting call."""
+    values = np.asarray(column, dtype=float).tolist()
+    return ("%.17g," * len(values) % tuple(values)).split(",")[:-1]
+
+
+def write_csv(path: Path, header: list[str], columns, stages=None) -> None:
+    """Write 1-D columns under a header row, every value as "%.17g".
+
+    Without ``stages`` the rows are ``columns`` side by side. With them, each
+    item of ``stages`` (a list of 1-D columns) gives the block of rows
+    ``(k, *columns, *stage_columns)`` of stage k, counting from 1: ``columns``
+    are formatted once, and one block is built and written at a time. Ragged
+    columns, or rows of another width than the header, raise ValueError.
+    """
+    shared = [_cells(column) for column in columns]
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for stage, stage_columns in enumerate([[]] if stages is None else stages, start=1):
+            prefix = "" if stages is None else "%.17g," % stage
+            cells = shared + [_cells(column) for column in stage_columns]
+            lengths = [len(column) for column in cells]
+            if len(cells) + bool(prefix) != len(header) or len(set(lengths)) > 1:
+                raise ValueError(f"{path.name}: columns of lengths {lengths} for {header}")
+            if any(lengths):
+                yield prefix + ("\n" + prefix).join(map(",".join, zip(*cells))) + "\n"
+
+    _write_atomic(path, chunks())
 
 
 def write_json(path: Path, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _stage_rows(stages):
-    """CSV rows (stage, *columns) of per-stage blocks of columns, from stage 1,
-    one block at a time."""
-    for stage, columns in enumerate(stages, start=1):
-        yield from np.column_stack([np.full(len(columns[0]), stage), *columns]).tolist()
+    _write_atomic(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def _c2l(z: complex) -> list[float]:
@@ -98,16 +123,16 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     )
     values, misses = evaluate_points(eig, points)
     in_domain = [val for val in values if val is not None]
-    rows = [
-        (*val.x, val.phi.real, val.phi.imag, val.r_star, val.s_star) for val in in_domain
-    ]
+    table = np.array(
+        [(*v.x, v.phi.real, v.phi.imag, v.r_star, v.s_star) for v in in_domain], dtype=float
+    ).reshape(-1, dim + 4)
     write_csv(
         out_dir / "keig_grid.csv",
         [f"x{k + 1}" for k in range(dim)] + ["phi_re", "phi_im", "r_star", "s_star"],
-        rows,
+        table.T,
     )
     n_total = len(points)
-    n_ok = len(rows)
+    n_ok = len(in_domain)
 
     # Self-certification spot check on points whose short-time image stays in
     # the window.
@@ -179,35 +204,27 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
         "config_echo": cfg.echo,
     }
     write_json(out_dir / "decomposition.json", report)
-    write_csv(
-        out_dir / "residuals.csv",
-        ["k", "residual_norm"],
-        [(k, r) for k, r in enumerate(result.residual_norms)],
-    )
+    norms = result.residual_norms
+    write_csv(out_dir / "residuals.csv", ["k", "residual_norm"], [np.arange(norms.size), norms])
+    # Every stage sweeps the same candidates and fits h at the grid's nodes.
     write_csv(
         out_dir / "lambda_curves.csv",
         ["stage", "lambda_re", "lambda_im", "residual"],
-        _stage_rows(
-            (sweep.candidates.real, sweep.candidates.imag, sweep.residual_curve)
-            for sweep in result.lambda_curves
-        ),
+        [cfg.candidates.real, cfg.candidates.imag],
+        ([sweep.residual_curve] for sweep in result.lambda_curves),
     )
     write_csv(
         out_dir / "h_functions.csv",
         ["stage", "s", "h_re", "h_im"],
-        _stage_rows(
-            (term.data.s_nodes, term.data.values.real, term.data.values.imag)
-            for term in result.terms
-        ),
+        [grid.s_nodes],
+        ([term.data.values.real, term.data.values.imag] for term in result.terms),
     )
     points = grid.points.reshape(-1, dim)  # row-major over (s_i, r_j)
     write_csv(
         out_dir / "term_grids.csv",
         ["stage"] + [f"x{k + 1}" for k in range(dim)] + ["phi_re", "phi_im"],
-        _stage_rows(
-            (points, term.phi_grid.real.ravel(), term.phi_grid.imag.ravel())
-            for term in result.terms
-        ),
+        points.T,
+        ([term.phi_grid.real.ravel(), term.phi_grid.imag.ravel()] for term in result.terms),
     )
     return EXIT_OK
 
@@ -215,35 +232,16 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     spec = cfg.spectrum
     fit = scaling_fit(spec.omega, spec.t, spec.n_list, spec.annulus, spec.quad_points)
-    write_csv(
-        out_dir / "spectrum_scaling.csv",
-        ["n", "residual", "phi_norm", "relative_residual"],
-        list(
-            zip(
-                fit.n_values,
-                fit.residual_norms,
-                fit.phi_norms,
-                fit.relative_residuals,
-            )
-        ),
-    )
+    header = ["n", "residual", "phi_norm", "relative_residual"]
+    columns = [fit.n_values, fit.residual_norms, fit.phi_norms, fit.relative_residuals]
+    write_csv(out_dir / "spectrum_scaling.csv", header, columns)
     wedge = wedge_point_spectrum_check(spec.lambdas, spec.alpha_window, spec.h, seed=cfg.seed)
     summary = {
         "command": "spectrum",
         "omega": spec.omega,
         "t": spec.t,
         "slope": fit.slope if np.isfinite(fit.slope) else None,
-        "rows": [
-            {
-                "n": int(n),
-                "residual": float(r),
-                "phi_norm": float(p),
-                "relative_residual": float(rel),
-            }
-            for n, r, p, rel in zip(
-                fit.n_values, fit.residual_norms, fit.phi_norms, fit.relative_residuals
-            )
-        ],
+        "rows": [dict(zip(header, (int(n), *map(float, rest)))) for n, *rest in zip(*columns)],
         "wedge": {
             "max_residual": wedge.max_residual,
             "lambdas": [_c2l(z) for z in wedge.lambdas],
@@ -287,15 +285,16 @@ def main(argv=None) -> int:
             raw["seed"] = args.seed
         cfg = RunConfig.from_dict(raw)
         out_dir = Path(cfg.output_dir)
+        # Only making the directory and writing the outputs raise OSError.
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
+            if args.command == "eval":
+                return cmd_eval(cfg, out_dir)
+            if args.command == "decompose":
+                return cmd_decompose(cfg, out_dir)
+            return cmd_spectrum(cfg, out_dir)
         except OSError as exc:
             raise ConfigError(str(exc), field="output_dir") from exc
-        if args.command == "eval":
-            return cmd_eval(cfg, out_dir)
-        if args.command == "decompose":
-            return cmd_decompose(cfg, out_dir)
-        return cmd_spectrum(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import koopeig as ke
-from koopeig.cli import main
+from koopeig import cli
+from koopeig.cli import main, write_csv
+from koopeig.config import RunConfig
 
 
 def write_config(path, cfg):
@@ -70,8 +72,8 @@ def test_eval_empty_lattice_exits_3(tmp_path):
     cfg_dict["lattice"] = {"x1": [50.0, 60.0, 4], "x2": [50.0, 60.0, 4]}
     cfg = write_config(tmp_path / "cfg.json", cfg_dict)
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-    _, rows = read_csv(tmp_path / "out" / "keig_grid.csv")
-    assert rows.shape[0] == 0
+    text = (tmp_path / "out" / "keig_grid.csv").read_text()
+    assert text == "x1,x2,phi_re,phi_im,r_star,s_star\n"
 
 
 def test_eval_hopf_circle_self_certifies(tmp_path):
@@ -267,6 +269,15 @@ def test_unmakeable_output_dir_exits_2(tmp_path, capsys):
     for out in (blocker, blocker / "below"):
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: output_dir: ")
+
+
+def test_taken_output_name_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", OBSERVER_CFG)
+    out = tmp_path / "out"
+    (out / "keig_grid.csv").mkdir(parents=True)
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: output_dir: ")
+    assert sorted(path.name for path in out.iterdir()) == ["keig_grid.csv"]
 
 
 def test_flag_overrides_survive_in_echo(tmp_path):
@@ -532,3 +543,129 @@ def test_decompose_skips_overflowing_candidates(tmp_path):
     assert all(b <= a for a, b in zip(report["residuals"], report["residuals"][1:]))
     _, curves = read_csv(tmp_path / "out" / "lambda_curves.csv")
     assert np.isinf(curves[:, 3]).any() and np.isfinite(curves[:, 3]).any()
+
+
+# Values whose "%.17g" strings are signed zeros, non-finite, subnormal, huge,
+# inexact, or integers.
+SPECIAL_VALUES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, 3.0]
+
+
+def test_write_csv_cells_are_17_significant_digits(tmp_path):
+    ints = [0, 1, 7, 10, 100, 2**53 + 1, -5, 123456789012345678]
+    write_csv(tmp_path / "t.csv", ["v", "n", "m"], [SPECIAL_VALUES, ints, np.array(ints)])
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[0] == "v,n,m"
+    assert [line.split(",") for line in lines[1:]] == [
+        ["%.17g" % v, "%.17g" % n, "%.17g" % n] for v, n in zip(SPECIAL_VALUES, ints)
+    ]
+
+
+def test_write_csv_stages_count_from_1_past_9(tmp_path):
+    shared = [0.1, -0.0]
+    stages = [[[k, k / 3]] for k in range(12)]
+    write_csv(tmp_path / "t.csv", ["stage", "x", "y"], [shared], iter(stages))
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    expected = [
+        ["%.17g" % (k + 1), "%.17g" % x, "%.17g" % y]
+        for k, (ys,) in enumerate(stages)
+        for x, y in zip(shared, ys)
+    ]
+    assert [line.split(",") for line in lines[1:]] == expected
+    assert lines[-1].startswith("12,")
+
+
+def test_write_csv_without_rows_is_the_header(tmp_path):
+    write_csv(tmp_path / "a.csv", ["x", "y"], [[], np.empty(0)])
+    write_csv(tmp_path / "b.csv", ["stage", "x", "y"], [[1.0]], [])
+    assert (tmp_path / "a.csv").read_text() == "x,y\n"
+    assert (tmp_path / "b.csv").read_text() == "stage,x,y\n"
+
+
+@pytest.mark.parametrize(
+    "header, columns, stages",
+    [
+        (["x", "y"], [[1.0, 2.0], [1.0]], None),
+        (["stage", "x", "y"], [[1.0, 2.0]], [[[1.0, 2.0]], [[1.0]]]),
+        (["x", "y", "z"], [[1.0], [2.0]], None),
+        (["x", "y"], [[1.0], [2.0], [3.0]], None),
+        (["stage", "x", "y"], [[1.0]], [[[1.0], [2.0]]]),
+        (["stage", "x"], [[1.0]], [[[2.0]]]),
+    ],
+)
+def test_write_csv_refuses_ragged_columns_and_wrong_widths(tmp_path, header, columns, stages):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", header, columns, stages)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _reference_csv(header, rows) -> str:
+    """The row-wise writer the column-wise one must match byte for byte."""
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_stage_rows(stages):
+    for stage, columns in enumerate(stages, start=1):
+        yield from np.column_stack([np.full(len(columns[0]), stage), *columns]).tolist()
+
+
+def _reference_decompose_files(result) -> dict:
+    dim = result.grid.points.shape[-1]
+    points = result.grid.points.reshape(-1, dim)
+    return {
+        "residuals.csv": _reference_csv(
+            ["k", "residual_norm"], list(enumerate(result.residual_norms))
+        ),
+        "lambda_curves.csv": _reference_csv(
+            ["stage", "lambda_re", "lambda_im", "residual"],
+            _reference_stage_rows(
+                (sweep.candidates.real, sweep.candidates.imag, sweep.residual_curve)
+                for sweep in result.lambda_curves
+            ),
+        ),
+        "h_functions.csv": _reference_csv(
+            ["stage", "s", "h_re", "h_im"],
+            _reference_stage_rows(
+                (term.data.s_nodes, term.data.values.real, term.data.values.imag)
+                for term in result.terms
+            ),
+        ),
+        "term_grids.csv": _reference_csv(
+            ["stage"] + [f"x{k + 1}" for k in range(dim)] + ["phi_re", "phi_im"],
+            _reference_stage_rows(
+                (points, term.phi_grid.real.ravel(), term.phi_grid.imag.ravel())
+                for term in result.terms
+            ),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [DECOMPOSE_CFG, _with(LIN1D_CFG, grid={"n": 0, "m": 4}, target="x1 + gaussian(1, 4)", K=3)],
+    ids=["vdp", "lin1d"],
+)
+def test_decompose_csvs_match_the_row_wise_reference(tmp_path, monkeypatch, cfg):
+    results = []
+
+    def keep(*args, **kwargs):
+        results.append(ke.greedy_decompose(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "greedy_decompose", keep)
+    path = write_config(tmp_path / "cfg.json", cfg)
+    candidates = RunConfig.from_dict(json.loads(json.dumps(cfg))).candidates
+    texts = []
+    for run in ("a", "b"):
+        assert main(["decompose", "--config", path, "--out", str(tmp_path / run)]) == 0
+        result = results[-1]
+        assert len(result.lambda_curves) >= 2
+        for sweep in result.lambda_curves:
+            assert np.array_equal(sweep.candidates, candidates)
+        for term in result.terms:
+            assert np.array_equal(term.data.s_nodes, result.grid.s_nodes)
+        expected = _reference_decompose_files(result)
+        texts.append({name: (tmp_path / run / name).read_bytes() for name in expected})
+        assert texts[-1] == {name: text.encode() for name, text in expected.items()}
+    assert texts[0] == texts[1]
