@@ -90,14 +90,24 @@ _P = (
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
 
-def _terms(weights) -> tuple:
-    """The (weight, stage index) pairs of the nonzero weights."""
-    return tuple((w, j) for j, w in enumerate(weights) if w != 0.0)
+def _terms(weights, sign: float) -> tuple:
+    """The (sign * weight, stage index) pairs of the nonzero weights. Each
+    is a 0-d array: numpy multiplies an array by one in about half the time
+    it takes for a Python float, with the same product."""
+    return tuple((np.array(sign * w), j) for j, w in enumerate(weights) if w != 0.0)
 
 
-_A_TERMS = tuple(_terms(a) for a in _A[1:])
-_B_TERMS, _E_TERMS = _terms(_B), _terms(_E)
-_P_TERMS = tuple(_terms([row[p] for row in _P]) for p in range(4))
+def _tables(sign: float) -> tuple:
+    """The terms of a march along sign * F: of each stage after the first
+    (the last is the new state), of the error estimate, and of the dense
+    output's powers x..x^4. Backward, the derivatives of F are kept and the
+    weights negated instead: (-w) * k is w * (-k) bit for bit."""
+    stages = tuple(_terms(a, sign) for a in _A[1:]) + (_terms(_B, sign),)
+    dense = tuple(_terms([row[p] for row in _P], sign) for p in range(4))
+    return stages, _terms(_E, sign), dense
+
+
+_TABLES = {1.0: _tables(1.0), -1.0: _tables(-1.0)}
 
 # Lane states.
 RUNNING, DONE, CROSSED, BLOW_UP, UNDERFLOW = range(5)
@@ -184,7 +194,7 @@ def _sum_sq(z: np.ndarray) -> np.ndarray:
     lane's value does not depend on the other lanes in its batch."""
     acc = z[0] * z[0]
     for row in z[1:]:
-        acc = acc + row * row
+        acc += row * row
     return acc
 
 
@@ -195,6 +205,11 @@ def _sign_change(g_old: np.ndarray, g_new: np.ndarray) -> np.ndarray:
 
 def _rms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(_sum_sq(z) / z.shape[0])
+
+
+def _status(status: Optional[np.ndarray], n: int) -> np.ndarray:
+    """status, or the status of n running lanes when it is None."""
+    return np.full(n, RUNNING) if status is None else status
 
 
 def _combine(terms, stages) -> np.ndarray:
@@ -213,14 +228,27 @@ def _combine(terms, stages) -> np.ndarray:
 class RK45:
     """Dormand-Prince 5(4) pair marching a (d, N) batch of lanes along tau >= 0.
 
-    ``fun`` maps the (d, N) state to its derivative. Every lane must land on
+    ``fun`` maps the (d, N) state to the derivative of F, and the lanes
+    march along F when ``sign`` > 0, else along -F. Every lane must land on
     each tau in ``stops`` (positive, increasing); its state there is kept in
     ``at_stops``. When ``event`` (a (d, M) array to (M,) values) is given,
     each accepted step that changes its sign records a bracket with the
-    step's dense output, and a lane retires after ``max_count`` of them.
-    ``step()`` makes one attempt for every running lane. When the batch has
-    run out, ``status``, ``tau`` and ``y`` hold each lane's retirement
-    state, and ``crossings(tol)`` refines the brackets.
+    step's dense output, and a lane retires after ``max_count`` (at least
+    1) of them. ``step()`` makes one attempt for every running lane. When
+    the batch has run out, ``status``, ``tau`` and ``y`` hold each lane's
+    retirement state, and ``crossings(tol)`` refines the brackets.
+
+    Every attempt does each lane's arithmetic: the stages, the error norm,
+    the next step size, the blow-up test and, with an event, the event at
+    each accepted state. The bookkeeping around it runs only for the lanes
+    that need it. Step sizes and growth caps are merged lane by lane only
+    when some lane was rejected or stalled. The next stop is looked up only
+    when a lane lands on one. The event's values are gathered and scattered
+    only when some lane is not live. The dense output and the ``max_count``
+    test run only when a lane brackets a crossing. The retirement status
+    is built, and the working arrays shrunk, only when a lane stalls, lands
+    on its last stop, blows up, runs out of steps or meets its last
+    crossing.
     """
 
     def __init__(
@@ -232,6 +260,7 @@ class RK45:
         *,
         event: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         max_count: int = 1,
+        sign: float = 1.0,
     ):
         y = np.array(y0, dtype=float)
         d, n = y.shape
@@ -242,6 +271,10 @@ class RK45:
             self.stops[0] > 0.0 and np.all(np.diff(self.stops) > 0.0)
         ):
             raise ValueError("stops must be positive and increasing")
+        if max_count < 1:
+            raise ValueError("max_count must be at least 1")
+        self.sign = 1.0 if sign > 0 else -1.0
+        self._stage_terms, self._error_terms, self._dense_terms = _TABLES[self.sign]
         # Retirement state of every lane.
         self.status = np.full(n, RUNNING)
         self.tau = np.zeros(n)
@@ -254,26 +287,35 @@ class RK45:
         self._tau = np.zeros(n)
         self._steps = np.zeros(n, dtype=int)
         self._next = np.zeros(n, dtype=int)
+        self._target = np.full(n, self.stops[0])  # stops[_next]
         self._count = np.zeros(n, dtype=int)
-        self._cap = np.full(n, MAX_FACTOR)  # growth cap: 1 right after a rejection
+        self._cap = None  # growth cap, 1 right after a rejection; None: MAX_FACTOR for all
         self._attempts = 0
+        # The smallest step, max(STEP_FLOOR, 10 ulp(tau)): one number when
+        # it is STEP_FLOOR up to the last stop, as ulp grows with tau >= 0.
+        self._floor = np.array(STEP_FLOOR) if 10.0 * np.spacing(self.stops[-1]) <= STEP_FLOOR else None
         with np.errstate(all="ignore"):
-            self._f = fun(y)
-            self._h = self._initial_step(y, self._f)
+            self._f = fun(y)  # FSAL derivative of F, whatever the sign
+            self._h = self._initial_step(y)
         self._g = event(y) if event is not None else None
 
     @property
     def running(self) -> bool:
         return self._lanes.size > 0
 
-    def _initial_step(self, y0: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    def _initial_step(self, y0: np.ndarray) -> np.ndarray:
         """Per-lane starting step (Hairer, Norsett & Wanner, II.4)."""
+
+        def fun(y):  # the derivative along sign * F
+            return self.fun(y) if self.sign > 0 else -self.fun(y)
+
         span = self.stops[-1]
+        f0 = self._f if self.sign > 0 else -self._f
         scale = self.tol + np.abs(y0) * self.tol
         d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, span)
-        d2 = _rms((self.fun(y0 + h0 * f0) - f0) / scale) / h0
+        d2 = _rms((fun(y0 + h0 * f0) - f0) / scale) / h0
         peak = np.maximum(d1, d2)
         h1 = np.where(peak <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / peak) ** 0.2)
         return np.minimum(np.minimum(100.0 * h0, h1), span)
@@ -286,80 +328,136 @@ class RK45:
 
     def _attempt(self) -> None:
         y, f, tau, h, tol = self._y, self._f, self._tau, self._h, self.tol
-        target = self.stops[self._next]
-        tau_new = np.minimum(tau + h, target)
-        clipped = tau_new == target
+        n = tau.size
+        floor = self._floor
+        if floor is None:
+            floor = np.maximum(STEP_FLOOR, 10.0 * np.spacing(tau))
+        steady = h >= floor  # False for NaN: the lane stalls
+        stalled = np.count_nonzero(steady) < n
+        tau_new = np.minimum(tau + h, self._target)
+        clipped = tau_new == self._target
+        landing = np.count_nonzero(clipped) > 0
         hs = tau_new - tau
-        stalled = ~(h >= np.maximum(STEP_FLOOR, 10.0 * np.spacing(tau)))  # NaN stalls too
+        hs_y = np.empty_like(y)  # hs in the shape of y: products without broadcasting
+        hs_y[...] = hs
 
         k = [f]
-        for terms in _A_TERMS:
-            k.append(self.fun(y + hs * _combine(terms, k)))
-        y_new = y + hs * _combine(_B_TERMS, k)
-        k.append(self.fun(y_new))
-        scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        err_norm = _rms(hs * _combine(_E_TERMS, k) / scale)
+        for terms in self._stage_terms:  # the last is y_new, whose derivative is FSAL
+            y_stage = _combine(terms, k)
+            y_stage *= hs_y
+            y_stage += y  # y + hs * sum, in place
+            k.append(self.fun(y_stage))
+        y_new = y_stage
+        scale = np.abs(y)
+        np.maximum(scale, np.abs(y_new), out=scale)
+        scale *= tol
+        scale += tol
+        err = _combine(self._error_terms, k)
+        err *= hs_y
+        err /= scale
+        err_norm = _rms(err)
 
         growth = SAFETY * err_norm**-0.2
-        accept = (err_norm < 1.0) & ~stalled
-        every = accept.all()
+        accept = err_norm < 1.0
+        if stalled:
+            accept &= steady
+        n_acc = np.count_nonzero(accept)
         # No growth right after a rejection; a step cut short to land on a
         # stop says nothing against the longer one.
-        h_acc = hs * np.minimum(self._cap, growth)
-        h_acc = np.where(clipped, np.maximum(h, h_acc), h_acc)
-        self._h = h_acc if every else np.where(accept, h_acc, h * np.fmax(MIN_FACTOR, growth))
-        self._cap = np.where(accept, MAX_FACTOR, 1.0)
+        h_acc = hs * np.minimum(MAX_FACTOR if self._cap is None else self._cap, growth)
+        if landing:
+            h_acc = np.where(clipped, np.maximum(h, h_acc), h_acc)
+        if n_acc == n:
+            self._h, self._cap = h_acc, None
+        else:
+            self._h = np.where(accept, h_acc, h * np.fmax(MIN_FACTOR, growth))
+            self._cap = np.where(accept, MAX_FACTOR, 1.0)
 
-        status = np.where(stalled, UNDERFLOW, RUNNING)
-        if stalled.any():
+        status = None
+        if stalled:
+            status = np.where(steady, RUNNING, UNDERFLOW)
             # A collapsing step with an enormous state is finite-time blow-up.
-            status[stalled & (_sum_sq(y) > (1e-2 * BLOWUP_BOUND) ** 2)] = BLOW_UP
-        if every or accept.any():
-            self._advance(accept, every, clipped, status, tau_new, y_new, k)
-        self._retire(status)
+            status[~steady & (_sum_sq(y) > (1e-2 * BLOWUP_BOUND) ** 2)] = BLOW_UP
+        if n_acc:
+            status = self._advance(
+                accept, n_acc, clipped if landing else None, status, tau_new, y_new, k
+            )
+        if status is not None:
+            self._retire(status)
 
-    def _advance(self, accept, every, clipped, status, tau_new, y_new, k) -> None:
-        """Move the accepted lanes; mark in status those that land on their
-        last stop, blow up, run out of steps or meet their last crossing."""
+    def _advance(self, accept, n_acc, clipped, status, tau_new, y_new, k):
+        """Move the n_acc accepted lanes. Mark in status, made when first
+        needed, those that land on their last stop, blow up, run out of steps
+        or meet their last crossing, and return it. clipped is None when no
+        step was cut short to land on a stop."""
         tau, y = self._tau, self._y
-        if every:
+        n = accept.size
+        if n_acc == n:
             self._tau, self._y, self._f = tau_new, y_new, k[-1]
         else:
             self._tau = np.where(accept, tau_new, tau)
             self._y = np.where(accept, y_new, y)
             self._f = np.where(accept, k[-1], self._f)
-        self._steps = self._steps + accept
-        blown = accept & ~(_sum_sq(y_new) <= BLOWUP_BOUND**2)
-        live = accept & ~blown
-        landed = live & clipped
-        if landed.any():
-            self.at_stops[self._next[landed], :, self._lanes[landed]] = y_new[:, landed].T
-            self._next = self._next + landed
-            status[landed & (self._next == self.stops.size)] = DONE
+        self._steps += accept
+        live = accept & (_sum_sq(y_new) <= BLOWUP_BOUND**2)
+        n_live = np.count_nonzero(live)
+        if clipped is not None:
+            landed = live & clipped
+            if np.count_nonzero(landed):
+                self.at_stops[self._next[landed], :, self._lanes[landed]] = y_new[:, landed].T
+                self._next = self._next + landed
+                last = self.stops.size
+                if np.count_nonzero(self._next == last):
+                    status = _status(status, n)
+                    status[self._next == last] = DONE
+                self._target = self.stops[np.minimum(self._next, last - 1)]
+        scan = live  # the lanes whose step is searched for a crossing
         if self._attempts > MAX_STEPS:  # no lane has more steps than attempts
-            status[live & (status == RUNNING) & (self._steps > MAX_STEPS)] = UNDERFLOW
+            over = live & (self._steps > MAX_STEPS)
+            if np.count_nonzero(over):
+                status = _status(status, n)
+                over &= status == RUNNING
+                status[over] = UNDERFLOW
+                scan = live & ~over
         if self.event is not None:
-            self._detect(k, tau, tau_new, y, np.nonzero(live & (status != UNDERFLOW))[0])
-            status[(status == RUNNING) & (self._count >= self.max_count)] = CROSSED
-        status[blown] = BLOW_UP
+            crossed = self._detect(k, tau, tau_new, y, None if scan is live and n_live == n else scan)
+            if crossed is not None:
+                full = crossed[self._count[crossed] >= self.max_count]
+                if full.size:
+                    status = _status(status, n)
+                    full = full[status[full] == RUNNING]
+                    status[full] = CROSSED
+        if n_live < n_acc:
+            status = _status(status, n)
+            status[accept & ~live] = BLOW_UP
+        return status
 
-    def _detect(self, k, tau, tau_new, y, idx) -> None:
-        """Bracket the sign changes of the event over the accepted steps idx."""
-        if idx.size == 0:
-            return
-        g_new = self.event(self._y[:, idx])
-        g_old = self._g[idx]
-        sel = _sign_change(g_old, g_new)
-        self._g[idx] = g_new
-        if not sel.any():
-            return
-        c = idx[sel]
+    def _detect(self, k, tau, tau_new, y, scan):
+        """Bracket the sign changes of the event over the accepted steps of
+        the lanes in the mask scan, or of every lane when scan is None.
+        Returns the positions of the lanes that crossed, or None."""
+        if scan is None:
+            g_old, g_new = self._g, self.event(self._y)
+            self._g = g_new
+        else:
+            idx = np.flatnonzero(scan)
+            if idx.size == 0:
+                return None
+            g_old, g_new = self._g[idx], self.event(self._y[:, idx])
+            self._g[idx] = g_new
+        if not np.count_nonzero(g_old * g_new <= 0.0):  # no sign change and no zero
+            return None
+        sel = np.flatnonzero(_sign_change(g_old, g_new))
+        if sel.size == 0:
+            return None
+        c = sel if scan is None else idx[sel]
         ks = [stage[:, c] for stage in k]
-        q = np.stack([_combine(terms, ks) for terms in _P_TERMS])
+        q = np.stack([_combine(terms, ks) for terms in self._dense_terms])
         self.brackets.append(
             (self._lanes[c], tau[c], tau_new[c], y[:, c], q, g_old[sel], g_new[sel])
         )
         self._count[c] += 1
+        return c
 
     def _retire(self, status: np.ndarray) -> None:
         out = status != RUNNING
@@ -372,8 +470,10 @@ class RK45:
         keep = ~out
         self._lanes = self._lanes[keep]
         self._y, self._f = self._y[:, keep], self._f[:, keep]
-        for name in ("_tau", "_h", "_steps", "_next", "_count", "_cap"):
+        for name in ("_tau", "_h", "_steps", "_next", "_target", "_count"):
             setattr(self, name, getattr(self, name)[keep])
+        if self._cap is not None:
+            self._cap = self._cap[keep]
         if self._g is not None:
             self._g = self._g[keep]
 
@@ -463,7 +563,7 @@ def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
     return tau, y
 
 
-def _batch_rhs(field: VectorField, sign: float):
+def _batch_rhs(field: VectorField):
     rhs = field.rhs
 
     def fun(y):
@@ -473,7 +573,7 @@ def _batch_rhs(field: VectorField, sign: float):
                 f"rhs of '{field.name}' returned shape {out.shape} for a batch of shape "
                 f"{y.shape}; a vector field must map (d, N) states to (d, N)"
             )
-        return out if sign > 0 else -out
+        return out
 
     return fun
 
@@ -498,7 +598,9 @@ def _march(
     max_count: int = 1,
 ) -> RK45:
     """Run the stepper over the (d, N) lanes y0 along sign*F until every lane retires."""
-    solver = RK45(_batch_rhs(field, sign), y0, stops, tol, event=event, max_count=max_count)
+    solver = RK45(
+        _batch_rhs(field), y0, stops, tol, event=event, max_count=max_count, sign=sign
+    )
     while solver.running:
         solver.step()
     return solver
@@ -519,6 +621,11 @@ def _lane_error(field: VectorField, solver: RK45, lane: int, sign: float) -> Not
     )
 
 
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def flow(field: VectorField, x0, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The (d,) state x0 advanced by time t along the field: ``flow_many`` of
     one state. Negative t integrates the reversed field."""
@@ -533,7 +640,7 @@ def flow_many(field: VectorField, states, times, tol: float = DEFAULT_TOL) -> np
     form marches all states as one batch that lands exactly on each time;
     a closed-form flow takes every state at every time in one call. The
     first state that blows up or underflows raises its BlowUpError or
-    StepUnderflowError.
+    StepUnderflowError. tol must be finite and positive, else ValueError.
     """
     x = as_states(field, states)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -542,8 +649,7 @@ def flow_many(field: VectorField, states, times, tol: float = DEFAULT_TOL) -> np
         raise ValueError("times must be finite and grow strictly in magnitude")
     if np.any(times > 0.0) and np.any(times < 0.0):
         raise ValueError("times must share one sign")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     out = np.empty((times.size, x.shape[0], field.dim))
     moving = mags > 0.0
     out[~moving] = x
@@ -706,9 +812,16 @@ def find_crossings_many(
     closed-form flow is scanned exactly, state by state (``_scan_closed``).
     Returns, per state, its crossings and its escape: the BlowUpError or
     StepUnderflowError that ends the orbit before any crossing, else None.
+    tol must be finite and positive, budget finite and max_count at least
+    1, else ValueError; a budget <= 0 finds no crossings.
     """
     x = as_states(field, states)
     n = x.shape[0]
+    _check_tol(tol)
+    if not np.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget!r}")
+    if max_count < 1:
+        raise ValueError(f"max_count must be at least 1, got {max_count!r}")
     if n == 0 or budget <= 0.0:
         return [[] for _ in range(n)], [None] * n
     event = _batch_event(event)

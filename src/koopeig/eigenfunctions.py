@@ -115,6 +115,8 @@ def _pull(
     t1, t2 = float(t_window[0]), float(t_window[1])
     if not (t1 <= 0.0 <= t2):
         raise ValueError("t_window must contain 0")
+    if not (np.isfinite(t1) and np.isfinite(t2)):
+        raise ValueError("t_window must be finite")
     slack = max(1e-9, 1e-3 * (t2 - t1))
     on_tol = max(1e-9, 1e-6 * manifold.extent())
 

@@ -124,6 +124,64 @@ def _check_escape_is_the_one_lane_error(method):
     assert np.array_equal(one.state, escapes[0].state)
 
 
+# Points of the vdp_lattice box, searched backward over 2.002 against the
+# default segment: two finish with no crossing, two after one, one after
+# two, one blows up with no crossing and one after a crossing.
+RETIREMENT_STARTS = [
+    [-0.2, -0.54], [-0.2, 0.367], [-0.2, -1.9], [-0.2, -0.993], [-0.04, -0.54],
+    [0.6, -1.9], [2.2, 1.5],
+]
+
+
+def test_every_retirement_kind_in_one_batch_matches_its_lanes_alone(monkeypatch):
+    system = ke.make_system("vdp")
+    field, mani = system.field, system.default_manifold
+    dyn = ke.dynamics
+    solvers = []
+    march = dyn._march
+
+    def recorded(*args, **kwargs):
+        solvers.append(march(*args, **kwargs))
+        return solvers[-1]
+
+    monkeypatch.setattr(dyn, "_march", recorded)
+    starts = np.array(RETIREMENT_STARTS)
+    kinds = {}
+    for max_count in (4, 1):
+        found, escapes = find_crossings_many(
+            field, starts, mani.surface, -1.0, 2.002, 1e-10, max_count=max_count
+        )
+        batch = solvers[-1]
+        kinds[max_count] = set(zip(batch.status.tolist(), map(len, found)))
+        for x0, lane, escape in zip(starts, found, escapes):
+            try:
+                one = dyn.find_crossings(
+                    field, x0, mani.surface, -1.0, 2.002, 1e-10, max_count=max_count
+                )
+            except ke.NotInDomainError as exc:
+                assert lane == [] and type(escape) is type(exc), f"at {x0}"
+                assert escape.time == exc.time and np.array_equal(escape.state, exc.state)
+                continue
+            assert escape is None and len(lane) == len(one), f"at {x0}"
+            for (tau_b, y_b), (tau_1, y_1) in zip(lane, one):
+                assert tau_b == tau_1 and np.array_equal(y_b, y_1), f"at {x0}"
+    # Finished with none, one or two crossings; blown up with none or one.
+    assert kinds[4] == {(dyn.DONE, 0), (dyn.DONE, 1), (dyn.DONE, 2), (dyn.BLOW_UP, 0), (dyn.BLOW_UP, 1)}
+    # Retired at max_count once the first crossing is met.
+    assert kinds[1] == {(dyn.DONE, 0), (dyn.CROSSED, 1), (dyn.BLOW_UP, 0)}
+
+    # Images at four stops, which the lanes reach on different attempts.
+    starts, times = starts[[0, 2, 4, 6]], [0.25, 0.5, 1.0, 1.5]
+    del solvers[:]
+    images = flow_many(field, starts, times, 1e-10)
+    alone = [flow_many(field, [x0], times, 1e-10)[:, 0] for x0 in starts]
+    assert len({solver._attempts for solver in solvers[1:]}) == len(starts)
+    for i, x0 in enumerate(starts):
+        assert np.array_equal(images[:, i], alone[i]), f"at {x0}"
+        for j, t in enumerate(times):
+            assert np.max(np.abs(images[j, i] - ke.flow(field, x0, t, 1e-10))) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # vectorized-RHS contract
 # ---------------------------------------------------------------------------

@@ -44,6 +44,33 @@ def test_flow_dimension_and_argument_checks(lin2d):
         ke.flow(lin2d.field, [1.0, 1.0], 1.0, tol=0.0)
 
 
+@pytest.mark.parametrize("name", ["vdp", "lin2d", "hopf"])
+def test_marches_refuse_a_tol_budget_or_window_that_makes_no_sense(name):
+    # vdp is marched by RK45; lin2d and hopf are scanned in closed form.
+    system = ke.make_system(name)
+    field, mani = system.field, system.default_manifold
+    x = [[6.0, 0.0]] if name == "hopf" else [[1.5, 1.0]]
+    for tol in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            ke.flow_many(field, x, [0.5], tol)
+        with pytest.raises(ValueError, match="tol"):
+            dynamics.find_crossings_many(field, x, mani.surface, -1.0, 2.0, tol)
+        with pytest.raises(ValueError, match="tol"):
+            ke.pullback(field, mani, (0.0, 2.0), x[0], tol)
+        with pytest.raises(ValueError, match="tol"):
+            ke.pullback_many(field, mani, (0.0, 2.0), x, tol)
+    with pytest.raises(ValueError, match="max_count"):
+        dynamics.find_crossings_many(field, x, mani.surface, -1.0, 2.0, max_count=0)
+    for window in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="t_window"):
+            ke.pullback(field, mani, window, x[0])
+    assert dynamics.find_crossings_many(field, x, mani.surface, -1.0, 0.0) == ([[]], [None])
+    assert dynamics.find_crossings_many(field, x, mani.surface, -1.0, -1.0) == ([[]], [None])
+    for budget in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="budget"):
+            dynamics.find_crossings_many(field, x, mani.surface, -1.0, budget)
+
+
 def test_convergence_order_monotone(lin2d):
     rng = np.random.default_rng(42)
     samples = [(rng.uniform(0.5, 2.0, 2), rng.uniform(0.2, 1.5)) for _ in range(100)]
