@@ -726,8 +726,10 @@ def _scan_closed(
     its right sample when |event| < tol there. The scan's other sign changes
     are refined together by ``_refine`` on the closed-form orbit, each from
     the inverse interpolant through the samples around it
-    (``_inverse_interp``); one whose iterate is blown is scanned again. The
-    orbit ends at its first blown sample; the interval before it is scanned
+    (``_inverse_interp``); one whose iterate is blown is scanned again, and
+    so is one in the interval right before a blown sample, where the event
+    is too steep for its samples to give a first iterate. The orbit ends
+    at its first blown sample; the interval before it is scanned
     again, so that crossings right before a finite-time escape are found,
     until the next scan's samples would lie closer than the floor
     1e-15 * budget; the orbit escapes at that interval's right end. A sign
@@ -757,8 +759,13 @@ def _scan_closed(
             g[1 : end + 1] = event(y[:, :end])
         ks = _sign_change(g[:end], g[1 : end + 1]).nonzero()[0][:count].tolist()
         # A sign change is a crossing at its right sample when |event| < tol
-        # there; the others are refined together.
+        # there. One right before a blown sample is scanned again: so close
+        # to the escape, its samples give no usable first iterate. The
+        # others are refined together.
         k_in = [k for k in ks if not (abs(g[k + 1]) < tol or taus[k + 1] - taus[k] < floor)]
+        steep = end - 1 if end < CLOSED_SCAN_POINTS and end - 1 in k_in else None
+        if steep is not None:
+            k_in.remove(steep)
         refined = {}
         if k_in:
             first = np.array([_inverse_interp(taus, g, k, end) for k in k_in])
@@ -771,7 +778,7 @@ def _scan_closed(
         hits: list[tuple[float, np.ndarray]] = []
         for k in ks:
             tau, state = refined.get(k, (float(taus[k + 1]), y[:, k]))
-            if np.isnan(tau):  # a blown iterate: sample the bracket again
+            if k == steep or np.isnan(tau):  # or a blown iterate: sample the bracket again
                 hits += scan(taus[k], g[k], taus[k + 1], 1)[0]
             else:
                 hits.append((tau, state.copy()))

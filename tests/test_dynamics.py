@@ -419,3 +419,28 @@ def test_closed_form_pullback_makes_few_flow_calls(lin2d):
     results = ke.pullback_many(field, mani, (0.0, 1.05), points)
     assert all(isinstance(r, ke.Pullback) for r in results)
     assert len(calls) / len(points) <= 2.5
+
+
+def test_closed_form_crossing_right_before_an_escape_takes_one_evaluation(monkeypatch):
+    # Backward from (-4.03, -0.37), the hopf orbit crosses the circle of
+    # radius 5 at tau = 0.0111 and escapes soon after: the scan's first
+    # interval (0, 4.004 / 128] holds the crossing and ends at its last
+    # finite sample, where the event is 49. Refined from that interval's two
+    # samples, the crossing took 12 evaluations; scanned again, it takes one.
+    system = ke.make_system("hopf")
+    field, mani = system.field, system.default_manifold
+    calls = []
+    refine = dynamics._refine
+
+    def counted(event, state_at, *args):
+        wrapped, seen = _counted_state_at(state_at)
+        result = refine(event, wrapped, *args)
+        calls.extend(seen)
+        return result
+
+    monkeypatch.setattr(dynamics, "_refine", counted)
+    ((tau, state),) = find_crossings(field, [-4.03, -0.37], mani.surface, -1.0, 4.004)
+    assert len(calls) == 1
+    assert abs(mani.surface(state[:, None])[0]) < 1e-10
+    ((tau_rk45, _),) = find_crossings(_rk45(field), [-4.03, -0.37], mani.surface, -1.0, 4.004)
+    assert abs(tau - tau_rk45) <= 1e-9
