@@ -293,7 +293,9 @@ class RK45:
         self._attempts = 0
         # The smallest step, max(STEP_FLOOR, 10 ulp(tau)): one number when
         # it is STEP_FLOOR up to the last stop, as ulp grows with tau >= 0.
-        self._floor = np.array(STEP_FLOOR) if 10.0 * np.spacing(self.stops[-1]) <= STEP_FLOOR else None
+        self._floor = None
+        if 10.0 * np.spacing(self.stops[-1]) <= STEP_FLOOR:
+            self._floor = np.array(STEP_FLOOR)
         with np.errstate(all="ignore"):
             self._f = fun(y)  # FSAL derivative of F, whatever the sign
             self._h = self._initial_step(y)
@@ -304,18 +306,15 @@ class RK45:
         return self._lanes.size > 0
 
     def _initial_step(self, y0: np.ndarray) -> np.ndarray:
-        """Per-lane starting step (Hairer, Norsett & Wanner, II.4)."""
-
-        def fun(y):  # the derivative along sign * F
-            return self.fun(y) if self.sign > 0 else -self.fun(y)
-
-        span = self.stops[-1]
-        f0 = self._f if self.sign > 0 else -self._f
+        """Per-lane starting step (Hairer, Norsett & Wanner, II.4), from the
+        derivatives along sign * F (a product with -1 is an exact negation)."""
+        span, sign = self.stops[-1], self.sign
+        f0 = sign * self._f
         scale = self.tol + np.abs(y0) * self.tol
         d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, span)
-        d2 = _rms((fun(y0 + h0 * f0) - f0) / scale) / h0
+        d2 = _rms((sign * self.fun(y0 + h0 * f0) - f0) / scale) / h0
         peak = np.maximum(d1, d2)
         h1 = np.where(peak <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / peak) ** 0.2)
         return np.minimum(np.minimum(100.0 * h0, h1), span)
@@ -407,11 +406,13 @@ class RK45:
                 self.at_stops[self._next[landed], :, self._lanes[landed]] = y_new[:, landed].T
                 self._next = self._next + landed
                 last = self.stops.size
-                if np.count_nonzero(self._next == last):
+                finished = self._next == last
+                if np.count_nonzero(finished):
                     status = _status(status, n)
-                    status[self._next == last] = DONE
+                    status[finished] = DONE
                 self._target = self.stops[np.minimum(self._next, last - 1)]
-        scan = live  # the lanes whose step is searched for a crossing
+        # The lanes whose step is searched for a crossing; None for all.
+        scan = None if n_live == n else live
         if self._attempts > MAX_STEPS:  # no lane has more steps than attempts
             over = live & (self._steps > MAX_STEPS)
             if np.count_nonzero(over):
@@ -420,7 +421,7 @@ class RK45:
                 status[over] = UNDERFLOW
                 scan = live & ~over
         if self.event is not None:
-            crossed = self._detect(k, tau, tau_new, y, None if scan is live and n_live == n else scan)
+            crossed = self._detect(k, tau, tau_new, y, scan)
             if crossed is not None:
                 full = crossed[self._count[crossed] >= self.max_count]
                 if full.size:
