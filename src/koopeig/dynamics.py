@@ -291,11 +291,6 @@ class RK45:
         self._count = np.zeros(n, dtype=int)
         self._cap = None  # growth cap, 1 right after a rejection; None: MAX_FACTOR for all
         self._attempts = 0
-        # The smallest step, max(STEP_FLOOR, 10 ulp(tau)): one number when
-        # it is STEP_FLOOR up to the last stop, as ulp grows with tau >= 0.
-        self._floor = None
-        if 10.0 * np.spacing(self.stops[-1]) <= STEP_FLOOR:
-            self._floor = np.array(STEP_FLOOR)
         with np.errstate(all="ignore"):
             self._f = fun(y)  # FSAL derivative of F, whatever the sign
             self._h = self._initial_step(y)
@@ -328,10 +323,7 @@ class RK45:
     def _attempt(self) -> None:
         y, f, tau, h, tol = self._y, self._f, self._tau, self._h, self.tol
         n = tau.size
-        floor = self._floor
-        if floor is None:
-            floor = np.maximum(STEP_FLOOR, 10.0 * np.spacing(tau))
-        steady = h >= floor  # False for NaN: the lane stalls
+        steady = h >= np.maximum(STEP_FLOOR, 10.0 * np.spacing(tau))  # False for NaN: it stalls
         stalled = np.count_nonzero(steady) < n
         tau_new = np.minimum(tau + h, self._target)
         clipped = tau_new == self._target
