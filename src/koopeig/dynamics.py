@@ -294,7 +294,8 @@ class RK45:
         with np.errstate(all="ignore"):
             self._f = fun(y)  # FSAL derivative of F, whatever the sign
             self._h = self._initial_step(y)
-        self._g = event(y) if event is not None else None
+        # A copy: an event may return a view of its input, and _g is written in place.
+        self._g = np.array(event(y), dtype=float) if event is not None else None
 
     @property
     def running(self) -> bool:
@@ -431,7 +432,7 @@ class RK45:
         Returns the positions of the lanes that crossed, or None."""
         if scan is None:
             g_old, g_new = self._g, self.event(self._y)
-            self._g = g_new
+            self._g = g_new.copy()  # not a view of the states, which _g[idx] = ... would write
         else:
             idx = np.flatnonzero(scan)
             if idx.size == 0:

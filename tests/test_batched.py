@@ -182,6 +182,26 @@ def test_every_retirement_kind_in_one_batch_matches_its_lanes_alone(monkeypatch)
             assert np.max(np.abs(images[j, i] - ke.flow(field, x0, t, 1e-10))) <= 1e-8
 
 
+
+def test_batched_crossings_of_an_event_that_views_its_states_match_one_lane():
+    # The event x[1] returns a row of its input. Over 6.0 forward, the lanes
+    # are rejected on different attempts, so steps where every lane moves are
+    # followed by steps where only some do; each lane still sees only its own
+    # states.
+    field = ke.make_system("vdp").field
+    starts = np.array(RETIREMENT_STARTS)
+    found, escapes = find_crossings_many(
+        field, starts, lambda x: x[1], 1.0, 6.0, 1e-10, max_count=4
+    )
+    assert escapes == [None] * len(starts)
+    for x0, lane in zip(starts, found):
+        one = ke.dynamics.find_crossings(field, x0, lambda x: x[1], 1.0, 6.0, 1e-10, max_count=4)
+        assert len(lane) == len(one) == 2, f"at {x0}"
+        for (tau_b, y_b), (tau_1, y_1) in zip(lane, one):
+            assert tau_b == tau_1 and np.array_equal(y_b, y_1), f"at {x0}"
+            assert abs(y_b[1]) < 1e-10, f"at {x0}"
+
+
 # ---------------------------------------------------------------------------
 # vectorized-RHS contract
 # ---------------------------------------------------------------------------
