@@ -90,24 +90,18 @@ _P = (
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
 
-def _terms(weights, sign: float) -> tuple:
-    """The (sign * weight, stage index) pairs of the nonzero weights. Each
+def _terms(weights) -> tuple:
+    """The (weight, stage index) pairs of the nonzero weights. Each weight
     is a 0-d array: numpy multiplies an array by one in about half the time
     it takes for a Python float, with the same product."""
-    return tuple((np.array(sign * w), j) for j, w in enumerate(weights) if w != 0.0)
+    return tuple((np.array(w), j) for j, w in enumerate(weights) if w != 0.0)
 
 
-def _tables(sign: float) -> tuple:
-    """The terms of a march along sign * F: of each stage after the first
-    (the last is the new state), of the error estimate, and of the dense
-    output's powers x..x^4. Backward, the derivatives of F are kept and the
-    weights negated instead: (-w) * k is w * (-k) bit for bit."""
-    stages = tuple(_terms(a, sign) for a in _A[1:]) + (_terms(_B, sign),)
-    dense = tuple(_terms([row[p] for row in _P], sign) for p in range(4))
-    return stages, _terms(_E, sign), dense
-
-
-_TABLES = {1.0: _tables(1.0), -1.0: _tables(-1.0)}
+# The terms of each stage after the first (the last is the new state), of
+# the error estimate, and of the dense output's powers x..x^4.
+_STAGE_TERMS = tuple(_terms(a) for a in _A[1:]) + (_terms(_B),)
+_E_TERMS = _terms(_E)
+_P_TERMS = tuple(_terms([row[p] for row in _P]) for p in range(4))
 
 # Lane states.
 RUNNING, DONE, CROSSED, BLOW_UP, UNDERFLOW = range(5)
@@ -228,8 +222,7 @@ def _combine(terms, stages) -> np.ndarray:
 class RK45:
     """Dormand-Prince 5(4) pair marching a (d, N) batch of lanes along tau >= 0.
 
-    ``fun`` maps the (d, N) state to the derivative of F, and the lanes
-    march along F when ``sign`` > 0, else along -F. Every lane must land on
+    ``fun`` maps the (d, N) state to its derivative. Every lane must land on
     each tau in ``stops`` (positive, increasing); its state there is kept in
     ``at_stops``. When ``event`` (a (d, M) array to (M,) values) is given,
     each accepted step that changes its sign records a bracket with the
@@ -260,7 +253,6 @@ class RK45:
         *,
         event: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         max_count: int = 1,
-        sign: float = 1.0,
     ):
         y = np.array(y0, dtype=float)
         d, n = y.shape
@@ -273,8 +265,6 @@ class RK45:
             raise ValueError("stops must be positive and increasing")
         if max_count < 1:
             raise ValueError("max_count must be at least 1")
-        self.sign = 1.0 if sign > 0 else -1.0
-        self._stage_terms, self._error_terms, self._dense_terms = _TABLES[self.sign]
         # Retirement state of every lane.
         self.status = np.full(n, RUNNING)
         self.tau = np.zeros(n)
@@ -292,8 +282,8 @@ class RK45:
         self._cap = None  # growth cap, 1 right after a rejection; None: MAX_FACTOR for all
         self._attempts = 0
         with np.errstate(all="ignore"):
-            self._f = fun(y)  # FSAL derivative of F, whatever the sign
-            self._h = self._initial_step(y)
+            self._f = fun(y)
+            self._h = self._initial_step(y, self._f)
         # A copy: an event may return a view of its input, and _g is written in place.
         self._g = np.array(event(y), dtype=float) if event is not None else None
 
@@ -301,16 +291,14 @@ class RK45:
     def running(self) -> bool:
         return self._lanes.size > 0
 
-    def _initial_step(self, y0: np.ndarray) -> np.ndarray:
-        """Per-lane starting step (Hairer, Norsett & Wanner, II.4), from the
-        derivatives along sign * F (a product with -1 is an exact negation)."""
-        span, sign = self.stops[-1], self.sign
-        f0 = sign * self._f
+    def _initial_step(self, y0: np.ndarray, f0: np.ndarray) -> np.ndarray:
+        """Per-lane starting step (Hairer, Norsett & Wanner, II.4)."""
+        span = self.stops[-1]
         scale = self.tol + np.abs(y0) * self.tol
         d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, span)
-        d2 = _rms((sign * self.fun(y0 + h0 * f0) - f0) / scale) / h0
+        d2 = _rms((self.fun(y0 + h0 * f0) - f0) / scale) / h0
         peak = np.maximum(d1, d2)
         h1 = np.where(peak <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / peak) ** 0.2)
         return np.minimum(np.minimum(100.0 * h0, h1), span)
@@ -334,7 +322,7 @@ class RK45:
         hs_y[...] = hs
 
         k = [f]
-        for terms in self._stage_terms:  # the last is y_new, whose derivative is FSAL
+        for terms in _STAGE_TERMS:  # the last is y_new, whose derivative is FSAL
             y_stage = _combine(terms, k)
             y_stage *= hs_y
             y_stage += y  # y + hs * sum, in place
@@ -344,7 +332,7 @@ class RK45:
         np.maximum(scale, np.abs(y_new), out=scale)
         scale *= tol
         scale += tol
-        err = _combine(self._error_terms, k)
+        err = _combine(_E_TERMS, k)
         err *= hs_y
         err /= scale
         err_norm = _rms(err)
@@ -439,14 +427,15 @@ class RK45:
                 return None
             g_old, g_new = self._g[idx], self.event(self._y[:, idx])
             self._g[idx] = g_new
-        if not np.count_nonzero(g_old * g_new <= 0.0):  # no sign change and no zero
+        cand = g_old * g_new <= 0.0
+        if not np.count_nonzero(cand):  # no sign change and no zero
             return None
-        sel = np.flatnonzero(_sign_change(g_old, g_new))
+        sel = np.flatnonzero(cand & ((g_old != 0.0) | (g_new != 0.0)))  # a zero counts once
         if sel.size == 0:
             return None
         c = sel if scan is None else idx[sel]
         ks = [stage[:, c] for stage in k]
-        q = np.stack([_combine(terms, ks) for terms in self._dense_terms])
+        q = np.stack([_combine(terms, ks) for terms in _P_TERMS])
         self.brackets.append(
             (self._lanes[c], tau[c], tau_new[c], y[:, c], q, g_old[sel], g_new[sel])
         )
@@ -557,7 +546,7 @@ def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
     return tau, y
 
 
-def _batch_rhs(field: VectorField):
+def _batch_rhs(field: VectorField, sign: float):
     rhs = field.rhs
 
     def fun(y):
@@ -567,7 +556,7 @@ def _batch_rhs(field: VectorField):
                 f"rhs of '{field.name}' returned shape {out.shape} for a batch of shape "
                 f"{y.shape}; a vector field must map (d, N) states to (d, N)"
             )
-        return out
+        return out if sign > 0 else -out
 
     return fun
 
@@ -592,9 +581,7 @@ def _march(
     max_count: int = 1,
 ) -> RK45:
     """Run the stepper over the (d, N) lanes y0 along sign*F until every lane retires."""
-    solver = RK45(
-        _batch_rhs(field), y0, stops, tol, event=event, max_count=max_count, sign=sign
-    )
+    solver = RK45(_batch_rhs(field, sign), y0, stops, tol, event=event, max_count=max_count)
     while solver.running:
         solver.step()
     return solver
