@@ -121,31 +121,26 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     eig = OpenEigenfunction(
         cfg.eig_lambda, data, manifold, system.field, window, tol=cfg.integrator_tol
     )
-    values, misses = evaluate_points(eig, points)
-    in_domain = [val for val in values if val is not None]
-    table = np.array(
-        [(*v.x, v.phi.real, v.phi.imag, v.r_star, v.s_star) for v in in_domain], dtype=float
-    ).reshape(-1, dim + 4)
+    phi, r_star, s_star, misses = evaluate_points(eig, points)
+    hit = ~np.isnan(r_star)
     write_csv(
         out_dir / "keig_grid.csv",
         [f"x{k + 1}" for k in range(dim)] + ["phi_re", "phi_im", "r_star", "s_star"],
-        table.T,
+        [*points[hit].T, phi[hit].real, phi[hit].imag, r_star[hit], s_star[hit]],
     )
     n_total = len(points)
-    n_ok = len(in_domain)
+    n_ok = int(hit.sum())
 
     # Self-certification spot check on points whose short-time image stays in
     # the window.
     t_spot = min(0.1, 0.25 * (window[1] - window[0]) if window[1] > window[0] else 0.1)
-    safe = [v for v in in_domain if v.r_star + t_spot < window[1] - 1e-6]
+    safe = np.flatnonzero(hit & (r_star + t_spot < window[1] - 1e-6))
     spot = None
-    if safe:
+    if safe.size:
         rng = np.random.default_rng(cfg.seed)
         picks = rng.choice(len(safe), size=min(10, len(safe)), replace=False)
         try:
-            spot = koopman_residual(
-                eig, [safe[i].x for i in picks], t_spot, tol=cfg.integrator_tol
-            )
+            spot = koopman_residual(eig, points[safe[picks]], t_spot, tol=cfg.integrator_tol)
         except NotInDomainError:
             spot = None
     summary = {

@@ -165,17 +165,14 @@ def _closed_flow(field: VectorField, x: np.ndarray, t: np.ndarray) -> tuple[np.n
         return y, ~(_sum_sq(y) <= BLOWUP_BOUND**2)
 
 
-def _closed_at(field: VectorField, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``_closed_flow`` that raises BlowUpError for the first blown column."""
-    y, blown = _closed_flow(field, x, t)
-    if blown.any():
-        j = int(np.argmax(blown))
-        raise BlowUpError(
-            f"closed-form flow of '{field.name}' left the bound {BLOWUP_BOUND:g} at t={t[j]:g}",
-            time=float(t[j]),
-            state=y[:, j].copy(),
-        )
-    return y
+def _blow_up(field: VectorField, time: float, state: np.ndarray) -> BlowUpError:
+    """The escape of an orbit of the field past ``BLOWUP_BOUND`` at the
+    signed time ``time``, at its (d,) last state."""
+    return BlowUpError(
+        f"orbit of '{field.name}' left the bound {BLOWUP_BOUND:g} at t={time:g}",
+        time=time,
+        state=state.copy(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +587,7 @@ def _march(
 def _lane_error(field: VectorField, solver: RK45, lane: int, sign: float) -> NotInDomainError:
     tau = float(solver.tau[lane])
     if solver.status[lane] == BLOW_UP:
-        return BlowUpError(
-            f"trajectory of '{field.name}' left the bound {BLOWUP_BOUND:g} "
-            f"near tau={tau:g}",
-            time=sign * tau,
-            state=solver.y[:, lane].copy(),
-        )
+        return _blow_up(field, sign * tau, solver.y[:, lane])
     return StepUnderflowError(
         f"step size of '{field.name}' fell below {STEP_FLOOR:g}, or the march "
         f"exceeded {MAX_STEPS} steps, at tau={tau:g}"
@@ -638,7 +630,10 @@ def flow_many(field: VectorField, states, times, tol: float = DEFAULT_TOL) -> np
         return out
     if field.closed_form_flow is not None:
         n, t = x.shape[0], times[moving]
-        y = _closed_at(field, np.tile(x.T, t.size), np.repeat(t, n))
+        y, blown = _closed_flow(field, np.tile(x.T, t.size), np.repeat(t, n))
+        if blown.any():
+            j = int(np.argmax(blown))
+            raise _blow_up(field, float(t[j // n]), y[:, j])
         out[moving] = y.T.reshape(t.size, n, field.dim)
         return out
     sign = 1.0 if times[-1] > 0 else -1.0
@@ -683,10 +678,11 @@ def find_crossings(
 ) -> list[tuple[float, np.ndarray]]:
     """Locate up to max_count sign changes of event along sign*F over [0, budget].
 
-    ``find_crossings_many`` of one state. ``event`` maps (d, N) states to
-    (N,) values. Blow-up or step underflow occurring after at least one
-    crossing means the orbit left the domain and simply ends the scan;
-    before any crossing it propagates.
+    ``find_crossings_many`` of one state: sign is 1 (forward) or -1
+    (backward). ``event`` maps (d, N) states to (N,) values. Blow-up or
+    step underflow occurring after at least one crossing means the orbit
+    left the domain and simply ends the scan; before any crossing it
+    propagates.
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     (found,), (escape,) = find_crossings_many(
@@ -766,7 +762,7 @@ def _scan_closed(
         if len(hits) >= count or end == CLOSED_SCAN_POINTS:
             return hits, None
         if taus[end + 1] - taus[end] < CLOSED_SCAN_POINTS * floor:
-            return hits, (float(taus[end + 1]), y[:, end].copy())
+            return hits, (float(taus[end + 1]), y[:, end])
         more, escape = scan(taus[end], g[end], taus[end + 1], count - len(hits))
         return hits + more, escape
 
@@ -774,12 +770,7 @@ def _scan_closed(
     if escape is None or found:
         return found, None
     tau, state = escape
-    return found, BlowUpError(
-        f"closed-form orbit of '{field.name}' escapes the bound {BLOWUP_BOUND:g} "
-        f"near tau={tau:g}",
-        time=sign * tau,
-        state=state,
-    )
+    return found, _blow_up(field, sign * tau, state)
 
 
 def find_crossings_many(
@@ -794,17 +785,20 @@ def find_crossings_many(
 ) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[NotInDomainError]]]:
     """Up to max_count crossings of event along sign*F over [0, budget] for N states.
 
+    sign is 1 to search forward in time and -1 to search backward.
     ``event`` maps a (d, M) array to M values. A field without a closed
     form marches every state as one lane of a batch, and its crossings are
     refined by ``_refine`` on the steps' dense output to |event| < tol. A
     closed-form flow is scanned exactly, state by state (``_scan_closed``).
     Returns, per state, its crossings and its escape: the BlowUpError or
     StepUnderflowError that ends the orbit before any crossing, else None.
-    tol must be finite and positive, budget finite and max_count at least
-    1, else ValueError; a budget <= 0 finds no crossings.
+    sign must be 1 or -1, tol finite and positive, budget finite and
+    max_count at least 1, else ValueError; a budget <= 0 finds no crossings.
     """
     x = as_states(field, states)
     n = x.shape[0]
+    if sign not in (1.0, -1.0):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     _check_tol(tol)
     if not np.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget!r}")

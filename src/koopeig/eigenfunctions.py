@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "levelset_transversality",
     "same_primary_class",
     "evaluate_points",
-    "PointValue",
 ]
 
 PRIMARY_CLASS_THRESHOLD = 1e-4
@@ -235,10 +234,10 @@ class OpenEigenfunction(_EigenfunctionBase):
 
     def values(self, points) -> np.ndarray:
         """phi at N points; the first miss raises its ``pullback`` NotInDomainError."""
-        found, misses = evaluate_points(self, points)
+        phi, _, _, misses = evaluate_points(self, points)
         if misses:
             raise _miss_error(misses[0])
-        return np.array([v.phi for v in found], dtype=complex)
+        return phi
 
 
 @dataclass(frozen=True)
@@ -409,31 +408,22 @@ def same_primary_class(
     return bool(np.all(levelset_transversality(eig1, eig2, points) <= PRIMARY_CLASS_THRESHOLD))
 
 
-@dataclass(frozen=True)
-class PointValue:
-    x: np.ndarray
-    phi: complex
-    r_star: float
-    s_star: float
-
-
 def evaluate_points(
     eig: OpenEigenfunction, points: Sequence
-) -> tuple[list[Optional[PointValue]], list[str]]:
-    """Evaluate on many points: the values, where None marks points outside
-    the domain, and the miss reason (one of MISS_REASONS) of each None in
-    point order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """Evaluate on many points: phi, r* and s*, each an (N,) array in point
+    order with NaN at the points outside the domain, and the miss reason (one
+    of MISS_REASONS) of each such point in point order.
 
-    A field without a closed form pulls every point back in one batch, and
-    phi of every hit is one array expression.
+    A field without a closed form pulls every point back in one batch. phi is
+    one array expression over the hits, so ``eig.data`` never sees a miss.
     """
-    pts = as_states(eig.field, points)
-    pbs = pullback_many(eig.field, eig.manifold, eig.t_window, pts, eig.tol)
-    hits = [i for i, pb in enumerate(pbs) if not isinstance(pb, str)]
-    r_star = np.array([pbs[i].r_star for i in hits])
-    s_star = np.array([pbs[i].s_star for i in hits])
-    phi = eig.data(s_star) * np.exp(eig.eigenvalue * r_star)
-    values: list[Optional[PointValue]] = [None] * len(pbs)
-    for i, v in zip(hits, phi.tolist()):
-        values[i] = PointValue(pts[i], v, pbs[i].r_star, pbs[i].s_star)
-    return values, [pb for pb in pbs if isinstance(pb, str)]
+    pbs = pullback_many(eig.field, eig.manifold, eig.t_window, points, eig.tol)
+    hit = np.array([not isinstance(pb, str) for pb in pbs], dtype=bool)
+    feet = [pb for pb in pbs if not isinstance(pb, str)]
+    r_star, s_star = np.full((2, len(pbs)), np.nan)
+    r_star[hit] = [pb.r_star for pb in feet]
+    s_star[hit] = [pb.s_star for pb in feet]
+    phi = np.full(len(pbs), np.nan, dtype=complex)
+    phi[hit] = eig.data(s_star[hit]) * np.exp(eig.eigenvalue * r_star[hit])
+    return phi, r_star, s_star, [pb for pb in pbs if isinstance(pb, str)]

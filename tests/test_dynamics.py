@@ -61,6 +61,12 @@ def test_marches_refuse_a_tol_budget_or_window_that_makes_no_sense(name):
             ke.pullback_many(field, mani, (0.0, 2.0), x, tol)
     with pytest.raises(ValueError, match="max_count"):
         dynamics.find_crossings_many(field, x, mani.surface, -1.0, 2.0, max_count=0)
+    for sign in (-2.0, 0.5, 0.0):
+        for budget in (2.0, 0.0):
+            with pytest.raises(ValueError, match="sign"):
+                dynamics.find_crossings_many(field, x, mani.surface, sign, budget)
+        with pytest.raises(ValueError, match="sign"):
+            dynamics.find_crossings(field, x[0], mani.surface, sign, 2.0)
     for window in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError, match="t_window"):
             ke.pullback(field, mani, window, x[0])

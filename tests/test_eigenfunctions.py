@@ -465,9 +465,15 @@ def test_levelset_stencil_domain_violation(lin2d, horizontal_manifold):
 # ---------------------------------------------------------------------------
 
 
-def test_evaluate_points_marks_out_of_domain(observer_eig):
-    values, misses = ke.evaluate_points(observer_eig, [[1.5, 2.0], [1.0, 50.0]])
-    assert values[0] is not None and values[1] is None
+@pytest.mark.parametrize("marched", [False, True], ids=["exact", "rk45"])
+def test_evaluate_points_marks_out_of_domain(observer_eig, marched):
+    eig = observer_eig
+    if marched:
+        eig = dataclasses.replace(eig, field=dataclasses.replace(eig.field, closed_form_flow=None))
+    phi, r_star, s_star, misses = ke.evaluate_points(eig, [[1.5, 2.0], [1.0, 50.0]])
+    assert phi.shape == r_star.shape == s_star.shape == (2,)
+    assert not np.isnan([phi[0], r_star[0], s_star[0]]).any()
+    assert np.isnan([phi[1], r_star[1], s_star[1]]).all()
     assert misses == ["no_crossing"]
-    assert values[0].phi == pytest.approx(2.0, abs=1e-8)
-    assert values[0].r_star == pytest.approx(math.log(2.0) / 2.0, abs=1e-8)
+    assert phi[0] == pytest.approx(2.0, abs=1e-8)
+    assert r_star[0] == pytest.approx(math.log(2.0) / 2.0, abs=1e-8)
