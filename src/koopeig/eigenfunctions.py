@@ -54,8 +54,10 @@ __all__ = [
 ]
 
 PRIMARY_CLASS_THRESHOLD = 1e-4
-# Crossings of the supporting surface a search collects in each direction.
-# More than one of them on the manifold makes the pullback ambiguous.
+# The first cap on the crossings of the supporting surface that a search
+# collects in each direction. A point that meets the cap with fewer than two
+# feet is searched again under twice the cap; more than one foot in a
+# direction makes the pullback ambiguous.
 AMBIGUITY_COUNT = 4
 
 
@@ -90,15 +92,19 @@ def _pull(
     t_window,
     pts: np.ndarray,
     tol: float,
-) -> list:
-    """The search behind ``pullback`` and ``pullback_many``: per (N, d) point
-    a Pullback or its miss reason.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The search behind ``pullback`` and ``pullback_many`` on the (N, d)
+    points: r* and s* as (N,) arrays, the feet as (d, N), all NaN at the
+    misses, and the miss reasons in point order.
 
     A point on the manifold itself is its own foot, at r* = 0. The others are
     searched backward over the downstream part of the window, t2 plus a
     slack, and then, when t1 < 0, forward over the upstream part, -t1 plus
     the slack. A foot is a crossing of the supporting surface whose state
-    lies on the manifold. The rules that settle a point:
+    lies on the manifold. A search collects up to AMBIGUITY_COUNT crossings;
+    a point that meets that cap with fewer than two feet is searched again
+    from its start under twice the cap, until it has two feet, finds fewer
+    crossings than the cap or escapes. The rules that settle a point:
 
     - only a point with no backward foot is searched forward;
     - one foot in a direction is the pullback: r* = tau backward, and
@@ -119,35 +125,44 @@ def _pull(
     slack = max(1e-9, 1e-3 * (t2 - t1))
     on_tol = max(1e-9, 1e-6 * manifold.extent())
 
-    results: list = [None] * pts.shape[0]
+    # Rows r*, s* and the foot's coordinates, one column per point.
+    out = np.full((2 + pts.shape[1], pts.shape[0]), np.nan)
+    reason = np.full(pts.shape[0], NO_CROSSING, dtype=object)
     near = np.flatnonzero(np.abs(manifold.surface(pts.T)) < tol)
     if near.size:
         s, on = _on_manifold(manifold, pts[near].T, on_tol)
-        for i, s_i in zip(near[on].tolist(), s[on].tolist()):
-            results[i] = Pullback(0.0, s_i, pts[i].copy())
-    escapes: dict = {}
+        near = near[on]
+        out[0, near], out[1, near], out[2:, near] = 0.0, s[on], pts[near].T
     passes = [(-1.0, t2 + slack)] + ([(1.0, -t1 + slack)] if t1 < 0.0 else [])
     for sign, budget in passes:
-        idx = [i for i, result in enumerate(results) if result is None]
-        crossings, escaped = find_crossings_many(
-            field, pts[idx], manifold.surface, sign, budget, tol, max_count=AMBIGUITY_COUNT
-        )
-        feet: dict = {}
-        flat = [(i, tau, state) for i, found in zip(idx, crossings) for tau, state in found]
-        if flat:
-            s, on = _on_manifold(manifold, np.column_stack([c[2] for c in flat]), on_tol)
-            for (i, tau, state), s_k, on_k in zip(flat, s.tolist(), on.tolist()):
-                if on_k:
-                    feet.setdefault(i, []).append(Pullback(-sign * tau, s_k, state))
-        for i, exc in zip(idx, escaped):
-            if i in feet:
-                results[i] = feet[i][0] if len(feet[i]) == 1 else AMBIGUOUS
-            elif exc is not None:
-                escapes.setdefault(i, exc.reason)
-    return [
-        escapes.get(i, NO_CROSSING) if result is None else result
-        for i, result in enumerate(results)
-    ]
+        idx = np.flatnonzero(np.isnan(out[0]) & (reason != AMBIGUOUS))
+        cap = AMBIGUITY_COUNT
+        while True:
+            crossings, escaped = find_crossings_many(
+                field, pts[idx], manifold.surface, sign, budget, tol, max_count=cap
+            )
+            # A lane that escapes has no crossings; its first escape names its miss.
+            for i, exc in zip(idx.tolist(), escaped):
+                if exc is not None and reason[i] == NO_CROSSING:
+                    reason[i] = exc.reason
+            counts = [len(found) for found in crossings]
+            if not any(counts):
+                break
+            # Every crossing as a column r*, s, state, like the columns of out.
+            lane = np.repeat(np.arange(idx.size), counts)
+            flat = np.array([(-sign * tau, 0.0, *y) for found in crossings for tau, y in found]).T
+            flat[1], on = _on_manifold(manifold, flat[2:], on_tol)
+            feet = np.bincount(lane[on], minlength=idx.size)
+            # A lane that met the cap with fewer than two feet is searched again.
+            again = (np.array(counts) == cap) & (feet < 2)
+            one = on & ((feet == 1) & ~again)[lane]
+            out[:, idx[lane[one]]] = flat[:, one]
+            reason[idx[feet > 1]] = AMBIGUOUS
+            idx, cap = idx[again], 2 * cap
+            if not idx.size:
+                break
+    r_star, s_star = out[0], out[1]
+    return r_star, s_star, out[2:], reason[np.isnan(r_star)].tolist()
 
 
 def pullback(
@@ -167,10 +182,10 @@ def pullback(
     NO_CROSSING or the reason of the search's escape, BLOW_UP or STEP_UNDERFLOW.
     """
     pts = as_states(field, [np.asarray(x, dtype=float).reshape(-1)])
-    (result,) = _pull(field, manifold, t_window, pts, tol)
-    if isinstance(result, str):
-        raise _miss_error(result)
-    return result
+    r_star, s_star, feet, misses = _pull(field, manifold, t_window, pts, tol)
+    if misses:
+        raise _miss_error(misses[0])
+    return Pullback(float(r_star[0]), float(s_star[0]), feet[:, 0].copy())
 
 
 def pullback_many(
@@ -179,26 +194,30 @@ def pullback_many(
     t_window: tuple[float, float],
     points,
     tol: float = DEFAULT_TOL,
-) -> list:
-    """``pullback`` of N points: per point a Pullback or its miss reason.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """``pullback`` of N points: r* and s* as (N,) arrays and the feet as a
+    (d, N) array, all NaN at the misses, and the miss reason (one of
+    MISS_REASONS) of each miss in point order.
 
-    A miss reason is one of MISS_REASONS. A field without a closed form
-    marches every point as one lane of a batch, backward and then (when
-    t1 < 0) forward, under the rules of ``_pull``; a closed-form flow runs
-    the exact scan point by point.
+    A field without a closed form marches every point as one lane of a
+    batch, backward and then (when t1 < 0) forward, under the rules of
+    ``_pull``; a closed-form flow runs the exact scan point by point.
     """
     pts = as_states(field, points)
     if field.closed_form_flow is None:
         return _pull(field, manifold, t_window, pts, tol)
     # One ``pullback`` call per point, so that perfbench/tracing.py, which
     # patches eigenfunctions.pullback, times each exact scan.
-    out: list = []
-    for x in pts:
+    out = np.full((2 + pts.shape[1], pts.shape[0]), np.nan)
+    misses: list[str] = []
+    for j, x in enumerate(pts):
         try:
-            out.append(pullback(field, manifold, t_window, x, tol))
+            pb = pullback(field, manifold, t_window, x, tol)
         except NotInDomainError as exc:
-            out.append(exc.reason)
-    return out
+            misses.append(exc.reason)
+            continue
+        out[0, j], out[1, j], out[2:, j] = pb.r_star, pb.s_star, pb.foot
+    return out[0], out[1], out[2:], misses
 
 
 class _EigenfunctionBase:
@@ -415,15 +434,13 @@ def evaluate_points(
     order with NaN at the points outside the domain, and the miss reason (one
     of MISS_REASONS) of each such point in point order.
 
-    A field without a closed form pulls every point back in one batch. phi is
-    one array expression over the hits, so ``eig.data`` never sees a miss.
+    r*, s* and the misses are ``pullback_many``'s columns as they come. phi
+    is one array expression over the hits, so ``eig.data`` never sees a miss.
     """
-    pbs = pullback_many(eig.field, eig.manifold, eig.t_window, points, eig.tol)
-    hit = np.array([not isinstance(pb, str) for pb in pbs], dtype=bool)
-    feet = [pb for pb in pbs if not isinstance(pb, str)]
-    r_star, s_star = np.full((2, len(pbs)), np.nan)
-    r_star[hit] = [pb.r_star for pb in feet]
-    s_star[hit] = [pb.s_star for pb in feet]
-    phi = np.full(len(pbs), np.nan, dtype=complex)
+    r_star, s_star, _, misses = pullback_many(
+        eig.field, eig.manifold, eig.t_window, points, eig.tol
+    )
+    hit = ~np.isnan(r_star)
+    phi = np.full(r_star.shape, np.nan, dtype=complex)
     phi[hit] = eig.data(s_star[hit]) * np.exp(eig.eigenvalue * r_star[hit])
-    return phi, r_star, s_star, [pb for pb in pbs if isinstance(pb, str)]
+    return phi, r_star, s_star, misses

@@ -12,6 +12,7 @@ import pytest
 
 import koopeig as ke
 from koopeig.cli import main
+from koopeig.config import RunConfig
 from koopeig.decomposition import TargetSample, fit_h
 from koopeig.decomposition import CharacteristicGrid
 
@@ -308,3 +309,87 @@ def test_criterion_10_determinism(tmp_path):
                 assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
                 outs.append((out / report).read_bytes())
             assert outs[0] == outs[1], f"{cmd}: {report} differs between runs"
+
+
+def _monomials(x, degree):
+    """Every monomial x1^a x2^b with a + b <= degree at the (2, N) states, (N, terms)."""
+    return np.stack(
+        [x[0] ** (k - j) * x[1] ** j for k in range(degree + 1) for j in range(k + 1)], axis=-1
+    )
+
+
+def _omp(columns, b, count):
+    """Orthogonal matching pursuit: count columns picked one at a time by
+    their correlation with the residual, fitted jointly by least squares.
+    Returns the picked indices and the relative residual."""
+    columns = columns / np.linalg.norm(columns, axis=0)
+    picked, residual = [], b.astype(complex)
+    for _ in range(count):
+        picked.append(int(np.argmax(np.abs(columns.conj().T @ residual))))
+        coef = np.linalg.lstsq(columns[:, picked], b, rcond=None)[0]
+        residual = b - columns[:, picked] @ coef
+    return picked, float(np.linalg.norm(residual) / np.linalg.norm(b))
+
+
+def test_greedy_dictionary_beats_edmd_on_the_same_snapshots():
+    # EDMD (Williams, Kevrekidis & Rowley, J. Nonlinear Sci. 25, 2015) with
+    # the monomials of degree <= p, fitted on the characteristic grid's
+    # snapshot pairs: the states r_j and r_{j+1} of each orbit. Eight of its
+    # eigenfunctions are picked by OMP and fitted jointly to the same target
+    # on the same 1,681 nodes as the greedy dictionary of eight terms. Seed 0
+    # measured: EDMD fits 2.4e-2 at best (p = 10) and the greedy dictionary
+    # 6.2e-3; EDMD's median one-step defect is 2.6e-4 at best, the greedy
+    # terms' at most 7.9e-9.
+    cfg = RunConfig.from_dict({
+        "system": {"name": "vdp"},
+        "t_window": [0.0, 2.0],
+        "grid": {"n": 40, "m": 40},
+        "target": "gaussian(3, 10)",
+        "lambda_sweep": {
+            "re_range": [-5.0, 5.0], "count": 101, "im_range": [-4.0, 4.0], "im_count": 41,
+        },
+        "K": 8,
+        "stop_tol": 1e-12,
+        "integrator_tol": 1e-10,
+    })
+    t0 = time.perf_counter()
+    tol = cfg.integrator_tol
+    grid = ke.build_grid(cfg.system.field, cfg.manifold, cfg.t_window, cfg.grid_n, cfg.grid_m, tol)
+    target = TargetSample.from_function(grid, cfg.target)
+    result = ke.greedy_decompose(grid, target, cfg.candidates, cfg.K, cfg.stop_tol, eig_tol=tol)
+    greedy_residual = result.residual_norms[-1] / result.residual_norms[0]
+    assert len(result.terms) == 8
+
+    nodes = grid.points.reshape(-1, 2).T  # (2, 1681), row-major over (s_i, r_j)
+    before = grid.points[:, :-1].reshape(-1, 2).T
+    after = grid.points[:, 1:].reshape(-1, 2).T
+    step = grid.r_nodes[1] - grid.r_nodes[0]
+    edmd_residuals, edmd_medians = [], []
+    for degree in (4, 6, 8, 10):
+        psi_x, psi_y = _monomials(before, degree), _monomials(after, degree)
+        koopman = np.linalg.lstsq(psi_x, psi_y, rcond=None)[0]
+        mu, xi = np.linalg.eig(koopman)
+        phi_x, phi_y = psi_x @ xi, psi_y @ xi
+        defect = np.linalg.norm(phi_y - mu * phi_x, axis=0) / np.linalg.norm(phi_x, axis=0)
+        picked, residual = _omp(_monomials(nodes, degree) @ xi, target.q_values.ravel(), 8)
+        edmd_residuals.append(residual)
+        edmd_medians.append(float(np.median(defect[picked])))
+
+    # Each greedy term phi = h(s*) e^(lambda r*) at every node, from one pullback.
+    eig = result.terms[0].eigenfunction
+    r_star, s_star, _, misses = ke.pullback_many(
+        eig.field, eig.manifold, eig.t_window, nodes.T, eig.tol
+    )
+    assert not misses
+    shape = (grid.n_s, grid.n_r)
+    greedy_defects = []
+    for term in result.terms:
+        phi = (term.data(s_star) * np.exp(term.eigenvalue * r_star)).reshape(shape)
+        jump = phi[:, 1:] - np.exp(term.eigenvalue * step) * phi[:, :-1]
+        greedy_defects.append(float(np.linalg.norm(jump) / np.linalg.norm(phi[:, :-1])))
+    elapsed = time.perf_counter() - t0
+
+    assert greedy_residual <= 0.5 * min(edmd_residuals), (greedy_residual, edmd_residuals)
+    assert max(greedy_defects) < min(edmd_medians), (greedy_defects, edmd_medians)
+    # About 0.3 s; the bound leaves room for the rare cold sweep of about 1 s.
+    assert elapsed < 5.0, f"runtime {elapsed:.2f}s"

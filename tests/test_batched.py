@@ -430,10 +430,10 @@ def test_the_field_chooses_how_it_is_flowed(lin2d):
     def run(field):
         images = flow_many(field, pts, [-0.1, -0.4], 1e-10)
         found, _ = find_crossings_many(field, pts, lambda x: x[1] - 1.0, -1.0, 2.0, 1e-10)
-        pbs = ke.pullback_many(field, mani, (0.0, 1.2), pts, 1e-10)
+        r_star, s_star, feet, misses = ke.pullback_many(field, mani, (0.0, 1.2), pts, 1e-10)
+        assert not misses
         taus = [tau for ((tau, _),) in found]
-        feet = [v for pb in pbs for v in (pb.r_star, pb.s_star)]
-        return np.concatenate([images.ravel(), taus, feet])
+        return np.concatenate([images.ravel(), taus, r_star, s_star, feet.ravel()])
 
     closed_form = run(exact)
     assert calls["rhs"] == 0 and calls["closed"] > 0
@@ -468,25 +468,49 @@ def _lin2d_setup():
     return _rk45(system.field), mani, (-0.1, 1.1), ((0.2, 2.6), (0.6, 12.0))
 
 
-@pytest.mark.parametrize("setup", [_vdp_setup, _lin2d_setup, _rotation_setup])
+def _lin2d_exact_setup():
+    # The closed-form field: pullback_many calls pullback point by point.
+    field, mani, window, box = _lin2d_setup()
+    return ke.make_system("lin2d", a1=1.0, a2=2.0).field, mani, window, box
+
+
+def _against_one_point(field, mani, window, pts):
+    """pullback_many's columns, checked against each point's one-point
+    pullback: NaN marks exactly the misses, and their reasons agree in point
+    order. Returns the columns and the one-point Pullback of each hit."""
+    r_star, s_star, feet, misses = ke.pullback_many(field, mani, window, pts, 1e-10)
+    n, d = pts.shape
+    assert r_star.shape == s_star.shape == (n,) and feet.shape == (d, n)
+    miss = np.isnan(r_star)
+    assert np.array_equal(np.isnan(s_star), miss)
+    assert np.array_equal(np.isnan(feet), np.broadcast_to(miss, (d, n)))
+    assert len(misses) == miss.sum()
+    wants = []
+    for x in pts:
+        try:
+            wants.append(ke.pullback(field, mani, window, x, 1e-10))
+        except ke.NotInDomainError as exc:
+            wants.append(exc.reason)
+    assert np.array_equal(miss, [isinstance(want, str) for want in wants])
+    assert misses == [want for want in wants if isinstance(want, str)]
+    assert set(misses) <= set(ke.MISS_REASONS)
+    hits = {j: want for j, want in enumerate(wants) if not miss[j]}
+    return (r_star, s_star, feet, misses), hits
+
+
+@pytest.mark.parametrize(
+    "setup", [_vdp_setup, _lin2d_setup, _lin2d_exact_setup, _rotation_setup]
+)
 def test_batched_pullback_matches_one_point(setup):
     field, mani, window, box = setup()
     rng = np.random.default_rng(2024)
     pts = np.column_stack([rng.uniform(*box[0], 200), rng.uniform(*box[1], 200)])
-    batch = ke.pullback_many(field, mani, window, pts, 1e-10)
-    assert len(batch) == 200
-    for x, got in zip(pts, batch):
-        try:
-            want = ke.pullback(field, mani, window, x, 1e-10)
-        except ke.NotInDomainError as exc:
-            assert got == exc.reason, f"at {x}"
-            continue
-        assert isinstance(got, ke.Pullback), f"at {x}: batched miss {got!r}"
-        assert abs(got.r_star - want.r_star) <= 1e-9
-        assert abs(got.s_star - want.s_star) <= 1e-9
-    reasons = {pb for pb in batch if isinstance(pb, str)}
-    assert reasons <= set(ke.MISS_REASONS)
-    assert any(isinstance(pb, ke.Pullback) for pb in batch)
+    (r_star, s_star, feet, _), hits = _against_one_point(field, mani, window, pts)
+    for j, want in hits.items():
+        assert abs(r_star[j] - want.r_star) <= 1e-9, f"at {pts[j]}"
+        assert abs(s_star[j] - want.s_star) <= 1e-9, f"at {pts[j]}"
+        assert np.max(np.abs(feet[:, j] - want.foot)) <= 1e-9, f"at {pts[j]}"
+    assert hits
 
 
 def test_batched_on_manifold_test_matches_one_point():
@@ -500,32 +524,30 @@ def test_batched_on_manifold_test_matches_one_point():
     assert np.all(np.abs(mani.surface(beyond.T)) < 1e-10)
     g1, g2 = np.meshgrid(np.linspace(*box[0], 6), np.linspace(*box[1], 6))
     pts = np.concatenate([on, beyond, np.column_stack([g1.ravel(), g2.ravel()])])
-    batch = ke.pullback_many(field, mani, window, pts, 1e-10)
-    for x, got in zip(pts, batch):
-        try:
-            want = ke.pullback(field, mani, window, x, 1e-10)
-        except ke.NotInDomainError as exc:
-            assert got == exc.reason, f"at {x}"
-            continue
-        assert isinstance(got, ke.Pullback), f"at {x}: batched miss {got!r}"
-        assert got.r_star == want.r_star and got.s_star == want.s_star, f"at {x}"
-    assert all(pb.r_star == 0.0 for pb in batch[: len(on)])
-    searched = batch[len(on) :]
-    assert all(isinstance(pb, str) or pb.r_star != 0.0 for pb in searched[: len(beyond)])
-    hits = [pb for pb in searched if isinstance(pb, ke.Pullback)]
-    assert len(hits) < len(searched) and any(pb.r_star > 0.0 for pb in hits)
+    (r_star, s_star, feet, _), hits = _against_one_point(field, mani, window, pts)
+    for j, want in hits.items():
+        assert r_star[j] == want.r_star and s_star[j] == want.s_star, f"at {pts[j]}"
+        assert np.array_equal(feet[:, j], want.foot), f"at {pts[j]}"
+    assert np.all(r_star[: len(on)] == 0.0)
+    searched = r_star[len(on) :]
+    beyond_r = searched[: len(beyond)]
+    assert np.all(np.isnan(beyond_r) | (beyond_r != 0.0))
+    found = searched[~np.isnan(searched)]
+    assert found.size < searched.size and np.any(found > 0.0)
 
 
 def test_rotation_misses_cover_ambiguity_and_window():
     field, mani, window, _ = _rotation_setup()
     pts = [[1.0, 0.3], [1.0, -0.5], [0.1, 0.1], [-1.0, 0.0]]
-    got = ke.pullback_many(field, mani, window, pts, 1e-10)
-    assert got[0] == "ambiguous"  # angle 0.29 < 7 - 2 pi: met twice backward
+    r_star, _, _, misses = ke.pullback_many(field, mani, window, pts, 1e-10)
+    assert np.isnan(r_star[[0, 2]]).all()
+    # Point 0, angle 0.29 < 7 - 2 pi: met twice backward. Point 2: radius
+    # below the segment.
+    assert misses == ["ambiguous", "no_crossing"]
     # angle 2 pi - 0.46: one backward crossing of the segment inside the window
-    assert got[1].r_star == pytest.approx(2.0 * math.pi - math.atan2(0.5, 1.0), abs=1e-8)
-    assert got[2] == "no_crossing"  # radius below the segment
+    assert r_star[1] == pytest.approx(2.0 * math.pi - math.atan2(0.5, 1.0), abs=1e-8)
     # On the supporting line but off the segment: met half a turn later.
-    assert got[3].r_star == pytest.approx(math.pi, abs=1e-8)
+    assert r_star[3] == pytest.approx(math.pi, abs=1e-8)
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

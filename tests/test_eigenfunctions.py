@@ -131,22 +131,49 @@ def test_pullback_settle_rules():
     ):
         # Met twice backward: ambiguous, and not searched forward, where the
         # orbit meets the segment once.
-        assert ke.pullback_many(field, mani, (-6.1, 7.0), [x], 1e-10) == ["ambiguous"]
+        r_star, _, _, misses = ke.pullback_many(field, mani, (-6.1, 7.0), [x], 1e-10)
+        assert misses == ["ambiguous"] and np.isnan(r_star).all()
         # No backward foot: the forward foot, at r* < 0.
-        (pb,) = ke.pullback_many(field, mani, (-6.1, 0.1), [x], 1e-10)
-        assert pb.r_star == pytest.approx(-(2.0 * math.pi - 0.29), abs=1e-8)
-        assert pb.s_star == pytest.approx(1.0, abs=1e-8)
+        (r_star,), (s_star,), _, misses = ke.pullback_many(field, mani, (-6.1, 0.1), [x], 1e-10)
+        assert not misses
+        assert r_star == pytest.approx(-(2.0 * math.pi - 0.29), abs=1e-8)
+        assert s_star == pytest.approx(1.0, abs=1e-8)
 
     exact = ke.make_system("blowup").field
     for field in (exact, dataclasses.replace(exact, closed_form_flow=None)):
         # x' = x^2: from -1 the orbit escapes backward and never reaches 1 forward.
-        assert ke.pullback_many(field, ke.point_manifold(1.0), (-1.0, 2.0), [[-1.0]]) == [
-            "blow_up"
-        ]
+        misses = ke.pullback_many(field, ke.point_manifold(1.0), (-1.0, 2.0), [[-1.0]])[3]
+        assert misses == ["blow_up"]
         # From 2 it stays above 0.5 backward and escapes forward.
-        assert ke.pullback_many(field, ke.point_manifold(0.5), (-1.0, 1.0), [[2.0]]) == [
-            "blow_up"
-        ]
+        misses = ke.pullback_many(field, ke.point_manifold(0.5), (-1.0, 1.0), [[2.0]])[3]
+        assert misses == ["blow_up"]
+
+
+def test_pullback_counts_feet_not_surface_crossings():
+    # Backward from (1, 0), the spiral crosses y = 0 at tau = k pi, at
+    # x = (-1)^k e^(-0.05 k pi). The first five crossings miss the segment
+    # (0.2, 0)-(0.5, 0) and use up the first cap of four; the sixth, at
+    # 6 pi, is the foot, and the eighth and tenth meet the segment again.
+    def rhs(x):
+        return np.array([-x[1] + 0.05 * x[0], x[0] + 0.05 * x[1]])
+
+    def closed(x, t):
+        c, s, grow = np.cos(t), np.sin(t), np.exp(0.05 * t)
+        return grow * np.stack([c * x[0] - s * x[1], s * x[0] + c * x[1]])
+
+    mani = ke.segment_manifold((0.2, 0.0), (0.5, 0.0), n=31, s_range=(0.2, 0.5))
+    foot = [math.exp(-0.3 * math.pi), 0.0]
+    for field in (
+        ke.VectorField(2, rhs, name="spiral"),
+        ke.VectorField(2, rhs, name="spiral-cf", closed_form_flow=closed),
+    ):
+        (r_star,), _, feet, misses = ke.pullback_many(field, mani, (0.0, 20.0), [[1.0, 0.0]], 1e-10)
+        assert not misses
+        assert abs(r_star - 6.0 * math.pi) <= 1e-8
+        assert np.max(np.abs(feet[:, 0] - foot)) <= 1e-8
+        # Feet at 6 pi, 8 pi and 10 pi.
+        r_star, _, _, misses = ke.pullback_many(field, mani, (0.0, 40.0), [[1.0, 0.0]], 1e-10)
+        assert misses == ["ambiguous"] and np.isnan(r_star).all()
 
 
 def _rotation_pullback(t_window):
