@@ -94,10 +94,6 @@ def _prepare(cfg: RunConfig):
         report = check_transversality(manifold, system.field)
     except (ValueError, ZeroFieldError) as exc:
         raise ConfigError(str(exc), field="manifold") from exc
-    if manifold.surface is None:
-        raise ConfigError(
-            "no codimension-one surface: a segment must lie in the plane", field="manifold"
-        )
     if not report.passed:
         raise ConfigError(
             f"data manifold is not transverse to the flow "

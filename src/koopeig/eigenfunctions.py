@@ -86,6 +86,16 @@ def _miss_error(reason: str) -> NotInDomainError:
     return NotInDomainError("orbit does not meet the data manifold inside the time window", reason)
 
 
+def _window(t_window) -> tuple[float, float]:
+    """The window's ends t1 <= 0 <= t2, both finite, else ValueError."""
+    t1, t2 = float(t_window[0]), float(t_window[1])
+    if not (t1 <= 0.0 <= t2):
+        raise ValueError("t_window must contain 0")
+    if not (np.isfinite(t1) and np.isfinite(t2)):
+        raise ValueError("t_window must be finite")
+    return t1, t2
+
+
 def _pull(
     field: VectorField,
     manifold: DataManifold,
@@ -117,11 +127,7 @@ def _pull(
         raise ValueError("manifold carries no supporting-surface distance")
     if manifold.locate is None:
         raise ValueError("manifold carries no locate, the inverse of its embedding")
-    t1, t2 = float(t_window[0]), float(t_window[1])
-    if not (t1 <= 0.0 <= t2):
-        raise ValueError("t_window must contain 0")
-    if not (np.isfinite(t1) and np.isfinite(t2)):
-        raise ValueError("t_window must be finite")
+    t1, t2 = _window(t_window)
     slack = max(1e-9, 1e-3 * (t2 - t1))
     on_tol = max(1e-9, 1e-6 * manifold.extent())
 
@@ -201,10 +207,12 @@ def pullback_many(
 
     A field without a closed form marches every point as one lane of a
     batch, backward and then (when t1 < 0) forward, under the rules of
-    ``_pull``; a closed-form flow runs the exact scan point by point.
+    ``_pull``; a closed-form flow runs the exact scan point by point. An
+    empty batch goes through ``_pull`` on either kind of flow, so that its
+    window and tol are checked.
     """
     pts = as_states(field, points)
-    if field.closed_form_flow is None:
+    if field.closed_form_flow is None or not pts.shape[0]:
         return _pull(field, manifold, t_window, pts, tol)
     # One ``pullback`` call per point, so that perfbench/tracing.py, which
     # patches eigenfunctions.pullback, times each exact scan.
@@ -236,7 +244,11 @@ class _EigenfunctionBase:
 
 @dataclass(frozen=True)
 class OpenEigenfunction(_EigenfunctionBase):
-    """Eigenfunction defined by data on a transverse manifold over a time window."""
+    """Eigenfunction defined by data on a transverse manifold over a time window.
+
+    The window must be finite and contain 0, as for ``pullback``; a window
+    that is not is a ValueError when the eigenfunction is built.
+    """
 
     eigenvalue: complex
     data: DataFunction
@@ -246,9 +258,7 @@ class OpenEigenfunction(_EigenfunctionBase):
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        t1, t2 = self.t_window
-        if not (t1 <= 0.0 <= t2):
-            raise ValueError("t_window must contain 0")
+        _window(self.t_window)
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
     def values(self, points) -> np.ndarray:

@@ -5,12 +5,11 @@ the plane, a point on the line) on which initial data lives.  It also
 carries the signed distance to its supporting surface, which event
 detection uses to locate flow crossings.
 
-Every map of a manifold works on batches: ``embed`` and ``tangent`` take a
-float to a (d,) state and an (N,) array of parameters to a (d, N) array,
-and ``surface`` and ``locate`` take a (d,) state to a float and a (d, N)
-batch of states to an (N,) array. A ``DataFunction`` h likewise maps a
-float to a complex and an (N,) array of parameters to (N,) complex values,
-and the callable it is built from must take the whole parameter grid at once.
+Every map takes a batch: ``embed`` and ``tangent`` map an (N,) array of
+parameters to a (d, N) array, and ``surface`` and ``locate`` map a (d, N)
+array of states to an (N,) array. A ``DataFunction`` h maps an (N,) array of
+parameters to (N,) complex values, and the callable it is built from must
+take the whole parameter grid at once.
 """
 
 from __future__ import annotations
@@ -47,14 +46,13 @@ ZERO_FIELD_THRESHOLD = 1e-14
 class DataManifold:
     """Parameterized curve s in [s_min, s_max] -> state, transverse to a flow.
 
-    ``embed`` and its derivative ``tangent`` give a (d,) array for one
-    parameter and a (d, N) array for an (N,) array of parameters.
-    ``surface`` is the signed distance to the supporting surface (the full
-    line through a segment, the full circle through an arc) and ``locate``
-    the inverse of ``embed``: the parameter of the manifold point nearest a
-    state. Each gives a float for one (d,) state and an (N,) array for a
-    (d, N) batch of states. ``closed`` marks manifolds whose
-    parameterization wraps with period s_max - s_min.
+    ``embed`` and its derivative ``tangent`` map an (N,) array of parameters
+    to a (d, N) array. ``surface`` is the signed distance to the supporting
+    surface (the full line through a segment, the full circle through an
+    arc) and ``locate`` the inverse of ``embed``: the parameter of the
+    manifold point nearest a state. Each maps a (d, N) array of states to an
+    (N,) array. ``closed`` marks manifolds whose parameterization wraps with
+    period s_max - s_min.
     """
 
     embed: Callable[[np.ndarray], np.ndarray]
@@ -98,33 +96,22 @@ class DataManifold:
         return replace(self, n_samples=n_samples)
 
 
-def _column(v: np.ndarray, s) -> np.ndarray:
-    """A (d,) vector shaped to broadcast against parameters s: (d,) or (d, 1)."""
-    return v.reshape((-1,) + (1,) * np.ndim(s))
-
-
-def _per_state(x: np.ndarray, value):
-    """A surface or locate value: a float for one (d,) state, an (N,) array for (d, N)."""
-    return float(value) if x.ndim == 1 else value
-
-
 def segment_manifold(
     p0: Sequence[float],
     p1: Sequence[float],
     n: int = 101,
     s_range: Optional[tuple[float, float]] = None,
 ) -> DataManifold:
-    """Straight segment from p0 to p1; parameter defaults to arclength.
+    """Straight segment from p0 to p1 in the plane; parameter defaults to arclength.
 
-    Only a segment in the plane is codimension one and carries a ``surface``.
-    On the line or in three or more dimensions no signed distance changes
-    sign where an orbit passes through the segment, so ``surface`` is None
-    and a pullback onto it is refused.
+    p0 and p1 must be 2-vectors: only in the plane is a segment
+    codimension one, with a signed distance that changes sign where an
+    orbit passes through it.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    if p0.shape != p1.shape or p0.ndim != 1:
-        raise ValueError("p0 and p1 must be vectors of equal dimension")
+    if p0.shape != (2,) or p1.shape != (2,):
+        raise ValueError("segment manifolds live in the plane: p0 and p1 must be 2-vectors")
     length = float(np.linalg.norm(p1 - p0))
     if length == 0.0:
         raise ValueError("degenerate segment")
@@ -135,35 +122,28 @@ def segment_manifold(
         raise ValueError("s_range must be increasing")
     direction = (p1 - p0) / (s1 - s0)
     dir2 = float(direction @ direction)
+    unit = (p1 - p0) / length
+    normal = np.array([-unit[1], unit[0]])
 
     def embed(s):
-        s = np.asarray(s, float)
-        return _column(p0, s) + (s - s0) * _column(direction, s)
+        return (p0 + np.multiply.outer(np.subtract(s, s0), direction)).T
 
     def tangent(s):
-        return np.broadcast_to(_column(direction, s), (p0.size,) + np.shape(s)).copy()
+        return np.multiply.outer(direction, np.ones_like(s, dtype=float))
+
+    def surface(x):
+        return normal[0] * (x[0] - p0[0]) + normal[1] * (x[1] - p0[1])
 
     def locate(x):  # orthogonal projection onto the segment
-        x = np.asarray(x, float)
-        v = x - p0.reshape((-1,) + (1,) * (x.ndim - 1))
-        along = sum(direction[k] * v[k] for k in range(p0.size)) / dir2
-        return _per_state(x, np.clip(s0 + along, s0, s1))
-
-    surface = None
-    if p0.size == 2:
-        unit = (p1 - p0) / length
-        normal = np.array([-unit[1], unit[0]])
-
-        def surface(x):
-            x = np.asarray(x, float)
-            return _per_state(x, normal[0] * (x[0] - p0[0]) + normal[1] * (x[1] - p0[1]))
+        along = (direction[0] * (x[0] - p0[0]) + direction[1] * (x[1] - p0[1])) / dir2
+        return np.clip(s0 + along, s0, s1)
 
     return DataManifold(
         embed=embed,
         s_min=s0,
         s_max=s1,
         n_samples=n,
-        dim=p0.size,
+        dim=2,
         tangent=tangent,
         surface=surface,
         locate=locate,
@@ -176,7 +156,11 @@ def circle_manifold(
     arc: tuple[float, float] = (0.0, 2.0 * math.pi),
     n: int = 181,
 ) -> DataManifold:
-    """Circular arc parameterized by angle; a full turn wraps periodically."""
+    """Circular arc parameterized by angle; a full turn wraps periodically.
+
+    The arc must be increasing and at most one turn, to the 1e-12 within
+    which a full turn counts as closed.
+    """
     c = np.asarray(center, dtype=float)
     if c.shape != (2,):
         raise ValueError("circle manifolds live in the plane")
@@ -185,24 +169,25 @@ def circle_manifold(
     a0, a1 = float(arc[0]), float(arc[1])
     if a1 <= a0:
         raise ValueError("arc must be increasing")
-    closed = abs((a1 - a0) - 2.0 * math.pi) < 1e-12
+    beyond = (a1 - a0) - 2.0 * math.pi
+    if beyond >= 1e-12:
+        raise ValueError("arc must be at most one turn")
+    closed = abs(beyond) < 1e-12
 
     def embed(s):
-        return _column(c, s) + radius * np.array([np.cos(s), np.sin(s)])
+        return (c + radius * np.stack([np.cos(s), np.sin(s)], axis=-1)).T
 
     def tangent(s):
         return radius * np.array([-np.sin(s), np.cos(s)])
 
     def surface(x):
-        x = np.asarray(x, float)
-        return _per_state(x, np.sqrt((x[0] - c[0]) ** 2 + (x[1] - c[1]) ** 2) - radius)
+        return np.sqrt((x[0] - c[0]) ** 2 + (x[1] - c[1]) ** 2) - radius
 
     def locate(x):  # polar angle in [a0, a0 + 2 pi); off an open arc, its nearer end
-        x = np.asarray(x, float)
         s = a0 + (np.arctan2(x[1] - c[1], x[0] - c[0]) - a0) % (2.0 * math.pi)
         if not closed:
             s = np.where(s <= a1, s, np.where(s - a1 <= a0 + 2.0 * math.pi - s, a1, a0))
-        return _per_state(x, s)
+        return s
 
     return DataManifold(
         embed=embed,
@@ -225,12 +210,10 @@ def point_manifold(x0: float) -> DataManifold:
         return np.full((1,) + np.shape(s), x0)
 
     def surface(x):
-        x = np.asarray(x, float)
-        return _per_state(x, x[0] - x0)
+        return x[0] - x0
 
     def locate(x):  # the one parameter, s_min = 0
-        x = np.asarray(x, float)
-        return _per_state(x, np.zeros(x.shape[1:]))
+        return np.zeros(np.shape(x)[1:])
 
     return DataManifold(
         embed=embed,
@@ -263,8 +246,9 @@ def as_values(values, shape: tuple, name: str) -> np.ndarray:
 class DataFunction:
     """h: Lambda -> C, tabulated on the parameter grid with linear interpolation.
 
-    ``h(s)`` gives a complex for a float s and an (N,) array for an (N,)
-    array of parameters; ``closed_form`` maps parameters the same way.
+    ``h(s)`` maps an (N,) array of parameters to (N,) complex values;
+    ``closed_form``, when given, maps parameters the same way and is what
+    ``h`` evaluates.
     """
 
     s_nodes: np.ndarray
@@ -309,16 +293,14 @@ class DataFunction:
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         if self.closed_form is not None:
-            out = as_values(self.closed_form(s), s.shape, "data function")
-        else:
-            outside = (s < self.s_min - EVAL_SLACK) | (s > self.s_max + EVAL_SLACK)
-            if outside.any():
-                raise OutOfRangeError(
-                    f"s={s[outside].flat[0]:g} outside data grid [{self.s_min:g}, {self.s_max:g}]"
-                )
-            # Beyond the slack-wide margins np.interp holds the end values.
-            out = np.interp(s, self.s_nodes, self.values)
-        return complex(out) if out.ndim == 0 else out
+            return as_values(self.closed_form(s), s.shape, "data function")
+        outside = (s < self.s_min - EVAL_SLACK) | (s > self.s_max + EVAL_SLACK)
+        if outside.any():
+            raise OutOfRangeError(
+                f"s={s[outside].flat[0]:g} outside data grid [{self.s_min:g}, {self.s_max:g}]"
+            )
+        # Beyond the slack-wide margins np.interp holds the end values.
+        return np.interp(s, self.s_nodes, self.values)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,10 @@ the manifold parameter s), a gaussian bump, or sin/cos of the parameter.
 Examples accepted for targets:     "gaussian(3, 10)", "x1^2*x2", "2*x2 + 1"
 Examples accepted for data h(s):   "1", "s", "s^2", "0.5*s + 2", "sin(s)"
 
-The parsed functions work on batches: a target maps a (d, N) array of
-states to (N,) complex values and one (d,) state to a complex; a data
-function maps an (N,) array of parameters to (N,) complex values and a float
-to a complex. A value that is not finite (``s^-1`` at s = 0) is a
-ConfigError naming the expression's field.
+The parsed functions take batches: a target maps a (d, N) array of states
+to (N,) complex values, and a data function maps an (N,) array of
+parameters to (N,) complex values. A value that is not finite (``s^-1`` at
+s = 0) is a ConfigError naming the expression's field.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ def _parse_sum(expr: str, variables: dict, where: str) -> Callable[[np.ndarray],
             out = np.broadcast_to(sum(t(x) for t in terms), x[index].shape).astype(complex)
         if not np.all(np.isfinite(out)):
             raise ConfigError(f"{expr!r} is not finite at every sample", field=where)
-        return complex(out) if out.ndim == 0 else out
+        return out
 
     return evaluate
 

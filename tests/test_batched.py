@@ -281,7 +281,7 @@ def test_parsed_target_is_elementwise(expr):
     values = q(batch)
     assert values.shape == (9,) and values.dtype == complex
     for j in range(9):
-        assert values[j] == q(batch[:, j])  # one (d,) state gives a complex
+        assert values[j] == q(batch[:, j])  # a (d,) state broadcasts as well
         assert values[j] == q(batch[:, j : j + 1])[0]
 
 
@@ -292,8 +292,6 @@ def test_parsed_data_fn_is_elementwise(expr):
     values = h(s)
     assert values.shape == (9,) and values.dtype == complex
     for j in range(9):
-        assert isinstance(h(float(s[j])), complex)
-        assert values[j] == h(float(s[j]))
         assert values[j] == h(s[j : j + 1])[0]
 
 
@@ -330,8 +328,9 @@ def test_data_function_is_elementwise(from_callable):
     values = h(s)
     assert values.shape == (7,)
     for j in range(7):
-        assert isinstance(h(float(s[j])), complex)
-        assert values[j] == h(float(s[j]))
+        one = h(s[j : j + 1])
+        assert one.shape == (1,) and one.dtype == complex
+        assert values[j] == one[0]
     with pytest.raises(ValueError, match="data function"):
         ke.DataFunction.from_callable(mani, lambda s: np.ones(3))
 
@@ -441,6 +440,24 @@ def test_the_field_chooses_how_it_is_flowed(lin2d):
     marched = run(_rk45(exact))
     assert calls["closed"] == 0 and calls["rhs"] > 0
     assert np.max(np.abs(closed_form - marched)) <= 1e-8
+
+
+@pytest.mark.parametrize("marched", [False, True], ids=["closed_form", "rk45"])
+def test_an_empty_pullback_batch_checks_its_arguments(lin2d, marched):
+    # With no point to pull back, the window and tol are checked all the
+    # same, and an eigenfunction refuses a window that is not finite.
+    field = _rk45(lin2d.field) if marched else lin2d.field
+    mani = ke.segment_manifold((0.3, 1.0), (2.2, 1.0), n=121, s_range=(0.3, 2.2))
+    none = np.empty((0, 2))
+    r_star, s_star, feet, misses = ke.pullback_many(field, mani, (0.0, 1.0), none)
+    assert r_star.shape == s_star.shape == (0,) and feet.shape == (2, 0) and misses == []
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        ke.pullback_many(field, mani, (0.0, 1.0), none, -1.0)
+    with pytest.raises(ValueError, match="t_window must be finite"):
+        ke.pullback_many(field, mani, (0.0, math.inf), none)
+    h = ke.DataFunction.from_callable(mani, np.ones_like)
+    with pytest.raises(ValueError, match="t_window must be finite"):
+        ke.OpenEigenfunction(2.0, h, mani, field, (0.0, math.inf))
 
 
 # ---------------------------------------------------------------------------

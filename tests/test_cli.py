@@ -451,6 +451,25 @@ BAD_CONFIGS = [
     ("decompose", _with(DECOMPOSE_CFG, t_window=[-30, 2], grid={"n": 4, "m": 4}), "t_window"),
     # A window with a single time has a single grid column.
     ("decompose", _with(OBSERVER_CFG, t_window=[0, 0], grid={"n": 3, "m": 3}, target="x1"), "grid.m"),
+    # A segment needs two distinct ends; an arc must increase by at most one turn.
+    ("eval", _with(OBSERVER_CFG, manifold__to=[0.3, 1.0]), "manifold"),
+    (
+        "eval",
+        _with(OBSERVER_CFG, system={"name": "hopf"},
+              manifold={"type": "circle", "center": [0, 0], "radius": 5, "arc": [3, 1]}),
+        "manifold",
+    ),
+    (
+        "eval",
+        _with(OBSERVER_CFG, system={"name": "hopf"},
+              manifold={"type": "circle", "center": [0, 0], "radius": 5, "arc": [0, 7]}),
+        "manifold",
+    ),
+    ("eval", _with(OBSERVER_CFG, t_window=[0.5, 1]), "t_window"),
+    ("decompose", _with(DECOMPOSE_CFG, grid__n=2.5), "grid.n"),
+    ("eval", _with(OBSERVER_CFG, integrator_tol=0), "integrator_tol"),
+    ("eval", _with(OBSERVER_CFG, lattice__x1=[1, 2]), "lattice.x1"),
+    ("decompose", _with(DECOMPOSE_CFG, lambda_sweep={"values": []}), "lambda_sweep.values"),
 ]
 
 

@@ -86,13 +86,21 @@ def test_pullback_needs_a_manifold_with_locate(lin2d, horizontal_manifold):
 
 def test_pullback_onto_a_segment_in_space_is_refused():
     # A segment in 3-D is not codimension one: it has no surface to cross.
+    with pytest.raises(ValueError, match="plane"):
+        ke.segment_manifold((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), n=11)
     field = ke.VectorField(
         3, lambda x: np.stack([np.zeros_like(x[0]), np.zeros_like(x[0]), np.ones_like(x[0])])
     )
-    mani = ke.segment_manifold((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), n=11)
-    assert mani.surface is None
+    by_hand = ke.DataManifold(
+        embed=lambda s: np.multiply.outer([1.0, 0.0, 0.0], s),
+        s_min=0.0,
+        s_max=1.0,
+        n_samples=11,
+        dim=3,
+        locate=lambda x: np.clip(x[0], 0.0, 1.0),
+    )
     with pytest.raises(ValueError, match="surface"):
-        ke.pullback(field, mani, (0.0, 2.0), [0.5, 0.0, 1.0])
+        ke.pullback(field, by_hand, (0.0, 2.0), [0.5, 0.0, 1.0])
 
 
 def test_pullback_ambiguous_crossing_on_rotation():

@@ -44,8 +44,8 @@ def test_writing_a_returned_grid_leaves_the_manifold_unchanged():
 
 LOCATE_CASES = {
     "segment-2d": lambda: ke.segment_manifold((1.0, 0.5), (2.0, 1.5), n=121),
-    "segment-3d": lambda: ke.segment_manifold(
-        (0.0, 1.0, 2.0), (1.0, -1.0, 3.0), n=31, s_range=(-1.0, 2.0)
+    "segment-s_range": lambda: ke.segment_manifold(
+        (0.0, 1.0), (1.0, -1.0), n=31, s_range=(-1.0, 2.0)
     ),
     "circle": lambda: ke.circle_manifold((0.3, -0.2), 2.0, n=65),
     "arc": lambda: ke.circle_manifold((0.5, -0.3), 1.5, arc=(1.0, 5.0), n=41),
@@ -66,12 +66,15 @@ def test_locate_inverts_embed(case):
     mani = LOCATE_CASES[case]()
     rng = np.random.default_rng(3)
     s = np.concatenate([mani.parameter_grid(), rng.uniform(mani.s_min, mani.s_max, 50)])
-    states = np.array([mani.embed(v) for v in s])
-    for v, x in zip(s, states):
-        located = mani.locate(x)
-        assert isinstance(located, float)
-        assert _param_gap(mani, located, v) <= 1e-12
-    batch = mani.locate(states.T)
+    states = mani.embed(s)
+    assert states.shape == (mani.dim, s.size)
+    for j in range(s.size):  # one-element batches
+        one = mani.embed(s[j : j + 1])
+        assert np.array_equal(one, states[:, j : j + 1])
+        located = mani.locate(one)
+        assert located.shape == (1,)
+        assert _param_gap(mani, located[0], s[j]) <= 1e-12
+    batch = mani.locate(states)
     assert batch.shape == s.shape
     assert np.max(_param_gap(mani, batch, s)) <= 1e-12
 
@@ -161,7 +164,15 @@ def test_transversality_is_refused_above_the_plane():
     field = ke.VectorField(
         3, lambda x: np.stack([np.zeros_like(x[0]), np.zeros_like(x[0]), np.ones_like(x[0])])
     )
-    segment = ke.segment_manifold((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), n=11)
+    # segment_manifold refuses 3-D endpoints, so this segment is built by hand.
+    segment = ke.DataManifold(
+        embed=lambda s: np.multiply.outer([1.0, 0.0, 0.0], s),
+        s_min=0.0,
+        s_max=1.0,
+        n_samples=11,
+        dim=3,
+        tangent=lambda s: np.multiply.outer([1.0, 0.0, 0.0], np.ones_like(s)),
+    )
     with pytest.raises(ValueError, match="plane"):
         ke.check_transversality(segment, field)
 
