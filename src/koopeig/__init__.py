@@ -19,6 +19,7 @@ from .eigenfunctions import (
     evaluate_points,
     koopman_residual,
     levelset_transversality,
+    orbit_misses,
     orbit_scaling_defect,
     pullback,
     pullback_many,

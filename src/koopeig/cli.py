@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig, load_config_file
 from .decomposition import TargetSample, build_grid, greedy_decompose
-from .eigenfunctions import OpenEigenfunction, evaluate_points, koopman_residual
+from .eigenfunctions import OpenEigenfunction, evaluate_points, koopman_residual, orbit_misses
 from .errors import (
     MISS_REASONS,
     ConfigError,
@@ -128,17 +128,22 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     n_ok = int(hit.sum())
 
     # Self-certification spot check on points whose short-time image stays in
-    # the window.
+    # the window. When some pick's orbit escapes or its image misses, the
+    # others are certified and the misses counted by reason.
     t_spot = min(0.1, 0.25 * (window[1] - window[0]) if window[1] > window[0] else 0.1)
     safe = np.flatnonzero(hit & (r_star + t_spot < window[1] - 1e-6))
-    spot = None
+    spot, spot_misses = None, []
     if safe.size:
         rng = np.random.default_rng(cfg.seed)
-        picks = rng.choice(len(safe), size=min(10, len(safe)), replace=False)
+        picks = points[safe[rng.choice(len(safe), size=min(10, len(safe)), replace=False)]]
         try:
-            spot = koopman_residual(eig, points[safe[picks]], t_spot, tol=cfg.integrator_tol)
+            spot = koopman_residual(eig, picks, t_spot, tol=cfg.integrator_tol)
         except NotInDomainError:
-            spot = None
+            reasons = orbit_misses(eig, picks, t_spot, tol=cfg.integrator_tol)
+            spot_misses = [reason for reason in reasons if reason is not None]
+            kept = np.array([reason is None for reason in reasons])
+            if kept.any():
+                spot = koopman_residual(eig, picks[kept], t_spot, tol=cfg.integrator_tol)
     summary = {
         "command": "eval",
         "lambda": _c2l(eig.eigenvalue),
@@ -147,6 +152,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         "miss_reasons": {reason: misses.count(reason) for reason in MISS_REASONS},
         "spot_check_t": t_spot,
         "spot_check_residual": spot,
+        "spot_check_misses": {reason: spot_misses.count(reason) for reason in MISS_REASONS},
         "config_echo": cfg.echo,
     }
     write_json(out_dir / "eval_summary.json", summary)

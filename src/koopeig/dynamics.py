@@ -1,14 +1,16 @@
 """Vector fields, a batched adaptive integrator, event detection, benchmark systems.
 
-Numerical integration uses koopeig's own Dormand-Prince 5(4) embedded pair
-(Dormand & Prince 1980; Hairer, Norsett & Wanner, *Solving ODEs I*,
-II.4-II.6). The ``RK45`` stepper advances a (d, N) array whose columns are
-independent lanes. Each lane keeps its own step size, error control and FSAL
-derivative, under the fixed blow-up bound ``BLOWUP_BOUND``, step floor
-``STEP_FLOOR`` and step budget ``MAX_STEPS``. A lane retires when it
-finishes its span, blows up, underflows, or has met ``max_count`` event
-crossings. ``flow_many`` and ``find_crossings_many`` march many states as
-one batch, and crossings are refined by Illinois steps on the dense output.
+Numerical integration uses koopeig's own Dormand-Prince 8(5,3) method, the
+eighth-order pair of DOP853 with its fifth- and third-order error estimate
+and seventh-order dense output (Hairer, Norsett & Wanner, *Solving ODEs I*,
+II.5, II.6 and II.10; the tables are in ``_dop853``). The ``RK45`` stepper
+advances a (d, N) array whose columns are independent lanes. Each lane
+keeps its own step size, error control and FSAL derivative, under the fixed
+blow-up bound ``BLOWUP_BOUND``, step floor ``STEP_FLOOR`` and step budget
+``MAX_STEPS``. A lane retires when it finishes its span, blows up,
+underflows, or has met ``max_count`` event crossings. ``flow_many`` and
+``find_crossings_many`` march many states as one batch, and crossings are
+refined by Illinois steps on the dense output.
 
 Right-hand-side contract: ``VectorField.rhs`` maps a (d, N) array of states
 to the (d, N) array of their derivatives. Every march, one lane included,
@@ -37,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUpError, NotInDomainError, StepUnderflowError
-from . import manifolds
+from . import _dop853, manifolds
 
 __all__ = [
     "VectorField",
@@ -65,43 +67,25 @@ REFINE_CAP = 80
 CLOSED_SCAN_POINTS = 128
 _FRACS = np.linspace(0.0, 1.0, CLOSED_SCAN_POINTS + 1)
 
-# Dormand-Prince 5(4): stage coefficients, fifth-order weights, error weights
-# (fifth minus fourth order, FSAL stage included) and the coefficients of the
-# fourth-order continuous extension, powers x..x^4 of the step fraction x.
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869441 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
+# Step-size control: the factor SAFETY * err ** (-1/8), within these bounds.
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
 
-def _terms(weights) -> tuple:
-    """The (weight, stage index) pairs of the nonzero weights. Each weight
-    is a 0-d array: numpy multiplies an array by one in about half the time
-    it takes for a Python float, with the same product."""
-    return tuple((np.array(w), j) for j, w in enumerate(weights) if w != 0.0)
+def _terms(row: dict) -> tuple:
+    """The (weight, stage index) pairs of a sparse row of ``_dop853``, in
+    stage order. Each weight is a 0-d array: numpy multiplies an array by
+    one in about half the time it takes for a Python float, with the same
+    product."""
+    return tuple((np.array(w), j) for j, w in row.items())
 
 
-# The terms of each stage after the first (the last is the new state), of
-# the error estimate, and of the dense output's powers x..x^4.
-_STAGE_TERMS = tuple(_terms(a) for a in _A[1:]) + (_terms(_B),)
-_E_TERMS = _terms(_E)
-_P_TERMS = tuple(_terms([row[p] for row in _P]) for p in range(4))
+# The DOP853 terms of each stage after the first (the last is the new
+# state), of the two error estimates, of the dense output's extra stages and
+# of its last four coefficients.
+_STAGE_TERMS = tuple(_terms(a) for a in _dop853.A[1:13])
+_E5_TERMS, _E3_TERMS = _terms(_dop853.E5), _terms(_dop853.E3)
+_EXTRA_TERMS = tuple(_terms(a) for a in _dop853.A[13:])
+_D_TERMS = tuple(_terms(row) for row in _dop853.D)
 
 # Lane states.
 RUNNING, DONE, CROSSED, BLOW_UP, UNDERFLOW = range(5)
@@ -176,7 +160,7 @@ def _blow_up(field: VectorField, time: float, state: np.ndarray) -> BlowUpError:
 
 
 # ---------------------------------------------------------------------------
-# Batched Dormand-Prince stepper
+# Batched Dormand-Prince 8(5,3) stepper
 # ---------------------------------------------------------------------------
 
 
@@ -216,8 +200,17 @@ def _combine(terms, stages) -> np.ndarray:
     return acc
 
 
+# The name predates the eighth-order tables; the benchmark's tracer wraps
+# ``dynamics.RK45``, so it stays until the benchmark reads library counters.
 class RK45:
-    """Dormand-Prince 5(4) pair marching a (d, N) batch of lanes along tau >= 0.
+    """Dormand-Prince 8(5,3) (DOP853) marching a (d, N) batch of lanes along tau >= 0.
+
+    An attempt takes 12 stages, the last of them the FSAL derivative at the
+    new state, so 12 RHS calls. Its error norm is DOP853's combined fifth-
+    and third-order estimate, and its step grows or shrinks by
+    ``SAFETY * err ** (-1/8)`` within [MIN_FACTOR, MAX_FACTOR]. A step that
+    brackets a crossing builds three more stages for its seventh-order dense
+    output. Stage sums are elementwise, in a fixed order.
 
     ``fun`` maps the (d, N) state to its derivative. Every lane must land on
     each tau in ``stops`` (positive, increasing); its state there is kept in
@@ -289,7 +282,8 @@ class RK45:
         return self._lanes.size > 0
 
     def _initial_step(self, y0: np.ndarray, f0: np.ndarray) -> np.ndarray:
-        """Per-lane starting step (Hairer, Norsett & Wanner, II.4)."""
+        """Per-lane starting step (Hairer, Norsett & Wanner, II.4), for an
+        error estimate of order 7."""
         span = self.stops[-1]
         scale = self.tol + np.abs(y0) * self.tol
         d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
@@ -297,7 +291,7 @@ class RK45:
         h0 = np.minimum(h0, span)
         d2 = _rms((self.fun(y0 + h0 * f0) - f0) / scale) / h0
         peak = np.maximum(d1, d2)
-        h1 = np.where(peak <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / peak) ** 0.2)
+        h1 = np.where(peak <= 1e-15, np.maximum(1e-6, h0 * 1e-3), (0.01 / peak) ** 0.125)
         return np.minimum(np.minimum(100.0 * h0, h1), span)
 
     def step(self) -> None:
@@ -329,12 +323,23 @@ class RK45:
         np.maximum(scale, np.abs(y_new), out=scale)
         scale *= tol
         scale += tol
-        err = _combine(_E_TERMS, k)
-        err *= hs_y
-        err /= scale
-        err_norm = _rms(err)
+        # The combined fifth- and third-order estimate of DOP853 (Hairer,
+        # Norsett & Wanner, II.10): hs * |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2),
+        # with |.| the RMS norm of the scaled error.
+        err5 = _combine(_E5_TERMS, k)
+        err5 /= scale
+        sq5 = _sum_sq(err5)
+        err3 = _combine(_E3_TERMS, k)
+        err3 /= scale
+        denom = _sum_sq(err3)
+        denom *= 0.01
+        denom += sq5
+        err_norm = hs * sq5 / np.sqrt(denom * y.shape[0])
+        exact = denom == 0.0  # both estimates vanish
+        if np.count_nonzero(exact):
+            err_norm[exact] = 0.0
 
-        growth = SAFETY * err_norm**-0.2
+        growth = SAFETY * err_norm**-0.125
         accept = err_norm < 1.0
         if stalled:
             accept &= steady
@@ -431,10 +436,23 @@ class RK45:
         if sel.size == 0:
             return None
         c = sel if scan is None else idx[sel]
+        # The seventh-order dense output of these lanes' steps: three more
+        # stages, then its seven coefficients (Hairer, Norsett & Wanner, II.6).
         ks = [stage[:, c] for stage in k]
-        q = np.stack([_combine(terms, ks) for terms in _P_TERMS])
+        y_old, h = y[:, c], tau_new[c] - tau[c]
+        for terms in _EXTRA_TERMS:
+            y_stage = _combine(terms, ks)
+            y_stage *= h
+            y_stage += y_old
+            ks.append(self.fun(y_stage))
+        dy = self._y[:, c] - y_old
+        f_old, f_new = ks[0], ks[12]
+        q = np.stack(
+            [dy, h * f_old - dy, 2.0 * dy - h * (f_old + f_new)]
+            + [h * _combine(terms, ks) for terms in _D_TERMS]
+        )
         self.brackets.append(
-            (self._lanes[c], tau[c], tau_new[c], y[:, c], q, g_old[sel], g_new[sel])
+            (self._lanes[c], tau[c], tau_new[c], y_old, q, g_old[sel], g_new[sel])
         )
         self._count[c] += 1
         return c
@@ -471,12 +489,16 @@ class RK45:
         hs = hi - lo
 
         def state_at(tau, j):
-            """The steps' dense output of the brackets j at the times tau."""
+            """The steps' dense output of the brackets j at the times tau:
+            y_lo + x (q0 + (1-x) (q1 + x (q2 + (1-x) (q3 + ... q6)))) at the
+            step fraction x."""
             x = (tau - lo[j]) / hs[j]
-            x2 = x * x
-            x3 = x2 * x
-            poly = q[0][:, j] * x + q[1][:, j] * x2 + q[2][:, j] * x3 + q[3][:, j] * (x3 * x)
-            return y_lo[:, j] + hs[j] * poly
+            factors = (x, 1.0 - x)
+            acc = q[6][:, j] * x
+            for p in range(5, -1, -1):
+                acc += q[p][:, j]
+                acc *= factors[p % 2]
+            return y_lo[:, j] + acc
 
         tau, y = _refine(self.event, state_at, lo, hi, g_lo, g_hi, tol, 1e-15 * self.stops[-1])
         for j in np.argsort(lanes, kind="stable"):
@@ -615,6 +637,19 @@ def flow_many(field: VectorField, states, times, tol: float = DEFAULT_TOL) -> np
     first state that blows up or underflows raises its BlowUpError or
     StepUnderflowError. tol must be finite and positive, else ValueError.
     """
+    images, escapes = _flow_lanes(field, states, times, tol)
+    for escape in escapes:
+        if escape is not None:
+            raise escape
+    return images
+
+
+def _flow_lanes(
+    field: VectorField, states, times, tol: float
+) -> tuple[np.ndarray, list[Optional[NotInDomainError]]]:
+    """``flow_many`` lane by lane: the images, NaN at the times a state did
+    not reach, and each state's escape, its BlowUpError or
+    StepUnderflowError, else None."""
     x = as_states(field, states)
     times = np.asarray(times, dtype=float).reshape(-1)
     mags = np.abs(times)
@@ -623,26 +658,29 @@ def flow_many(field: VectorField, states, times, tol: float = DEFAULT_TOL) -> np
     if np.any(times > 0.0) and np.any(times < 0.0):
         raise ValueError("times must share one sign")
     _check_tol(tol)
-    out = np.empty((times.size, x.shape[0], field.dim))
+    n = x.shape[0]
+    out = np.empty((times.size, n, field.dim))
+    escapes: list[Optional[NotInDomainError]] = [None] * n
     moving = mags > 0.0
     out[~moving] = x
-    if not moving.any() or x.shape[0] == 0:
-        return out
+    if not moving.any() or n == 0:
+        return out, escapes
     if field.closed_form_flow is not None:
-        n, t = x.shape[0], times[moving]
+        t = times[moving]
         y, blown = _closed_flow(field, np.tile(x.T, t.size), np.repeat(t, n))
-        if blown.any():
-            j = int(np.argmax(blown))
-            raise _blow_up(field, float(t[j // n]), y[:, j])
-        out[moving] = y.T.reshape(t.size, n, field.dim)
-        return out
+        y, blown = y.T.reshape(t.size, n, field.dim), blown.reshape(t.size, n)
+        for i in np.flatnonzero(blown.any(axis=0)).tolist():
+            k = int(np.argmax(blown[:, i]))
+            escapes[i] = _blow_up(field, float(t[k]), y[k, i])
+            y[k:, i] = np.nan
+        out[moving] = y
+        return out, escapes
     sign = 1.0 if times[-1] > 0 else -1.0
     solver = _march(field, x.T, sign, mags[moving], tol)
-    failed = np.nonzero(solver.status != DONE)[0]
-    if failed.size:
-        raise _lane_error(field, solver, int(failed[0]), sign)
+    for i in np.flatnonzero(solver.status != DONE).tolist():
+        escapes[i] = _lane_error(field, solver, i, sign)
     out[moving] = solver.at_stops.transpose(0, 2, 1)
-    return out
+    return out, escapes
 
 
 def _inverse_interp(taus: np.ndarray, g: np.ndarray, k: int, last: int) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ import numpy as np
 from .dynamics import (  # noqa: F401
     DEFAULT_TOL,
     VectorField,
+    _flow_lanes,
     as_states,
     find_crossings,
     find_crossings_many,
@@ -46,6 +47,7 @@ __all__ = [
     "algebraic_combine",
     "eig_power",
     "koopman_residual",
+    "orbit_misses",
     "orbit_scaling_defect",
     "restate_data",
     "levelset_transversality",
@@ -371,6 +373,32 @@ def koopman_residual(
     phi_x, phi_y = phi[: pts.shape[0]], phi[pts.shape[0]:]
     defect = np.abs(phi_y - factor * phi_x) / np.maximum(1.0, np.abs(phi_x))
     return float(defect.max())
+
+
+def orbit_misses(
+    eig: OpenEigenfunction, points: Sequence, t: float, *, tol: float = DEFAULT_TOL
+) -> list[Optional[str]]:
+    """Why each point fails ``koopman_residual``'s certificate at time t, in
+    point order: the point's own miss, else the escape of its orbit before
+    t, else the miss of its t-image (each one of MISS_REASONS), or None
+    when the point and its t-image are both in the domain. The points flow
+    as one batch, and the points and their images pull back in one call.
+    """
+    pts = as_states(eig.field, points)
+    n = pts.shape[0]
+    ends, escapes = _flow_lanes(eig.field, pts, [t], tol)
+    flowed = np.array([escape is None for escape in escapes], dtype=bool)
+    r_star, _, _, misses = pullback_many(
+        eig.field, eig.manifold, eig.t_window, np.concatenate([pts, ends[0][flowed]]), eig.tol
+    )
+    why = np.full(r_star.size, None, dtype=object)
+    why[np.isnan(r_star)] = misses
+    image = np.full(n, None, dtype=object)
+    image[flowed] = why[n:]
+    return [
+        own or (escape.reason if escape is not None else end)
+        for own, escape, end in zip(why[:n].tolist(), escapes, image.tolist())
+    ]
 
 
 def orbit_scaling_defect(

@@ -126,9 +126,11 @@ def _check_escape_is_the_one_lane_error(method):
 
 # Points of the vdp_lattice box, searched backward over 2.002 against the
 # default segment: two finish with no crossing, two after one, one after
-# two, one blows up with no crossing and one after a crossing.
+# two, one blows up with no crossing and one after a crossing. No lane
+# crosses on the attempt that lands it on 2.002, so with max_count 1 every
+# lane that crosses retires as CROSSED.
 RETIREMENT_STARTS = [
-    [-0.2, -0.54], [-0.2, 0.367], [-0.2, -1.9], [-0.2, -0.993], [-0.04, -0.54],
+    [-0.2, -0.54], [-0.2, 0.367], [-0.2, -1.6], [-0.2, -0.993], [-0.04, -0.54],
     [0.6, -1.9], [2.2, 1.5],
 ]
 
@@ -181,6 +183,55 @@ def test_every_retirement_kind_in_one_batch_matches_its_lanes_alone(monkeypatch)
         for j, t in enumerate(times):
             assert np.max(np.abs(images[j, i] - ke.flow(field, x0, t, 1e-10))) <= 1e-8
 
+
+def test_the_backward_march_over_the_vdp_lattice_box_is_short(monkeypatch):
+    # The lanes that blow up set the march's length: each takes some 180
+    # accepted steps to leave the bound, and about 100 rejected ones.
+    system = ke.make_system("vdp")
+    solvers = []
+    march = ke.dynamics._march
+
+    def recorded(*args, **kwargs):
+        solvers.append(march(*args, **kwargs))
+        return solvers[-1]
+
+    monkeypatch.setattr(ke.dynamics, "_march", recorded)
+    g1, g2 = np.meshgrid(np.linspace(-0.2, 2.2, 16), np.linspace(-1.9, 1.5, 16))
+    pts = np.column_stack([g1.ravel(), g2.ravel()])
+    find_crossings_many(
+        system.field, pts, system.default_manifold.surface, -1.0, 2.002, 1e-10, max_count=4
+    )
+    (solver,) = solvers
+    assert np.count_nonzero(solver.status == ke.dynamics.BLOW_UP) > 0
+    assert solver._attempts <= 350
+
+
+# vdp points that pull back onto the default segment, with r* from 0.3 to 1.95.
+DENSE_STARTS = [
+    [1.22, 0.21], [1.45, -0.43], [1.32, -0.8], [1.22, -0.96], [1.18, -1.02], [0.18, -1.79],
+]
+
+
+def test_pullback_matches_a_dop853_event_search():
+    # r* and s* come from the dense output of the step that brackets the
+    # crossing; scipy locates the same crossing on its own dense output.
+    system = ke.make_system("vdp")
+    field, mani = system.field, system.default_manifold
+    r_star, s_star, _, misses = ke.pullback_many(field, mani, (0.0, 2.0), DENSE_STARTS, 1e-10)
+    assert misses == []
+
+    def surface(_t, y):
+        return mani.surface(y[:, None])[0]
+
+    for j, x0 in enumerate(DENSE_STARTS):
+        sol = solve_ivp(
+            lambda _t, y: -field.rhs(y), (0.0, 2.002), np.asarray(x0, float),
+            method="DOP853", rtol=1e-12, atol=1e-12, events=[surface],
+        )
+        assert sol.success and sol.t_events[0].size == 1
+        foot = sol.y_events[0][0]
+        assert abs(r_star[j] - sol.t_events[0][0]) <= 1e-9, f"at {x0}"
+        assert abs(s_star[j] - mani.locate(foot[:, None])[0]) <= 1e-9, f"at {x0}"
 
 
 def test_batched_crossings_of_an_event_that_views_its_states_match_one_lane():

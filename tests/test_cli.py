@@ -518,6 +518,28 @@ def test_eval_spot_check_of_escaping_images_is_null(tmp_path):
     summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
     assert summary["in_domain_points"] == summary["lattice_points"] == 400
     assert summary["spot_check_residual"] is None
+    assert summary["spot_check_misses"] == {
+        "no_crossing": 0, "ambiguous": 0, "blow_up": 10, "step_underflow": 0
+    }
+
+
+def test_eval_spot_check_certifies_the_images_that_stay(tmp_path):
+    # Of the picks on x' = x^2 over [1, 20], those above x = 10 escape before
+    # t = 0.1; the others are certified, and the escapes counted.
+    cfg = {
+        "system": {"name": "blowup"},
+        "t_window": [0, 2],
+        "eig": {"lambda": 1, "h": "1"},
+        "lattice": {"x1": [1, 20, 40]},
+    }
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
+    assert summary["in_domain_points"] == summary["lattice_points"] == 40
+    spot, misses = summary["spot_check_residual"], summary["spot_check_misses"]
+    assert isinstance(spot, float) and math.isfinite(spot) and spot <= 1e-6
+    assert misses["blow_up"] > 0
+    assert misses["no_crossing"] == misses["ambiguous"] == misses["step_underflow"] == 0
 
 
 def test_eval_spot_check_of_ambiguous_images_is_null(tmp_path):
@@ -537,6 +559,9 @@ def test_eval_spot_check_of_ambiguous_images_is_null(tmp_path):
     summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
     assert summary["in_domain_points"] == 1
     assert summary["spot_check_residual"] is None
+    assert summary["spot_check_misses"] == {
+        "no_crossing": 0, "ambiguous": 1, "blow_up": 0, "step_underflow": 0
+    }
 
 
 def test_decompose_one_dimensional_system(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import koopeig as ke
-from koopeig import dynamics
+from koopeig import _dop853, dynamics
 from koopeig.dynamics import find_crossings
 
 
@@ -31,8 +31,10 @@ def test_flow_blowup_both_methods():
     sysb = ke.make_system("blowup")
     with pytest.raises(ke.BlowUpError):
         ke.flow(sysb.field, [1.0], 1.0)
+    # The orbit escapes at t = 1; the march's escape time lies within its
+    # tolerance of that, so it is flowed a little past.
     with pytest.raises(ke.BlowUpError):
-        ke.flow(_rk45(sysb.field), [1.0], 1.0)
+        ke.flow(_rk45(sysb.field), [1.0], 1.01)
 
 
 def test_flow_dimension_and_argument_checks(lin2d):
@@ -75,6 +77,64 @@ def test_marches_refuse_a_tol_budget_or_window_that_makes_no_sense(name):
     for budget in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="budget"):
             dynamics.find_crossings_many(field, x, mani.surface, -1.0, budget)
+
+
+def _dense(row: dict, size: int) -> np.ndarray:
+    out = np.zeros(size)
+    out[list(row)] = list(row.values())
+    return out
+
+
+def test_stepper_tables_are_dop853s_bit_for_bit():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    tables = [
+        (np.array([_dense(row, 16) for row in _dop853.A]), ref.A),
+        (_dense(_dop853.B, ref.N_STAGES), ref.B),
+        (_dense(_dop853.E5, ref.N_STAGES + 1), ref.E5),
+        (_dense(_dop853.E3, ref.N_STAGES + 1), ref.E3),
+        (np.array([_dense(row, 16) for row in _dop853.D]), ref.D),
+    ]
+    for ours, theirs in tables:
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+    # Sparse rows: nonzero weights only, in stage order, which is the order
+    # of every stage sum.
+    for row in (*_dop853.A, _dop853.E5, _dop853.E3, *_dop853.D):
+        assert list(row) == sorted(row) and 0.0 not in row.values()
+
+
+def test_a_bracket_is_refined_on_dop853s_dense_output():
+    # One step of vdp from (1.5, 0.5) with the event crossing mid-step: the
+    # refined state is scipy's DOP853 dense output of the same step, whose
+    # degree-7 term alone is some 5e-13 there.
+    from scipy.integrate import DOP853
+
+    field = ke.make_system("vdp").field
+    x0, tol = np.array([1.5, 0.5]), 1e-10
+    probe = dynamics.RK45(dynamics._batch_rhs(field, 1.0), x0[:, None], [2.0], tol)
+    ref = DOP853(
+        lambda _t, y: field.rhs(y), 0.0, x0, 2.0, rtol=tol, atol=tol, first_step=float(probe._h[0])
+    )
+    ref.step()
+    dense = ref.dense_output()
+    level = dense(0.5 * ref.t)[0]
+    solver = dynamics.RK45(
+        dynamics._batch_rhs(field, 1.0), x0[:, None], [2.0], tol, event=lambda y: y[0] - level
+    )
+    solver.step()
+    assert solver.status[0] == dynamics.CROSSED and solver.tau[0] == ref.t
+    ((tau, y),) = solver.crossings(1e-14)[0]
+    assert 0.0 < tau < ref.t
+    assert np.max(np.abs(y - dense(tau))) <= 1e-15
+
+
+def test_a_lane_at_an_equilibrium_stays_there():
+    # Every stage derivative is zero, so both error estimates vanish: the
+    # step is exact and grows, rather than 0/0 rejecting it until underflow.
+    field = ke.make_system("vdp").field
+    images = ke.flow_many(field, [[0.0, 0.0], [0.5, 0.5]], [1.0, 2.0])
+    assert np.array_equal(images[:, 0], np.zeros((2, 2)))
+    assert np.all(np.isfinite(images[:, 1]))
 
 
 def test_convergence_order_monotone(lin2d):

@@ -269,6 +269,25 @@ def test_residual_of_an_escaping_image_is_not_in_domain():
     assert info.value.reason == "blow_up"
 
 
+@pytest.mark.parametrize("marched", [False, True], ids=["closed_form", "rk45"])
+def test_orbit_misses_name_why_each_point_fails_the_residual(marched):
+    # x' = x^2 pulled back onto x = 1, where r* = 1 - 1/x: 0.5 has no foot,
+    # 15 escapes at t = 1/15 before the hop of 0.1, and the image of 8 (40,
+    # at r* = 0.975) lies past the window's end; 2 and 3 stay in the domain.
+    system = ke.make_system("blowup")
+    field = system.field
+    if marched:
+        field = dataclasses.replace(field, closed_form_flow=None)
+    h = ke.DataFunction.from_callable(system.default_manifold, np.ones_like)
+    eig = ke.OpenEigenfunction(1.0, h, system.default_manifold, field, (0.0, 0.95))
+    pts = [[2.0], [0.5], [15.0], [8.0], [3.0]]
+    reasons = ke.orbit_misses(eig, pts, 0.1)
+    assert reasons == [None, "no_crossing", "blow_up", "no_crossing", None]
+    with pytest.raises(ke.NotInDomainError):
+        ke.koopman_residual(eig, pts, 0.1)
+    assert ke.koopman_residual(eig, [[2.0], [3.0]], 0.1) <= 1e-8
+
+
 def test_residual_random_keig_invariant(lin2d, horizontal_manifold):
     # Any data function on a transverse manifold yields a genuine eigenfunction.
     rng = np.random.default_rng(8)
