@@ -151,7 +151,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         "in_domain_points": n_ok,
         "miss_reasons": {reason: misses.count(reason) for reason in MISS_REASONS},
         "spot_check_t": t_spot,
-        "spot_check_residual": spot,
+        "spot_check_residual": spot if spot is None or np.isfinite(spot) else None,
         "spot_check_misses": {reason: spot_misses.count(reason) for reason in MISS_REASONS},
         "config_echo": cfg.echo,
     }

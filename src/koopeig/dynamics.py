@@ -67,8 +67,10 @@ REFINE_CAP = 80
 CLOSED_SCAN_POINTS = 128
 _FRACS = np.linspace(0.0, 1.0, CLOSED_SCAN_POINTS + 1)
 
-# Step-size control: the factor SAFETY * err ** (-1/8), within these bounds.
+# Step-size control (see ``RK45``): a safety factor, the bounds of a step's
+# change, and the exponents of Gustafsson's PI.3.4 rule (ACM TOMS 17, 1991).
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+PI_ALPHA, PI_BETA = 0.7 / 8, 0.4 / 8
 
 
 def _terms(row: dict) -> tuple:
@@ -207,10 +209,13 @@ class RK45:
 
     An attempt takes 12 stages, the last of them the FSAL derivative at the
     new state, so 12 RHS calls. Its error norm is DOP853's combined fifth-
-    and third-order estimate, and its step grows or shrinks by
-    ``SAFETY * err ** (-1/8)`` within [MIN_FACTOR, MAX_FACTOR]. A step that
-    brackets a crossing builds three more stages for its seventh-order dense
-    output. Stage sums are elementwise, in a fixed order.
+    and third-order estimate. Each lane's step is set by PI control: after
+    an accepted step it is scaled by ``SAFETY * err ** -PI_ALPHA *
+    err_prev ** PI_BETA``, err_prev being the lane's last accepted error
+    norm, and after a rejected one by ``SAFETY * err ** (-1/8)``, within
+    [MIN_FACTOR, MAX_FACTOR]; it does not grow right after a rejection. A
+    step that brackets a crossing builds three more stages for its
+    seventh-order dense output. Stage sums are elementwise, in a fixed order.
 
     ``fun`` maps the (d, N) state to its derivative. Every lane must land on
     each tau in ``stops`` (positive, increasing); its state there is kept in
@@ -270,6 +275,7 @@ class RK45:
         self._target = np.full(n, self.stops[0])  # stops[_next]
         self._count = np.zeros(n, dtype=int)
         self._cap = None  # growth cap, 1 right after a rejection; None: MAX_FACTOR for all
+        self._err_prev = np.ones(n)  # error norm of the last accepted step, at least 1e-4
         self._attempts = 0
         with np.errstate(all="ignore"):
             self._f = fun(y)
@@ -339,21 +345,24 @@ class RK45:
         if np.count_nonzero(exact):
             err_norm[exact] = 0.0
 
-        growth = SAFETY * err_norm**-0.125
         accept = err_norm < 1.0
         if stalled:
             accept &= steady
         n_acc = np.count_nonzero(accept)
         # No growth right after a rejection; a step cut short to land on a
         # stop says nothing against the longer one.
+        growth = SAFETY * err_norm**-PI_ALPHA * self._err_prev**PI_BETA
         h_acc = hs * np.minimum(MAX_FACTOR if self._cap is None else self._cap, growth)
         if landing:
             h_acc = np.where(clipped, np.maximum(h, h_acc), h_acc)
+        err_acc = np.maximum(err_norm, 1e-4)
         if n_acc == n:
-            self._h, self._cap = h_acc, None
+            self._h, self._cap, self._err_prev = h_acc, None, err_acc
         else:
-            self._h = np.where(accept, h_acc, h * np.fmax(MIN_FACTOR, growth))
+            h_rej = h * np.fmax(MIN_FACTOR, SAFETY * err_norm**-0.125)
+            self._h = np.where(accept, h_acc, h_rej)
             self._cap = np.where(accept, MAX_FACTOR, 1.0)
+            self._err_prev = np.where(accept, err_acc, self._err_prev)
 
         status = None
         if stalled:
@@ -468,7 +477,7 @@ class RK45:
         keep = ~out
         self._lanes = self._lanes[keep]
         self._y, self._f = self._y[:, keep], self._f[:, keep]
-        for name in ("_tau", "_h", "_steps", "_next", "_target", "_count"):
+        for name in ("_tau", "_h", "_err_prev", "_steps", "_next", "_target", "_count"):
             setattr(self, name, getattr(self, name)[keep])
         if self._cap is not None:
             self._cap = self._cap[keep]

@@ -362,16 +362,18 @@ def koopman_residual(
     eigenfunction. A point or t-image outside the domain raises its
     NotInDomainError: BlowUpError or StepUnderflowError when the orbit escapes
     on the way, else the miss of ``values``. The points flow as one batch, and
-    phi is evaluated at both ends of every orbit in one call.
+    phi is evaluated at both ends of every orbit in one call. The defect is
+    NaN or inf when phi or e^{lambda t} overflows, as for a large lambda.
     """
     pts = as_states(eig.field, points)
     if pts.shape[0] == 0:
         return 0.0
-    factor = cmath.exp(complex(eig.eigenvalue) * t)
     ends = flow_many(eig.field, pts, [t], tol)[0]
     phi = eig.values(np.concatenate([pts, ends]))
     phi_x, phi_y = phi[: pts.shape[0]], phi[pts.shape[0]:]
-    defect = np.abs(phi_y - factor * phi_x) / np.maximum(1.0, np.abs(phi_x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(complex(eig.eigenvalue) * t)
+        defect = np.abs(phi_y - factor * phi_x) / np.maximum(1.0, np.abs(phi_x))
     return float(defect.max())
 
 
@@ -474,11 +476,13 @@ def evaluate_points(
 
     r*, s* and the misses are ``pullback_many``'s columns as they come. phi
     is one array expression over the hits, so ``eig.data`` never sees a miss.
+    A hit's phi is non-finite where e^{lambda r*} overflows.
     """
     r_star, s_star, _, misses = pullback_many(
         eig.field, eig.manifold, eig.t_window, points, eig.tol
     )
     hit = ~np.isnan(r_star)
     phi = np.full(r_star.shape, np.nan, dtype=complex)
-    phi[hit] = eig.data(s_star[hit]) * np.exp(eig.eigenvalue * r_star[hit])
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi[hit] = eig.data(s_star[hit]) * np.exp(eig.eigenvalue * r_star[hit])
     return phi, r_star, s_star, misses

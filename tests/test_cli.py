@@ -523,6 +523,24 @@ def test_eval_spot_check_of_escaping_images_is_null(tmp_path):
     }
 
 
+@pytest.mark.parametrize("eigenvalue", [7000, 8000])
+def test_eval_with_an_overflowing_eigenvalue_writes_strict_json(tmp_path, eigenvalue):
+    # phi = s e^{lambda r*} overflows on the vdp hits, and past lambda t = 709
+    # so does the spot check's factor e^{lambda t}: the residual is not finite.
+    cfg = {
+        "system": {"name": "vdp"},
+        "t_window": [0, 2],
+        "eig": {"lambda": eigenvalue, "h": "s"},
+        "lattice": {"x1": [-0.2, 2.2, 16], "x2": [-1.9, 1.5, 16]},
+    }
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_DOMAIN
+    text = (tmp_path / "out" / "eval_summary.json").read_text()
+    summary = json.loads(text, parse_constant=_refuse_constant)
+    assert summary["in_domain_points"] > 0
+    assert summary["spot_check_residual"] is None
+
+
 def test_eval_spot_check_certifies_the_images_that_stay(tmp_path):
     # Of the picks on x' = x^2 over [1, 20], those above x = 10 escape before
     # t = 0.1; the others are certified, and the escapes counted.

@@ -301,7 +301,7 @@ def test_step_underflow_is_reported(monkeypatch):
     def rhs(x):
         return np.where(x < 1.0, 1.0, -1.0)
 
-    monkeypatch.setattr(ke.dynamics, "MAX_STEPS", 20_000)
+    monkeypatch.setattr(ke.dynamics, "MAX_STEPS", 2_000)
     field = ke.VectorField(1, rhs, name="chatter")
     with pytest.raises(ke.StepUnderflowError):
         ke.flow(field, [0.0], 5.0, 1e-10)
