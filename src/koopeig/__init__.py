@@ -20,7 +20,6 @@ from .eigenfunctions import (
     koopman_residual,
     levelset_transversality,
     orbit_misses,
-    orbit_scaling_defect,
     pullback,
     pullback_many,
     restate_data,

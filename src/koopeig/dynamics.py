@@ -7,10 +7,10 @@ II.5, II.6 and II.10; the tables are in ``_dop853``). The ``RK45`` stepper
 advances a (d, N) array whose columns are independent lanes. Each lane
 keeps its own step size, error control and FSAL derivative, under the fixed
 blow-up bound ``BLOWUP_BOUND``, step floor ``STEP_FLOOR`` and step budget
-``MAX_STEPS``. A lane retires when it finishes its span, blows up,
-underflows, or has met ``max_count`` event crossings. ``flow_many`` and
-``find_crossings_many`` march many states as one batch, and crossings are
-refined by Illinois steps on the dense output.
+``MAX_STEPS``. A lane retires when it finishes its span, blows up or
+underflows; an event search records every crossing on the way.
+``flow_many`` and ``find_crossings_many`` march many states as one batch,
+and crossings are refined by Illinois steps on the dense output.
 
 Right-hand-side contract: ``VectorField.rhs`` maps a (d, N) array of states
 to the (d, N) array of their derivatives. Every march, one lane included,
@@ -90,7 +90,7 @@ _EXTRA_TERMS = tuple(_terms(a) for a in _dop853.A[13:])
 _D_TERMS = tuple(_terms(row) for row in _dop853.D)
 
 # Lane states.
-RUNNING, DONE, CROSSED, BLOW_UP, UNDERFLOW = range(5)
+RUNNING, DONE, BLOW_UP, UNDERFLOW = range(4)
 
 
 @dataclass(frozen=True)
@@ -221,10 +221,10 @@ class RK45:
     each tau in ``stops`` (positive, increasing); its state there is kept in
     ``at_stops``. When ``event`` (a (d, M) array to (M,) values) is given,
     each accepted step that changes its sign records a bracket with the
-    step's dense output, and a lane retires after ``max_count`` (at least
-    1) of them. ``step()`` makes one attempt for every running lane. When
-    the batch has run out, ``status``, ``tau`` and ``y`` hold each lane's
-    retirement state, and ``crossings(tol)`` refines the brackets.
+    step's dense output; a crossing does not retire its lane. ``step()``
+    makes one attempt for every running lane. When the batch has run out,
+    ``status``, ``tau`` and ``y`` hold each lane's retirement state, and
+    ``crossings(tol)`` refines the brackets.
 
     Every attempt does each lane's arithmetic: the stages, the error norm,
     the next step size, the blow-up test and, with an event, the event at
@@ -232,11 +232,10 @@ class RK45:
     that need it. Step sizes and growth caps are merged lane by lane only
     when some lane was rejected or stalled. The next stop is looked up only
     when a lane lands on one. The event's values are gathered and scattered
-    only when some lane is not live. The dense output and the ``max_count``
-    test run only when a lane brackets a crossing. The retirement status
-    is built, and the working arrays shrunk, only when a lane stalls, lands
-    on its last stop, blows up, runs out of steps or meets its last
-    crossing.
+    only when some lane is not live. The dense output is built only when a
+    lane brackets a crossing. The retirement status is built, and the
+    working arrays shrunk, only when a lane stalls, lands on its last stop,
+    blows up or runs out of steps.
     """
 
     def __init__(
@@ -247,19 +246,16 @@ class RK45:
         tol: float,
         *,
         event: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        max_count: int = 1,
     ):
         y = np.array(y0, dtype=float)
         d, n = y.shape
         self.fun, self.tol = fun, tol
-        self.event, self.max_count = event, max_count
+        self.event = event
         self.stops = np.asarray(stops, dtype=float)
         if self.stops.ndim != 1 or self.stops.size == 0 or not (
             self.stops[0] > 0.0 and np.all(np.diff(self.stops) > 0.0)
         ):
             raise ValueError("stops must be positive and increasing")
-        if max_count < 1:
-            raise ValueError("max_count must be at least 1")
         # Retirement state of every lane.
         self.status = np.full(n, RUNNING)
         self.tau = np.zeros(n)
@@ -273,7 +269,6 @@ class RK45:
         self._steps = np.zeros(n, dtype=int)
         self._next = np.zeros(n, dtype=int)
         self._target = np.full(n, self.stops[0])  # stops[_next]
-        self._count = np.zeros(n, dtype=int)
         self._cap = None  # growth cap, 1 right after a rejection; None: MAX_FACTOR for all
         self._err_prev = np.ones(n)  # error norm of the last accepted step, at least 1e-4
         self._attempts = 0
@@ -378,9 +373,9 @@ class RK45:
 
     def _advance(self, accept, n_acc, clipped, status, tau_new, y_new, k):
         """Move the n_acc accepted lanes. Mark in status, made when first
-        needed, those that land on their last stop, blow up, run out of steps
-        or meet their last crossing, and return it. clipped is None when no
-        step was cut short to land on a stop."""
+        needed, those that land on their last stop, blow up or run out of
+        steps, and return it. clipped is None when no step was cut short to
+        land on a stop."""
         tau, y = self._tau, self._y
         n = accept.size
         if n_acc == n:
@@ -413,13 +408,7 @@ class RK45:
                 status[over] = UNDERFLOW
                 scan = live & ~over
         if self.event is not None:
-            crossed = self._detect(k, tau, tau_new, y, scan)
-            if crossed is not None:
-                full = crossed[self._count[crossed] >= self.max_count]
-                if full.size:
-                    status = _status(status, n)
-                    full = full[status[full] == RUNNING]
-                    status[full] = CROSSED
+            self._detect(k, tau, tau_new, y, scan)
         if n_live < n_acc:
             status = _status(status, n)
             status[accept & ~live] = BLOW_UP
@@ -427,23 +416,22 @@ class RK45:
 
     def _detect(self, k, tau, tau_new, y, scan):
         """Bracket the sign changes of the event over the accepted steps of
-        the lanes in the mask scan, or of every lane when scan is None.
-        Returns the positions of the lanes that crossed, or None."""
+        the lanes in the mask scan, or of every lane when scan is None."""
         if scan is None:
             g_old, g_new = self._g, self.event(self._y)
             self._g = g_new.copy()  # not a view of the states, which _g[idx] = ... would write
         else:
             idx = np.flatnonzero(scan)
             if idx.size == 0:
-                return None
+                return
             g_old, g_new = self._g[idx], self.event(self._y[:, idx])
             self._g[idx] = g_new
         cand = g_old * g_new <= 0.0
         if not np.count_nonzero(cand):  # no sign change and no zero
-            return None
+            return
         sel = np.flatnonzero(cand & ((g_old != 0.0) | (g_new != 0.0)))  # a zero counts once
         if sel.size == 0:
-            return None
+            return
         c = sel if scan is None else idx[sel]
         # The seventh-order dense output of these lanes' steps: three more
         # stages, then its seven coefficients (Hairer, Norsett & Wanner, II.6).
@@ -463,8 +451,6 @@ class RK45:
         self.brackets.append(
             (self._lanes[c], tau[c], tau_new[c], y_old, q, g_old[sel], g_new[sel])
         )
-        self._count[c] += 1
-        return c
 
     def _retire(self, status: np.ndarray) -> None:
         out = status != RUNNING
@@ -477,7 +463,7 @@ class RK45:
         keep = ~out
         self._lanes = self._lanes[keep]
         self._y, self._f = self._y[:, keep], self._f[:, keep]
-        for name in ("_tau", "_h", "_err_prev", "_steps", "_next", "_target", "_count"):
+        for name in ("_tau", "_h", "_err_prev", "_steps", "_next", "_target"):
             setattr(self, name, getattr(self, name)[keep])
         if self._cap is not None:
             self._cap = self._cap[keep]
@@ -606,10 +592,9 @@ def _march(
     stops,
     tol: float,
     event=None,
-    max_count: int = 1,
 ) -> RK45:
     """Run the stepper over the (d, N) lanes y0 along sign*F until every lane retires."""
-    solver = RK45(_batch_rhs(field, sign), y0, stops, tol, event=event, max_count=max_count)
+    solver = RK45(_batch_rhs(field, sign), y0, stops, tol, event=event)
     while solver.running:
         solver.step()
     return solver
@@ -720,10 +705,8 @@ def find_crossings(
     sign: float,
     budget: float,
     tol: float = DEFAULT_TOL,
-    *,
-    max_count: int = 1,
 ) -> list[tuple[float, np.ndarray]]:
-    """Locate up to max_count sign changes of event along sign*F over [0, budget].
+    """Locate every sign change of event along sign*F over [0, budget], in time order.
 
     ``find_crossings_many`` of one state: sign is 1 (forward) or -1
     (backward). ``event`` maps (d, N) states to (N,) values. Blow-up or
@@ -732,16 +715,14 @@ def find_crossings(
     propagates.
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    (found,), (escape,) = find_crossings_many(
-        field, x0, event, sign, budget, tol, max_count=max_count
-    )
+    (found,), (escape,) = find_crossings_many(field, x0, event, sign, budget, tol)
     if escape is not None:
         raise escape
     return found
 
 
 def _scan_closed(
-    field: VectorField, x0: np.ndarray, event, sign: float, budget: float, tol: float, max_count: int
+    field: VectorField, x0: np.ndarray, event, sign: float, budget: float, tol: float
 ) -> tuple[list[tuple[float, np.ndarray]], Optional[BlowUpError]]:
     """The exact crossing scan of the closed-form orbit of the (d,) state x0.
 
@@ -760,8 +741,9 @@ def _scan_closed(
     change narrower than the floor is taken at its right sample, and so is
     a refined bracket.
 
-    Returns the crossings and, when the orbit escapes before any of them,
-    the BlowUpError of the escape, else None.
+    Returns every crossing over [0, budget] in time order and, when the
+    orbit escapes before any of them, the BlowUpError of the escape, else
+    None.
     """
     floor = 1e-15 * budget
     lanes = np.repeat(x0[:, None], CLOSED_SCAN_POINTS, axis=1)
@@ -771,9 +753,9 @@ def _scan_closed(
         y, blown = _closed_flow(field, lanes[:, : tau.size], sign * tau)
         return np.where(blown, np.nan, y)
 
-    def scan(lo: float, g_lo: float, hi: float, count: int):
-        """Up to count crossings over (lo, hi], and the blown sample that
-        ends the orbit there as (tau, state), or None."""
+    def scan(lo: float, g_lo: float, hi: float):
+        """The crossings over (lo, hi], and the blown sample that ends the
+        orbit there as (tau, state), or None."""
         taus = lo + (hi - lo) * _FRACS
         y, blown = _closed_flow(field, lanes, sign * taus[1:])
         end = int(np.argmax(blown)) if blown.any() else CLOSED_SCAN_POINTS
@@ -781,7 +763,7 @@ def _scan_closed(
         g[0] = g_lo
         if end:
             g[1 : end + 1] = event(y[:, :end])
-        ks = _sign_change(g[:end], g[1 : end + 1]).nonzero()[0][:count].tolist()
+        ks = _sign_change(g[:end], g[1 : end + 1]).nonzero()[0].tolist()
         # A sign change is a crossing at its right sample when |event| < tol
         # there. One right before a blown sample is scanned again: so close
         # to the escape, its samples give no usable first iterate. The
@@ -803,17 +785,17 @@ def _scan_closed(
         for k in ks:
             tau, state = refined.get(k, (float(taus[k + 1]), y[:, k]))
             if k == steep or np.isnan(tau):  # or a blown iterate: sample the bracket again
-                hits += scan(taus[k], g[k], taus[k + 1], 1)[0]
+                hits += scan(taus[k], g[k], taus[k + 1])[0]
             else:
                 hits.append((tau, state.copy()))
-        if len(hits) >= count or end == CLOSED_SCAN_POINTS:
+        if end == CLOSED_SCAN_POINTS:
             return hits, None
         if taus[end + 1] - taus[end] < CLOSED_SCAN_POINTS * floor:
             return hits, (float(taus[end + 1]), y[:, end])
-        more, escape = scan(taus[end], g[end], taus[end + 1], count - len(hits))
+        more, escape = scan(taus[end], g[end], taus[end + 1])
         return hits + more, escape
 
-    found, escape = scan(0.0, float(event(x0[:, None])[0]), budget, max_count)
+    found, escape = scan(0.0, float(event(x0[:, None])[0]), budget)
     if escape is None or found:
         return found, None
     tau, state = escape
@@ -827,10 +809,8 @@ def find_crossings_many(
     sign: float,
     budget: float,
     tol: float = DEFAULT_TOL,
-    *,
-    max_count: int = 1,
 ) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[NotInDomainError]]]:
-    """Up to max_count crossings of event along sign*F over [0, budget] for N states.
+    """Every crossing of event along sign*F over [0, budget], in time order, for N states.
 
     sign is 1 to search forward in time and -1 to search backward.
     ``event`` maps a (d, M) array to M values. A field without a closed
@@ -839,8 +819,8 @@ def find_crossings_many(
     closed-form flow is scanned exactly, state by state (``_scan_closed``).
     Returns, per state, its crossings and its escape: the BlowUpError or
     StepUnderflowError that ends the orbit before any crossing, else None.
-    sign must be 1 or -1, tol finite and positive, budget finite and
-    max_count at least 1, else ValueError; a budget <= 0 finds no crossings.
+    sign must be 1 or -1, tol finite and positive and budget finite, else
+    ValueError; a budget <= 0 finds no crossings.
     """
     x = as_states(field, states)
     n = x.shape[0]
@@ -849,15 +829,13 @@ def find_crossings_many(
     _check_tol(tol)
     if not np.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget!r}")
-    if max_count < 1:
-        raise ValueError(f"max_count must be at least 1, got {max_count!r}")
     if n == 0 or budget <= 0.0:
         return [[] for _ in range(n)], [None] * n
     event = _batch_event(event)
     if field.closed_form_flow is not None:
-        scans = [_scan_closed(field, x0, event, sign, budget, tol, max_count) for x0 in x]
+        scans = [_scan_closed(field, x0, event, sign, budget, tol) for x0 in x]
         return [found for found, _ in scans], [escape for _, escape in scans]
-    solver = _march(field, x.T, sign, [budget], tol, event=event, max_count=max_count)
+    solver = _march(field, x.T, sign, [budget], tol, event=event)
     found = solver.crossings(tol)
     escapes = [
         _lane_error(field, solver, i, sign)

@@ -10,17 +10,18 @@ that single evaluation primitive.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# ``find_crossings`` is not called here, but perfbench/tracing.py patches
-# eigenfunctions.find_crossings.
+# ``find_crossings`` and ``flow`` are not called here, but
+# perfbench/tracing.py patches eigenfunctions.find_crossings and
+# eigenfunctions.flow.
 from .dynamics import (  # noqa: F401
     DEFAULT_TOL,
     VectorField,
+    _check_tol,
     _flow_lanes,
     as_states,
     find_crossings,
@@ -48,7 +49,6 @@ __all__ = [
     "eig_power",
     "koopman_residual",
     "orbit_misses",
-    "orbit_scaling_defect",
     "restate_data",
     "levelset_transversality",
     "same_primary_class",
@@ -56,11 +56,6 @@ __all__ = [
 ]
 
 PRIMARY_CLASS_THRESHOLD = 1e-4
-# The first cap on the crossings of the supporting surface that a search
-# collects in each direction. A point that meets the cap with fewer than two
-# feet is searched again under twice the cap; more than one foot in a
-# direction makes the pullback ambiguous.
-AMBIGUITY_COUNT = 4
 
 
 @dataclass(frozen=True)
@@ -113,10 +108,9 @@ def _pull(
     searched backward over the downstream part of the window, t2 plus a
     slack, and then, when t1 < 0, forward over the upstream part, -t1 plus
     the slack. A foot is a crossing of the supporting surface whose state
-    lies on the manifold. A search collects up to AMBIGUITY_COUNT crossings;
-    a point that meets that cap with fewer than two feet is searched again
-    from its start under twice the cap, until it has two feet, finds fewer
-    crossings than the cap or escapes. The rules that settle a point:
+    lies on the manifold. Each direction is one ``find_crossings_many``
+    call, which returns every crossing in its budget. The rules that settle
+    a point:
 
     - only a point with no backward foot is searched forward;
     - one foot in a direction is the pullback: r* = tau backward, and
@@ -144,31 +138,22 @@ def _pull(
     passes = [(-1.0, t2 + slack)] + ([(1.0, -t1 + slack)] if t1 < 0.0 else [])
     for sign, budget in passes:
         idx = np.flatnonzero(np.isnan(out[0]) & (reason != AMBIGUOUS))
-        cap = AMBIGUITY_COUNT
-        while True:
-            crossings, escaped = find_crossings_many(
-                field, pts[idx], manifold.surface, sign, budget, tol, max_count=cap
-            )
-            # A lane that escapes has no crossings; its first escape names its miss.
-            for i, exc in zip(idx.tolist(), escaped):
-                if exc is not None and reason[i] == NO_CROSSING:
-                    reason[i] = exc.reason
-            counts = [len(found) for found in crossings]
-            if not any(counts):
-                break
-            # Every crossing as a column r*, s, state, like the columns of out.
-            lane = np.repeat(np.arange(idx.size), counts)
-            flat = np.array([(-sign * tau, 0.0, *y) for found in crossings for tau, y in found]).T
-            flat[1], on = _on_manifold(manifold, flat[2:], on_tol)
-            feet = np.bincount(lane[on], minlength=idx.size)
-            # A lane that met the cap with fewer than two feet is searched again.
-            again = (np.array(counts) == cap) & (feet < 2)
-            one = on & ((feet == 1) & ~again)[lane]
-            out[:, idx[lane[one]]] = flat[:, one]
-            reason[idx[feet > 1]] = AMBIGUOUS
-            idx, cap = idx[again], 2 * cap
-            if not idx.size:
-                break
+        crossings, escaped = find_crossings_many(field, pts[idx], manifold.surface, sign, budget, tol)
+        # A lane that escapes has no crossings; its first escape names its miss.
+        for i, exc in zip(idx.tolist(), escaped):
+            if exc is not None and reason[i] == NO_CROSSING:
+                reason[i] = exc.reason
+        counts = [len(found) for found in crossings]
+        if not any(counts):
+            continue
+        # Every crossing as a column r*, s, state, like the columns of out.
+        lane = np.repeat(np.arange(idx.size), counts)
+        flat = np.array([(-sign * tau, 0.0, *y) for found in crossings for tau, y in found]).T
+        flat[1], on = _on_manifold(manifold, flat[2:], on_tol)
+        feet = np.bincount(lane[on], minlength=idx.size)
+        one = on & (feet == 1)[lane]
+        out[:, idx[lane[one]]] = flat[:, one]
+        reason[idx[feet > 1]] = AMBIGUOUS
     r_star, s_star = out[0], out[1]
     return r_star, s_star, out[2:], reason[np.isnan(r_star)].tolist()
 
@@ -248,8 +233,9 @@ class _EigenfunctionBase:
 class OpenEigenfunction(_EigenfunctionBase):
     """Eigenfunction defined by data on a transverse manifold over a time window.
 
-    The window must be finite and contain 0, as for ``pullback``; a window
-    that is not is a ValueError when the eigenfunction is built.
+    The window must be finite and contain 0 and tol finite and positive,
+    as for ``pullback``; either that is not is a ValueError when the
+    eigenfunction is built.
     """
 
     eigenvalue: complex
@@ -261,6 +247,7 @@ class OpenEigenfunction(_EigenfunctionBase):
 
     def __post_init__(self):
         _window(self.t_window)
+        _check_tol(self.tol)
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
     def values(self, points) -> np.ndarray:
@@ -401,20 +388,6 @@ def orbit_misses(
         own or (escape.reason if escape is not None else end)
         for own, escape, end in zip(why[:n].tolist(), escapes, image.tolist())
     ]
-
-
-def orbit_scaling_defect(
-    eig: _EigenfunctionBase,
-    x,
-    r: float,
-    *,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Absolute defect |phi(rho_r(x)) - phi(x) e^{lambda r}| for one orbit hop."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = flow(eig.field, x, r, tol)
-    phi_x, phi_y = eig.values([x, y])
-    return abs(complex(phi_y) - complex(phi_x) * cmath.exp(complex(eig.eigenvalue) * r))
 
 
 def restate_data(eig: OpenEigenfunction, target: DataManifold) -> DataFunction:

@@ -93,13 +93,12 @@ def _check_crossings_match_one_lane(method):
         2, rhs, name="rotation", closed_form_flow=closed if method == "exact" else None
     )
     starts = np.array([[0.0, 1.0], [1.0, 0.5], [-2.0, 0.1]])
-    found, escapes = find_crossings_many(
-        field, starts, lambda x: x[1], 1.0, 13.0, 1e-10, max_count=4
-    )
+    found, escapes = find_crossings_many(field, starts, lambda x: x[1], 1.0, 13.0, 1e-10)
     assert escapes == [None, None, None]
-    for x0, lane in zip(starts, found):
-        one = ke.dynamics.find_crossings(field, x0, lambda x: x[1], 1.0, 13.0, 1e-10, max_count=4)
-        assert len(lane) == len(one) == 4
+    # Every zero of x2 over 13: the last start meets one at tau = 0.05.
+    for x0, lane, count in zip(starts, found, (4, 4, 5)):
+        one = ke.dynamics.find_crossings(field, x0, lambda x: x[1], 1.0, 13.0, 1e-10)
+        assert len(lane) == len(one) == count
         for (tau_b, y_b), (tau_1, y_1) in zip(lane, one):
             assert tau_b == tau_1 and np.array_equal(y_b, y_1)
 
@@ -126,9 +125,7 @@ def _check_escape_is_the_one_lane_error(method):
 
 # Points of the vdp_lattice box, searched backward over 2.002 against the
 # default segment: two finish with no crossing, two after one, one after
-# two, one blows up with no crossing and one after a crossing. No lane
-# crosses on the attempt that lands it on 2.002, so with max_count 1 every
-# lane that crosses retires as CROSSED.
+# two, one blows up with no crossing and one after a crossing.
 RETIREMENT_STARTS = [
     [-0.2, -0.54], [-0.2, 0.367], [-0.2, -1.6], [-0.2, -0.993], [-0.04, -0.54],
     [0.6, -1.9], [2.2, 1.5],
@@ -148,29 +145,21 @@ def test_every_retirement_kind_in_one_batch_matches_its_lanes_alone(monkeypatch)
 
     monkeypatch.setattr(dyn, "_march", recorded)
     starts = np.array(RETIREMENT_STARTS)
-    kinds = {}
-    for max_count in (4, 1):
-        found, escapes = find_crossings_many(
-            field, starts, mani.surface, -1.0, 2.002, 1e-10, max_count=max_count
-        )
-        batch = solvers[-1]
-        kinds[max_count] = set(zip(batch.status.tolist(), map(len, found)))
-        for x0, lane, escape in zip(starts, found, escapes):
-            try:
-                one = dyn.find_crossings(
-                    field, x0, mani.surface, -1.0, 2.002, 1e-10, max_count=max_count
-                )
-            except ke.NotInDomainError as exc:
-                assert lane == [] and type(escape) is type(exc), f"at {x0}"
-                assert escape.time == exc.time and np.array_equal(escape.state, exc.state)
-                continue
-            assert escape is None and len(lane) == len(one), f"at {x0}"
-            for (tau_b, y_b), (tau_1, y_1) in zip(lane, one):
-                assert tau_b == tau_1 and np.array_equal(y_b, y_1), f"at {x0}"
+    found, escapes = find_crossings_many(field, starts, mani.surface, -1.0, 2.002, 1e-10)
+    (batch,) = solvers
+    kinds = set(zip(batch.status.tolist(), map(len, found)))
+    for x0, lane, escape in zip(starts, found, escapes):
+        try:
+            one = dyn.find_crossings(field, x0, mani.surface, -1.0, 2.002, 1e-10)
+        except ke.NotInDomainError as exc:
+            assert lane == [] and type(escape) is type(exc), f"at {x0}"
+            assert escape.time == exc.time and np.array_equal(escape.state, exc.state)
+            continue
+        assert escape is None and len(lane) == len(one), f"at {x0}"
+        for (tau_b, y_b), (tau_1, y_1) in zip(lane, one):
+            assert tau_b == tau_1 and np.array_equal(y_b, y_1), f"at {x0}"
     # Finished with none, one or two crossings; blown up with none or one.
-    assert kinds[4] == {(dyn.DONE, 0), (dyn.DONE, 1), (dyn.DONE, 2), (dyn.BLOW_UP, 0), (dyn.BLOW_UP, 1)}
-    # Retired at max_count once the first crossing is met.
-    assert kinds[1] == {(dyn.DONE, 0), (dyn.CROSSED, 1), (dyn.BLOW_UP, 0)}
+    assert kinds == {(dyn.DONE, 0), (dyn.DONE, 1), (dyn.DONE, 2), (dyn.BLOW_UP, 0), (dyn.BLOW_UP, 1)}
 
     # Images at four stops, which the lanes reach on different attempts.
     starts, times = starts[[0, 2, 4, 6]], [0.25, 0.5, 1.0, 1.5]
@@ -198,9 +187,7 @@ def test_the_backward_march_over_the_vdp_lattice_box_is_short(monkeypatch):
     monkeypatch.setattr(ke.dynamics, "_march", recorded)
     g1, g2 = np.meshgrid(np.linspace(-0.2, 2.2, 16), np.linspace(-1.9, 1.5, 16))
     pts = np.column_stack([g1.ravel(), g2.ravel()])
-    find_crossings_many(
-        system.field, pts, system.default_manifold.surface, -1.0, 2.002, 1e-10, max_count=4
-    )
+    find_crossings_many(system.field, pts, system.default_manifold.surface, -1.0, 2.002, 1e-10)
     (solver,) = solvers
     assert np.count_nonzero(solver.status == ke.dynamics.BLOW_UP) > 0
     assert solver._attempts <= 230
@@ -258,12 +245,10 @@ def test_batched_crossings_of_an_event_that_views_its_states_match_one_lane():
     # states.
     field = ke.make_system("vdp").field
     starts = np.array(RETIREMENT_STARTS)
-    found, escapes = find_crossings_many(
-        field, starts, lambda x: x[1], 1.0, 6.0, 1e-10, max_count=4
-    )
+    found, escapes = find_crossings_many(field, starts, lambda x: x[1], 1.0, 6.0, 1e-10)
     assert escapes == [None] * len(starts)
     for x0, lane in zip(starts, found):
-        one = ke.dynamics.find_crossings(field, x0, lambda x: x[1], 1.0, 6.0, 1e-10, max_count=4)
+        one = ke.dynamics.find_crossings(field, x0, lambda x: x[1], 1.0, 6.0, 1e-10)
         assert len(lane) == len(one) == 2, f"at {x0}"
         for (tau_b, y_b), (tau_1, y_1) in zip(lane, one):
             assert tau_b == tau_1 and np.array_equal(y_b, y_1), f"at {x0}"
@@ -513,7 +498,8 @@ def test_the_field_chooses_how_it_is_flowed(lin2d):
 @pytest.mark.parametrize("marched", [False, True], ids=["closed_form", "rk45"])
 def test_an_empty_pullback_batch_checks_its_arguments(lin2d, marched):
     # With no point to pull back, the window and tol are checked all the
-    # same, and an eigenfunction refuses a window that is not finite.
+    # same, and an eigenfunction refuses a window that is not finite or a
+    # tol that is not positive when it is built, not at its first values.
     field = _rk45(lin2d.field) if marched else lin2d.field
     mani = ke.segment_manifold((0.3, 1.0), (2.2, 1.0), n=121, s_range=(0.3, 2.2))
     none = np.empty((0, 2))
@@ -526,6 +512,9 @@ def test_an_empty_pullback_batch_checks_its_arguments(lin2d, marched):
     h = ke.DataFunction.from_callable(mani, np.ones_like)
     with pytest.raises(ValueError, match="t_window must be finite"):
         ke.OpenEigenfunction(2.0, h, mani, field, (0.0, math.inf))
+    for tol in (-1.0, math.nan, 0.0):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            ke.OpenEigenfunction(2.0, h, mani, field, (0.0, 1.0), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,7 @@ def test_greedy_term_orbit_scaling():
     )
     x = grid.points[8, 6]
     for term in result.terms:
-        assert ke.orbit_scaling_defect(term.eigenfunction, x, 0.1, tol=1e-9) <= 1e-4
+        assert ke.koopman_residual(term.eigenfunction, [x], 0.1, tol=1e-9) <= 1e-4
 
 
 def test_greedy_complex_candidates_skip_refinement(lin2d, small_grid):

@@ -61,8 +61,6 @@ def test_marches_refuse_a_tol_budget_or_window_that_makes_no_sense(name):
             ke.pullback(field, mani, (0.0, 2.0), x[0], tol)
         with pytest.raises(ValueError, match="tol"):
             ke.pullback_many(field, mani, (0.0, 2.0), x, tol)
-    with pytest.raises(ValueError, match="max_count"):
-        dynamics.find_crossings_many(field, x, mani.surface, -1.0, 2.0, max_count=0)
     for sign in (-2.0, 0.5, 0.0):
         for budget in (2.0, 0.0):
             with pytest.raises(ValueError, match="sign"):
@@ -122,9 +120,9 @@ def test_a_bracket_is_refined_on_dop853s_dense_output():
         dynamics._batch_rhs(field, 1.0), x0[:, None], [2.0], tol, event=lambda y: y[0] - level
     )
     solver.step()
-    assert solver.status[0] == dynamics.CROSSED and solver.tau[0] == ref.t
     ((tau, y),) = solver.crossings(1e-14)[0]
-    assert 0.0 < tau < ref.t
+    # The lane runs on from the end of its one step, which is scipy's.
+    assert solver._tau[0] == ref.t and 0.0 < tau < ref.t
     assert np.max(np.abs(y - dense(tau))) <= 1e-15
 
 
@@ -215,10 +213,10 @@ def test_find_crossings_vdp_against_tight_oracle():
     # orbit spirals into the origin and never gets there).
     system = ke.make_system("vdp")
     event = lambda x: x[1] - 2.0
-    ((tau, state),) = find_crossings(system.field, [0.5, 0.5], event, 1.0, 10.0, 1e-10)
-    ((oracle_tau, oracle_state),) = find_crossings(
+    tau, state = find_crossings(system.field, [0.5, 0.5], event, 1.0, 10.0, 1e-10)[0]
+    oracle_tau, oracle_state = find_crossings(
         system.field, [0.5, 0.5], event, 1.0, 10.0, 1e-12
-    )
+    )[0]
     assert abs(tau - oracle_tau) < 1e-6
     assert np.max(np.abs(state - oracle_state)) < 1e-6
     assert find_crossings(system.field, [0.5, 0.5], event, -1.0, 10.0, 1e-10) == []
@@ -227,9 +225,9 @@ def test_find_crossings_vdp_against_tight_oracle():
 def test_find_crossings_roundtrip():
     system = ke.make_system("vdp")
     tol = 1e-10
-    ((tau, state),) = find_crossings(
+    tau, state = find_crossings(
         system.field, [0.5, 0.5], lambda x: x[1] - 2.0, 1.0, 10.0, tol
-    )
+    )[0]
     back = ke.flow(system.field, state, -tau, tol)
     assert np.max(np.abs(back - [0.5, 0.5])) <= 100 * tol
 
@@ -241,8 +239,7 @@ def test_find_crossings_counts_multiple():
 
     field = ke.VectorField(2, rhs, name="rotation")
     hits = find_crossings(
-        field, np.array([0.0, 1.0]), lambda x: x[1], sign=1.0, budget=13.0,
-        tol=1e-10, max_count=4,
+        field, np.array([0.0, 1.0]), lambda x: x[1], sign=1.0, budget=13.0, tol=1e-10
     )
     assert len(hits) == 4  # two full revolutions: x2 vanishes four times
 

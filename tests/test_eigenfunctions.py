@@ -157,11 +157,22 @@ def test_pullback_settle_rules():
         assert misses == ["blow_up"]
 
 
-def test_pullback_counts_feet_not_surface_crossings():
+def test_pullback_counts_feet_not_surface_crossings(monkeypatch):
     # Backward from (1, 0), the spiral crosses y = 0 at tau = k pi, at
     # x = (-1)^k e^(-0.05 k pi). The first five crossings miss the segment
-    # (0.2, 0)-(0.5, 0) and use up the first cap of four; the sixth, at
-    # 6 pi, is the foot, and the eighth and tenth meet the segment again.
+    # (0.2, 0)-(0.5, 0); the sixth, at 6 pi, is the foot, and the eighth and
+    # tenth meet the segment again. Each window is searched backward only,
+    # in one search that returns every crossing.
+    searches = []
+    for name in ("_march", "_scan_closed"):
+        search = getattr(ke.dynamics, name)
+
+        def counted(*args, search=search, **kwargs):
+            searches.append(args[0].name)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(ke.dynamics, name, counted)
+
     def rhs(x):
         return np.array([-x[1] + 0.05 * x[0], x[0] + 0.05 * x[1]])
 
@@ -175,13 +186,16 @@ def test_pullback_counts_feet_not_surface_crossings():
         ke.VectorField(2, rhs, name="spiral"),
         ke.VectorField(2, rhs, name="spiral-cf", closed_form_flow=closed),
     ):
+        del searches[:]
         (r_star,), _, feet, misses = ke.pullback_many(field, mani, (0.0, 20.0), [[1.0, 0.0]], 1e-10)
-        assert not misses
+        assert not misses and searches == [field.name]
         assert abs(r_star - 6.0 * math.pi) <= 1e-8
         assert np.max(np.abs(feet[:, 0] - foot)) <= 1e-8
         # Feet at 6 pi, 8 pi and 10 pi.
+        del searches[:]
         r_star, _, _, misses = ke.pullback_many(field, mani, (0.0, 40.0), [[1.0, 0.0]], 1e-10)
         assert misses == ["ambiguous"] and np.isnan(r_star).all()
+        assert searches == [field.name]
 
 
 def _rotation_pullback(t_window):
@@ -390,15 +404,15 @@ def test_semigroup_residual_consistency(lin2d, horizontal_manifold, unit_square_
 
 
 def test_orbit_scaling_zero_hop(observer_eig):
-    assert ke.orbit_scaling_defect(observer_eig, [1.5, 1.5], 0.0) == 0.0
+    assert ke.koopman_residual(observer_eig, [[1.5, 1.5]], 0.0) == 0.0
 
 
 def test_orbit_scaling_linear(observer_eig):
-    assert ke.orbit_scaling_defect(observer_eig, [1.3, 1.2], 0.3) <= 1e-8
+    assert ke.koopman_residual(observer_eig, [[1.3, 1.2]], 0.3) <= 1e-8
 
 
 def test_orbit_scaling_backward_hop(observer_eig):
-    assert ke.orbit_scaling_defect(observer_eig, [1.3, 2.5], -0.2) <= 1e-8
+    assert ke.koopman_residual(observer_eig, [[1.3, 2.5]], -0.2) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
