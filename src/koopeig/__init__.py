@@ -17,9 +17,9 @@ from .eigenfunctions import (
     algebraic_combine,
     eig_power,
     evaluate_points,
+    koopman_defects,
     koopman_residual,
     levelset_transversality,
-    orbit_misses,
     pullback,
     pullback_many,
     restate_data,

@@ -17,7 +17,9 @@ import numpy as np
 
 from .config import RunConfig, load_config_file
 from .decomposition import TargetSample, build_grid, greedy_decompose
-from .eigenfunctions import OpenEigenfunction, evaluate_points, koopman_residual, orbit_misses
+from .eigenfunctions import OpenEigenfunction, evaluate_points, koopman_defects
+# Not called here, but perfbench/tracing.py patches cli.koopman_residual.
+from .eigenfunctions import koopman_residual  # noqa: F401
 from .errors import (
     MISS_REASONS,
     ConfigError,
@@ -78,8 +80,18 @@ def write_csv(path: Path, header: list[str], columns, stages=None) -> None:
     _write_atomic(path, chunks())
 
 
+def _finite(obj):
+    """obj with each non-finite float in it, at any depth, replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
 def write_json(path: Path, obj) -> None:
-    _write_atomic(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
+    """Write obj as strict JSON, each non-finite float as null."""
+    _write_atomic(path, [json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"])
 
 
 def _c2l(z: complex) -> list[float]:
@@ -128,22 +140,18 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     n_ok = int(hit.sum())
 
     # Self-certification spot check on points whose short-time image stays in
-    # the window. When some pick's orbit escapes or its image misses, the
-    # others are certified and the misses counted by reason.
+    # the window. The picks whose orbit escapes or whose image misses are
+    # counted by reason, and the others are certified.
     t_spot = min(0.1, 0.25 * (window[1] - window[0]) if window[1] > window[0] else 0.1)
     safe = np.flatnonzero(hit & (r_star + t_spot < window[1] - 1e-6))
     spot, spot_misses = None, []
     if safe.size:
         rng = np.random.default_rng(cfg.seed)
         picks = points[safe[rng.choice(len(safe), size=min(10, len(safe)), replace=False)]]
-        try:
-            spot = koopman_residual(eig, picks, t_spot, tol=cfg.integrator_tol)
-        except NotInDomainError:
-            reasons = orbit_misses(eig, picks, t_spot, tol=cfg.integrator_tol)
-            spot_misses = [reason for reason in reasons if reason is not None]
-            kept = np.array([reason is None for reason in reasons])
-            if kept.any():
-                spot = koopman_residual(eig, picks[kept], t_spot, tol=cfg.integrator_tol)
+        defects, errors = koopman_defects(eig, picks, t_spot, tol=cfg.integrator_tol)
+        spot_misses = [error.reason for error in errors if error is not None]
+        kept = np.array([error is None for error in errors])
+        spot = float(defects[kept].max()) if kept.any() else None
     summary = {
         "command": "eval",
         "lambda": _c2l(eig.eigenvalue),
@@ -151,7 +159,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         "in_domain_points": n_ok,
         "miss_reasons": {reason: misses.count(reason) for reason in MISS_REASONS},
         "spot_check_t": t_spot,
-        "spot_check_residual": spot if spot is None or np.isfinite(spot) else None,
+        "spot_check_residual": spot,
         "spot_check_misses": {reason: spot_misses.count(reason) for reason in MISS_REASONS},
         "config_echo": cfg.echo,
     }
@@ -237,7 +245,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
         "command": "spectrum",
         "omega": spec.omega,
         "t": spec.t,
-        "slope": fit.slope if np.isfinite(fit.slope) else None,
+        "slope": fit.slope,
         "rows": [dict(zip(header, (int(n), *map(float, rest)))) for n, *rest in zip(*columns)],
         "wedge": {
             "max_residual": wedge.max_residual,

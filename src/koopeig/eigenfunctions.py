@@ -27,7 +27,6 @@ from .dynamics import (  # noqa: F401
     find_crossings,
     find_crossings_many,
     flow,
-    flow_many,
 )
 from .errors import (
     AMBIGUOUS,
@@ -48,7 +47,7 @@ __all__ = [
     "algebraic_combine",
     "eig_power",
     "koopman_residual",
-    "orbit_misses",
+    "koopman_defects",
     "restate_data",
     "levelset_transversality",
     "same_primary_class",
@@ -216,7 +215,7 @@ def pullback_many(
 
 
 class _EigenfunctionBase:
-    """Pointwise-evaluable eigenfunction: has .eigenvalue, .field, values."""
+    """Pointwise-evaluable eigenfunction: has .eigenvalue, .field, columns."""
 
     eigenvalue: complex
     field: VectorField
@@ -224,9 +223,18 @@ class _EigenfunctionBase:
     def __call__(self, x) -> complex:
         return complex(self.values([np.asarray(x, dtype=float).reshape(-1)])[0])
 
-    def values(self, points) -> np.ndarray:  # pragma: no cover - abstract
-        """phi at N points, shaped (N,); raises on the first point it cannot evaluate."""
+    def columns(self, points) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover - abstract
+        """phi at N points, NaN at the misses, and each miss's reason (one of
+        MISS_REASONS), else None: two (N,) arrays, the second of objects."""
         raise NotImplementedError
+
+    def values(self, points) -> np.ndarray:
+        """phi at N points, shaped (N,); the first miss raises its NotInDomainError."""
+        phi, why = self.columns(points)
+        misses = why[np.not_equal(why, None)]
+        if misses.size:
+            raise _miss_error(misses[0])
+        return phi
 
 
 @dataclass(frozen=True)
@@ -250,12 +258,11 @@ class OpenEigenfunction(_EigenfunctionBase):
         _check_tol(self.tol)
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
-    def values(self, points) -> np.ndarray:
-        """phi at N points; the first miss raises its ``pullback`` NotInDomainError."""
-        phi, _, _, misses = evaluate_points(self, points)
-        if misses:
-            raise _miss_error(misses[0])
-        return phi
+    def columns(self, points) -> tuple[np.ndarray, np.ndarray]:
+        phi, r_star, _, misses = evaluate_points(self, points)
+        why = np.full(phi.shape, None, dtype=object)
+        why[np.isnan(r_star)] = misses
+        return phi, why
 
 
 @dataclass(frozen=True)
@@ -270,9 +277,10 @@ class ClosedFormEigenfunction(_EigenfunctionBase):
     def __post_init__(self):
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
-    def values(self, points) -> np.ndarray:
+    def columns(self, points) -> tuple[np.ndarray, np.ndarray]:
         pts = as_states(self.field, points)
-        return as_values(self.fn(pts.T), pts.shape[:1], "fn of a closed-form eigenfunction")
+        phi = as_values(self.fn(pts.T), pts.shape[:1], "fn of a closed-form eigenfunction")
+        return phi, np.full(phi.shape, None, dtype=object)
 
 
 def _safe_power(z: np.ndarray, alpha: float) -> np.ndarray:
@@ -315,13 +323,18 @@ class ProductEigenfunction(_EigenfunctionBase):
     def field(self) -> VectorField:
         return self.factors[0][0].field
 
-    def values(self, points) -> np.ndarray:
+    def columns(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """A point misses with its first missing factor's reason."""
         pts = as_states(self.field, points)
-        out = np.ones(pts.shape[0], dtype=complex)
-        for eig, alpha in self.factors:
-            if alpha != 0.0:
-                out *= _safe_power(eig.values(pts), alpha)
-        return out
+        factors = [(eig.columns(pts), alpha) for eig, alpha in self.factors if alpha != 0.0]
+        why = np.full(pts.shape[0], None, dtype=object)
+        for (_, miss), _ in factors:
+            why = np.where(np.equal(why, None), miss, why)
+        hit = np.equal(why, None)
+        out = np.where(hit, 1.0 + 0.0j, np.nan)
+        for (phi, _), alpha in factors:
+            out[hit] *= _safe_power(phi[hit], alpha)
+        return out, why
 
 
 def algebraic_combine(
@@ -336,58 +349,44 @@ def eig_power(eig: _EigenfunctionBase, p: float) -> ProductEigenfunction:
     return ProductEigenfunction(((eig, float(p)),))
 
 
-def koopman_residual(
-    eig: _EigenfunctionBase,
-    points: Sequence,
-    t: float = 0.1,
-    *,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Worst relative defect of phi(rho_t(x)) = e^{lambda t} phi(x) over the points.
-
-    This is the universal certificate that an object is a genuine
-    eigenfunction. A point or t-image outside the domain raises its
-    NotInDomainError: BlowUpError or StepUnderflowError when the orbit escapes
-    on the way, else the miss of ``values``. The points flow as one batch, and
-    phi is evaluated at both ends of every orbit in one call. The defect is
-    NaN or inf when phi or e^{lambda t} overflows, as for a large lambda.
-    """
-    pts = as_states(eig.field, points)
-    if pts.shape[0] == 0:
-        return 0.0
-    ends = flow_many(eig.field, pts, [t], tol)[0]
-    phi = eig.values(np.concatenate([pts, ends]))
-    phi_x, phi_y = phi[: pts.shape[0]], phi[pts.shape[0]:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.exp(complex(eig.eigenvalue) * t)
-        defect = np.abs(phi_y - factor * phi_x) / np.maximum(1.0, np.abs(phi_x))
-    return float(defect.max())
-
-
-def orbit_misses(
-    eig: OpenEigenfunction, points: Sequence, t: float, *, tol: float = DEFAULT_TOL
-) -> list[Optional[str]]:
-    """Why each point fails ``koopman_residual``'s certificate at time t, in
-    point order: the point's own miss, else the escape of its orbit before
-    t, else the miss of its t-image (each one of MISS_REASONS), or None
-    when the point and its t-image are both in the domain. The points flow
-    as one batch, and the points and their images pull back in one call.
+def koopman_defects(
+    eig: _EigenfunctionBase, points: Sequence, t: float, *, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, list[Optional[NotInDomainError]]]:
+    """The relative defect of phi(rho_t(x)) = e^{lambda t} phi(x) at each
+    point, an (N,) array, NaN where the point fails (and NaN or inf where phi
+    or e^{lambda t} overflows), and each point's error: its own miss, else its
+    orbit's escape before t as it is (BlowUpError or StepUnderflowError), else
+    its t-image's miss, else None. One flow of the points, then one
+    ``columns`` call on the points and the images that did not escape.
     """
     pts = as_states(eig.field, points)
     n = pts.shape[0]
     ends, escapes = _flow_lanes(eig.field, pts, [t], tol)
     flowed = np.array([escape is None for escape in escapes], dtype=bool)
-    r_star, _, _, misses = pullback_many(
-        eig.field, eig.manifold, eig.t_window, np.concatenate([pts, ends[0][flowed]]), eig.tol
-    )
-    why = np.full(r_star.size, None, dtype=object)
-    why[np.isnan(r_star)] = misses
-    image = np.full(n, None, dtype=object)
-    image[flowed] = why[n:]
-    return [
-        own or (escape.reason if escape is not None else end)
-        for own, escape, end in zip(why[:n].tolist(), escapes, image.tolist())
+    phi, why = eig.columns(np.concatenate([pts, ends[0][flowed]]))
+    phi_y, why_y = np.full(n, np.nan, dtype=complex), np.full(n, None, dtype=object)
+    phi_y[flowed], why_y[flowed] = phi[n:], why[n:]
+    errors = [
+        _miss_error(own) if own else escape or (_miss_error(end) if end else None)
+        for own, escape, end in zip(why[:n].tolist(), escapes, why_y.tolist())
     ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = np.exp(complex(eig.eigenvalue) * t)
+        defects = np.abs(phi_y - factor * phi[:n]) / np.maximum(1.0, np.abs(phi[:n]))
+    return defects, errors
+
+
+def koopman_residual(
+    eig: _EigenfunctionBase, points: Sequence, t: float = 0.1, *, tol: float = DEFAULT_TOL
+) -> float:
+    """The universal certificate that an object is a genuine eigenfunction:
+    the max of ``koopman_defects`` (0.0 for no points). The first point that
+    fails it raises its error."""
+    defects, errors = koopman_defects(eig, points, t, tol=tol)
+    error = next(filter(None, errors), None)
+    if error is not None:
+        raise error
+    return float(defects.max(initial=0.0))
 
 
 def restate_data(eig: OpenEigenfunction, target: DataManifold) -> DataFunction:

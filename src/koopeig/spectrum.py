@@ -171,7 +171,9 @@ def wedge_point_spectrum_check(
     residuals = np.empty(lams.size)
     for k, lam in enumerate(lams):
         def phi(x, lam=lam):
-            return h(x[0]) * np.exp(lam * (x[1] - a1) / x[0])
+            # For a large lambda this overflows, and the residual is not finite.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return h(x[0]) * np.exp(lam * (x[1] - a1) / x[0])
 
         residuals[k] = koopman_residual(ClosedFormEigenfunction(lam, phi, field), points, WEDGE_T)
     return WedgeReport(float(residuals.max()), lams, residuals)

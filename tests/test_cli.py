@@ -262,6 +262,22 @@ def test_spectrum_zero_time_writes_null_slope(tmp_path):
     assert all(row["residual"] == 0.0 for row in summary["rows"])
 
 
+def test_spectrum_with_an_overflowing_wedge_eigenvalue_writes_strict_json(tmp_path):
+    # e^{lambda (theta - alpha1)/I} overflows on the wedge for lambda = 7000,
+    # so some residuals are not finite: they are written as null.
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        _with(SPECTRUM_CFG, spectrum__wedge__lambda_grid__re_range=[-2, 7000]),
+    )
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "spectrum_summary.json").read_text()
+    wedge = json.loads(text, parse_constant=_refuse_constant)["wedge"]
+    assert wedge["max_residual"] is None
+    residuals = wedge["residuals"]
+    assert None in residuals
+    assert all(r <= 1e-8 for r, (re, _) in zip(residuals, wedge["lambdas"]) if re == -2.0)
+
+
 def test_unmakeable_output_dir_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", SPECTRUM_CFG)
     blocker = tmp_path / "file"
@@ -541,9 +557,18 @@ def test_eval_with_an_overflowing_eigenvalue_writes_strict_json(tmp_path, eigenv
     assert summary["spot_check_residual"] is None
 
 
-def test_eval_spot_check_certifies_the_images_that_stay(tmp_path):
+def test_eval_spot_check_certifies_the_images_that_stay(tmp_path, monkeypatch):
     # Of the picks on x' = x^2 over [1, 20], those above x = 10 escape before
-    # t = 0.1; the others are certified, and the escapes counted.
+    # t = 0.1; the others are certified, and the escapes counted, from one
+    # flow of the picks.
+    flows, lanes = [], ke.dynamics._flow_lanes
+
+    def counted(*args, **kwargs):
+        flows.append(len(args[1]))
+        return lanes(*args, **kwargs)
+
+    for module in (ke.dynamics, ke.eigenfunctions):
+        monkeypatch.setattr(module, "_flow_lanes", counted)
     cfg = {
         "system": {"name": "blowup"},
         "t_window": [0, 2],
@@ -558,6 +583,7 @@ def test_eval_spot_check_certifies_the_images_that_stay(tmp_path):
     assert isinstance(spot, float) and math.isfinite(spot) and spot <= 1e-6
     assert misses["blow_up"] > 0
     assert misses["no_crossing"] == misses["ambiguous"] == misses["step_underflow"] == 0
+    assert flows == [10]
 
 
 def test_eval_spot_check_of_ambiguous_images_is_null(tmp_path):

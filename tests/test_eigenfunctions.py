@@ -283,23 +283,57 @@ def test_residual_of_an_escaping_image_is_not_in_domain():
     assert info.value.reason == "blow_up"
 
 
-@pytest.mark.parametrize("marched", [False, True], ids=["closed_form", "rk45"])
-def test_orbit_misses_name_why_each_point_fails_the_residual(marched):
-    # x' = x^2 pulled back onto x = 1, where r* = 1 - 1/x: 0.5 has no foot,
-    # 15 escapes at t = 1/15 before the hop of 0.1, and the image of 8 (40,
-    # at r* = 0.975) lies past the window's end; 2 and 3 stay in the domain.
+def _blowup_eig(field=None):
+    # x' = x^2 pulled back onto x = 1 over [0, 0.95], where r* = 1 - 1/x and
+    # phi = e^{r*}: the domain is 1 <= x < 20.
     system = ke.make_system("blowup")
-    field = system.field
+    h = ke.DataFunction.from_callable(system.default_manifold, np.ones_like)
+    return ke.OpenEigenfunction(
+        1.0, h, system.default_manifold, field or system.field, (0.0, 0.95)
+    )
+
+
+@pytest.mark.parametrize("marched", [False, True], ids=["closed_form", "rk45"])
+def test_koopman_defects_name_why_each_point_fails_the_residual(marched):
+    # 0.5 has no foot, 15 escapes at t = 1/15 before the hop of 0.1, and the
+    # image of 8 (40, at r* = 0.975) lies past the window's end; 2 and 3 stay
+    # in the domain.
+    field = ke.make_system("blowup").field
     if marched:
         field = dataclasses.replace(field, closed_form_flow=None)
-    h = ke.DataFunction.from_callable(system.default_manifold, np.ones_like)
-    eig = ke.OpenEigenfunction(1.0, h, system.default_manifold, field, (0.0, 0.95))
+    eig = _blowup_eig(field)
     pts = [[2.0], [0.5], [15.0], [8.0], [3.0]]
-    reasons = ke.orbit_misses(eig, pts, 0.1)
+    defects, errors = ke.koopman_defects(eig, pts, 0.1)
+    reasons = [None if error is None else error.reason for error in errors]
     assert reasons == [None, "no_crossing", "blow_up", "no_crossing", None]
-    with pytest.raises(ke.NotInDomainError):
+    assert isinstance(errors[2], ke.BlowUpError)
+    assert np.isnan(defects[[1, 2, 3]]).all()
+    assert np.all(defects[[0, 4]] <= 1e-8)
+    with pytest.raises(ke.NotInDomainError) as info:
         ke.koopman_residual(eig, pts, 0.1)
+    assert info.value.reason == "no_crossing"
     assert ke.koopman_residual(eig, [[2.0], [3.0]], 0.1) <= 1e-8
+
+
+def test_columns_of_every_eigenfunction_class():
+    eig = _blowup_eig()
+    square = ke.eig_power(eig, 2.0)
+    pts = [[2.0], [0.5], [3.0]]
+    phi, why = square.columns(pts)
+    # The product misses where its factor does, with the factor's reason.
+    assert why.tolist() == [None, "no_crossing", None]
+    assert np.isnan(phi[1])
+    assert np.array_equal(phi[[0, 2]], square.values([[2.0], [3.0]]))
+    assert phi[[0, 2]] == pytest.approx(np.exp(2.0 - 2.0 / np.array([2.0, 3.0])))
+    for certify in (square.values, lambda x: ke.koopman_residual(square, x, 0.1)):
+        with pytest.raises(ke.NotInDomainError) as info:
+            certify(pts)
+        assert info.value.reason == "no_crossing"
+    oracle = ke.make_system("blowup").oracle_eigenfunction
+    phi, why = oracle.columns(pts)
+    assert why.tolist() == [None, None, None]
+    assert np.array_equal(phi, oracle.values(pts))
+    assert phi == pytest.approx(np.exp(-1.0 / np.array([2.0, 0.5, 3.0])))
 
 
 def test_residual_random_keig_invariant(lin2d, horizontal_manifold):
