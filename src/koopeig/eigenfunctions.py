@@ -30,10 +30,14 @@ from .dynamics import (  # noqa: F401
 )
 from .errors import (
     AMBIGUOUS,
+    BLOW_UP,
     NO_CROSSING,
+    STEP_UNDERFLOW,
     AmbiguousCrossingError,
+    BlowUpError,
     BranchCutError,
     NotInDomainError,
+    StepUnderflowError,
 )
 from .manifolds import DataFunction, DataManifold, as_values
 
@@ -76,10 +80,19 @@ def _on_manifold(
     return s, gap <= on_tol
 
 
+# The error of each miss reason, and what it says.
+_MISSES = {
+    NO_CROSSING: (NotInDomainError, "orbit does not meet the data manifold inside the time window"),
+    AMBIGUOUS: (AmbiguousCrossingError, "orbit meets the data manifold more than once in one direction"),
+    BLOW_UP: (BlowUpError, "orbit blows up before it meets the data manifold"),
+    STEP_UNDERFLOW: (StepUnderflowError, "orbit's step size underflows before it meets the data manifold"),
+}
+
+
 def _miss_error(reason: str) -> NotInDomainError:
-    if reason == AMBIGUOUS:
-        return AmbiguousCrossingError("orbit meets the data manifold more than once in one direction")
-    return NotInDomainError("orbit does not meet the data manifold inside the time window", reason)
+    """The NotInDomainError subclass whose reason is ``reason``."""
+    cls, message = _MISSES[reason]
+    return cls(message)
 
 
 def _window(t_window) -> tuple[float, float]:
@@ -170,8 +183,9 @@ def pullback(
     t1 < 0 and the point has no backward foot, forward over the upstream
     part; ``_pull`` states the rules that settle the point. A miss raises
     AmbiguousCrossingError when the orbit meets the manifold more than once
-    in the same direction (nonrecurrence fails), else NotInDomainError with
-    NO_CROSSING or the reason of the search's escape, BLOW_UP or STEP_UNDERFLOW.
+    in the same direction (nonrecurrence fails), else BlowUpError or
+    StepUnderflowError for the search's escape, else NotInDomainError with
+    NO_CROSSING.
     """
     pts = as_states(field, [np.asarray(x, dtype=float).reshape(-1)])
     r_star, s_star, feet, misses = _pull(field, manifold, t_window, pts, tol)
@@ -229,7 +243,8 @@ class _EigenfunctionBase:
         raise NotImplementedError
 
     def values(self, points) -> np.ndarray:
-        """phi at N points, shaped (N,); the first miss raises its NotInDomainError."""
+        """phi at N points, shaped (N,); the first miss raises the
+        NotInDomainError subclass of its reason."""
         phi, why = self.columns(points)
         misses = why[np.not_equal(why, None)]
         if misses.size:
@@ -448,7 +463,11 @@ def evaluate_points(
 
     r*, s* and the misses are ``pullback_many``'s columns as they come. phi
     is one array expression over the hits, so ``eig.data`` never sees a miss.
-    A hit's phi is non-finite where e^{lambda r*} overflows.
+
+    A hit stays a hit where e^{lambda r*} overflows: its phi is not finite.
+    There phi = h * e^{lambda r*} is formed part by part, and a term with an
+    exactly zero factor is 0, so a real h with a real lambda gives (inf, 0)
+    rather than the complex product's (inf, nan).
     """
     r_star, s_star, _, misses = pullback_many(
         eig.field, eig.manifold, eig.t_window, points, eig.tol
@@ -456,5 +475,21 @@ def evaluate_points(
     hit = ~np.isnan(r_star)
     phi = np.full(r_star.shape, np.nan, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        phi[hit] = eig.data(s_star[hit]) * np.exp(eig.eigenvalue * r_star[hit])
+        phi[hit] = _product(eig.data(s_star[hit]), np.exp(eig.eigenvalue * r_star[hit]))
     return phi, r_star, s_star, misses
+
+
+def _product(h: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """h * e elementwise. Where the complex product is not finite, it is formed
+    part by part, and a term with an exactly zero factor is 0."""
+    out = h * e
+    off = ~np.isfinite(out)
+    if off.any():
+        h, e = h[off], e[off]
+
+        def term(a, b):
+            return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
+
+        out.real[off] = term(h.real, e.real) - term(h.imag, e.imag)
+        out.imag[off] = term(h.real, e.imag) + term(h.imag, e.real)
+    return out

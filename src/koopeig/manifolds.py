@@ -112,16 +112,23 @@ def segment_manifold(
     p1 = np.asarray(p1, dtype=float)
     if p0.shape != (2,) or p1.shape != (2,):
         raise ValueError("segment manifolds live in the plane: p0 and p1 must be 2-vectors")
-    length = float(np.linalg.norm(p1 - p0))
+    with np.errstate(over="ignore"):
+        length = float(np.linalg.norm(p1 - p0))
     if length == 0.0:
         raise ValueError("degenerate segment")
+    if not np.isfinite(length):
+        raise ValueError("the segment's length overflows")
     if s_range is None:
         s_range = (0.0, length)
     s0, s1 = float(s_range[0]), float(s_range[1])
     if s1 <= s0:
         raise ValueError("s_range must be increasing")
-    direction = (p1 - p0) / (s1 - s0)
-    dir2 = float(direction @ direction)
+    with np.errstate(over="ignore"):
+        direction = (p1 - p0) / (s1 - s0)
+        dir2 = float(direction @ direction)
+    # locate divides by dir2: the squared length per unit of s.
+    if not 0.0 < dir2 < np.inf:
+        raise ValueError("s_range is too wide or too narrow for the segment's length")
     unit = (p1 - p0) / length
     normal = np.array([-unit[1], unit[0]])
 
@@ -311,6 +318,13 @@ class TransversalityReport:
     margins: np.ndarray
 
 
+def _refuse_overflow(values: np.ndarray, grid: np.ndarray, what: str) -> None:
+    """ValueError at the first grid node where ``values`` is not finite."""
+    off = ~np.isfinite(values)
+    if off.any():
+        raise ValueError(f"{what} on the manifold is not finite at s={grid[off][0]:g}")
+
+
 def check_transversality(manifold: DataManifold, field: "VectorField") -> TransversalityReport:
     """Normalized crossing margin of the field against the manifold at every grid node.
 
@@ -326,12 +340,14 @@ def check_transversality(manifold: DataManifold, field: "VectorField") -> Transv
         raise ValueError("a planar manifold needs a tangent to check transversality")
     grid = manifold.parameter_grid()
     pts = np.asarray(manifold.embed(grid), dtype=float)
-    f = np.asarray(field.rhs(pts), dtype=float)
-    if f.shape != pts.shape:
-        raise ValueError(
-            f"rhs of '{field.name}' returned shape {f.shape} for a batch of shape {pts.shape}"
-        )
-    norm_f = np.linalg.norm(f, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.asarray(field.rhs(pts), dtype=float)
+        if f.shape != pts.shape:
+            raise ValueError(
+                f"rhs of '{field.name}' returned shape {f.shape} for a batch of shape {pts.shape}"
+            )
+        norm_f = np.linalg.norm(f, axis=0)
+    _refuse_overflow(norm_f, grid, "the field's norm")
     zero = norm_f < ZERO_FIELD_THRESHOLD
     if zero.any():
         raise ZeroFieldError(f"vector field vanishes on the manifold at s={grid[zero][0]:g}")
@@ -339,7 +355,9 @@ def check_transversality(manifold: DataManifold, field: "VectorField") -> Transv
         margins = np.ones(grid.size)
     else:
         tan = np.asarray(manifold.tangent(grid), dtype=float)
-        margins = np.abs(tan[0] * f[1] - tan[1] * f[0]) / (np.linalg.norm(tan, axis=0) * norm_f)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            margins = np.abs(tan[0] * f[1] - tan[1] * f[0]) / (np.linalg.norm(tan, axis=0) * norm_f)
+        _refuse_overflow(margins, grid, "the transversality margin")
     bad = margins < TRANSVERSALITY_THRESHOLD
     return TransversalityReport(
         min_margin=float(margins.min()),

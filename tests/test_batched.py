@@ -5,10 +5,6 @@ one-point pullbacks."""
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +13,6 @@ from scipy.integrate import solve_ivp
 import koopeig as ke
 from koopeig.dynamics import find_crossings_many, flow_many
 from koopeig.targets import parse_data_fn, parse_target
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _rk45(field):
@@ -622,13 +616,3 @@ def test_rotation_misses_cover_ambiguity_and_window():
     assert r_star[1] == pytest.approx(2.0 * math.pi - math.atan2(0.5, 1.0), abs=1e-8)
     # On the supporting line but off the segment: met half a turn later.
     assert r_star[3] == pytest.approx(math.pi, abs=1e-8)
-
-
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, koopeig.cli; print('scipy.integrate' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.strip() == "False"

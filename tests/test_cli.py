@@ -315,6 +315,15 @@ LIN1D_CFG = {
 }
 
 
+# The vdp_lattice benchmark's box: 68 of its 256 points are in the domain.
+VDP_EVAL_CFG = {
+    "system": {"name": "vdp"},
+    "t_window": [0, 2],
+    "eig": {"lambda": 1, "h": "s"},
+    "lattice": {"x1": [-0.2, 2.2, 16], "x2": [-1.9, 1.5, 16]},
+}
+
+
 def test_eval_one_dimensional_lattice(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", LIN1D_CFG)
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -361,6 +370,10 @@ def _with(base, **changes):
             node = node[key]
         node[leaf] = value
     return cfg
+
+
+def _without(base, *keys):
+    return {key: value for key, value in base.items() if key not in keys}
 
 
 # (command, config, field path named in the error)
@@ -486,6 +499,45 @@ BAD_CONFIGS = [
     ("eval", _with(OBSERVER_CFG, integrator_tol=0), "integrator_tol"),
     ("eval", _with(OBSERVER_CFG, lattice__x1=[1, 2]), "lattice.x1"),
     ("decompose", _with(DECOMPOSE_CFG, lambda_sweep={"values": []}), "lambda_sweep.values"),
+    # A section or field that a command needs.
+    ("eval", _without(OBSERVER_CFG, "eig"), "eig"),
+    ("eval", _with(OBSERVER_CFG, eig={"lambda": 2.0}), "eig"),
+    ("eval", _without(OBSERVER_CFG, "lattice"), "lattice"),
+    ("decompose", _without(DECOMPOSE_CFG, "target"), "target"),
+    ("eval", _with(OBSERVER_CFG, system={"params": {"a1": 1.0}}), "system.name"),
+    ("eval", _with(OBSERVER_CFG, manifold={"from": [0.3, 1.0], "to": [2.2, 1.0]}), "manifold.type"),
+    ("decompose", _with(DECOMPOSE_CFG, grid=[]), "grid"),
+    # Finite inputs whose manifold or field overflows: a segment's length, a
+    # squared length per unit of s that underflows, the field at a far
+    # manifold, and the norm of a field that is finite.
+    (
+        "eval",
+        _with(VDP_EVAL_CFG, manifold={"type": "segment", "from": [1e300, 0.5], "to": [2, 1.5]}),
+        "manifold",
+    ),
+    (
+        "eval",
+        _with(VDP_EVAL_CFG, manifold={"type": "segment", "from": [1, 0.5], "to": [1e300, 1e300]}),
+        "manifold",
+    ),
+    (
+        "eval",
+        _with(VDP_EVAL_CFG, manifold={"type": "segment", "from": [1, 0.5], "to": [2, 1.5],
+                                      "s_range": [0, 1e300]}),
+        "manifold",
+    ),
+    (
+        "eval",
+        _with(VDP_EVAL_CFG, manifold={"type": "circle", "center": [1e300, 0], "radius": 1}),
+        "manifold",
+    ),
+    (
+        "eval",
+        _with(VDP_EVAL_CFG, manifold={"type": "circle", "center": [0, 0], "radius": 1e300}),
+        "manifold",
+    ),
+    ("eval", _with(OBSERVER_CFG, system__params={"a1": 1e300}), "manifold"),
+    ("eval", _with(VDP_EVAL_CFG, system={"name": "hopf", "params": {"mu": 1e300}}), "manifold"),
 ]
 
 
@@ -543,18 +595,24 @@ def test_eval_spot_check_of_escaping_images_is_null(tmp_path):
 def test_eval_with_an_overflowing_eigenvalue_writes_strict_json(tmp_path, eigenvalue):
     # phi = s e^{lambda r*} overflows on the vdp hits, and past lambda t = 709
     # so does the spot check's factor e^{lambda t}: the residual is not finite.
-    cfg = {
-        "system": {"name": "vdp"},
-        "t_window": [0, 2],
-        "eig": {"lambda": eigenvalue, "h": "s"},
-        "lattice": {"x1": [-0.2, 2.2, 16], "x2": [-1.9, 1.5, 16]},
-    }
-    path = write_config(tmp_path / "cfg.json", cfg)
+    path = write_config(tmp_path / "cfg.json", _with(VDP_EVAL_CFG, eig__lambda=eigenvalue))
     assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_DOMAIN
     text = (tmp_path / "out" / "eval_summary.json").read_text()
     summary = json.loads(text, parse_constant=_refuse_constant)
     assert summary["in_domain_points"] > 0
     assert summary["spot_check_residual"] is None
+
+
+def test_eval_overflowing_phi_keeps_its_zero_imaginary_part(tmp_path):
+    # With a real h and a real lambda, phi is real: where e^{lambda r*}
+    # overflows, the hit reads (inf, 0), not the complex product's (inf, nan).
+    path = write_config(tmp_path / "cfg.json", _with(VDP_EVAL_CFG, eig__lambda=7000))
+    assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == cli.EXIT_DOMAIN
+    header, rows = read_csv(tmp_path / "out" / "keig_grid.csv")
+    phi_re, phi_im = rows[:, header.index("phi_re")], rows[:, header.index("phi_im")]
+    assert len(rows) == 68
+    assert np.isinf(phi_re).sum() == 58 and np.all(phi_re > 0)
+    assert np.all(phi_im == 0.0)
 
 
 def test_eval_spot_check_certifies_the_images_that_stay(tmp_path, monkeypatch):
@@ -577,7 +635,8 @@ def test_eval_spot_check_certifies_the_images_that_stay(tmp_path, monkeypatch):
     }
     path = write_config(tmp_path / "cfg.json", cfg)
     assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == 0
-    summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
+    text = (tmp_path / "out" / "eval_summary.json").read_text()
+    summary = json.loads(text, parse_constant=_refuse_constant)
     assert summary["in_domain_points"] == summary["lattice_points"] == 40
     spot, misses = summary["spot_check_residual"], summary["spot_check_misses"]
     assert isinstance(spot, float) and math.isfinite(spot) and spot <= 1e-6

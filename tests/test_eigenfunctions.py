@@ -315,6 +315,19 @@ def test_koopman_defects_name_why_each_point_fails_the_residual(marched):
     assert ke.koopman_residual(eig, [[2.0], [3.0]], 0.1) <= 1e-8
 
 
+def test_a_miss_raises_the_class_of_its_reason():
+    # Backward from x = -1, x' = x^2 escapes at t = 1, inside the window.
+    system = ke.make_system("blowup")
+    h = ke.DataFunction.from_callable(system.default_manifold, np.ones_like)
+    eig = ke.OpenEigenfunction(1.0, h, system.default_manifold, system.field, (0.0, 2.0))
+    with pytest.raises(ke.BlowUpError):
+        eig.values([[-1.0]])
+    with pytest.raises(ke.BlowUpError):
+        ke.pullback(system.field, system.default_manifold, (0.0, 2.0), [-1.0])
+    _, errors = ke.koopman_defects(eig, [[-1.0]], 0.1)
+    assert type(errors[0]) is ke.BlowUpError
+
+
 def test_columns_of_every_eigenfunction_class():
     eig = _blowup_eig()
     square = ke.eig_power(eig, 2.0)
