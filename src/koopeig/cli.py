@@ -1,8 +1,10 @@
 """Configuration-driven command line: eigenfunction grids, decompositions, spectrum demo.
 
-Exit codes: 0 ok, 2 config error, 3 domain failure, 4 empty target.
-All files are written atomically (temp + rename); repeated runs with the
-same config and seed produce byte-identical JSON.
+Each subcommand reads what to compute from the JSON file at ``--config``
+and writes into the directory ``--out`` (default ``out``).
+Exit codes: 0 ok, 2 config error (also an ``--out`` that cannot be written),
+3 domain failure, 4 empty target. All files are written atomically (temp +
+rename); repeated runs with the same config produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -272,24 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config file")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--tol", type=float, default=None, help="integrator tolerance override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = load_config_file(args.config)
-        if args.out is not None:
-            raw["output_dir"] = args.out
-        if args.tol is not None:
-            raw["integrator_tol"] = args.tol
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        cfg = RunConfig.from_dict(raw)
-        out_dir = Path(cfg.output_dir)
+        cfg = RunConfig.from_dict(load_config_file(args.config))
+        out_dir = Path(args.out)
         # Only making the directory and writing the outputs raise OSError.
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,7 +292,7 @@ def main(argv=None) -> int:
                 return cmd_decompose(cfg, out_dir)
             return cmd_spectrum(cfg, out_dir)
         except OSError as exc:
-            raise ConfigError(str(exc), field="output_dir") from exc
+            raise ConfigError(str(exc), field="--out") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

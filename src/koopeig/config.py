@@ -1,4 +1,4 @@
-"""Run configuration: JSON file + flag overrides -> validated RunConfig.
+"""Run configuration: JSON file -> validated RunConfig.
 
 ``RunConfig.from_dict`` reads every section for every command. It builds
 the system, resolves the manifold and the window (the configured ones, else
@@ -25,7 +25,14 @@ from .errors import ConfigError
 from .manifolds import DataManifold, circle_manifold, point_manifold, segment_manifold
 from .targets import parse_data_fn, parse_target
 
-__all__ = ["RunConfig", "SpectrumSpec", "load_config_file"]
+__all__ = ["MAX_COUNT", "RunConfig", "SpectrumSpec", "load_config_file"]
+
+# The most points a config may ask for: each count, and as one count the
+# lattice's points, the grid's nodes and the eigenvalues of the sweep and of
+# the wedge. It keeps a run within a 1 GB memory budget: write_csv holds the
+# formatted cells of a block of rows, and writing 10**6 rows of a 2-D
+# lattice's six columns peaks at 0.9 GB.
+MAX_COUNT = 10**6
 
 
 def load_config_file(path) -> dict:
@@ -63,12 +70,13 @@ def _known(raw: dict, keys: tuple[str, ...], where: str) -> None:
             raise ConfigError("unknown key", field=f"{where}.{key}" if where else key)
 
 
-def _number(value, where: str, *, integer=False, minimum=None, positive=False):
+def _number(value, where: str, *, integer=False, minimum=None, maximum=None, positive=False):
     """The config number ``value`` as a float, or an int when ``integer``.
 
     It must be finite, not a bool, integral when ``integer`` (4 or 4.0), at
-    least ``minimum`` and, when ``positive``, above 0. Anything else is a
-    ConfigError at ``where``: the value's field or the field of its list.
+    least ``minimum``, at most ``maximum`` and, when ``positive``, above 0.
+    Anything else is a ConfigError at ``where``: the value's field or the
+    field of its list.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {type(value).__name__}", field=where)
@@ -79,9 +87,22 @@ def _number(value, where: str, *, integer=False, minimum=None, positive=False):
         raise ConfigError(f"expected an integer, got {value!r}", field=where)
     if minimum is not None and x < minimum:
         raise ConfigError(f"must be >= {minimum}, got {value!r}", field=where)
+    if maximum is not None and x > maximum:
+        raise ConfigError(f"must be <= {maximum}, got {value!r}", field=where)
     if positive and x <= 0.0:
         raise ConfigError(f"must be positive, got {value!r}", field=where)
     return int(value) if integer else x
+
+
+def _count(value, where: str, minimum: int = 1) -> int:
+    """The config count ``value``, an integer in [minimum, MAX_COUNT]."""
+    return _number(value, where, integer=True, minimum=minimum, maximum=MAX_COUNT)
+
+
+def _points(total: int, where: str) -> None:
+    """Refuse a product of counts past MAX_COUNT."""
+    if total > MAX_COUNT:
+        raise ConfigError(f"{total} points, more than {MAX_COUNT}", field=where)
 
 
 def _pair(raw, where: str) -> tuple[float, float]:
@@ -95,9 +116,7 @@ def _lattice_axis(spec, where: str) -> np.ndarray:
     if not isinstance(spec, list) or len(spec) != 3:
         raise ConfigError("expected [lo, hi, count]", field=where)
     lo, hi, count = spec
-    return np.linspace(
-        _number(lo, where), _number(hi, where), _number(count, where, integer=True, minimum=1)
-    )
+    return np.linspace(_number(lo, where), _number(hi, where), _count(count, where))
 
 
 def _lattice(spec: dict, dim: int) -> np.ndarray:
@@ -114,6 +133,7 @@ def _lattice(spec: dict, dim: int) -> np.ndarray:
             f"a {dim}-dimensional system needs the axes {needed}; got {', '.join(names) or 'none'}",
             field="lattice",
         )
+    _points(math.prod(axis.size for axis in axes), "lattice")
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -145,7 +165,7 @@ def _manifold(spec: dict) -> DataManifold:
     if kind not in _MANIFOLD_KEYS:
         raise ConfigError(f"unknown manifold type {kind!r}", field="manifold.type")
     _known(spec, ("type", "n") + _MANIFOLD_KEYS[kind], "manifold")
-    n = _number(spec.get("n", 121), "manifold.n", integer=True, minimum=1)
+    n = _count(spec.get("n", 121), "manifold.n")
     if kind == "segment":
         p0, p1 = _vector(spec, "from"), _vector(spec, "to")
         s_range = spec.get("s_range")
@@ -184,17 +204,14 @@ def _candidates(spec: Optional[dict]) -> np.ndarray:
         return np.array([_complex_of(v, "lambda_sweep.values") for v in vals], dtype=complex)
     _known(spec, ("re_range", "count", "im_range", "im_count"), "lambda_sweep")
     re_range = _pair(spec.get("re_range", CANDIDATE_RANGE), "lambda_sweep.re_range")
-    count = _number(
-        spec.get("count", CANDIDATE_COUNT), "lambda_sweep.count", integer=True, minimum=1
-    )
+    count = _count(spec.get("count", CANDIDATE_COUNT), "lambda_sweep.count")
     if "im_range" not in spec:
         if "im_count" in spec:
             raise ConfigError("needs im_range", field="lambda_sweep.im_count")
         return np.linspace(*re_range, count).astype(complex)
     im_range = _pair(spec["im_range"], "lambda_sweep.im_range")
-    im_count = _number(
-        spec.get("im_count", count), "lambda_sweep.im_count", integer=True, minimum=1
-    )
+    im_count = _count(spec.get("im_count", count), "lambda_sweep.im_count")
+    _points(count * im_count, "lambda_sweep")
     return _complex_grid(re_range, count, im_range, im_count)
 
 
@@ -235,7 +252,7 @@ class SpectrumSpec:
         n_list = _expect(raw, "n_list", list, "spectrum", default=list(d.n_list))
         if not n_list:
             raise ConfigError("must be a non-empty list", field="spectrum.n_list")
-        n_list = tuple(_number(n, "spectrum.n_list", integer=True, minimum=1) for n in n_list)
+        n_list = tuple(_count(n, "spectrum.n_list") for n in n_list)
         annulus = _pair(raw.get("annulus", d.annulus), "spectrum.annulus")
         # The widest bump, of the smallest n, must fit inside the annulus.
         half = 0.5 / min(n_list)
@@ -244,8 +261,10 @@ class SpectrumSpec:
                 f"must contain the bump support [{omega - half:g}, {omega + half:g}]",
                 field="spectrum.annulus",
             )
+        # The Gauss-Legendre rule solves a quad_points x quad_points eigenproblem.
         quad_points = _number(
-            raw.get("quad_points", d.quad_points), "spectrum.quad_points", integer=True, minimum=64
+            raw.get("quad_points", d.quad_points), "spectrum.quad_points",
+            integer=True, minimum=64, maximum=math.isqrt(MAX_COUNT),
         )
 
         wedge = _expect(raw, "wedge", dict, "spectrum", default={})
@@ -255,7 +274,8 @@ class SpectrumSpec:
         _known(grid, ("re_range", "im_range", "count"), where)
         re_range = _pair(grid.get("re_range", _WEDGE_RANGE), f"{where}.re_range")
         im_range = _pair(grid.get("im_range", _WEDGE_RANGE), f"{where}.im_range")
-        count = _number(grid.get("count", _WEDGE_COUNT), f"{where}.count", integer=True, minimum=1)
+        count = _count(grid.get("count", _WEDGE_COUNT), f"{where}.count")
+        _points(count * count, where)
         alpha_window = _pair(
             wedge.get("alpha_window", d.alpha_window), "spectrum.wedge.alpha_window"
         )
@@ -272,7 +292,7 @@ class SpectrumSpec:
 # The top-level sections and values of a config.
 _TOP_KEYS = (
     "system", "manifold", "t_window", "grid", "eig", "lattice", "target", "lambda_sweep",
-    "K", "stop_tol", "integrator_tol", "output_dir", "seed", "spectrum",
+    "K", "stop_tol", "integrator_tol", "seed", "spectrum",
 )
 
 
@@ -291,7 +311,6 @@ class RunConfig:
     K: int
     stop_tol: float
     integrator_tol: float
-    output_dir: str
     seed: int
     spectrum: SpectrumSpec
     echo: dict
@@ -321,11 +340,14 @@ class RunConfig:
             t_window = _pair(t_window, "t_window")
             if not (t_window[0] <= 0.0 <= t_window[1]):
                 raise ConfigError("must contain 0", field="t_window")
+            if t_window[1] - t_window[0] == math.inf:  # as would the grid's time step
+                raise ConfigError("its width overflows", field="t_window")
 
         grid = _expect(raw, "grid", dict, "", default={})
         _known(grid, ("n", "m"), "grid")
-        grid_n = _number(grid.get("n", 40), "grid.n", integer=True, minimum=0)
-        grid_m = _number(grid.get("m", 40), "grid.m", integer=True, minimum=0)
+        grid_n = _count(grid.get("n", 40), "grid.n", minimum=0)
+        grid_m = _count(grid.get("m", 40), "grid.m", minimum=0)
+        _points((grid_n + 1) * (grid_m + 1), "grid")
 
         eig = _expect(raw, "eig", dict, "", default={})
         _known(eig, ("lambda", "h"), "eig")
@@ -344,16 +366,11 @@ class RunConfig:
             target = parse_target(target, dim=dim, where="target")
         candidates = _candidates(_expect(raw, "lambda_sweep", dict, ""))
 
-        k_terms = _number(raw.get("K", 8), "K", integer=True, minimum=1)
+        k_terms = _count(raw.get("K", 8), "K")
         stop_tol = _number(raw.get("stop_tol", 1e-9), "stop_tol")
         integrator_tol = _number(raw.get("integrator_tol", 1e-10), "integrator_tol", positive=True)
-        output_dir = _expect(raw, "output_dir", str, "", default="out")
         seed = _number(raw.get("seed", 0), "seed", integer=True, minimum=0)
         spectrum = SpectrumSpec.from_dict(_expect(raw, "spectrum", dict, "", default={}))
-
-        # The echo captures the scientific configuration; where the files
-        # land is environmental and would break byte-for-byte reproducibility.
-        echo = {k: v for k, v in raw.items() if k != "output_dir"}
 
         return cls(
             system=system,
@@ -369,10 +386,9 @@ class RunConfig:
             K=k_terms,
             stop_tol=stop_tol,
             integrator_tol=integrator_tol,
-            output_dir=output_dir,
             seed=seed,
             spectrum=spectrum,
-            echo=echo,
+            echo=raw,
         )
 
     # Accessors only because perfbench's traced runs wrap both (a tracer quirk).

@@ -92,12 +92,8 @@ def build_grid(
     t1, t2 = float(t_window[0]), float(t_window[1])
     if t2 < t1:
         raise ValueError("t_window must be increasing")
-    s_nodes = (
-        np.linspace(manifold.s_min, manifold.s_max, n + 1)
-        if n > 0
-        else np.array([manifold.s_min])
-    )
-    r_nodes = np.linspace(t1, t2, m + 1) if m > 0 else np.array([t1])
+    s_nodes = np.linspace(manifold.s_min, manifold.s_max, n + 1)
+    r_nodes = np.linspace(t1, t2, m + 1)
     points = np.empty((s_nodes.size, r_nodes.size, manifold.dim))
     anchors = np.asarray(manifold.embed(s_nodes), dtype=float).T
     fwd = np.nonzero(r_nodes >= 0.0)[0]

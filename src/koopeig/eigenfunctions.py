@@ -76,7 +76,8 @@ def _on_manifold(
     """The parameters s of the (d, M) states and whether each state lies on
     the manifold itself, at its parameter."""
     s = manifold.locate(states)
-    gap = np.linalg.norm(np.asarray(manifold.embed(s), float) - states, axis=0)
+    with np.errstate(over="ignore"):  # a gap that overflows is inf: off the manifold
+        gap = np.linalg.norm(np.asarray(manifold.embed(s), float) - states, axis=0)
     return s, gap <= on_tol
 
 

@@ -13,14 +13,9 @@ class KoopeigError(Exception):
 
 class NotInDomainError(KoopeigError):
     """Query point is outside the swept domain of an eigenfunction: ``reason``
-    is NO_CROSSING unless given. Each subclass fixes its own reason."""
+    is NO_CROSSING. Each subclass fixes its own reason."""
 
     reason = NO_CROSSING
-
-    def __init__(self, message, reason=None):
-        super().__init__(message)
-        if reason is not None:
-            self.reason = reason
 
 
 class AmbiguousCrossingError(NotInDomainError):

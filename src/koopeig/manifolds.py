@@ -188,7 +188,8 @@ def circle_manifold(
         return radius * np.array([-np.sin(s), np.cos(s)])
 
     def surface(x):
-        return np.sqrt((x[0] - c[0]) ** 2 + (x[1] - c[1]) ** 2) - radius
+        with np.errstate(over="ignore"):  # inf far out: a sign, never a crossing
+            return np.sqrt((x[0] - c[0]) ** 2 + (x[1] - c[1]) ** 2) - radius
 
     def locate(x):  # polar angle in [a0, a0 + 2 pi); off an open arc, its nearer end
         s = a0 + (np.arctan2(x[1] - c[1], x[0] - c[0]) - a0) % (2.0 * math.pi)

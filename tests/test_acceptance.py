@@ -146,12 +146,14 @@ def test_criterion_04_koopman_certification():
         vdp, vman, grid, _, _, result = _vdp_fig7_decomposition()
         assert result.terms, "no fitted terms"
         span = vman.s_max - vman.s_min
+        lo, hi = [vman.s_min + 0.05 * span, 0.05], [vman.s_max - 0.05 * span, 1.85]
         for k, term in enumerate(result.terms):
-            pts = []
-            while len(pts) < 100:
-                s = rng.uniform(vman.s_min + 0.05 * span, vman.s_max - 0.05 * span)
-                tau = rng.uniform(0.05, 1.85)
-                pts.append(ke.flow(vdp.field, vman.embed(s), tau, 1e-10))
+            # 100 (s, tau) pairs, s drawn before tau; the sample flows anchor
+            # i to the i-th smallest tau, the diagonal of one batched flow.
+            pairs = rng.uniform(lo, hi, (100, 2))
+            s, tau = pairs[np.argsort(pairs[:, 1])].T
+            images = ke.flow_many(vdp.field, vman.embed(s).T, tau, 1e-10)
+            pts = images[np.arange(100), np.arange(100)]
             res = ke.koopman_residual(term.eigenfunction, pts, 0.1, tol=1e-9)
             assert res <= 1e-3, f"vdp term {k} residual {res:.2e}"
 

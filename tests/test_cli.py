@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import koopeig as ke
-from koopeig import cli
+from koopeig import cli, config
 from koopeig.cli import main, write_csv
 from koopeig.config import RunConfig
 
@@ -284,7 +285,7 @@ def test_unmakeable_output_dir_exits_2(tmp_path, capsys):
     blocker.write_text("")
     for out in (blocker, blocker / "below"):
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error: output_dir: ")
+        assert capsys.readouterr().err.startswith("config error: --out: ")
 
 
 def test_taken_output_name_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
@@ -292,18 +293,24 @@ def test_taken_output_name_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
     out = tmp_path / "out"
     (out / "keig_grid.csv").mkdir(parents=True)
     assert main(["eval", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: output_dir: ")
+    assert capsys.readouterr().err.startswith("config error: --out: ")
     assert sorted(path.name for path in out.iterdir()) == ["keig_grid.csv"]
 
 
-def test_flag_overrides_survive_in_echo(tmp_path):
+@pytest.mark.parametrize("command", ["eval", "decompose", "spectrum"])
+def test_config_and_out_are_the_only_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z]+", capsys.readouterr().out)) == {"--help", "--config", "--out"}
+
+
+def test_echo_is_the_config_as_read_and_out_defaults_to_out(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "cfg.json", SPECTRUM_CFG)
-    assert main([
-        "spectrum", "--config", cfg, "--out", str(tmp_path / "o2"), "--seed", "5",
-        "--tol", "1e-9",
-    ]) == 0
-    summary = json.loads((tmp_path / "o2" / "spectrum_summary.json").read_text())
-    assert summary["config_echo"]["seed"] == 5
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--config", cfg]) == 0
+    summary = json.loads((tmp_path / "out" / "spectrum_summary.json").read_text())
+    assert summary["config_echo"] == SPECTRUM_CFG
 
 
 LIN1D_CFG = {
@@ -414,7 +421,7 @@ BAD_CONFIGS = [
     # e^(400 r) overflows over the window for the only candidate.
     ("decompose", _with(DECOMPOSE_CFG, lambda_sweep={"values": [[400, 0]]}), "lambda_sweep"),
     # Every number is finite, not a bool, integral where an integer is due
-    # and within its bound; a command may carry flags that override the config.
+    # and within its bound.
     (
         "decompose",
         _with(DECOMPOSE_CFG, lambda_sweep__im_range=[-1.0, 1.0], lambda_sweep__im_count=0),
@@ -426,7 +433,8 @@ BAD_CONFIGS = [
         "lambda_sweep.im_count",
     ),
     ("eval", _with(OBSERVER_CFG, seed=-1), "seed"),
-    ("eval --seed -1", OBSERVER_CFG, "seed"),
+    # The output directory is --out alone.
+    ("eval", _with(OBSERVER_CFG, output_dir="out"), "output_dir"),
     ("eval", _with(OBSERVER_CFG, t_window=[0, math.inf]), "t_window"),
     ("eval", _with(OBSERVER_CFG, t_window=["0", "1"]), "t_window"),
     ("eval", _with(OBSERVER_CFG, eig__lambda=math.nan), "eig.lambda"),
@@ -538,6 +546,13 @@ BAD_CONFIGS = [
     ),
     ("eval", _with(OBSERVER_CFG, system__params={"a1": 1e300}), "manifold"),
     ("eval", _with(VDP_EVAL_CFG, system={"name": "hopf", "params": {"mu": 1e300}}), "manifold"),
+    # A count past MAX_COUNT.
+    ("eval", _with(OBSERVER_CFG, lattice__x1=[1.0, 2.0, 1e200]), "lattice.x1"),
+    ("decompose", _with(DECOMPOSE_CFG, grid__n=1e200), "grid.n"),
+    ("decompose", _with(DECOMPOSE_CFG, lambda_sweep__count=1e200), "lambda_sweep.count"),
+    ("spectrum", _with(SPECTRUM_CFG, spectrum__n_list=[4, 1e200]), "spectrum.n_list"),
+    # A window whose width overflows, as would the grid's time step.
+    ("decompose", _with(DECOMPOSE_CFG, t_window=[-1e308, 1e308]), "t_window"),
 ]
 
 
@@ -550,6 +565,32 @@ def test_complex_lambda_grid_is_re_major():
     wedge = {"re_range": [-1, 1], "im_range": [0, 2], "count": 2}
     cfg = RunConfig.from_dict({"spectrum": {"wedge": {"lambda_grid": wedge}}})
     assert cfg.spectrum.lambdas.tolist() == [-1, -1 + 2j, 1, 1 + 2j]
+
+
+@pytest.mark.parametrize(
+    "section,field",
+    [
+        (lambda n: {"lattice": {"x1": [0, 1, 256], "x2": [0, 1, n]}}, "lattice"),
+        (lambda n: {"grid": {"n": 255, "m": n - 1}}, "grid"),
+        (
+            lambda n: {"lambda_sweep": {"re_range": [-1, 1], "count": 256,
+                                        "im_range": [-1, 1], "im_count": n}},
+            "lambda_sweep",
+        ),
+        (lambda n: {"spectrum": {"wedge": {"lambda_grid": {"count": n}}}}, "spectrum.wedge.lambda_grid"),
+        (lambda n: {"spectrum": {"quad_points": n}}, "spectrum.quad_points"),
+    ],
+    ids=["lattice", "grid", "lambda_sweep", "wedge", "quad_points"],
+)
+def test_counts_multiply_up_to_max_count(monkeypatch, section, field):
+    # Under a bound of 256^2, an n of 256 reaches it and 257 passes it. The
+    # grid counts its n+1 by m+1 nodes; the Gauss-Legendre rule's matrix is
+    # quad_points^2.
+    monkeypatch.setattr(config, "MAX_COUNT", 256**2)
+    RunConfig.from_dict(section(256))
+    with pytest.raises(ke.ConfigError) as exc:
+        RunConfig.from_dict(section(257))
+    assert exc.value.field == field
 
 
 @pytest.mark.parametrize("command,cfg,field", BAD_CONFIGS)
@@ -601,6 +642,23 @@ def test_eval_with_an_overflowing_eigenvalue_writes_strict_json(tmp_path, eigenv
     summary = json.loads(text, parse_constant=_refuse_constant)
     assert summary["in_domain_points"] > 0
     assert summary["spot_check_residual"] is None
+
+
+@pytest.mark.parametrize("system,x2", [("lin2d", [0.5, 1.0, 3]), ("hopf", [1.5, 4.0, 3])])
+def test_eval_on_a_lattice_past_the_floats_writes_strict_json(tmp_path, system, x2):
+    # At x1 = 1e300 the gap to a segment's nearest point (lin2d) and the
+    # distance to the circle (hopf) overflow: those points are off the manifold.
+    cfg = {
+        "system": {"name": system},
+        "eig": {"lambda": 1, "h": "1"},
+        "lattice": {"x1": [1, 1e300, 3], "x2": x2},
+    }
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) in (0, cli.EXIT_DOMAIN)
+    text = (tmp_path / "out" / "eval_summary.json").read_text()
+    summary = json.loads(text, parse_constant=_refuse_constant)
+    counted = summary["in_domain_points"] + sum(summary["miss_reasons"].values())
+    assert counted == summary["lattice_points"] == 9
 
 
 def test_eval_overflowing_phi_keeps_its_zero_imaginary_part(tmp_path):
