@@ -10,6 +10,7 @@ rename); repeated runs with the same config produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,6 +38,10 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_EMPTY = 4
 
+# write_csv formats and writes a block at most this many rows at a time, so its
+# memory does not grow with the block.
+WRITE_ROWS = 2**16
+
 
 def _write_atomic(path: Path, chunks) -> None:
     """Write the text chunks to a temp file and rename it over ``path``; a failed
@@ -51,9 +56,9 @@ def _write_atomic(path: Path, chunks) -> None:
         raise
 
 
-def _cells(column) -> list[str]:
-    """The "%.17g" strings of a 1-D column, from one formatting call."""
-    values = np.asarray(column, dtype=float).tolist()
+def _cells(column: np.ndarray) -> list[str]:
+    """The "%.17g" strings of a 1-D float array, from one formatting call."""
+    values = column.tolist()
     return ("%.17g," * len(values) % tuple(values)).split(",")[:-1]
 
 
@@ -62,21 +67,29 @@ def write_csv(path: Path, header: list[str], columns, stages=None) -> None:
 
     Without ``stages`` the rows are ``columns`` side by side. With them, each
     item of ``stages`` (a list of 1-D columns) gives the block of rows
-    ``(k, *columns, *stage_columns)`` of stage k, counting from 1: ``columns``
-    are formatted once, and one block is built and written at a time. Ragged
+    ``(k, *columns, *stage_columns)`` of stage k, counting from 1. Each block
+    is formatted and written in slices of at most WRITE_ROWS rows; the cells
+    of ``columns`` are kept for the last slice formatted, so they are
+    formatted once for all stages when a block fits in one slice. Ragged
     columns, or rows of another width than the header, raise ValueError.
     """
-    shared = [_cells(column) for column in columns]
+    columns = [np.asarray(column, dtype=float) for column in columns]
+
+    @functools.lru_cache(maxsize=1)
+    def shared(lo: int) -> list[list[str]]:
+        return [_cells(column[lo:lo + WRITE_ROWS]) for column in columns]
 
     def chunks():
         yield ",".join(header) + "\n"
         for stage, stage_columns in enumerate([[]] if stages is None else stages, start=1):
             prefix = "" if stages is None else "%.17g," % stage
-            cells = shared + [_cells(column) for column in stage_columns]
-            lengths = [len(column) for column in cells]
-            if len(cells) + bool(prefix) != len(header) or len(set(lengths)) > 1:
+            stage_columns = [np.asarray(column, dtype=float) for column in stage_columns]
+            lengths = [len(column) for column in columns + stage_columns]
+            if len(lengths) + bool(prefix) != len(header) or len(set(lengths)) > 1:
                 raise ValueError(f"{path.name}: columns of lengths {lengths} for {header}")
-            if any(lengths):
+            for lo in range(0, max(lengths, default=0), WRITE_ROWS):
+                own = [_cells(column[lo:lo + WRITE_ROWS]) for column in stage_columns]
+                cells = shared(lo) + own
                 yield prefix + ("\n" + prefix).join(map(",".join, zip(*cells))) + "\n"
 
     _write_atomic(path, chunks())
@@ -131,7 +144,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     eig = OpenEigenfunction(
         cfg.eig_lambda, data, manifold, system.field, window, tol=cfg.integrator_tol
     )
-    phi, r_star, s_star, misses = evaluate_points(eig, points)
+    phi, r_star, s_star, why = evaluate_points(eig, points)
     hit = ~np.isnan(r_star)
     write_csv(
         out_dir / "keig_grid.csv",
@@ -146,23 +159,22 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     # counted by reason, and the others are certified.
     t_spot = min(0.1, 0.25 * (window[1] - window[0]) if window[1] > window[0] else 0.1)
     safe = np.flatnonzero(hit & (r_star + t_spot < window[1] - 1e-6))
-    spot, spot_misses = None, []
+    spot, spot_why = None, np.full(0, None, dtype=object)
     if safe.size:
         rng = np.random.default_rng(cfg.seed)
         picks = points[safe[rng.choice(len(safe), size=min(10, len(safe)), replace=False)]]
-        defects, errors = koopman_defects(eig, picks, t_spot, tol=cfg.integrator_tol)
-        spot_misses = [error.reason for error in errors if error is not None]
-        kept = np.array([error is None for error in errors])
+        defects, spot_why = koopman_defects(eig, picks, t_spot, tol=cfg.integrator_tol)
+        kept = np.equal(spot_why, None)
         spot = float(defects[kept].max()) if kept.any() else None
     summary = {
         "command": "eval",
         "lambda": _c2l(eig.eigenvalue),
         "lattice_points": n_total,
         "in_domain_points": n_ok,
-        "miss_reasons": {reason: misses.count(reason) for reason in MISS_REASONS},
+        "miss_reasons": {reason: int(np.sum(why == reason)) for reason in MISS_REASONS},
         "spot_check_t": t_spot,
         "spot_check_residual": spot,
-        "spot_check_misses": {reason: spot_misses.count(reason) for reason in MISS_REASONS},
+        "spot_check_misses": {reason: int(np.sum(spot_why == reason)) for reason in MISS_REASONS},
         "config_echo": cfg.echo,
     }
     write_json(out_dir / "eval_summary.json", summary)

@@ -29,9 +29,9 @@ __all__ = ["MAX_COUNT", "RunConfig", "SpectrumSpec", "load_config_file"]
 
 # The most points a config may ask for: each count, and as one count the
 # lattice's points, the grid's nodes and the eigenvalues of the sweep and of
-# the wedge. It keeps a run within a 1 GB memory budget: write_csv holds the
-# formatted cells of a block of rows, and writing 10**6 rows of a 2-D
-# lattice's six columns peaks at 0.9 GB.
+# the wedge. It keeps a run within a 1 GB memory budget. write_csv formats at
+# most WRITE_ROWS rows at a time: writing 10**6 rows of a 2-D lattice's six
+# columns peaks at 0.16 GB.
 MAX_COUNT = 10**6
 
 

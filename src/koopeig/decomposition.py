@@ -169,7 +169,6 @@ def fit_h(
 
 @dataclass(frozen=True)
 class SweepResult:
-    best_lambda: complex
     best_fit: FitResult
     best_index: int
     candidates: np.ndarray
@@ -258,7 +257,7 @@ def sweep_lambda(
     curve = np.sqrt(np.maximum(sq, 0.0))
     curve[near] = [f.residual_norm for f in fits]
     k = np.lexsort((np.abs(cands[near].imag), np.abs(cands[near]), curve[near]))[0]
-    return SweepResult(complex(cands[near[k]]), fits[k], int(near[k]), cands, curve)
+    return SweepResult(fits[k], int(near[k]), cands, curve)
 
 
 @dataclass(frozen=True)

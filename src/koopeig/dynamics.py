@@ -117,13 +117,11 @@ class VectorField:
 
 @dataclass(frozen=True)
 class BenchmarkSystem:
-    """A named vector field bundled with a default data manifold and, when
-    one is known in closed form, a reference eigenfunction for certification."""
+    """A named vector field bundled with a default data manifold and time window."""
 
     field: VectorField
     default_manifold: "manifolds.DataManifold"
     default_t_window: tuple[float, float]
-    oracle_eigenfunction: Optional[object] = None
 
 
 def as_states(field: VectorField, states) -> np.ndarray:
@@ -861,11 +859,7 @@ def _lin1d(a: float = 1.0) -> BenchmarkSystem:
         return x * np.exp(a * t)
 
     fld = VectorField(1, rhs, name=f"lin1d(a={a:g})", closed_form_flow=closed)
-    mani = manifolds.point_manifold(1.0)
-    from .eigenfunctions import ClosedFormEigenfunction
-
-    oracle = ClosedFormEigenfunction(complex(a), lambda x: x[0], fld)
-    return BenchmarkSystem(fld, mani, (-1.0, 1.0), oracle)
+    return BenchmarkSystem(fld, manifolds.point_manifold(1.0), (-1.0, 1.0))
 
 
 def _lin2d(a1: float = 1.0, a2: float = 2.0) -> BenchmarkSystem:
@@ -879,10 +873,7 @@ def _lin2d(a1: float = 1.0, a2: float = 2.0) -> BenchmarkSystem:
 
     fld = VectorField(2, rhs, name=f"lin2d(a=({a1:g},{a2:g}))", closed_form_flow=closed)
     mani = manifolds.segment_manifold((0.3, 1.0), (2.2, 1.0), n=121, s_range=(0.3, 2.2))
-    from .eigenfunctions import ClosedFormEigenfunction
-
-    oracle = ClosedFormEigenfunction(complex(a2), lambda x: x[1], fld)
-    return BenchmarkSystem(fld, mani, (0.0, 1.2), oracle)
+    return BenchmarkSystem(fld, mani, (0.0, 1.2))
 
 
 def _hopf(mu: float = 1.0) -> BenchmarkSystem:
@@ -911,7 +902,7 @@ def _hopf(mu: float = 1.0) -> BenchmarkSystem:
 
     fld = VectorField(2, rhs, name=f"hopf(mu={mu:g})", closed_form_flow=closed)
     mani = manifolds.circle_manifold((0.0, 0.0), 5.0, n=257)
-    return BenchmarkSystem(fld, mani, (0.0, 4.0), None)
+    return BenchmarkSystem(fld, mani, (0.0, 4.0))
 
 
 def _vdp() -> BenchmarkSystem:
@@ -920,7 +911,7 @@ def _vdp() -> BenchmarkSystem:
 
     fld = VectorField(2, rhs, name="vdp")
     mani = manifolds.segment_manifold((1.0, 0.5), (2.0, 1.5), n=121)
-    return BenchmarkSystem(fld, mani, (0.0, 2.0), None)
+    return BenchmarkSystem(fld, mani, (0.0, 2.0))
 
 
 def _blowup() -> BenchmarkSystem:
@@ -932,11 +923,7 @@ def _blowup() -> BenchmarkSystem:
         return np.where(denom > 0.0, x / denom, np.inf)  # past t = 1/x it has escaped
 
     fld = VectorField(1, rhs, name="blowup", closed_form_flow=closed)
-    mani = manifolds.point_manifold(1.0)
-    from .eigenfunctions import ClosedFormEigenfunction
-
-    oracle = ClosedFormEigenfunction(1.0 + 0.0j, lambda x: np.exp(-1.0 / x[0]), fld)
-    return BenchmarkSystem(fld, mani, (-1.0, 0.5), oracle)
+    return BenchmarkSystem(fld, manifolds.point_manifold(1.0), (-1.0, 0.5))
 
 
 def _action_angle() -> BenchmarkSystem:
@@ -948,7 +935,7 @@ def _action_angle() -> BenchmarkSystem:
 
     fld = VectorField(2, rhs, name="action_angle", closed_form_flow=closed)
     mani = manifolds.segment_manifold((0.5, 0.2), (2.5, 0.2), n=121, s_range=(0.5, 2.5))
-    return BenchmarkSystem(fld, mani, (0.0, 0.8), None)
+    return BenchmarkSystem(fld, mani, (0.0, 0.8))
 
 
 _REGISTRY: dict[str, Callable[..., BenchmarkSystem]] = {

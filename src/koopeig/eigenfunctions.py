@@ -11,7 +11,7 @@ that single evaluation primitive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,12 +81,12 @@ def _on_manifold(
     return s, gap <= on_tol
 
 
-# The error of each miss reason, and what it says.
+# The error of each miss reason, and what it says of a search or a flow.
 _MISSES = {
     NO_CROSSING: (NotInDomainError, "orbit does not meet the data manifold inside the time window"),
     AMBIGUOUS: (AmbiguousCrossingError, "orbit meets the data manifold more than once in one direction"),
-    BLOW_UP: (BlowUpError, "orbit blows up before it meets the data manifold"),
-    STEP_UNDERFLOW: (StepUnderflowError, "orbit's step size underflows before it meets the data manifold"),
+    BLOW_UP: (BlowUpError, "orbit blows up"),
+    STEP_UNDERFLOW: (StepUnderflowError, "orbit's step size underflows"),
 }
 
 
@@ -94,6 +94,13 @@ def _miss_error(reason: str) -> NotInDomainError:
     """The NotInDomainError subclass whose reason is ``reason``."""
     cls, message = _MISSES[reason]
     return cls(message)
+
+
+def _raise_first(why: np.ndarray) -> None:
+    """Raise the error of the first miss reason in the ``why`` column, if any."""
+    misses = why[np.not_equal(why, None)]
+    if misses.size:
+        raise _miss_error(misses[0])
 
 
 def _window(t_window) -> tuple[float, float]:
@@ -112,10 +119,10 @@ def _pull(
     t_window,
     pts: np.ndarray,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The search behind ``pullback`` and ``pullback_many`` on the (N, d)
     points: r* and s* as (N,) arrays, the feet as (d, N), all NaN at the
-    misses, and the miss reasons in point order.
+    misses, and the ``why`` column of ``pullback_many``.
 
     A point on the manifold itself is its own foot, at r* = 0. The others are
     searched backward over the downstream part of the window, t2 plus a
@@ -167,8 +174,8 @@ def _pull(
         one = on & (feet == 1)[lane]
         out[:, idx[lane[one]]] = flat[:, one]
         reason[idx[feet > 1]] = AMBIGUOUS
-    r_star, s_star = out[0], out[1]
-    return r_star, s_star, out[2:], reason[np.isnan(r_star)].tolist()
+    reason[~np.isnan(out[0])] = None
+    return out[0], out[1], out[2:], reason
 
 
 def pullback(
@@ -189,9 +196,8 @@ def pullback(
     NO_CROSSING.
     """
     pts = as_states(field, [np.asarray(x, dtype=float).reshape(-1)])
-    r_star, s_star, feet, misses = _pull(field, manifold, t_window, pts, tol)
-    if misses:
-        raise _miss_error(misses[0])
+    r_star, s_star, feet, why = _pull(field, manifold, t_window, pts, tol)
+    _raise_first(why)
     return Pullback(float(r_star[0]), float(s_star[0]), feet[:, 0].copy())
 
 
@@ -201,10 +207,10 @@ def pullback_many(
     t_window: tuple[float, float],
     points,
     tol: float = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``pullback`` of N points: r* and s* as (N,) arrays and the feet as a
-    (d, N) array, all NaN at the misses, and the miss reason (one of
-    MISS_REASONS) of each miss in point order.
+    (d, N) array, all NaN at the misses, and ``why``, each point's miss
+    reason (one of MISS_REASONS) or None, as an (N,) object array.
 
     A field without a closed form marches every point as one lane of a
     batch, backward and then (when t1 < 0) forward, under the rules of
@@ -218,15 +224,15 @@ def pullback_many(
     # One ``pullback`` call per point, so that perfbench/tracing.py, which
     # patches eigenfunctions.pullback, times each exact scan.
     out = np.full((2 + pts.shape[1], pts.shape[0]), np.nan)
-    misses: list[str] = []
+    why = np.full(pts.shape[0], None, dtype=object)
     for j, x in enumerate(pts):
         try:
             pb = pullback(field, manifold, t_window, x, tol)
         except NotInDomainError as exc:
-            misses.append(exc.reason)
+            why[j] = exc.reason
             continue
         out[0, j], out[1, j], out[2:, j] = pb.r_star, pb.s_star, pb.foot
-    return out[0], out[1], out[2:], misses
+    return out[0], out[1], out[2:], why
 
 
 class _EigenfunctionBase:
@@ -247,9 +253,7 @@ class _EigenfunctionBase:
         """phi at N points, shaped (N,); the first miss raises the
         NotInDomainError subclass of its reason."""
         phi, why = self.columns(points)
-        misses = why[np.not_equal(why, None)]
-        if misses.size:
-            raise _miss_error(misses[0])
+        _raise_first(why)
         return phi
 
 
@@ -275,9 +279,7 @@ class OpenEigenfunction(_EigenfunctionBase):
         object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
 
     def columns(self, points) -> tuple[np.ndarray, np.ndarray]:
-        phi, r_star, _, misses = evaluate_points(self, points)
-        why = np.full(phi.shape, None, dtype=object)
-        why[np.isnan(r_star)] = misses
+        phi, _, _, why = evaluate_points(self, points)
         return phi, why
 
 
@@ -367,29 +369,26 @@ def eig_power(eig: _EigenfunctionBase, p: float) -> ProductEigenfunction:
 
 def koopman_defects(
     eig: _EigenfunctionBase, points: Sequence, t: float, *, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, list[Optional[NotInDomainError]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The relative defect of phi(rho_t(x)) = e^{lambda t} phi(x) at each
     point, an (N,) array, NaN where the point fails (and NaN or inf where phi
-    or e^{lambda t} overflows), and each point's error: its own miss, else its
-    orbit's escape before t as it is (BlowUpError or StepUnderflowError), else
-    its t-image's miss, else None. One flow of the points, then one
-    ``columns`` call on the points and the images that did not escape.
+    or e^{lambda t} overflows), and ``why``, each point's miss reason: its
+    own, else its orbit's escape before t, else its t-image's, else None.
+    One flow of the points, then one ``columns`` call on the points and the
+    images that did not escape.
     """
     pts = as_states(eig.field, points)
     n = pts.shape[0]
     ends, escapes = _flow_lanes(eig.field, pts, [t], tol)
-    flowed = np.array([escape is None for escape in escapes], dtype=bool)
+    why_y = np.array([escape and escape.reason for escape in escapes], dtype=object)
+    flowed = np.equal(why_y, None)
     phi, why = eig.columns(np.concatenate([pts, ends[0][flowed]]))
-    phi_y, why_y = np.full(n, np.nan, dtype=complex), np.full(n, None, dtype=object)
+    phi_y = np.full(n, np.nan, dtype=complex)
     phi_y[flowed], why_y[flowed] = phi[n:], why[n:]
-    errors = [
-        _miss_error(own) if own else escape or (_miss_error(end) if end else None)
-        for own, escape, end in zip(why[:n].tolist(), escapes, why_y.tolist())
-    ]
     with np.errstate(over="ignore", invalid="ignore"):
         factor = np.exp(complex(eig.eigenvalue) * t)
         defects = np.abs(phi_y - factor * phi[:n]) / np.maximum(1.0, np.abs(phi[:n]))
-    return defects, errors
+    return defects, np.where(np.equal(why[:n], None), why_y, why[:n])
 
 
 def koopman_residual(
@@ -397,11 +396,9 @@ def koopman_residual(
 ) -> float:
     """The universal certificate that an object is a genuine eigenfunction:
     the max of ``koopman_defects`` (0.0 for no points). The first point that
-    fails it raises its error."""
-    defects, errors = koopman_defects(eig, points, t, tol=tol)
-    error = next(filter(None, errors), None)
-    if error is not None:
-        raise error
+    fails it raises the NotInDomainError subclass of its reason."""
+    defects, why = koopman_defects(eig, points, t, tol=tol)
+    _raise_first(why)
     return float(defects.max(initial=0.0))
 
 
@@ -457,12 +454,12 @@ def same_primary_class(
 
 def evaluate_points(
     eig: OpenEigenfunction, points: Sequence
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate on many points: phi, r* and s*, each an (N,) array in point
-    order with NaN at the points outside the domain, and the miss reason (one
-    of MISS_REASONS) of each such point in point order.
+    order with NaN at the points outside the domain, and ``why``, each
+    point's miss reason (one of MISS_REASONS) or None.
 
-    r*, s* and the misses are ``pullback_many``'s columns as they come. phi
+    r*, s* and ``why`` are ``pullback_many``'s columns as they come. phi
     is one array expression over the hits, so ``eig.data`` never sees a miss.
 
     A hit stays a hit where e^{lambda r*} overflows: its phi is not finite.
@@ -470,14 +467,14 @@ def evaluate_points(
     exactly zero factor is 0, so a real h with a real lambda gives (inf, 0)
     rather than the complex product's (inf, nan).
     """
-    r_star, s_star, _, misses = pullback_many(
+    r_star, s_star, _, why = pullback_many(
         eig.field, eig.manifold, eig.t_window, points, eig.tol
     )
     hit = ~np.isnan(r_star)
     phi = np.full(r_star.shape, np.nan, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         phi[hit] = _product(eig.data(s_star[hit]), np.exp(eig.eigenvalue * r_star[hit]))
-    return phi, r_star, s_star, misses
+    return phi, r_star, s_star, why
 
 
 def _product(h: np.ndarray, e: np.ndarray) -> np.ndarray:

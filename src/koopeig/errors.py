@@ -2,7 +2,8 @@
 
 # Why a point is outside an eigenfunction's domain: no crossing of the data
 # manifold in the window, more than one, or an orbit that blew up or stalled
-# before any. Every miss is a NotInDomainError whose ``reason`` is one of these.
+# before any. A batch call's ``why`` column holds one of these at each miss, and
+# a miss that is raised is the NotInDomainError whose ``reason`` it is.
 MISS_REASONS = ("no_crossing", "ambiguous", "blow_up", "step_underflow")
 NO_CROSSING, AMBIGUOUS, BLOW_UP, STEP_UNDERFLOW = MISS_REASONS
 

@@ -72,10 +72,6 @@ class DataManifold:
             raise ValueError("s_max must be >= s_min")
         object.__setattr__(self, "_extent_cache", None)
 
-    @property
-    def span(self) -> float:
-        return self.s_max - self.s_min
-
     def parameter_grid(self) -> np.ndarray:
         """A new (n_samples,) array of evenly spaced parameters."""
         return np.linspace(self.s_min, self.s_max, self.n_samples)

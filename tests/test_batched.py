@@ -198,8 +198,8 @@ def test_pullback_matches_a_dop853_event_search():
     # crossing; scipy locates the same crossing on its own dense output.
     system = ke.make_system("vdp")
     field, mani = system.field, system.default_manifold
-    r_star, s_star, _, misses = ke.pullback_many(field, mani, (0.0, 2.0), DENSE_STARTS, 1e-10)
-    assert misses == []
+    r_star, s_star, _, why = ke.pullback_many(field, mani, (0.0, 2.0), DENSE_STARTS, 1e-10)
+    assert why.tolist() == [None] * len(DENSE_STARTS)
 
     def surface(_t, y):
         return mani.surface(y[:, None])[0]
@@ -222,8 +222,8 @@ def test_a_late_foot_matches_a_tight_dop853_search():
     system = ke.make_system("vdp")
     field, mani = system.field, system.default_manifold
     x0 = [1.243425966685745, -0.9799140712928877]
-    r_star, _, _, misses = ke.pullback_many(field, mani, (0.0, 2.0), [x0], 1e-10)
-    assert misses == []
+    r_star, _, _, why = ke.pullback_many(field, mani, (0.0, 2.0), [x0], 1e-10)
+    assert why.tolist() == [None]
     sol = solve_ivp(
         lambda _t, y: -field.rhs(y), (0.0, 2.002), np.asarray(x0), method="DOP853",
         rtol=1e-13, atol=1e-13, events=[lambda _t, y: mani.surface(y[:, None])[0]],
@@ -476,8 +476,8 @@ def test_the_field_chooses_how_it_is_flowed(lin2d):
     def run(field):
         images = flow_many(field, pts, [-0.1, -0.4], 1e-10)
         found, _ = find_crossings_many(field, pts, lambda x: x[1] - 1.0, -1.0, 2.0, 1e-10)
-        r_star, s_star, feet, misses = ke.pullback_many(field, mani, (0.0, 1.2), pts, 1e-10)
-        assert not misses
+        r_star, s_star, feet, why = ke.pullback_many(field, mani, (0.0, 1.2), pts, 1e-10)
+        assert why.tolist() == [None] * len(pts)
         taus = [tau for ((tau, _),) in found]
         return np.concatenate([images.ravel(), taus, r_star, s_star, feet.ravel()])
 
@@ -497,8 +497,9 @@ def test_an_empty_pullback_batch_checks_its_arguments(lin2d, marched):
     field = _rk45(lin2d.field) if marched else lin2d.field
     mani = ke.segment_manifold((0.3, 1.0), (2.2, 1.0), n=121, s_range=(0.3, 2.2))
     none = np.empty((0, 2))
-    r_star, s_star, feet, misses = ke.pullback_many(field, mani, (0.0, 1.0), none)
-    assert r_star.shape == s_star.shape == (0,) and feet.shape == (2, 0) and misses == []
+    r_star, s_star, feet, why = ke.pullback_many(field, mani, (0.0, 1.0), none)
+    assert r_star.shape == s_star.shape == why.shape == (0,) and feet.shape == (2, 0)
+    assert why.dtype == object
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         ke.pullback_many(field, mani, (0.0, 1.0), none, -1.0)
     with pytest.raises(ValueError, match="t_window must be finite"):
@@ -544,15 +545,16 @@ def _lin2d_exact_setup():
 
 def _against_one_point(field, mani, window, pts):
     """pullback_many's columns, checked against each point's one-point
-    pullback: NaN marks exactly the misses, and their reasons agree in point
-    order. Returns the columns and the one-point Pullback of each hit."""
-    r_star, s_star, feet, misses = ke.pullback_many(field, mani, window, pts, 1e-10)
+    pullback: NaN marks exactly the misses, and the why column holds each
+    miss's reason and None at each hit. Returns the columns and the one-point
+    Pullback of each hit."""
+    r_star, s_star, feet, why = ke.pullback_many(field, mani, window, pts, 1e-10)
     n, d = pts.shape
-    assert r_star.shape == s_star.shape == (n,) and feet.shape == (d, n)
+    assert r_star.shape == s_star.shape == why.shape == (n,) and feet.shape == (d, n)
     miss = np.isnan(r_star)
     assert np.array_equal(np.isnan(s_star), miss)
     assert np.array_equal(np.isnan(feet), np.broadcast_to(miss, (d, n)))
-    assert len(misses) == miss.sum()
+    assert np.array_equal(np.not_equal(why, None), miss)
     wants = []
     for x in pts:
         try:
@@ -560,10 +562,10 @@ def _against_one_point(field, mani, window, pts):
         except ke.NotInDomainError as exc:
             wants.append(exc.reason)
     assert np.array_equal(miss, [isinstance(want, str) for want in wants])
-    assert misses == [want for want in wants if isinstance(want, str)]
-    assert set(misses) <= set(ke.MISS_REASONS)
+    assert why.tolist() == [want if isinstance(want, str) else None for want in wants]
+    assert set(why[miss]) <= set(ke.MISS_REASONS)
     hits = {j: want for j, want in enumerate(wants) if not miss[j]}
-    return (r_star, s_star, feet, misses), hits
+    return (r_star, s_star, feet, why), hits
 
 
 @pytest.mark.parametrize(
@@ -607,11 +609,11 @@ def test_batched_on_manifold_test_matches_one_point():
 def test_rotation_misses_cover_ambiguity_and_window():
     field, mani, window, _ = _rotation_setup()
     pts = [[1.0, 0.3], [1.0, -0.5], [0.1, 0.1], [-1.0, 0.0]]
-    r_star, _, _, misses = ke.pullback_many(field, mani, window, pts, 1e-10)
+    r_star, _, _, why = ke.pullback_many(field, mani, window, pts, 1e-10)
     assert np.isnan(r_star[[0, 2]]).all()
     # Point 0, angle 0.29 < 7 - 2 pi: met twice backward. Point 2: radius
     # below the segment.
-    assert misses == ["ambiguous", "no_crossing"]
+    assert why.tolist() == ["ambiguous", None, "no_crossing", None]
     # angle 2 pi - 0.46: one backward crossing of the segment inside the window
     assert r_star[1] == pytest.approx(2.0 * math.pi - math.atan2(0.5, 1.0), abs=1e-8)
     # On the supporting line but off the segment: met half a turn later.

@@ -786,6 +786,29 @@ def test_write_csv_without_rows_is_the_header(tmp_path):
     assert (tmp_path / "b.csv").read_text() == "stage,x,y\n"
 
 
+def test_write_csv_in_slices_keeps_every_byte(tmp_path, monkeypatch):
+    # Blocks of 8, 3, 0 and 5 rows, in slices of 3: a staged file, an
+    # unstaged one and a staged one with an empty block.
+    x = np.linspace(-1.0, 1.0, 8) / 3.0
+    files = {
+        "staged.csv": (["stage", "x", "y"], [x], [[x**2], [x**3]]),
+        "unstaged.csv": (["x", "y", "n"], [x, x**2, np.arange(8)], None),
+        "empty_block.csv": (["stage", "y"], [], [[x[:3]], [[]], [x[:5]]]),
+    }
+
+    def written(directory):
+        directory.mkdir()
+        for name, (header, columns, stages) in files.items():
+            write_csv(directory / name, header, columns, stages)
+        return {name: (directory / name).read_bytes() for name in files}
+
+    default = written(tmp_path / "default")
+    monkeypatch.setattr(cli, "WRITE_ROWS", 3)
+    assert written(tmp_path / "sliced") == default
+    assert default["empty_block.csv"].count(b"\n") == 1 + 3 + 5
+    assert default["staged.csv"].count(b"\n") == 1 + 2 * 8
+
+
 @pytest.mark.parametrize(
     "header, columns, stages",
     [

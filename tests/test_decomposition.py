@@ -148,7 +148,7 @@ def test_fit_degenerate_column_flags_zero(lin2d):
     assert np.array_equal(fit.h_values, np.zeros(2))
     overflow = fit_h(grid, target, 400.0)  # e^(lambda r) overflows
     assert overflow.residual_norm == math.inf and not overflow.degenerate
-    assert sweep_lambda(grid, target, [400.0, 1.0]).best_lambda == 1.0
+    assert sweep_lambda(grid, target, [400.0, 1.0]).best_fit.lam == 1.0
     with pytest.raises(OverflowError):
         sweep_lambda(grid, target, [400.0, 500.0])
 
@@ -172,14 +172,14 @@ def test_sweep_selects_true_eigenvalue(lin2d, small_grid):
     h = np.cos(small_grid.s_nodes) + 1.5
     target = TargetSample(np.outer(h, np.exp(lam * small_grid.r_nodes)).astype(complex))
     sweep = sweep_lambda(small_grid, target, [1.0, 2.0, 3.0])
-    assert sweep.best_lambda == 2.0 + 0.0j
+    assert sweep.best_fit.lam == 2.0 + 0.0j
     assert sweep.best_fit.residual_norm <= 1e-8 * np.linalg.norm(target.b)
 
 
 def test_sweep_single_candidate(lin2d, small_grid):
     target = TargetSample(np.ones((small_grid.n_s, small_grid.n_r), dtype=complex))
     sweep = sweep_lambda(small_grid, target, [0.7])
-    assert sweep.best_lambda == 0.7 + 0.0j
+    assert sweep.best_fit.lam == 0.7 + 0.0j
     assert sweep.residual_curve.shape == (1,)
 
 
@@ -193,7 +193,7 @@ def test_sweep_curve_dominates_best(lin2d, small_grid):
 def test_sweep_tie_breaks_to_smallest_magnitude(lin2d, small_grid):
     target = TargetSample(np.zeros((small_grid.n_s, small_grid.n_r), dtype=complex))
     sweep = sweep_lambda(small_grid, target, [3.0, -2.0, 2.0, 1.0])
-    assert sweep.best_lambda == 1.0 + 0.0j
+    assert sweep.best_fit.lam == 1.0 + 0.0j
 
 
 def _reference_sweep(grid, target, cands):
@@ -248,7 +248,7 @@ def test_sweep_curve_matches_fit_h(small_grid, shift, kind, cands):
     assert np.all(
         np.abs(sweep.residual_curve[finite] - ref_curve[finite]) <= 1e-12 * np.linalg.norm(q)
     )
-    assert sweep.best_index == best and sweep.best_lambda == cands[best]
+    assert sweep.best_index == best and sweep.best_fit.lam == cands[best]
     assert sweep.residual_curve[best] == ref_curve[best]  # the winner is fitted directly
     assert sweep.best_fit.lam == fits[best].lam
     assert np.array_equal(sweep.best_fit.h_values, fits[best].h_values)
@@ -406,7 +406,7 @@ def test_greedy_stages_match_a_fresh_sweep(monkeypatch, small_grid, cands):
         assert shared is curve
         fresh = sweep_lambda(small_grid, stage_target, cands)
         assert np.array_equal(shared.residual_curve, fresh.residual_curve)
-        assert shared.best_lambda == fresh.best_lambda
+        assert shared.best_fit.lam == fresh.best_fit.lam
         assert np.array_equal(shared.best_fit.h_values, fresh.best_fit.h_values)
 
 

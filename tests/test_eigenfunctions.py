@@ -139,22 +139,22 @@ def test_pullback_settle_rules():
     ):
         # Met twice backward: ambiguous, and not searched forward, where the
         # orbit meets the segment once.
-        r_star, _, _, misses = ke.pullback_many(field, mani, (-6.1, 7.0), [x], 1e-10)
-        assert misses == ["ambiguous"] and np.isnan(r_star).all()
+        r_star, _, _, why = ke.pullback_many(field, mani, (-6.1, 7.0), [x], 1e-10)
+        assert why.tolist() == ["ambiguous"] and np.isnan(r_star).all()
         # No backward foot: the forward foot, at r* < 0.
-        (r_star,), (s_star,), _, misses = ke.pullback_many(field, mani, (-6.1, 0.1), [x], 1e-10)
-        assert not misses
+        (r_star,), (s_star,), _, why = ke.pullback_many(field, mani, (-6.1, 0.1), [x], 1e-10)
+        assert why.tolist() == [None]
         assert r_star == pytest.approx(-(2.0 * math.pi - 0.29), abs=1e-8)
         assert s_star == pytest.approx(1.0, abs=1e-8)
 
     exact = ke.make_system("blowup").field
     for field in (exact, dataclasses.replace(exact, closed_form_flow=None)):
         # x' = x^2: from -1 the orbit escapes backward and never reaches 1 forward.
-        misses = ke.pullback_many(field, ke.point_manifold(1.0), (-1.0, 2.0), [[-1.0]])[3]
-        assert misses == ["blow_up"]
+        why = ke.pullback_many(field, ke.point_manifold(1.0), (-1.0, 2.0), [[-1.0]])[3]
+        assert why.tolist() == ["blow_up"]
         # From 2 it stays above 0.5 backward and escapes forward.
-        misses = ke.pullback_many(field, ke.point_manifold(0.5), (-1.0, 1.0), [[2.0]])[3]
-        assert misses == ["blow_up"]
+        why = ke.pullback_many(field, ke.point_manifold(0.5), (-1.0, 1.0), [[2.0]])[3]
+        assert why.tolist() == ["blow_up"]
 
 
 def test_pullback_counts_feet_not_surface_crossings(monkeypatch):
@@ -187,14 +187,14 @@ def test_pullback_counts_feet_not_surface_crossings(monkeypatch):
         ke.VectorField(2, rhs, name="spiral-cf", closed_form_flow=closed),
     ):
         del searches[:]
-        (r_star,), _, feet, misses = ke.pullback_many(field, mani, (0.0, 20.0), [[1.0, 0.0]], 1e-10)
-        assert not misses and searches == [field.name]
+        (r_star,), _, feet, why = ke.pullback_many(field, mani, (0.0, 20.0), [[1.0, 0.0]], 1e-10)
+        assert why.tolist() == [None] and searches == [field.name]
         assert abs(r_star - 6.0 * math.pi) <= 1e-8
         assert np.max(np.abs(feet[:, 0] - foot)) <= 1e-8
         # Feet at 6 pi, 8 pi and 10 pi.
         del searches[:]
-        r_star, _, _, misses = ke.pullback_many(field, mani, (0.0, 40.0), [[1.0, 0.0]], 1e-10)
-        assert misses == ["ambiguous"] and np.isnan(r_star).all()
+        r_star, _, _, why = ke.pullback_many(field, mani, (0.0, 40.0), [[1.0, 0.0]], 1e-10)
+        assert why.tolist() == ["ambiguous"] and np.isnan(r_star).all()
         assert searches == [field.name]
 
 
@@ -277,10 +277,14 @@ def test_residual_detects_corrupted_eigenvalue(lin2d, observer_eig, unit_square_
 
 def test_residual_of_an_escaping_image_is_not_in_domain():
     # x' = x^2 from x = 20 escapes at t = 0.05, before the hop of 0.1.
-    oracle = ke.make_system("blowup").oracle_eigenfunction
-    with pytest.raises(ke.NotInDomainError) as info:
-        ke.koopman_residual(oracle, [[0.5], [20.0]], 0.1)
-    assert info.value.reason == "blow_up"
+    with pytest.raises(ke.BlowUpError):
+        ke.koopman_residual(_blowup_oracle(), [[0.5], [20.0]], 0.1)
+
+
+def _blowup_oracle():
+    # x' = x^2 has the eigenfunction e^{-1/x} at lambda = 1 on x > 0.
+    field = ke.make_system("blowup").field
+    return ke.ClosedFormEigenfunction(1, lambda x: np.exp(-1 / x[0]), field)
 
 
 def _blowup_eig(field=None):
@@ -303,15 +307,15 @@ def test_koopman_defects_name_why_each_point_fails_the_residual(marched):
         field = dataclasses.replace(field, closed_form_flow=None)
     eig = _blowup_eig(field)
     pts = [[2.0], [0.5], [15.0], [8.0], [3.0]]
-    defects, errors = ke.koopman_defects(eig, pts, 0.1)
-    reasons = [None if error is None else error.reason for error in errors]
-    assert reasons == [None, "no_crossing", "blow_up", "no_crossing", None]
-    assert isinstance(errors[2], ke.BlowUpError)
+    defects, why = ke.koopman_defects(eig, pts, 0.1)
+    assert why.tolist() == [None, "no_crossing", "blow_up", "no_crossing", None]
     assert np.isnan(defects[[1, 2, 3]]).all()
     assert np.all(defects[[0, 4]] <= 1e-8)
     with pytest.raises(ke.NotInDomainError) as info:
         ke.koopman_residual(eig, pts, 0.1)
-    assert info.value.reason == "no_crossing"
+    assert type(info.value) is ke.NotInDomainError and info.value.reason == "no_crossing"
+    with pytest.raises(ke.BlowUpError):
+        ke.koopman_residual(eig, pts[2:], 0.1)
     assert ke.koopman_residual(eig, [[2.0], [3.0]], 0.1) <= 1e-8
 
 
@@ -324,8 +328,10 @@ def test_a_miss_raises_the_class_of_its_reason():
         eig.values([[-1.0]])
     with pytest.raises(ke.BlowUpError):
         ke.pullback(system.field, system.default_manifold, (0.0, 2.0), [-1.0])
-    _, errors = ke.koopman_defects(eig, [[-1.0]], 0.1)
-    assert type(errors[0]) is ke.BlowUpError
+    _, why = ke.koopman_defects(eig, [[-1.0]], 0.1)
+    assert why.tolist() == ["blow_up"]
+    with pytest.raises(ke.BlowUpError):
+        ke.koopman_residual(eig, [[-1.0]], 0.1)
 
 
 def test_columns_of_every_eigenfunction_class():
@@ -342,7 +348,7 @@ def test_columns_of_every_eigenfunction_class():
         with pytest.raises(ke.NotInDomainError) as info:
             certify(pts)
         assert info.value.reason == "no_crossing"
-    oracle = ke.make_system("blowup").oracle_eigenfunction
+    oracle = _blowup_oracle()
     phi, why = oracle.columns(pts)
     assert why.tolist() == [None, None, None]
     assert np.array_equal(phi, oracle.values(pts))
@@ -585,10 +591,10 @@ def test_evaluate_points_marks_out_of_domain(observer_eig, marched):
     eig = observer_eig
     if marched:
         eig = dataclasses.replace(eig, field=dataclasses.replace(eig.field, closed_form_flow=None))
-    phi, r_star, s_star, misses = ke.evaluate_points(eig, [[1.5, 2.0], [1.0, 50.0]])
-    assert phi.shape == r_star.shape == s_star.shape == (2,)
+    phi, r_star, s_star, why = ke.evaluate_points(eig, [[1.5, 2.0], [1.0, 50.0]])
+    assert phi.shape == r_star.shape == s_star.shape == why.shape == (2,)
     assert not np.isnan([phi[0], r_star[0], s_star[0]]).any()
     assert np.isnan([phi[1], r_star[1], s_star[1]]).all()
-    assert misses == ["no_crossing"]
+    assert why.tolist() == [None, "no_crossing"]
     assert phi[0] == pytest.approx(2.0, abs=1e-8)
     assert r_star[0] == pytest.approx(math.log(2.0) / 2.0, abs=1e-8)

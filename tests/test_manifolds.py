@@ -57,7 +57,8 @@ def _param_gap(manifold, a, b):
     """|a - b|, modulo the period on a closed manifold."""
     gap = np.asarray(a, float) - np.asarray(b, float)
     if manifold.closed:
-        gap = (gap + 0.5 * manifold.span) % manifold.span - 0.5 * manifold.span
+        period = manifold.s_max - manifold.s_min
+        gap = (gap + 0.5 * period) % period - 0.5 * period
     return np.abs(gap)
 
 
