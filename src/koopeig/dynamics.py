@@ -33,6 +33,7 @@ call: ``flow`` of ``flow_many``, ``find_crossings`` of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -173,9 +174,11 @@ def _sum_sq(z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _sign_change(g_old: np.ndarray, g_new: np.ndarray) -> np.ndarray:
-    """Where an event crosses zero between two samples; a zero counts once."""
-    return (g_old * g_new <= 0.0) & ((g_old != 0.0) | (g_new != 0.0))
+def _sign_changes(g: np.ndarray) -> list[int]:
+    """The k at which the samples g change sign between g[k] and g[k+1]; a
+    zero counts once."""
+    ks = (g[:-1] * g[1:] <= 0.0).nonzero()[0].tolist()
+    return [k for k in ks if g[k] != 0.0 or g[k + 1] != 0.0]
 
 
 def _rms(z: np.ndarray) -> np.ndarray:
@@ -516,12 +519,13 @@ def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
     time and NaN state, for the caller to search otherwise.
 
     Returns the (M,) times and (d, M) states. Arithmetic is elementwise, so
-    a bracket's result does not depend on the others.
+    a bracket's result does not depend on the others. When every bracket
+    reaches |event| < tol at the same step, the outputs are that step's
+    iterates and states as they come, with no update of the brackets'
+    ends; otherwise they are allocated when a bracket first stops.
     """
     a, b, fa, fb = lo, hi, g_lo, g_hi
-    tau = np.empty_like(a)
-    tau.fill(np.nan)
-    y = None
+    tau = y = None  # the outputs, NaN until a bracket stops
     j = np.arange(a.size)  # the open brackets
     last = None  # whether lo was kept at the last step
     c = b - fb * (b - a) / (fb - fa)
@@ -533,9 +537,10 @@ def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
             c = np.where(inside, c, 0.5 * (a + b))
         y_c = state_at(c, j)
         g_c = event(y_c)
-        if y is None:
-            y = np.empty((y_c.shape[0], tau.size))
-            y.fill(np.nan)
+        g_abs = np.abs(g_c)
+        done = g_abs < tol
+        if tau is None and done.all():
+            return c, y_c
         keep_lo = fa * g_c <= 0.0
         if last is not None:  # Illinois: halve the value of an end kept twice
             scale = np.where(keep_lo == last, 0.5, 1.0)
@@ -543,9 +548,10 @@ def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
         a, b = np.where(keep_lo, a, c), np.where(keep_lo, c, b)
         fa, fb = np.where(keep_lo, fa, g_c), np.where(keep_lo, g_c, fb)
         last = keep_lo
-        go = (np.abs(g_c) >= tol) & (b - a >= floor)  # False for NaN too
+        go = (g_abs >= tol) & (b - a >= floor)  # False for NaN too
         if not go.all():
-            done = np.abs(g_c) < tol
+            if tau is None:
+                tau, y = np.full(lo.size, np.nan), np.full((y_c.shape[0], lo.size), np.nan)
             tau[j[done]], y[:, j[done]] = c[done], y_c[:, done]
             narrow = ~(go | done) & np.isfinite(g_c)
             if narrow.any():
@@ -554,6 +560,8 @@ def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
                 return tau, y
             j, a, b, fa, fb, last = j[go], a[go], b[go], fa[go], fb[go], last[go]
         c = b - fb * (b - a) / (fb - fa)
+    if tau is None:
+        return b, state_at(b, j)
     tau[j], y[:, j] = b, state_at(b, j)
     return tau, y
 
@@ -681,19 +689,19 @@ def _inverse_interp(taus: np.ndarray, g: np.ndarray, k: int, last: int) -> float
     that lie within 0 .. last. NaN unless their values are finite and
     strictly monotone, so that tau is a function of g."""
     lo, hi = max(k - 2, 0), min(k + 3, last)
-    ts = (taus[lo : hi + 1] - taus[k]).tolist()
     gs = g[lo : hi + 1].tolist()
     steps = [g1 - g0 for g0, g1 in zip(gs, gs[1:])]
-    finite = all(-np.inf < v < np.inf for v in gs)
-    if not (finite and (all(v > 0.0 for v in steps) or all(v < 0.0 for v in steps))):
+    if not (all(map(math.isfinite, gs)) and (min(steps) > 0.0 or max(steps) < 0.0)):
         return np.nan
+    ts = taus[lo : hi + 1].tolist()
+    t_k = ts[k - lo]
     root = 0.0  # Lagrange form at g = 0, in times relative to sample k
-    for i, (t_i, g_i) in enumerate(zip(ts, gs)):
-        for m, g_m in enumerate(gs):
-            if m != i:
-                t_i *= g_m / (g_m - g_i)
+    for i, g_i in enumerate(gs):
+        t_i = ts[i] - t_k
+        for g_m in gs[:i] + gs[i + 1 :]:
+            t_i *= g_m / (g_m - g_i)
         root += t_i
-    return float(taus[k]) + root
+    return t_k + root
 
 
 def find_crossings(
@@ -720,24 +728,25 @@ def find_crossings(
 
 
 def _scan_closed(
-    field: VectorField, x0: np.ndarray, event, sign: float, budget: float, tol: float
+    field: VectorField, x0: np.ndarray, g0: float, event, sign: float, budget: float, tol: float
 ) -> tuple[list[tuple[float, np.ndarray]], Optional[BlowUpError]]:
-    """The exact crossing scan of the closed-form orbit of the (d,) state x0.
+    """The exact crossing scan of the closed-form orbit of the (d,) state
+    x0, at which the event is g0.
 
     Each scan samples (lo, hi] at ``CLOSED_SCAN_POINTS`` uniform times with
-    one closed-form call and one event call. A sign change is a crossing at
-    its right sample when |event| < tol there. The scan's other sign changes
-    are refined together by ``_refine`` on the closed-form orbit, each from
-    the inverse interpolant through the samples around it
-    (``_inverse_interp``); one whose iterate is blown is scanned again, and
-    so is one in the interval right before a blown sample, where the event
-    is too steep for its samples to give a first iterate. The orbit ends
-    at its first blown sample; the interval before it is scanned
-    again, so that crossings right before a finite-time escape are found,
-    until the next scan's samples would lie closer than the floor
-    1e-15 * budget; the orbit escapes at that interval's right end. A sign
-    change narrower than the floor is taken at its right sample, and so is
-    a refined bracket.
+    one closed-form call and one event call; a scan with no sign change and
+    no blown sample ends there. A sign change is a crossing at its right
+    sample when |event| < tol there. The scan's other sign changes are
+    refined together by ``_refine`` on the closed-form orbit, each from the
+    inverse interpolant through the samples around it (``_inverse_interp``);
+    one whose iterate is blown is scanned again, and so is one in the
+    interval right before a blown sample, where the event is too steep for
+    its samples to give a first iterate. The orbit ends at its first blown
+    sample; the interval before it is scanned again, so that crossings
+    right before a finite-time escape are found, until the next scan's
+    samples would lie closer than the floor 1e-15 * budget; the orbit
+    escapes at that interval's right end. A sign change narrower than the
+    floor is taken at its right sample, and so is a refined bracket.
 
     Returns every crossing over [0, budget] in time order and, when the
     orbit escapes before any of them, the BlowUpError of the escape, else
@@ -756,12 +765,14 @@ def _scan_closed(
         orbit there as (tau, state), or None."""
         taus = lo + (hi - lo) * _FRACS
         y, blown = _closed_flow(field, lanes, sign * taus[1:])
-        end = int(np.argmax(blown)) if blown.any() else CLOSED_SCAN_POINTS
-        g = np.empty(CLOSED_SCAN_POINTS + 1)
+        end = int(blown.argmax()) if blown.any() else CLOSED_SCAN_POINTS
+        g = np.empty(end + 1)
         g[0] = g_lo
         if end:
-            g[1 : end + 1] = event(y[:, :end])
-        ks = _sign_change(g[:end], g[1 : end + 1]).nonzero()[0].tolist()
+            g[1:] = event(y[:, :end])
+        ks = _sign_changes(g)
+        if not ks and end == CLOSED_SCAN_POINTS:
+            return [], None
         # A sign change is a crossing at its right sample when |event| < tol
         # there. One right before a blown sample is scanned again: so close
         # to the escape, its samples give no usable first iterate. The
@@ -781,8 +792,8 @@ def _scan_closed(
             refined = dict(zip(k_in, zip(tau_in.tolist(), y_in.T)))
         hits: list[tuple[float, np.ndarray]] = []
         for k in ks:
-            tau, state = refined.get(k, (float(taus[k + 1]), y[:, k]))
-            if k == steep or np.isnan(tau):  # or a blown iterate: sample the bracket again
+            tau, state = refined[k] if k in refined else (float(taus[k + 1]), y[:, k])
+            if k == steep or math.isnan(tau):  # or a blown iterate: sample the bracket again
                 hits += scan(taus[k], g[k], taus[k + 1])[0]
             else:
                 hits.append((tau, state.copy()))
@@ -793,7 +804,7 @@ def _scan_closed(
         more, escape = scan(taus[end], g[end], taus[end + 1])
         return hits + more, escape
 
-    found, escape = scan(0.0, float(event(x0[:, None])[0]), budget)
+    found, escape = scan(0.0, g0, budget)
     if escape is None or found:
         return found, None
     tau, state = escape
@@ -814,11 +825,12 @@ def find_crossings_many(
     ``event`` maps a (d, M) array to M values. A field without a closed
     form marches every state as one lane of a batch, and its crossings are
     refined by ``_refine`` on the steps' dense output to |event| < tol. A
-    closed-form flow is scanned exactly, state by state (``_scan_closed``).
-    Returns, per state, its crossings and its escape: the BlowUpError or
-    StepUnderflowError that ends the orbit before any crossing, else None.
-    sign must be 1 or -1, tol finite and positive and budget finite, else
-    ValueError; a budget <= 0 finds no crossings.
+    closed-form flow is scanned exactly, state by state (``_scan_closed``),
+    each scan starting from the event's values at the states, taken in one
+    call. Returns, per state, its crossings and its escape: the BlowUpError
+    or StepUnderflowError that ends the orbit before any crossing, else
+    None. sign must be 1 or -1, tol finite and positive and budget finite,
+    else ValueError; a budget <= 0 finds no crossings.
     """
     x = as_states(field, states)
     n = x.shape[0]
@@ -830,8 +842,20 @@ def find_crossings_many(
     if n == 0 or budget <= 0.0:
         return [[] for _ in range(n)], [None] * n
     event = _batch_event(event)
+    return _search(field, x, event, event(x.T), sign, budget, tol)
+
+
+def _search(
+    field: VectorField, x: np.ndarray, event, g0: np.ndarray, sign: float, budget: float, tol: float
+) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[NotInDomainError]]]:
+    """``find_crossings_many`` of the (N, d) states x, N >= 1, on checked
+    arguments: ``event`` is wrapped by ``_batch_event``, g0 holds its (N,)
+    values at the states and budget > 0. A closed-form scan starts from
+    g0; a march evaluates the event itself."""
     if field.closed_form_flow is not None:
-        scans = [_scan_closed(field, x0, event, sign, budget, tol) for x0 in x]
+        scans = [
+            _scan_closed(field, x0, g, event, sign, budget, tol) for x0, g in zip(x, g0.tolist())
+        ]
         return [found for found, _ in scans], [escape for _, escape in scans]
     solver = _march(field, x.T, sign, [budget], tol, event=event)
     found = solver.crossings(tol)
@@ -839,7 +863,7 @@ def find_crossings_many(
         _lane_error(field, solver, i, sign)
         if not found[i] and solver.status[i] in (BLOW_UP, UNDERFLOW)
         else None
-        for i in range(n)
+        for i in range(x.shape[0])
     ]
     return found, escapes
 

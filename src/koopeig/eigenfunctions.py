@@ -10,6 +10,7 @@ that single evaluation primitive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,11 +22,13 @@ import numpy as np
 from .dynamics import (  # noqa: F401
     DEFAULT_TOL,
     VectorField,
+    _batch_event,
     _check_tol,
     _flow_lanes,
+    _search,
+    _sum_sq,
     as_states,
     find_crossings,
-    find_crossings_many,
     flow,
 )
 from .errors import (
@@ -74,10 +77,11 @@ def _on_manifold(
     manifold: DataManifold, states: np.ndarray, on_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The parameters s of the (d, M) states and whether each state lies on
-    the manifold itself, at its parameter."""
+    the manifold itself, at its parameter: the Euclidean gap to its embedding
+    is at most on_tol."""
     s = manifold.locate(states)
     with np.errstate(over="ignore"):  # a gap that overflows is inf: off the manifold
-        gap = np.linalg.norm(np.asarray(manifold.embed(s), float) - states, axis=0)
+        gap = np.sqrt(_sum_sq(np.asarray(manifold.embed(s), float) - states))
     return s, gap <= on_tol
 
 
@@ -108,7 +112,7 @@ def _window(t_window) -> tuple[float, float]:
     t1, t2 = float(t_window[0]), float(t_window[1])
     if not (t1 <= 0.0 <= t2):
         raise ValueError("t_window must contain 0")
-    if not (np.isfinite(t1) and np.isfinite(t2)):
+    if not (math.isfinite(t1) and math.isfinite(t2)):
         raise ValueError("t_window must be finite")
     return t1, t2
 
@@ -128,9 +132,10 @@ def _pull(
     searched backward over the downstream part of the window, t2 plus a
     slack, and then, when t1 < 0, forward over the upstream part, -t1 plus
     the slack. A foot is a crossing of the supporting surface whose state
-    lies on the manifold. Each direction is one ``find_crossings_many``
-    call, which returns every crossing in its budget. The rules that settle
-    a point:
+    lies on the manifold. Each direction is one search of
+    ``find_crossings_many``, which returns every crossing in its budget; a
+    closed-form scan starts from the surface values of the test for points
+    on the manifold. The rules that settle a point:
 
     - only a point with no backward foot is searched forward;
     - one foot in a direction is the pullback: r* = tau backward, and
@@ -144,38 +149,56 @@ def _pull(
     if manifold.locate is None:
         raise ValueError("manifold carries no locate, the inverse of its embedding")
     t1, t2 = _window(t_window)
+    _check_tol(tol)
     slack = max(1e-9, 1e-3 * (t2 - t1))
     on_tol = max(1e-9, 1e-6 * manifold.extent())
+    surface = _batch_event(manifold.surface)
 
     # Rows r*, s* and the foot's coordinates, one column per point.
     out = np.full((2 + pts.shape[1], pts.shape[0]), np.nan)
-    reason = np.full(pts.shape[0], NO_CROSSING, dtype=object)
-    near = np.flatnonzero(np.abs(manifold.surface(pts.T)) < tol)
-    if near.size:
+    why = [NO_CROSSING] * pts.shape[0]
+    g0 = surface(pts.T)
+    near = np.abs(g0) < tol
+    todo = list(range(pts.shape[0]))  # the points not yet settled
+    if near.any():
+        near = near.nonzero()[0]
         s, on = _on_manifold(manifold, pts[near].T, on_tol)
         near = near[on]
         out[0, near], out[1, near], out[2:, near] = 0.0, s[on], pts[near].T
+        for i in near.tolist():
+            why[i] = None
+        todo = np.isnan(out[0]).nonzero()[0].tolist()
     passes = [(-1.0, t2 + slack)] + ([(1.0, -t1 + slack)] if t1 < 0.0 else [])
     for sign, budget in passes:
-        idx = np.flatnonzero(np.isnan(out[0]) & (reason != AMBIGUOUS))
-        crossings, escaped = find_crossings_many(field, pts[idx], manifold.surface, sign, budget, tol)
+        if not todo:
+            break
+        crossings, escaped = _search(field, pts[todo], surface, g0[todo], sign, budget, tol)
         # A lane that escapes has no crossings; its first escape names its miss.
-        for i, exc in zip(idx.tolist(), escaped):
-            if exc is not None and reason[i] == NO_CROSSING:
-                reason[i] = exc.reason
-        counts = [len(found) for found in crossings]
-        if not any(counts):
+        for i, exc in zip(todo, escaped):
+            if exc is not None and why[i] == NO_CROSSING:
+                why[i] = exc.reason
+        if not any(crossings):
             continue
         # Every crossing as a column r*, s, state, like the columns of out.
-        lane = np.repeat(np.arange(idx.size), counts)
         flat = np.array([(-sign * tau, 0.0, *y) for found in crossings for tau, y in found]).T
         flat[1], on = _on_manifold(manifold, flat[2:], on_tol)
-        feet = np.bincount(lane[on], minlength=idx.size)
-        one = on & (feet == 1)[lane]
-        out[:, idx[lane[one]]] = flat[:, one]
-        reason[idx[feet > 1]] = AMBIGUOUS
-    reason[~np.isnan(out[0])] = None
-    return out[0], out[1], out[2:], reason
+        # Each point's feet: the columns of its crossings that lie on the manifold.
+        on, start = on.tolist(), 0
+        hit, foot, left = [], [], []
+        for i, found in zip(todo, crossings):
+            feet = [c for c in range(start, start + len(found)) if on[c]]
+            start += len(found)
+            if len(feet) == 1:
+                hit.append(i)
+                foot += feet
+                why[i] = None
+            elif feet:
+                why[i] = AMBIGUOUS
+            else:
+                left.append(i)
+        out[:, hit] = flat[:, foot]
+        todo = left
+    return out[0], out[1], out[2:], np.array(why, dtype=object)
 
 
 def pullback(
@@ -195,9 +218,10 @@ def pullback(
     StepUnderflowError for the search's escape, else NotInDomainError with
     NO_CROSSING.
     """
-    pts = as_states(field, [np.asarray(x, dtype=float).reshape(-1)])
+    pts = as_states(field, np.asarray(x, dtype=float).reshape(1, -1))
     r_star, s_star, feet, why = _pull(field, manifold, t_window, pts, tol)
-    _raise_first(why)
+    if why[0] is not None:
+        raise _miss_error(why[0])
     return Pullback(float(r_star[0]), float(s_star[0]), feet[:, 0].copy())
 
 
@@ -385,10 +409,17 @@ def koopman_defects(
     phi, why = eig.columns(np.concatenate([pts, ends[0][flowed]]))
     phi_y = np.full(n, np.nan, dtype=complex)
     phi_y[flowed], why_y[flowed] = phi[n:], why[n:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.exp(complex(eig.eigenvalue) * t)
-        defects = np.abs(phi_y - factor * phi[:n]) / np.maximum(1.0, np.abs(phi[:n]))
+    defects = _defects(phi[:n], phi_y, complex(eig.eigenvalue), t)
     return defects, np.where(np.equal(why[:n], None), why_y, why[:n])
+
+
+def _defects(phi_x: np.ndarray, phi_y: np.ndarray, lam, t: float) -> np.ndarray:
+    """The relative defects |phi_y - e^{lam t} phi_x| / max(1, |phi_x|) of
+    the eigen-relation, elementwise under broadcasting: phi_x and phi_y are
+    phi at points and at their t-images. NaN or inf where a value
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(phi_y - np.exp(lam * t) * phi_x) / np.maximum(1.0, np.abs(phi_x))
 
 
 def koopman_residual(

@@ -437,6 +437,58 @@ def test_refine_takes_an_open_bracket_at_its_right_end_after_the_cap(lin2d, monk
     assert event(y[:, None])[0] <= -1e-10  # the sign of the event at hi, not converged
 
 
+def test_refine_settles_each_bracket_of_a_mixed_batch_as_alone(monkeypatch):
+    # One state per bracket, the event's value itself, on five orbits:
+    # 0 closes at its first iterate, 1 after a few Illinois steps, 2 is a
+    # sign jump narrower than the floor, 3 is still open after the cap and 4
+    # is blown past t = 1, where its iterate lands.
+    monkeypatch.setattr(dynamics, "REFINE_CAP", 4)
+    orbits = [
+        lambda t: t - 0.3,
+        lambda t: 4.0 * math.exp(-2.0 * t) - 1.0,
+        lambda t: -1.0 if t < 0.3 else 1.0,
+        lambda t: 4.0 * math.exp(-2.0 * t) - 1.0,
+        lambda t: t - 1.2 if t <= 1.0 else math.nan,
+    ]
+    calls = []
+
+    def refine(ks):
+        """_refine of the brackets ks, bracket j on orbit ks[j]."""
+
+        def state_at(tau, j):
+            calls.append(len(tau))
+            return np.array([[orbits[ks[i]](t) for t, i in zip(tau.tolist(), j.tolist())]])
+
+        del calls[:]
+        return dynamics._refine(
+            lambda y: y[0], state_at, lo[ks], hi[ks], g_lo[ks], g_hi[ks], tol, floor, first[ks]
+        )
+
+    lo = np.array([0.0, 0.68, 0.3 - 3e-13, 0.0, 0.5])
+    hi = np.array([1.0, 0.70, 0.3 + 3e-13, 1.05, 1.5])
+    g_lo = np.array([orbits[k](t) for k, t in enumerate(lo.tolist())])
+    g_hi = np.array([orbits[k](t) for k, t in enumerate(hi.tolist())])
+    g_hi[4] = 1e-3  # a small value past the escape, standing in for a sample
+    first = np.array([0.3, np.nan, np.nan, np.nan, np.nan])
+    tol, floor = 1e-10, 1e-12
+    tau, y = refine([0, 1, 2, 3, 4])
+    alone = [(refine([k]), len(calls)) for k in range(5)]
+    for k, ((tau_k, y_k), _) in enumerate(alone):
+        assert np.array_equal(tau[k : k + 1], tau_k, equal_nan=True), k
+        assert np.array_equal(y[:, k : k + 1], y_k, equal_nan=True), k
+    (tau0, y0), n0 = alone[0]
+    assert tau0[0] == 0.3 and y0[0, 0] == 0.0 and n0 == 1
+    (tau1, y1), n1 = alone[1]
+    assert abs(y1[0, 0]) < tol and 1 < n1 <= 4
+    assert tau1[0] == pytest.approx(math.log(2.0), abs=1e-10)
+    (tau2, y2), _ = alone[2]
+    assert 0.3 <= tau2[0] <= 0.3 + 3e-13 and y2[0, 0] == 1.0
+    (tau3, y3), n3 = alone[3]
+    assert math.log(2.0) < tau3[0] <= 1.05 and abs(y3[0, 0]) >= tol and n3 == 4 + 1
+    (tau4, y4), _ = alone[4]
+    assert np.isnan(tau4[0]) and np.isnan(y4[0, 0])
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -476,8 +528,11 @@ def test_closed_form_pullback_makes_few_flow_calls(lin2d):
     # The benchmark's lin2d lattice. Re-scanning each bracket until
     # |event| < tol took about 4.9 closed-form calls per point; one scan and
     # one refinement from a four-sample first iterate take 2.9, and from the
-    # six-sample one 1.9.
-    calls = []
+    # six-sample one 1.9. A point evaluates the surface at most three times:
+    # the test for points on the manifold, whose values the scan starts
+    # from, one scan and one refinement. Scanning from the start state's own
+    # surface value took four.
+    calls, surfaces = [], []
 
     def closed(x, t):
         calls.append(t.size)
@@ -485,11 +540,19 @@ def test_closed_form_pullback_makes_few_flow_calls(lin2d):
 
     field = dataclasses.replace(lin2d.field, closed_form_flow=closed)
     mani = ke.segment_manifold((0.3, 1.0), (2.2, 1.0), n=161, s_range=(0.3, 2.2))
+    segment = mani.surface
+
+    def surface(x):
+        surfaces.append(x.shape[1])
+        return segment(x)
+
+    mani = dataclasses.replace(mani, surface=surface)
     x1, x2 = np.meshgrid(np.linspace(1.0, 2.0, 30), np.linspace(1.0, math.e**2, 30))
     points = np.column_stack([x1.ravel(), x2.ravel()])
     r_star, _, _, why = ke.pullback_many(field, mani, (0.0, 1.05), points)
     assert np.equal(why, None).all() and not np.isnan(r_star).any()
     assert len(calls) / len(points) <= 2.5
+    assert len(surfaces) <= 3 * len(points)
 
 
 def test_closed_form_crossing_right_before_an_escape_takes_one_evaluation(monkeypatch):

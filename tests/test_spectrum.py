@@ -93,3 +93,50 @@ def test_wedge_lambda_sweep():
 def test_wedge_rejects_full_turn():
     with pytest.raises(ValueError):
         ke.wedge_point_spectrum_check([0.0], (0.0, 2.0 * math.pi), lambda I: 1.0)
+
+
+def test_wedge_check_is_one_certificate_pass(monkeypatch):
+    # Every eigenvalue's residual is the one koopman_residual gives for it
+    # alone, bit for bit, overflow included, from one flow of the points.
+    from koopeig import dynamics, eigenfunctions
+    from koopeig.config import SpectrumSpec
+
+    flows = []
+    flow_lanes = dynamics._flow_lanes
+
+    def counted(field, states, times, tol):
+        flows.append(np.array(states))
+        return flow_lanes(field, states, times, tol)
+
+    for module in (dynamics, eigenfunctions):
+        monkeypatch.setattr(module, "_flow_lanes", counted)
+    a1 = 0.2
+    lams = [complex(a, b) for a in np.linspace(-2, 2, 4) for b in np.linspace(-2, 2, 3)] + [7000.0]
+
+    def h(action):
+        return action * np.exp(1j * action)
+
+    report = ke.wedge_point_spectrum_check(lams, (a1, 2.2), h, seed=3)
+    assert len(flows) == 1
+    points = flows[0]
+    monkeypatch.undo()
+    field = ke.make_system("action_angle").field
+    for lam, residual in zip(lams, report.residuals):
+
+        def phi(x, lam=lam):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return h(x[0]) * np.exp(lam * (x[1] - a1) / x[0])
+
+        alone = ke.koopman_residual(ke.ClosedFormEigenfunction(lam, phi, field), points, 0.1)
+        assert np.array_equal(residual, alone, equal_nan=True), lam
+    assert not np.isfinite(report.residuals[-1])
+
+    # A 100 x 100 grid of eigenvalues, as spectrum.wedge.lambda_grid.count
+    # 100 gives: still one flow.
+    for module in (dynamics, eigenfunctions):
+        monkeypatch.setattr(module, "_flow_lanes", counted)
+    del flows[:]
+    spec = SpectrumSpec.from_dict({"wedge": {"lambda_grid": {"count": 100}}})
+    report = ke.wedge_point_spectrum_check(spec.lambdas, spec.alpha_window, spec.h)
+    assert report.residuals.shape == (10**4,) and report.max_residual <= 1e-8
+    assert len(flows) == 1
