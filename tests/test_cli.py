@@ -632,6 +632,24 @@ def test_eval_spot_check_of_escaping_images_is_null(tmp_path):
     }
 
 
+def test_eval_names_a_marched_finite_time_escape_blow_up(tmp_path):
+    # With mu = -1 hopf has no closed form and is marched. Backward, the
+    # radius obeys dr/dtau = r (1 + r^2): every orbit that misses the circle
+    # blows up in finite time, and its step collapses far inside the bound.
+    cfg = {
+        "system": {"name": "hopf", "params": {"mu": -1.0}},
+        "t_window": [0.0, 0.5],
+        "eig": {"lambda": 1.0, "h": "cos(s)"},
+        "lattice": {"x1": [-5.5, 5.5, 16], "x2": [-5.5, 5.5, 16]},
+    }
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["eval", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "eval_summary.json").read_text())
+    assert summary["miss_reasons"] == {
+        "ambiguous": 0, "blow_up": 108, "no_crossing": 4, "step_underflow": 0
+    }
+
+
 @pytest.mark.parametrize("eigenvalue", [7000, 8000])
 def test_eval_with_an_overflowing_eigenvalue_writes_strict_json(tmp_path, eigenvalue):
     # phi = s e^{lambda r*} overflows on the vdp hits, and past lambda t = 709

@@ -101,6 +101,104 @@ def test_stepper_tables_are_dop853s_bit_for_bit():
         assert list(row) == sorted(row) and 0.0 not in row.values()
 
 
+def _combine(row: dict, stages) -> np.ndarray:
+    """The reference stage sum: sum row[j] * stages[j], one term at a time
+    in stage order."""
+    (j, w), *rest = row.items()
+    acc = np.array(w) * stages[j]
+    for j, w in rest:
+        acc += np.array(w) * stages[j]
+    return acc
+
+
+def _lanes(rng, d, n):
+    """(d, n) random lanes spanning many magnitudes, with +-inf, NaN, +-0.0
+    and subnormals among them."""
+    z = rng.standard_normal((d, n)) * 10.0 ** rng.integers(-300, 300, (d, n))
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -1e308]
+    pick = rng.random((d, n)) < 0.2
+    z[pick] = rng.choice(special, np.count_nonzero(pick))
+    return z
+
+
+def _bits(z: np.ndarray) -> bytes:
+    """The bytes of z with every NaN made the one quiet NaN. IEEE 754 leaves
+    open which operand's NaN a sum of two NaNs keeps, and numpy's SIMD loops
+    and their scalar tails choose differently, so a NaN's sign may follow
+    the lane's place in its loop."""
+    return np.where(np.isnan(z), np.nan, z).tobytes()
+
+
+# Each accumulator of the stepper, the DOP853 rows it sums, in its row
+# order, and its number of stages.
+_ROW_SUMS = [
+    (dynamics._STEP_SUMS, (*_dop853.A[1:13], _dop853.E5, _dop853.E3), 13),
+    (dynamics._DENSE_SUMS, (*_dop853.A[13:], *_dop853.D), 16),
+]
+
+
+@pytest.mark.parametrize("block", [dynamics.SUM_BLOCK, 7])
+def test_row_sums_equal_the_one_term_at_a_time_sums_bit_for_bit(monkeypatch, block):
+    # A block of 7 products splits the lanes into several blocks and a rest.
+    # Every bit is equal, -0.0 and +-inf included; a NaN is a NaN in both.
+    monkeypatch.setattr(dynamics, "SUM_BLOCK", block)
+    rng = np.random.default_rng(11)
+    with np.errstate(all="ignore"):
+        for sums, rows, n_stages in _ROW_SUMS:
+            for d, n in ((1, 1), (1, 23), (2, 37), (3, 45), (2, 300)):
+                stages = [_lanes(rng, d, n) for _ in range(n_stages)]
+                acc = sums.start(stages[0])
+                for j in range(1, n_stages):
+                    sums.add(acc, j, stages[j])
+                assert acc.shape == (len(rows), d, n)
+                for r, row in enumerate(rows):
+                    assert _bits(acc[r]) == _bits(_combine(row, stages))
+
+
+def test_row_sums_use_the_rows_of_the_dop853_tables():
+    for sums, rows, n_stages in _ROW_SUMS:
+        assert len(sums.uses) == n_stages
+        for j, use in enumerate(sums.uses):
+            users = [r for r, row in enumerate(rows) if j in row]
+            if not users:
+                assert use is None
+                continue
+            sel, weights = use
+            assert np.arange(len(rows))[sel].tolist() == users
+            assert weights.ravel().tolist() == [rows[r][j] for r in users]
+    # In the stepper every stage's rows are contiguous, so an attempt's 12
+    # stage sums and two error estimates take 1 + 2 * 11 = 23 ufunc calls.
+    step = dynamics._STEP_SUMS.uses
+    assert all(isinstance(use[0], slice) for use in step[:12]) and step[12] is None
+    assert [(use[0].start, use[0].stop) for use in step[:12]] == [
+        (0, 14), (1, 2), (2, 4), (3, 11), (4, 11), (5, 14),
+        (6, 14), (7, 14), (8, 14), (9, 14), (10, 14), (11, 14),
+    ]
+
+
+def test_rhs_calls_per_attempt():
+    # 2 at construction (the derivative and the starting-step probe), 12 per
+    # attempt, and 3 more for each bracket the attempt records.
+    system = ke.make_system("vdp")
+    base, calls = dynamics._batch_rhs(system.field, -1.0), [0]
+
+    def fun(y):
+        calls[0] += 1
+        return base(y)
+
+    x1, x2 = np.meshgrid(np.linspace(-0.2, 2.2, 8), np.linspace(-1.9, 1.5, 8))
+    event = dynamics._batch_event(system.default_manifold.surface)
+    solver = dynamics.RK45(fun, np.stack([x1.ravel(), x2.ravel()]), [2.0], 1e-10, event=event)
+    assert calls[0] == 2
+    attempts = 0
+    while solver.running:
+        before, brackets = calls[0], len(solver.brackets)
+        solver.step()
+        attempts += 1
+        assert calls[0] - before == 12 + 3 * (len(solver.brackets) - brackets)
+    assert attempts > 100 and solver.brackets
+
+
 def test_a_bracket_is_refined_on_dop853s_dense_output():
     # One step of vdp from (1.5, 0.5) with the event crossing mid-step: the
     # refined state is scipy's DOP853 dense output of the same step, whose
@@ -310,6 +408,19 @@ def test_step_underflow_is_reported(monkeypatch):
     field = ke.VectorField(1, rhs, name="chatter")
     with pytest.raises(ke.StepUnderflowError):
         ke.flow(field, [0.0], 5.0, 1e-10)
+
+
+@pytest.mark.parametrize("power", [3, 5])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+def test_a_stalled_finite_time_escape_is_blow_up(power, tol):
+    # x' = x^p escapes at t = 1/(p - 1). Its step collapses far inside the
+    # bound (near |x| = 3e6 for p = 3), where one step would still grow the
+    # state by some 2-18% of itself: the lane blows up, it does not underflow.
+    field = ke.VectorField(1, lambda x: x**power, name="power")
+    with pytest.raises(ke.BlowUpError, match="step collapsed") as escape:
+        ke.flow(field, [1.0], 1.0, tol)
+    assert abs(escape.value.time - 1.0 / (power - 1)) < 1e-6
+    assert abs(escape.value.state[0]) < 1e-2 * dynamics.BLOWUP_BOUND
 
 
 # ---------------------------------------------------------------------------
