@@ -250,7 +250,7 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     spec = cfg.spectrum
-    fit = scaling_fit(spec.omega, spec.t, spec.n_list, spec.annulus, spec.quad_points)
+    fit = scaling_fit(spec.omega, spec.t, spec.n_list, spec.annulus)
     header = ["n", "residual", "phi_norm", "relative_residual"]
     columns = [fit.n_values, fit.residual_norms, fit.phi_norms, fit.relative_residuals]
     write_csv(out_dir / "spectrum_scaling.csv", header, columns)

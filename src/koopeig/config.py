@@ -46,6 +46,8 @@ def load_config_file(path) -> dict:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be an object")
     return raw
@@ -236,7 +238,6 @@ class SpectrumSpec:
     t: float = 1.0
     n_list: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256)
     annulus: tuple[float, float] = (0.25, 4.0)
-    quad_points: int = 256
     lambdas: np.ndarray = field(  # wedge.lambda_grid: the tested eigenvalues, re-major
         default_factory=lambda: _complex_grid(_WEDGE_RANGE, _WEDGE_COUNT, _WEDGE_RANGE, _WEDGE_COUNT)
     )
@@ -246,7 +247,7 @@ class SpectrumSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "SpectrumSpec":
         d = cls()
-        _known(raw, ("omega", "t", "n_list", "annulus", "quad_points", "wedge"), "spectrum")
+        _known(raw, ("omega", "t", "n_list", "annulus", "wedge"), "spectrum")
         omega = _number(raw.get("omega", d.omega), "spectrum.omega")
         t = _number(raw.get("t", d.t), "spectrum.t")
         n_list = _expect(raw, "n_list", list, "spectrum", default=list(d.n_list))
@@ -261,11 +262,6 @@ class SpectrumSpec:
                 f"must contain the bump support [{omega - half:g}, {omega + half:g}]",
                 field="spectrum.annulus",
             )
-        # The Gauss-Legendre rule solves a quad_points x quad_points eigenproblem.
-        quad_points = _number(
-            raw.get("quad_points", d.quad_points), "spectrum.quad_points",
-            integer=True, minimum=64, maximum=math.isqrt(MAX_COUNT),
-        )
 
         wedge = _expect(raw, "wedge", dict, "spectrum", default={})
         _known(wedge, ("lambda_grid", "alpha_window", "h"), "spectrum.wedge")
@@ -286,7 +282,7 @@ class SpectrumSpec:
         h = _expect(wedge, "h", str, "spectrum.wedge")
         h = d.h if h is None else parse_data_fn(h, where="spectrum.wedge.h")
         lambdas = _complex_grid(re_range, count, im_range, count)
-        return cls(omega, t, n_list, annulus, quad_points, lambdas, alpha_window, h)
+        return cls(omega, t, n_list, annulus, lambdas, alpha_window, h)
 
 
 # The top-level sections and values of a config.

@@ -364,14 +364,17 @@ class RK45:
         hs_y = np.empty_like(y)  # hs in the shape of y: products without broadcasting
         hs_y[...] = hs
 
+        # Kept for after the sums: every stage for an event, else f and FSAL.
         k = [f]
         acc = _STEP_SUMS.start(f)
         for r in range(12):  # row r gives stage r + 1; the last is y_new, whose derivative is FSAL
             # Out of place: a view of acc kept as y_new would hold it past this attempt.
             y_stage = acc[r] * hs_y
             y_stage += y
-            k.append(self.fun(y_stage))
-            _STEP_SUMS.add(acc, r + 1, k[-1])
+            stage = self.fun(y_stage)
+            _STEP_SUMS.add(acc, r + 1, stage)
+            if self.event is not None or r == 11:
+                k.append(stage)
         y_new = y_stage
         scale = np.abs(y)
         np.maximum(scale, np.abs(y_new), out=scale)

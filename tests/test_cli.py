@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ def test_config_error_exit_2(tmp_path):
     }
     cfg = write_config(tmp_path / "cfg2.json", cfg_dict)
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # Written as text: json.dumps cannot build 10^5 nested arrays either.
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"system": ' + "[" * 10**5 + "]" * 10**5 + "}", encoding="utf-8")
+    assert main(["eval", "--config", str(deep), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: invalid JSON: arrays or objects nested too deeply\n"
 
 
 DECOMPOSE_CFG = {
@@ -247,6 +256,31 @@ def test_spectrum_single_n_omits_slope(tmp_path):
     summary = json.loads((tmp_path / "out" / "spectrum_summary.json").read_text())
     assert summary["slope"] is None
     assert len(summary["rows"]) == 1
+
+
+def test_spectrum_duplicate_n_writes_null_slope(tmp_path):
+    # One distinct n fits no line: the slope is null, and numpy is not asked.
+    cfg = write_config(tmp_path / "cfg.json", _with(SPECTRUM_CFG, spectrum__n_list=[4, 4]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "spectrum_summary.json").read_text())
+    assert summary["slope"] is None
+    assert [row["n"] for row in summary["rows"]] == [4, 4]
+
+
+def test_spectrum_residuals_do_not_depend_on_omega(tmp_path):
+    # At omega = 1e15 the bump of n = 8 is narrower than an ulp of omega;
+    # its residual is the one at omega = 1 all the same.
+    rows = []
+    for omega, annulus in ((1.0, [0.25, 4.0]), (1e15, [0.0, 1e16])):
+        cfg = _with(SPECTRUM_CFG, spectrum__omega=omega, spectrum__annulus=annulus,
+                    spectrum__n_list=[4, 8])
+        path = write_config(tmp_path / "cfg.json", cfg)
+        out = tmp_path / f"out{omega:g}"
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
+        rows.append(json.loads((out / "spectrum_summary.json").read_text())["rows"])
+    assert rows[0] == rows[1]
 
 
 def _refuse_constant(token):
@@ -578,14 +612,12 @@ def test_complex_lambda_grid_is_re_major():
             "lambda_sweep",
         ),
         (lambda n: {"spectrum": {"wedge": {"lambda_grid": {"count": n}}}}, "spectrum.wedge.lambda_grid"),
-        (lambda n: {"spectrum": {"quad_points": n}}, "spectrum.quad_points"),
     ],
-    ids=["lattice", "grid", "lambda_sweep", "wedge", "quad_points"],
+    ids=["lattice", "grid", "lambda_sweep", "wedge"],
 )
 def test_counts_multiply_up_to_max_count(monkeypatch, section, field):
     # Under a bound of 256^2, an n of 256 reaches it and 257 passes it. The
-    # grid counts its n+1 by m+1 nodes; the Gauss-Legendre rule's matrix is
-    # quad_points^2.
+    # grid counts its n+1 by m+1 nodes.
     monkeypatch.setattr(config, "MAX_COUNT", 256**2)
     RunConfig.from_dict(section(256))
     with pytest.raises(ke.ConfigError) as exc:

@@ -68,7 +68,6 @@ BASES = {
             "t": 1.0,
             "n_list": [4, 8],
             "annulus": [0.25, 4.0],
-            "quad_points": 64,
             "wedge": {
                 "lambda_grid": {"re_range": [-2.0, 2.0], "im_range": [-2.0, 2.0], "count": 3},
                 "alpha_window": [0.2, 2.2],
@@ -82,7 +81,7 @@ BASES = {
 VALUES = (0, -1, 1e300, "x", None)
 # Counts take their own set: a non-integer and a count past every bound.
 COUNT_VALUES = (0, 0.5, 1e200, "x")
-COUNT_KEYS = {"n", "m", "count", "im_count", "K", "quad_points"}
+COUNT_KEYS = {"n", "m", "count", "im_count", "K"}
 # A vdp window that ends at 1e300 marches each lane up to MAX_STEPS attempts,
 # for minutes: ROADMAP item 8 (a run with no useful bound ends in bounded
 # time) owns those runs, so they are left out here until it lands.

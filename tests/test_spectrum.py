@@ -20,13 +20,34 @@ def test_residual_zero_at_t0():
     assert ke.approx_eig_residual(ae, 0.0).relative_residual == 0.0
 
 
+def _relative_oracle(x):
+    """sqrt(2 (1 - sin x / x)), the series of 1 - sin x / x summed with fsum
+    term by term: no cancellation for |x| <= 1."""
+    terms = [(-1) ** (k + 1) * x ** (2 * k) / math.factorial(2 * k + 1) for k in range(1, 12)]
+    return math.sqrt(2.0 * math.fsum(terms))
+
+
 def test_residual_small_angle_oracle():
-    # Analytic small-angle value: integral of (I-omega)^2 t^2 over the bump
-    # support gives relative residual t / (sqrt(12) n).
-    ae = ke.ApproxEig(1.0, 16, (0.25, 4.0))
-    r = ke.approx_eig_residual(ae, 1.0)
-    oracle = 1.0 / (math.sqrt(12.0) * 16.0)  # ~0.018042
-    assert r.relative_residual == pytest.approx(oracle, rel=0.02)
+    # The relative residual is sqrt(2 (1 - sin x / x)), x = t / (2n); to
+    # leading order t / (sqrt(12) n).
+    for n in [4, 8, 16, 32, 64, 128, 256]:
+        r = ke.approx_eig_residual(ke.ApproxEig(1.0, n, (0.25, 4.0)), 1.0)
+        assert r.relative_residual == pytest.approx(_relative_oracle(0.5 / n), rel=1e-14)
+        assert r.relative_residual == pytest.approx(1.0 / (math.sqrt(12.0) * n), rel=3e-3)
+    # Past |x| = 1/2 the closed form is summed directly.
+    for x in (0.4999, 0.5, 0.75, 1.0):
+        r = ke.approx_eig_residual(ke.ApproxEig(1.0, 1, (0.0, 2.0)), 2.0 * x)
+        assert r.relative_residual == pytest.approx(_relative_oracle(x), rel=1e-14)
+
+
+def test_residual_closed_form_at_large_and_tiny_angles():
+    # At t = 1e4 the bump of n = 4 spans x = 1250 rad of phase.
+    r = ke.approx_eig_residual(ke.ApproxEig(1.0, 4, (0.25, 4.0)), 1e4)
+    assert abs(r.relative_residual - math.sqrt(2.0 * (1.0 - math.sin(1250.0) / 1250.0))) <= 1e-14
+    # x = 2e-5, where 1 - sin x / x keeps only 6 of its digits.
+    x = 2e-5
+    r = ke.approx_eig_residual(ke.ApproxEig(1.0, 1, (0.25, 4.0)), 2.0 * x)
+    assert abs(r.relative_residual - x / math.sqrt(3.0) * math.sqrt(1.0 - x * x / 20.0)) <= 1e-14
 
 
 def test_phi_norm_analytic():
@@ -46,9 +67,11 @@ def test_residual_halves_when_n_doubles():
 
 
 def test_residual_invariant_under_omega_shift():
+    # Exactly: the closed form does not read omega, not even at 1e15, where
+    # the bump's support is a few ulps wide.
     r1 = ke.approx_eig_residual(ke.ApproxEig(1.0, 32, (0.25, 4.0)), 1.0)
-    r2 = ke.approx_eig_residual(ke.ApproxEig(2.5, 32, (0.25, 4.0)), 1.0)
-    assert r1.relative_residual == pytest.approx(r2.relative_residual, rel=1e-12)
+    for omega in (2.5, 1e15):
+        assert ke.approx_eig_residual(ke.ApproxEig(omega, 32, (0.0, 1e16)), 1.0) == r1
 
 
 def test_residual_linear_in_t_small_angle():
@@ -65,12 +88,6 @@ def test_scaling_slope_near_minus_one():
 
 def test_loglog_slope_degenerate_constant():
     assert loglog_slope([4, 8, 16, 32], [0.5, 0.5, 0.5, 0.5]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_quadrature_guard():
-    ae = ke.ApproxEig(1.0, 16, (0.25, 4.0))
-    with pytest.raises(ValueError):
-        ke.approx_eig_residual(ae, 1.0, quad_points=16)
 
 
 def test_wedge_constant_data_lambda_zero():
