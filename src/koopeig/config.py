@@ -38,7 +38,7 @@ MAX_COUNT = 10**6
 def load_config_file(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
         raw = json.loads(text)

@@ -19,7 +19,7 @@ import numpy as np
 
 # ``flow`` is not called here, but perfbench/tracing.py patches decomposition.flow.
 from .dynamics import DEFAULT_TOL, VectorField, flow, flow_many  # noqa: F401
-from .eigenfunctions import OpenEigenfunction
+from .eigenfunctions import OpenEigenfunction, _window
 from .errors import EmptyTargetError
 from .manifolds import DataFunction, DataManifold, as_values
 
@@ -85,13 +85,11 @@ def build_grid(
     Every node flows from its anchor, forward and then backward, through
     ``flow_many``: a numerically integrated field marches all n+1 nodes as
     one batch that lands exactly on each r_j, and a closed-form flow evaluates
-    them all in one call per direction.
+    them all in one call per direction. t_window is checked as a pullback's.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be non-negative")
-    t1, t2 = float(t_window[0]), float(t_window[1])
-    if t2 < t1:
-        raise ValueError("t_window must be increasing")
+    t1, t2 = _window(t_window)
     s_nodes = np.linspace(manifold.s_min, manifold.s_max, n + 1)
     r_nodes = np.linspace(t1, t2, m + 1)
     points = np.empty((s_nodes.size, r_nodes.size, manifold.dim))

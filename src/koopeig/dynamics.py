@@ -23,8 +23,9 @@ always flowed and scanned through it, and a field without one is marched by
 ``RK45``; ``dataclasses.replace(field, closed_form_flow=None)`` is its
 marched twin. A closed-form flow maps (d, N) states and (N,) times to
 (d, N), so the exact crossing scan samples one orbit at many times in one
-call (see ``_scan_closed``). Both crossing searches refine their brackets
-with the one Illinois refiner ``_refine``.
+call (see ``_scan_closed``). Both crossing searches start from their
+caller's event values at the states, refine their brackets with the one
+Illinois refiner ``_refine`` and end by one escape rule (see ``_search``).
 
 For both kinds of flow, a one-state call is the N = 1 case of its batch
 call: ``flow`` of ``flow_many``, ``find_crossings`` of
@@ -194,10 +195,17 @@ def _closed_flow(field: VectorField, x: np.ndarray, t: np.ndarray) -> tuple[np.n
         return y, ~(_sum_sq(y) <= BLOWUP_BOUND**2)
 
 
-def _blow_up(field: VectorField, time: float, state: np.ndarray) -> BlowUpError:
-    """The escape of an orbit of the field at the signed time ``time``, at
-    its (d,) last state: past ``BLOWUP_BOUND``, or, with the state within
-    it, a step that collapsed as the state grew (see ``RK45``)."""
+def _escape(field: VectorField, sign: float, kind: int, tau: float, state) -> NotInDomainError:
+    """The error of an orbit that escapes at tau along sign*F, at its (d,)
+    last state: for kind ``BLOW_UP`` a BlowUpError at the time sign*tau
+    (past ``BLOWUP_BOUND``, or a step that collapsed as the state grew; see
+    ``RK45``), else a StepUnderflowError. Every escape is built here."""
+    if kind != BLOW_UP:
+        return StepUnderflowError(
+            f"step size of '{field.name}' fell below {STEP_FLOOR:g}, or the march "
+            f"exceeded {MAX_STEPS} steps, at tau={tau:g}"
+        )
+    time = sign * tau
     size = math.hypot(*state.tolist())
     how = (
         f"its step collapsed at |x| = {size:.3g}"
@@ -270,11 +278,13 @@ class RK45:
 
     ``fun`` maps the (d, N) state to its derivative. Every lane must land on
     each tau in ``stops`` (positive, increasing); its state there is kept in
-    ``at_stops``. When ``event`` (a (d, M) array to (M,) values) is given,
-    each accepted step that changes its sign records a bracket with the
-    step's dense output; a crossing does not retire its lane. ``step()``
-    makes one attempt for every running lane. When the batch has run out,
-    ``status``, ``tau`` and ``y`` hold each lane's retirement state, and
+    ``at_stops``. An ``event`` (a (d, M) array to (M,) values) comes with
+    ``g0``, its (N,) values at y0 from the caller, and is called only at
+    accepted states: each accepted step that changes its sign records a
+    bracket with the step's dense output; a crossing does not retire its
+    lane. ``step()`` makes one attempt for every running lane. When the
+    batch has run out, ``status``, ``tau`` and ``y`` hold each lane's
+    retirement state, ``escapes()`` gives the lanes that escaped, and
     ``crossings(tol)`` refines the brackets.
 
     Every attempt does each lane's arithmetic: the stages, the error norm,
@@ -297,11 +307,13 @@ class RK45:
         tol: float,
         *,
         event: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        g0: Optional[np.ndarray] = None,
     ):
         y = np.array(y0, dtype=float)
         d, n = y.shape
-        self.fun, self.tol = fun, tol
-        self.event = event
+        if event is not None and np.shape(g0) != (n,):
+            raise ValueError(f"g0 must hold the event's {n} values at y0")
+        self.fun, self.tol, self.event = fun, tol, event
         self.stops = np.asarray(stops, dtype=float)
         if self.stops.ndim != 1 or self.stops.size == 0 or not (
             self.stops[0] > 0.0 and np.all(np.diff(self.stops) > 0.0)
@@ -326,8 +338,8 @@ class RK45:
         with np.errstate(all="ignore"):
             self._f = fun(y)
             self._h = self._initial_step(y, self._f)
-        # A copy: an event may return a view of its input, and _g is written in place.
-        self._g = np.array(event(y), dtype=float) if event is not None else None
+        # A copy: g0 may be a view of the states or the caller's, and _g is written in place.
+        self._g = np.array(g0, dtype=float) if event is not None else None
 
     @property
     def running(self) -> bool:
@@ -527,6 +539,13 @@ class RK45:
         if self._g is not None:
             self._g = self._g[keep]
 
+    def escapes(self) -> dict[int, tuple[int, float, np.ndarray]]:
+        """Each escaped lane's raw escape (status, tau, state), for ``_escape``."""
+        return {
+            i: (int(self.status[i]), float(self.tau[i]), self.y[:, i])
+            for i in np.flatnonzero(self.status != DONE).tolist()
+        }
+
     def crossings(self, tol: float) -> list[list[tuple[float, np.ndarray]]]:
         """Each lane's bracketed crossings, refined to |event| < tol, in time order.
 
@@ -648,28 +667,14 @@ def _batch_event(event):
 
 
 def _march(
-    field: VectorField,
-    y0: np.ndarray,
-    sign: float,
-    stops,
-    tol: float,
-    event=None,
+    field: VectorField, y0: np.ndarray, sign: float, stops, tol: float, event=None, g0=None
 ) -> RK45:
-    """Run the stepper over the (d, N) lanes y0 along sign*F until every lane retires."""
-    solver = RK45(_batch_rhs(field, sign), y0, stops, tol, event=event)
+    """Run the stepper over the (d, N) lanes y0 along sign*F until every
+    lane retires; an event comes with g0, its (N,) values at y0."""
+    solver = RK45(_batch_rhs(field, sign), y0, stops, tol, event=event, g0=g0)
     while solver.running:
         solver.step()
     return solver
-
-
-def _lane_error(field: VectorField, solver: RK45, lane: int, sign: float) -> NotInDomainError:
-    tau = float(solver.tau[lane])
-    if solver.status[lane] == BLOW_UP:
-        return _blow_up(field, sign * tau, solver.y[:, lane])
-    return StepUnderflowError(
-        f"step size of '{field.name}' fell below {STEP_FLOOR:g}, or the march "
-        f"exceeded {MAX_STEPS} steps, at tau={tau:g}"
-    )
 
 
 def _check_tol(tol: float) -> None:
@@ -721,20 +726,19 @@ def _flow_lanes(
     out[~moving] = x
     if not moving.any() or n == 0:
         return out, escapes
+    sign, taus = (1.0 if times[-1] > 0 else -1.0), mags[moving]
     if field.closed_form_flow is not None:
-        t = times[moving]
-        y, blown = _closed_flow(field, np.tile(x.T, t.size), np.repeat(t, n))
-        y, blown = y.T.reshape(t.size, n, field.dim), blown.reshape(t.size, n)
+        y, blown = _closed_flow(field, np.tile(x.T, taus.size), np.repeat(times[moving], n))
+        y, blown = y.T.reshape(taus.size, n, field.dim), blown.reshape(taus.size, n)
         for i in np.flatnonzero(blown.any(axis=0)).tolist():
             k = int(np.argmax(blown[:, i]))
-            escapes[i] = _blow_up(field, float(t[k]), y[k, i])
+            escapes[i] = _escape(field, sign, BLOW_UP, float(taus[k]), y[k, i])
             y[k:, i] = np.nan
         out[moving] = y
         return out, escapes
-    sign = 1.0 if times[-1] > 0 else -1.0
-    solver = _march(field, x.T, sign, mags[moving], tol)
-    for i in np.flatnonzero(solver.status != DONE).tolist():
-        escapes[i] = _lane_error(field, solver, i, sign)
+    solver = _march(field, x.T, sign, taus, tol)
+    for i, end in solver.escapes().items():
+        escapes[i] = _escape(field, sign, *end)
     out[moving] = solver.at_stops.transpose(0, 2, 1)
     return out, escapes
 
@@ -771,10 +775,8 @@ def find_crossings(
     """Locate every sign change of event along sign*F over [0, budget], in time order.
 
     ``find_crossings_many`` of one state: sign is 1 (forward) or -1
-    (backward). ``event`` maps (d, N) states to (N,) values. Blow-up or
-    step underflow occurring after at least one crossing means the orbit
-    left the domain and simply ends the scan; before any crossing it
-    propagates.
+    (backward). ``event`` maps (d, N) states to (N,) values. An escape
+    before any crossing is raised; one after a crossing ends the scan.
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     (found,), (escape,) = find_crossings_many(field, x0, event, sign, budget, tol)
@@ -785,7 +787,7 @@ def find_crossings(
 
 def _scan_closed(
     field: VectorField, x0: np.ndarray, g0: float, event, sign: float, budget: float, tol: float
-) -> tuple[list[tuple[float, np.ndarray]], Optional[BlowUpError]]:
+) -> tuple[list[tuple[float, np.ndarray]], Optional[tuple[float, np.ndarray]]]:
     """The exact crossing scan of the closed-form orbit of the (d,) state
     x0, at which the event is g0.
 
@@ -804,9 +806,9 @@ def _scan_closed(
     escapes at that interval's right end. A sign change narrower than the
     floor is taken at its right sample, and so is a refined bracket.
 
-    Returns every crossing over [0, budget] in time order and, when the
-    orbit escapes before any of them, the BlowUpError of the escape, else
-    None.
+    Returns every crossing over [0, budget] in time order and the raw
+    escape (tau, state) at which the orbit ends, else None; ``_search``
+    applies the escape rule.
     """
     floor = 1e-15 * budget
     lanes = np.repeat(x0[:, None], CLOSED_SCAN_POINTS, axis=1)
@@ -860,11 +862,7 @@ def _scan_closed(
         more, escape = scan(taus[end], g[end], taus[end + 1])
         return hits + more, escape
 
-    found, escape = scan(0.0, g0, budget)
-    if escape is None or found:
-        return found, None
-    tau, state = escape
-    return found, _blow_up(field, sign * tau, state)
+    return scan(0.0, g0, budget)
 
 
 def find_crossings_many(
@@ -878,15 +876,16 @@ def find_crossings_many(
     """Every crossing of event along sign*F over [0, budget], in time order, for N states.
 
     sign is 1 to search forward in time and -1 to search backward.
-    ``event`` maps a (d, M) array to M values. A field without a closed
-    form marches every state as one lane of a batch, and its crossings are
-    refined by ``_refine`` on the steps' dense output to |event| < tol. A
-    closed-form flow is scanned exactly, state by state (``_scan_closed``),
-    each scan starting from the event's values at the states, taken in one
-    call. Returns, per state, its crossings and its escape: the BlowUpError
-    or StepUnderflowError that ends the orbit before any crossing, else
-    None. sign must be 1 or -1, tol finite and positive and budget finite,
-    else ValueError; a budget <= 0 finds no crossings.
+    ``event`` maps a (d, M) array to M values, else ValueError; it is taken
+    at the states in one call, and both kinds of flow start from those
+    values. A field without a closed form marches every state as one lane
+    of a batch, its crossings refined by ``_refine`` on the steps' dense
+    output to |event| < tol. A closed-form flow is scanned exactly, state
+    by state (``_scan_closed``). Returns, per state, its crossings and its
+    escape: the BlowUpError or StepUnderflowError that ends the orbit
+    before any crossing, else None (an escape after a crossing ends the
+    search). sign must be 1 or -1, tol finite and positive and budget
+    finite, else ValueError; a budget <= 0 finds no crossings.
     """
     x = as_states(field, states)
     n = x.shape[0]
@@ -906,20 +905,22 @@ def _search(
 ) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[NotInDomainError]]]:
     """``find_crossings_many`` of the (N, d) states x, N >= 1, on checked
     arguments: ``event`` is wrapped by ``_batch_event``, g0 holds its (N,)
-    values at the states and budget > 0. A closed-form scan starts from
-    g0; a march evaluates the event itself."""
+    values at the states and budget > 0. Both kinds of flow start from g0
+    and return each orbit's raw escape, and one rule ends both: an orbit
+    that escapes after a crossing simply ends there, and an escape before
+    any crossing is the state's error, built by ``_escape``."""
     if field.closed_form_flow is not None:
         scans = [
             _scan_closed(field, x0, g, event, sign, budget, tol) for x0, g in zip(x, g0.tolist())
         ]
-        return [found for found, _ in scans], [escape for _, escape in scans]
-    solver = _march(field, x.T, sign, [budget], tol, event=event)
-    found = solver.crossings(tol)
+        found = [hits for hits, _ in scans]
+        ends = {i: (BLOW_UP, *end) for i, (_, end) in enumerate(scans) if end is not None}
+    else:
+        solver = _march(field, x.T, sign, [budget], tol, event, g0)
+        found, ends = solver.crossings(tol), solver.escapes()
     escapes = [
-        _lane_error(field, solver, i, sign)
-        if not found[i] and solver.status[i] in (BLOW_UP, UNDERFLOW)
-        else None
-        for i in range(x.shape[0])
+        _escape(field, sign, *ends[i]) if i in ends and not hits else None
+        for i, hits in enumerate(found)
     ]
     return found, escapes
 

@@ -108,12 +108,12 @@ def _raise_first(why: np.ndarray) -> None:
 
 
 def _window(t_window) -> tuple[float, float]:
-    """The window's ends t1 <= 0 <= t2, both finite, else ValueError."""
+    """The window's ends t1 <= 0 <= t2 with a finite width t2 - t1, else ValueError."""
     t1, t2 = float(t_window[0]), float(t_window[1])
     if not (t1 <= 0.0 <= t2):
         raise ValueError("t_window must contain 0")
-    if not (math.isfinite(t1) and math.isfinite(t2)):
-        raise ValueError("t_window must be finite")
+    if not math.isfinite(t2 - t1):
+        raise ValueError("t_window must be finite, and so must its width")
     return t1, t2
 
 
@@ -151,7 +151,7 @@ def _pull(
     t1, t2 = _window(t_window)
     _check_tol(tol)
     slack = max(1e-9, 1e-3 * (t2 - t1))
-    on_tol = max(1e-9, 1e-6 * manifold.extent())
+    on_tol = max(1e-9, 1e-6 * manifold.extent)
     surface = _batch_event(manifold.surface)
 
     # Rows r*, s* and the foot's coordinates, one column per point.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -70,7 +71,6 @@ class DataManifold:
             raise ValueError("n_samples must be >= 1")
         if self.s_max < self.s_min:
             raise ValueError("s_max must be >= s_min")
-        object.__setattr__(self, "_extent_cache", None)
 
     def parameter_grid(self) -> np.ndarray:
         """A new (n_samples,) array of evenly spaced parameters."""
@@ -80,13 +80,11 @@ class DataManifold:
         """A new (n_samples, d) array of the manifold's points at the parameter grid."""
         return np.asarray(self.embed(self.parameter_grid()), dtype=float).T
 
+    @cached_property
     def extent(self) -> float:
         """Diagonal of the bounding box of the sampled curve (>= tiny)."""
-        if self._extent_cache is None:
-            pts = self.sample_points()
-            diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-            object.__setattr__(self, "_extent_cache", max(diag, 1e-12))
-        return self._extent_cache
+        pts = self.sample_points()
+        return max(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))), 1e-12)
 
     def with_samples(self, n_samples: int) -> "DataManifold":
         return replace(self, n_samples=n_samples)

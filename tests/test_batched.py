@@ -117,6 +117,33 @@ def _check_escape_is_the_one_lane_error(method):
     assert np.array_equal(one.state, escapes[0].state)
 
 
+def test_a_search_takes_the_event_at_its_start_states_once():
+    # Both kinds of flow start from the values find_crossings_many takes in
+    # its one call at the states; the march does not take them again.
+    surface = ke.make_system("vdp").default_manifold.surface
+    starts = np.array(RETIREMENT_STARTS)
+    for field in (ke.make_system("vdp").field, ke.make_system("hopf").field):
+        at_starts = []
+
+        def event(x):
+            at_starts.append(np.array_equal(x, starts.T))
+            return surface(x)
+
+        find_crossings_many(field, starts, event, -1.0, 2.002, 1e-10)
+        assert sum(at_starts) == 1 and len(at_starts) > 1, field.name
+
+
+def test_an_event_of_the_wrong_shape_is_a_value_error(lin2d):
+    mani = dataclasses.replace(lin2d.default_manifold, surface=lambda x: x[1:] - 1.0)
+    for field in (lin2d.field, _rk45(lin2d.field)):
+        with pytest.raises(ValueError, match=r"event returned shape \(1, 2\)"):
+            find_crossings_many(field, [[1.0, 2.0], [1.5, 3.0]], mani.surface, -1.0, 1.0)
+        with pytest.raises(ValueError, match=r"event returned shape \(2,\)"):
+            ke.dynamics.find_crossings(field, [1.0, 2.0], lambda x: x[:, 0], -1.0, 1.0)
+        with pytest.raises(ValueError, match="event returned shape"):
+            ke.pullback_many(field, mani, (0.0, 1.2), [[1.0, 2.0], [1.5, 3.0]])
+
+
 # Points of the vdp_lattice box, searched backward over 2.002 against the
 # default segment: two finish with no crossing, two after one, one after
 # two, one blows up with no crossing and one after a crossing.

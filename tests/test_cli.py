@@ -119,6 +119,13 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: invalid JSON: arrays or objects nested too deeply\n"
 
 
+def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    raw = tmp_path / "latin1.json"
+    raw.write_bytes(b'{"system": "\xff"}')
+    assert main(["spectrum", "--config", str(raw), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config file: ")
+
+
 DECOMPOSE_CFG = {
     "system": {"name": "vdp"},
     "manifold": {

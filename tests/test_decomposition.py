@@ -75,6 +75,20 @@ def test_grid_negative_window(lin2d):
     assert np.allclose(grid.points[0, 0], expect, atol=1e-9)
 
 
+def test_grid_window_is_checked_as_a_pullbacks(lin2d):
+    # A window without 0 would give a grid that no greedy fit accepts, and
+    # one that is infinite, or whose width overflows, has no uniform time
+    # nodes and no finite pullback budget.
+    mani = ke.segment_manifold((1.0, 1.0), (2.0, 1.0), n=3, s_range=(1.0, 2.0))
+    with pytest.raises(ValueError, match="t_window must contain 0"):
+        ke.build_grid(lin2d.field, mani, (0.5, 1.0), 4, 4)
+    for window in ((0.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="t_window must be finite"):
+            ke.build_grid(lin2d.field, mani, window, 4, 4)
+        with pytest.raises(ValueError, match="t_window must be finite"):
+            ke.pullback_many(lin2d.field, mani, window, [[1.5, 2.0]])
+
+
 def test_grid_blowup_propagates():
     system = ke.make_system("blowup")
     with pytest.raises(ke.BlowUpError):

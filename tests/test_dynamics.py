@@ -188,7 +188,8 @@ def test_rhs_calls_per_attempt():
 
     x1, x2 = np.meshgrid(np.linspace(-0.2, 2.2, 8), np.linspace(-1.9, 1.5, 8))
     event = dynamics._batch_event(system.default_manifold.surface)
-    solver = dynamics.RK45(fun, np.stack([x1.ravel(), x2.ravel()]), [2.0], 1e-10, event=event)
+    y0 = np.stack([x1.ravel(), x2.ravel()])
+    solver = dynamics.RK45(fun, y0, [2.0], 1e-10, event=event, g0=event(y0))
     assert calls[0] == 2
     attempts = 0
     while solver.running:
@@ -215,13 +216,22 @@ def test_a_bracket_is_refined_on_dop853s_dense_output():
     dense = ref.dense_output()
     level = dense(0.5 * ref.t)[0]
     solver = dynamics.RK45(
-        dynamics._batch_rhs(field, 1.0), x0[:, None], [2.0], tol, event=lambda y: y[0] - level
+        dynamics._batch_rhs(field, 1.0), x0[:, None], [2.0], tol,
+        event=lambda y: y[0] - level, g0=x0[:1] - level,
     )
     solver.step()
     ((tau, y),) = solver.crossings(1e-14)[0]
     # The lane runs on from the end of its one step, which is scipy's.
     assert solver._tau[0] == ref.t and 0.0 < tau < ref.t
     assert np.max(np.abs(y - dense(tau))) <= 1e-15
+
+
+def test_a_marched_event_needs_its_values_at_the_start_states():
+    fun = dynamics._batch_rhs(ke.make_system("vdp").field, 1.0)
+    y0 = np.array([[1.5, 0.5], [0.5, 1.0]])
+    for g0 in (None, np.zeros(1)):
+        with pytest.raises(ValueError, match="g0 must hold the event's 2 values"):
+            dynamics.RK45(fun, y0, [2.0], 1e-10, event=lambda y: y[0], g0=g0)
 
 
 def test_a_lane_at_an_equilibrium_stays_there():

@@ -278,11 +278,11 @@ def test_with_samples_returns_resized_copy(horizontal_manifold):
 def test_extent_is_cached_and_with_samples_gets_a_fresh_one():
     # Three samples of a full circle of radius 2 span a 4 x 0 box; 181 span 4 x 4.
     circ = ke.circle_manifold((0.0, 0.0), 2.0, n=181)
-    extent = circ.extent()
+    extent = circ.extent
     assert extent == pytest.approx(4.0 * math.sqrt(2.0))
-    assert circ.extent() is extent  # computed once
+    assert circ.extent is extent  # computed once
     coarse = circ.with_samples(3)
-    assert coarse.extent() == pytest.approx(4.0)
-    assert circ.extent() is extent
+    assert coarse.extent == pytest.approx(4.0)
+    assert circ.extent is extent
     traced = dataclasses.replace(circ, surface=circ.surface)
-    assert traced.extent() == pytest.approx(extent) and traced.extent() is not extent
+    assert traced.extent == pytest.approx(extent) and traced.extent is not extent
