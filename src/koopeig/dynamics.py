@@ -35,6 +35,7 @@ call: ``flow`` of ``flow_many``, ``find_crossings`` of
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -60,6 +61,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 BLOWUP_BOUND = 1e12
+_BLOWUP_SQ = BLOWUP_BOUND**2  # the blow-up tests compare |y|^2 with it
 STEP_FLOOR = 1e-14
 # A lane whose step stalls while its growth rate rho = <y, f>/|y|^2 times its
 # step h exceeds this escapes in finite time. Measured at the stall, rho * h
@@ -171,12 +173,17 @@ class BenchmarkSystem:
 
 
 def as_states(field: VectorField, states) -> np.ndarray:
-    """States as an (N, d) array; an empty input gives (0, d)."""
+    """States as an (N, d) array; an empty input gives (0, d). Every state
+    must be finite: one with a NaN or infinite coordinate has no orbit, and
+    the first such state is a ValueError that names it."""
     x = np.array(states, dtype=float)
     if x.size == 0:
         return x.reshape(0, field.dim)
     if x.ndim != 2 or x.shape[1] != field.dim:
         raise ValueError(f"states shaped {x.shape}, field expects (N, {field.dim})")
+    if not np.isfinite(x).all():
+        i = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise ValueError(f"states must be finite; state {i} is {x[i].tolist()}")
     return x
 
 
@@ -192,7 +199,7 @@ def _closed_flow(field: VectorField, x: np.ndarray, t: np.ndarray) -> tuple[np.n
                 f"of shape {x.shape}; a closed-form flow must map (d, N) states and (N,) "
                 f"times to (d, N)"
             )
-        return y, ~(_sum_sq(y) <= BLOWUP_BOUND**2)
+        return y, ~(_sum_sq(y) <= _BLOWUP_SQ)
 
 
 def _escape(field: VectorField, sign: float, kind: int, tau: float, state) -> NotInDomainError:
@@ -454,7 +461,7 @@ class RK45:
             self._y = np.where(accept, y_new, y)
             self._f = np.where(accept, k[-1], self._f)
         self._steps += accept
-        live = accept & (_sum_sq(y_new) <= BLOWUP_BOUND**2)
+        live = accept & (_sum_sq(y_new) <= _BLOWUP_SQ)
         n_live = np.count_nonzero(live)
         if clipped is not None:
             landed = live & clipped
@@ -588,7 +595,9 @@ def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
     twice in a row has its value halved, so that neither end sticks
     (modified regula falsi, Dowell & Jarratt, BIT 11, 1971). ``first``
     replaces the first secant root of a bracket where it lies strictly
-    inside. A bracket narrower than ``floor``, or still open after
+    inside; when every first iterate lands inside its bracket, the
+    refinement starts from ``first`` as it is, with no secant root formed.
+    A bracket narrower than ``floor``, or still open after
     ``REFINE_CAP`` steps, is taken at its right end. A bracket whose
     iterate has a non-finite event value (a blown state) stops with a NaN
     time and NaN state, for the caller to search otherwise.
@@ -603,13 +612,15 @@ def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
     tau = y = None  # the outputs, NaN until a bracket stops
     j = np.arange(a.size)  # the open brackets
     last = None  # whether lo was kept at the last step
-    c = b - fb * (b - a) / (fb - fa)
-    if first is not None:
-        c = np.where((first > a) & (first < b), first, c)
+    landed = None if first is None else (first > a) & (first < b)
+    if landed is not None and landed.all():
+        c = first
+    else:
+        c = b - fb * (b - a) / (fb - fa)
+        if landed is not None:
+            c = np.where(landed, first, c)
+        c = _within(c, a, b)
     for _ in range(REFINE_CAP):
-        inside = (c > a) & (c < b)
-        if not inside.all():
-            c = np.where(inside, c, 0.5 * (a + b))
         y_c = state_at(c, j)
         g_c = event(y_c)
         g_abs = np.abs(g_c)
@@ -634,11 +645,18 @@ def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
             if not go.any():
                 return tau, y
             j, a, b, fa, fb, last = j[go], a[go], b[go], fa[go], fb[go], last[go]
-        c = b - fb * (b - a) / (fb - fa)
+        c = _within(b - fb * (b - a) / (fb - fa), a, b)
     if tau is None:
         return b, state_at(b, j)
     tau[j], y[:, j] = b, state_at(b, j)
     return tau, y
+
+
+def _within(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The iterates c where they lie strictly inside their brackets (a, b),
+    else the brackets' midpoints."""
+    inside = (c > a) & (c < b)
+    return c if inside.all() else np.where(inside, c, 0.5 * (a + b))
 
 
 def _batch_rhs(field: VectorField, sign: float):
@@ -747,11 +765,12 @@ def _inverse_interp(taus: np.ndarray, g: np.ndarray, k: int, last: int) -> float
     """A first iterate for the sign change between samples k and k+1: the
     zero of the inverse interpolant tau(g) through the samples k-2 .. k+3
     that lie within 0 .. last. NaN unless their values are finite and
-    strictly monotone, so that tau is a function of g."""
+    strictly monotone, so that tau is a function of g: strictly monotone
+    values lie between their ends, so finite ends make them all finite."""
     lo, hi = max(k - 2, 0), min(k + 3, last)
     gs = g[lo : hi + 1].tolist()
-    steps = [g1 - g0 for g0, g1 in zip(gs, gs[1:])]
-    if not (all(map(math.isfinite, gs)) and (min(steps) > 0.0 or max(steps) < 0.0)):
+    order = operator.lt if gs[0] < gs[-1] else operator.gt
+    if not (math.isfinite(gs[0]) and math.isfinite(gs[-1]) and all(map(order, gs, gs[1:]))):
         return np.nan
     ts = taus[lo : hi + 1].tolist()
     t_k = ts[k - lo]
@@ -823,7 +842,9 @@ def _scan_closed(
         orbit there as (tau, state), or None."""
         taus = lo + (hi - lo) * _FRACS
         y, blown = _closed_flow(field, lanes, sign * taus[1:])
-        end = int(blown.argmax()) if blown.any() else CLOSED_SCAN_POINTS
+        end = int(blown.argmax())  # the first blown sample, else CLOSED_SCAN_POINTS
+        if not blown[end]:
+            end = CLOSED_SCAN_POINTS
         g = np.empty(end + 1)
         g[0] = g_lo
         if end:
@@ -966,18 +987,33 @@ def _hopf(mu: float = 1.0) -> BenchmarkSystem:
 
     closed = None
     if mu > 0:
+        root_mu = math.sqrt(mu)
 
         def closed(x, t):
-            # The start vector rotated by t and scaled by r / r0.
+            """The start vector rotated by t and scaled by r / r0.
+
+            A batch whose times are all <= 0, as every backward scan and
+            refinement passes, takes the backward expression alone. It
+            gives the general expression's bits, except at t = 0 for
+            |x|^2 beyond about 2^53 mu: there the denominator rounds to 0,
+            and the general expression reads the origin, the backward one
+            an escape.
+            """
             r2 = x[0] * x[0] + x[1] * x[1]
             gap = mu - r2
-            fwd = t >= 0.0
-            e2 = np.exp(-2.0 * mu * np.abs(t))  # exp(-2 mu t) forward, exp(2 mu t) backward
-            denom = np.where(fwd, gap * e2 + r2, gap + e2 * r2)
-            scale = np.exp(mu * np.minimum(t, 0.0)) * np.sqrt(mu) / np.sqrt(denom)
-            # denom <= 0: backward, the orbit has escaped in finite time;
-            # forward, it is the origin after exp(-2 mu t) underflows.
-            scale = np.where(denom > 0.0, scale, np.where(fwd, 0.0, np.inf))
+            if (t <= 0.0).all():
+                denom = gap + np.exp(2.0 * mu * t) * r2
+                scale = np.exp(mu * t) * root_mu / np.sqrt(denom)
+                # denom <= 0: the orbit has escaped in finite time.
+                scale = np.where(denom > 0.0, scale, np.inf)
+            else:
+                fwd = t >= 0.0
+                e2 = np.exp(-2.0 * mu * np.abs(t))  # exp(-2 mu t) forward, exp(2 mu t) backward
+                denom = np.where(fwd, gap * e2 + r2, gap + e2 * r2)
+                scale = np.exp(mu * np.minimum(t, 0.0)) * root_mu / np.sqrt(denom)
+                # denom <= 0: backward, the orbit has escaped in finite time;
+                # forward, it is the origin after exp(-2 mu t) underflows.
+                scale = np.where(denom > 0.0, scale, np.where(fwd, 0.0, np.inf))
             c, s = scale * np.cos(t), scale * np.sin(t)
             return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
 

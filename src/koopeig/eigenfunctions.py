@@ -172,7 +172,9 @@ def _pull(
     for sign, budget in passes:
         if not todo:
             break
-        crossings, escaped = _search(field, pts[todo], surface, g0[todo], sign, budget, tol)
+        # With every point searched, a slice: views of the arrays, not copies.
+        sel = slice(None) if len(todo) == pts.shape[0] else todo
+        crossings, escaped = _search(field, pts[sel], surface, g0[sel], sign, budget, tol)
         # A lane that escapes has no crossings; its first escape names its miss.
         for i, exc in zip(todo, escaped):
             if exc is not None and why[i] == NO_CROSSING:
@@ -180,7 +182,9 @@ def _pull(
         if not any(crossings):
             continue
         # Every crossing as a column r*, s, state, like the columns of out.
-        flat = np.array([(-sign * tau, 0.0, *y) for found in crossings for tau, y in found]).T
+        flat = np.empty((out.shape[0], sum(map(len, crossings))))
+        for c, (tau, y) in enumerate(cross for found in crossings for cross in found):
+            flat[0, c], flat[2:, c] = -sign * tau, y
         flat[1], on = _on_manifold(manifold, flat[2:], on_tol)
         # Each point's feet: the columns of its crossings that lie on the manifold.
         on, start = on.tolist(), 0

@@ -124,7 +124,10 @@ def segment_manifold(
     if not 0.0 < dir2 < np.inf:
         raise ValueError("s_range is too wide or too narrow for the segment's length")
     unit = (p1 - p0) / length
-    normal = np.array([-unit[1], unit[0]])
+    # surface and locate run once per scan level: their constants are floats.
+    n0, n1 = -float(unit[1]), float(unit[0])  # the unit normal
+    x0, y0 = float(p0[0]), float(p0[1])
+    u0, u1 = float(direction[0]), float(direction[1])
 
     def embed(s):
         return (p0 + np.multiply.outer(np.subtract(s, s0), direction)).T
@@ -133,10 +136,10 @@ def segment_manifold(
         return np.multiply.outer(direction, np.ones_like(s, dtype=float))
 
     def surface(x):
-        return normal[0] * (x[0] - p0[0]) + normal[1] * (x[1] - p0[1])
+        return n0 * (x[0] - x0) + n1 * (x[1] - y0)
 
     def locate(x):  # orthogonal projection onto the segment
-        along = (direction[0] * (x[0] - p0[0]) + direction[1] * (x[1] - p0[1])) / dir2
+        along = (u0 * (x[0] - x0) + u1 * (x[1] - y0)) / dir2
         return np.clip(s0 + along, s0, s1)
 
     return DataManifold(
@@ -167,6 +170,8 @@ def circle_manifold(
         raise ValueError("circle manifolds live in the plane")
     if radius <= 0:
         raise ValueError("radius must be positive")
+    # surface and locate run once per scan level: their constants are floats.
+    cx, cy, rad = float(c[0]), float(c[1]), float(radius)
     a0, a1 = float(arc[0]), float(arc[1])
     if a1 <= a0:
         raise ValueError("arc must be increasing")
@@ -183,10 +188,10 @@ def circle_manifold(
 
     def surface(x):
         with np.errstate(over="ignore"):  # inf far out: a sign, never a crossing
-            return np.sqrt((x[0] - c[0]) ** 2 + (x[1] - c[1]) ** 2) - radius
+            return np.sqrt((x[0] - cx) ** 2 + (x[1] - cy) ** 2) - rad
 
     def locate(x):  # polar angle in [a0, a0 + 2 pi); off an open arc, its nearer end
-        s = a0 + (np.arctan2(x[1] - c[1], x[0] - c[0]) - a0) % (2.0 * math.pi)
+        s = a0 + (np.arctan2(x[1] - cy, x[0] - cx) - a0) % (2.0 * math.pi)
         if not closed:
             s = np.where(s <= a1, s, np.where(s - a1 <= a0 + 2.0 * math.pi - s, a1, a0))
         return s

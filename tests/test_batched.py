@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import koopeig as ke
-from koopeig.dynamics import find_crossings_many, flow_many
+from koopeig.dynamics import find_crossings, find_crossings_many, flow_many
 from koopeig.targets import parse_data_fn, parse_target
 
 
@@ -312,6 +312,20 @@ def test_registry_closed_form_is_vectorized(name):
         with np.errstate(all="ignore"):  # as koopeig calls it
             y = closed(np.array(x)[:, None], np.array([t]))
         assert not np.linalg.norm(y) <= ke.dynamics.BLOWUP_BOUND
+    if name == "hopf":
+        # Times that are all <= 0 take hopf's backward branch. Each column
+        # has the bits it has inside a mixed-sign batch, which takes the
+        # general branch: past the escape of the orbits outside the limit
+        # cycle, and at t = -0.0 and 0.0.
+        rng = np.random.default_rng(7)
+        back = rng.uniform(-3.0, 3.0, (2, 128))
+        t_back = -rng.uniform(0.0, 2.0, 128)
+        t_back[:2] = -0.0, 0.0
+        with np.errstate(all="ignore"):
+            alone = closed(back, t_back)
+            mixed = closed(np.hstack([back, batch]), np.concatenate([t_back, times]))
+        assert 0 < np.count_nonzero(~np.isfinite(alone[0])) < 128  # some have escaped
+        assert np.array_equal(alone, mixed[:, :128], equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -537,6 +551,40 @@ def test_an_empty_pullback_batch_checks_its_arguments(lin2d, marched):
     for tol in (-1.0, math.nan, 0.0):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             ke.OpenEigenfunction(2.0, h, mani, field, (0.0, 1.0), tol=tol)
+
+
+@pytest.mark.parametrize("marched", [False, True], ids=["closed_form", "rk45"])
+@pytest.mark.parametrize("name", ["lin2d", "hopf"])
+def test_a_non_finite_state_is_refused_by_every_batch_call(name, marched):
+    # The orbit of a NaN or infinite state is not defined. Both kinds of
+    # flow refuse it before any search, naming it, rather than each reading
+    # its own miss (blow-up on the closed form, step underflow marched) or
+    # the surface warning on inf - inf.
+    system = ke.make_system(name)
+    field = _rk45(system.field) if marched else system.field
+    mani, window = system.default_manifold, system.default_t_window
+    h = ke.DataFunction.from_callable(mani, np.ones_like)
+    open_eig = ke.OpenEigenfunction(1.0, h, mani, field, window)
+    closed_eig = ke.ClosedFormEigenfunction(1.0, lambda x: x[0], field)
+    for bad in ([np.nan, 1.5], [np.inf, 1.0], [1.0, -np.inf]):
+        pts = np.array([[1.2, 1.3], bad])
+        calls = [
+            lambda: ke.pullback(field, mani, window, bad),
+            lambda: ke.pullback_many(field, mani, window, pts),
+            lambda: find_crossings(field, bad, mani.surface, -1.0, 1.0),
+            lambda: find_crossings_many(field, pts, mani.surface, -1.0, 1.0),
+            lambda: ke.flow(field, bad, -0.1),
+            lambda: flow_many(field, pts, [-0.1]),
+            lambda: ke.koopman_defects(open_eig, pts, 0.1),
+            lambda: open_eig.columns(pts),
+            lambda: closed_eig.columns(pts),
+            lambda: ke.eig_power(closed_eig, 2.0).columns(pts),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"states must be finite; state [01] is \["):
+                call()
+    with pytest.raises(ValueError, match=r"state 1 is \[nan, 1.5\]"):
+        ke.pullback_many(field, mani, window, [[1.2, 1.3], [np.nan, 1.5], [np.inf, 0.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,24 @@ def test_refine_ignores_a_first_iterate_outside_its_bracket(lin2d):
     counted, calls = _counted_state_at(state_at)
     _refine_one(event, counted, 0.6, 0.8, first=0.69)
     assert calls[2][0] == 0.69  # after the two end values of _refine_one
+    # When every first iterate lands inside its bracket and closes there,
+    # the refinement evaluates the states once, and returns first and them.
+    lo, hi = np.array([0.6, 0.5, 0.68]), np.array([0.8, 0.9, 0.7])
+    g_lo, g_hi = event(state_at(lo, None)), event(state_at(hi, None))
+    first = np.full(3, math.log(2.0))
+    counted, calls = _counted_state_at(state_at)
+    tau, y = dynamics._refine(event, counted, lo, hi, g_lo, g_hi, 1e-10, 1e-15, first)
+    assert len(calls) == 1
+    assert np.array_equal(tau, first) and np.array_equal(y, state_at(first, None))
+    # A batch with one first iterate outside its bracket and one NaN settles
+    # each bracket as it is settled alone.
+    lo, hi = np.array([0.6, 0.5, 0.68, 0.0]), np.array([0.8, 0.9, 0.7, 1.05])
+    g_lo, g_hi = event(state_at(lo, None)), event(state_at(hi, None))
+    first = np.array([0.69, 0.95, np.nan, 0.7])
+    tau, y = dynamics._refine(event, state_at, lo, hi, g_lo, g_hi, 1e-10, 1e-15, first)
+    for k in range(4):
+        alone = _refine_one(event, state_at, lo[k], hi[k], first=first[k])
+        assert tau[k] == alone[0] and np.array_equal(y[:, k], alone[1])
 
 
 def test_refine_stops_a_blown_iterate_with_nan():
