@@ -20,9 +20,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .decomposition import CANDIDATE_COUNT, CANDIDATE_RANGE, default_candidates
-from .dynamics import BenchmarkSystem, make_system
-from .errors import ConfigError
+from .dynamics import DEFAULT_TOL, BenchmarkSystem, make_system
+from .eigenfunctions import _window
+from .errors import ConfigError, OutOfRangeError
 from .manifolds import DataManifold, circle_manifold, point_manifold, segment_manifold
+from .spectrum import ApproxEig, _wedge_window
 from .targets import parse_data_fn, parse_target
 
 __all__ = ["MAX_COUNT", "RunConfig", "SpectrumSpec", "load_config_file"]
@@ -255,13 +257,10 @@ class SpectrumSpec:
             raise ConfigError("must be a non-empty list", field="spectrum.n_list")
         n_list = tuple(_count(n, "spectrum.n_list") for n in n_list)
         annulus = _pair(raw.get("annulus", d.annulus), "spectrum.annulus")
-        # The widest bump, of the smallest n, must fit inside the annulus.
-        half = 0.5 / min(n_list)
-        if omega - half < annulus[0] or omega + half > annulus[1]:
-            raise ConfigError(
-                f"must contain the bump support [{omega - half:g}, {omega + half:g}]",
-                field="spectrum.annulus",
-            )
+        try:  # the widest bump, of the smallest n, must fit inside the annulus
+            ApproxEig(omega, min(n_list), annulus)
+        except OutOfRangeError as exc:
+            raise ConfigError(str(exc), field="spectrum.annulus") from exc
 
         wedge = _expect(raw, "wedge", dict, "spectrum", default={})
         _known(wedge, ("lambda_grid", "alpha_window", "h"), "spectrum.wedge")
@@ -275,10 +274,10 @@ class SpectrumSpec:
         alpha_window = _pair(
             wedge.get("alpha_window", d.alpha_window), "spectrum.wedge.alpha_window"
         )
-        if not 0.0 <= alpha_window[1] - alpha_window[0] < 2.0 * math.pi:
-            raise ConfigError(
-                "angular width must lie in [0, 2*pi)", field="spectrum.wedge.alpha_window"
-            )
+        try:
+            _wedge_window(alpha_window)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field="spectrum.wedge.alpha_window") from exc
         h = _expect(wedge, "h", str, "spectrum.wedge")
         h = d.h if h is None else parse_data_fn(h, where="spectrum.wedge.h")
         lambdas = _complex_grid(re_range, count, im_range, count)
@@ -333,11 +332,10 @@ class RunConfig:
         if t_window is None:
             t_window = system.default_t_window
         else:
-            t_window = _pair(t_window, "t_window")
-            if not (t_window[0] <= 0.0 <= t_window[1]):
-                raise ConfigError("must contain 0", field="t_window")
-            if t_window[1] - t_window[0] == math.inf:  # as would the grid's time step
-                raise ConfigError("its width overflows", field="t_window")
+            try:
+                t_window = _window(_pair(t_window, "t_window"))
+            except ValueError as exc:
+                raise ConfigError(str(exc), field="t_window") from exc
 
         grid = _expect(raw, "grid", dict, "", default={})
         _known(grid, ("n", "m"), "grid")
@@ -364,7 +362,9 @@ class RunConfig:
 
         k_terms = _count(raw.get("K", 8), "K")
         stop_tol = _number(raw.get("stop_tol", 1e-9), "stop_tol")
-        integrator_tol = _number(raw.get("integrator_tol", 1e-10), "integrator_tol", positive=True)
+        integrator_tol = _number(
+            raw.get("integrator_tol", DEFAULT_TOL), "integrator_tol", positive=True
+        )
         seed = _number(raw.get("seed", 0), "seed", integer=True, minimum=0)
         spectrum = SpectrumSpec.from_dict(_expect(raw, "spectrum", dict, "", default={}))
 

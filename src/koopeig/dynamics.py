@@ -425,11 +425,16 @@ class RK45:
         err_acc = np.maximum(err_norm, 1e-4)
         if n_acc == n:
             self._h, self._cap, self._err_prev = h_acc, None, err_acc
+            self._tau, self._y, self._f = tau_new, y_new, k[-1]
         else:
             h_rej = h * np.fmax(MIN_FACTOR, SAFETY * err_norm**-0.125)
             self._h = np.where(accept, h_acc, h_rej)
             self._cap = np.where(accept, MAX_FACTOR, 1.0)
             self._err_prev = np.where(accept, err_acc, self._err_prev)
+            if n_acc:
+                self._tau = np.where(accept, tau_new, tau)
+                self._y = np.where(accept, y_new, y)
+                self._f = np.where(accept, k[-1], f)
 
         status = None
         if stalled:
@@ -441,54 +446,36 @@ class RK45:
             escaping = (sq > (1e-2 * BLOWUP_BOUND) ** 2) | (h * _dot(y, f) > BLOWUP_GROWTH * sq)
             status[~steady & escaping] = BLOW_UP
         if n_acc:
-            status = self._advance(
-                accept, n_acc, clipped if landing else None, status, tau_new, y_new, k
-            )
+            self._steps += accept
+            live = accept & (_sum_sq(y_new) <= _BLOWUP_SQ)
+            n_live = np.count_nonzero(live)
+            if landing:
+                landed = live & clipped
+                if np.count_nonzero(landed):
+                    self.at_stops[self._next[landed], :, self._lanes[landed]] = y_new[:, landed].T
+                    self._next = self._next + landed
+                    last = self.stops.size
+                    finished = self._next == last
+                    if np.count_nonzero(finished):
+                        status = _status(status, n)
+                        status[finished] = DONE
+                    self._target = self.stops[np.minimum(self._next, last - 1)]
+            # The lanes whose step is searched for a crossing; None for all.
+            scan = None if n_live == n else live
+            if self._attempts > MAX_STEPS:  # no lane has more steps than attempts
+                over = live & (self._steps > MAX_STEPS)
+                if np.count_nonzero(over):
+                    status = _status(status, n)
+                    over &= status == RUNNING
+                    status[over] = UNDERFLOW
+                    scan = live & ~over
+            if self.event is not None:
+                self._detect(k, tau, tau_new, y, scan)
+            if n_live < n_acc:
+                status = _status(status, n)
+                status[accept & ~live] = BLOW_UP
         if status is not None:
             self._retire(status)
-
-    def _advance(self, accept, n_acc, clipped, status, tau_new, y_new, k):
-        """Move the n_acc accepted lanes. Mark in status, made when first
-        needed, those that land on their last stop, blow up or run out of
-        steps, and return it. clipped is None when no step was cut short to
-        land on a stop."""
-        tau, y = self._tau, self._y
-        n = accept.size
-        if n_acc == n:
-            self._tau, self._y, self._f = tau_new, y_new, k[-1]
-        else:
-            self._tau = np.where(accept, tau_new, tau)
-            self._y = np.where(accept, y_new, y)
-            self._f = np.where(accept, k[-1], self._f)
-        self._steps += accept
-        live = accept & (_sum_sq(y_new) <= _BLOWUP_SQ)
-        n_live = np.count_nonzero(live)
-        if clipped is not None:
-            landed = live & clipped
-            if np.count_nonzero(landed):
-                self.at_stops[self._next[landed], :, self._lanes[landed]] = y_new[:, landed].T
-                self._next = self._next + landed
-                last = self.stops.size
-                finished = self._next == last
-                if np.count_nonzero(finished):
-                    status = _status(status, n)
-                    status[finished] = DONE
-                self._target = self.stops[np.minimum(self._next, last - 1)]
-        # The lanes whose step is searched for a crossing; None for all.
-        scan = None if n_live == n else live
-        if self._attempts > MAX_STEPS:  # no lane has more steps than attempts
-            over = live & (self._steps > MAX_STEPS)
-            if np.count_nonzero(over):
-                status = _status(status, n)
-                over &= status == RUNNING
-                status[over] = UNDERFLOW
-                scan = live & ~over
-        if self.event is not None:
-            self._detect(k, tau, tau_new, y, scan)
-        if n_live < n_acc:
-            status = _status(status, n)
-            status[accept & ~live] = BLOW_UP
-        return status
 
     def _detect(self, k, tau, tau_new, y, scan):
         """Bracket the sign changes of the event over the accepted steps of
@@ -529,9 +516,8 @@ class RK45:
         )
 
     def _retire(self, status: np.ndarray) -> None:
+        """Retire the lanes that status marks: at least one."""
         out = status != RUNNING
-        if not out.any():
-            return
         lanes = self._lanes[out]
         self.status[lanes] = status[out]
         self.tau[lanes] = self._tau[out]
@@ -556,7 +542,8 @@ class RK45:
     def crossings(self, tol: float) -> list[list[tuple[float, np.ndarray]]]:
         """Each lane's bracketed crossings, refined to |event| < tol, in time order.
 
-        A bracket narrower than 1e-15 of the span is taken at its right end.
+        Each bracket starts from its secant root. A bracket narrower than
+        1e-15 of the span is taken at its right end.
         """
         found: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(self.status.size)]
         if not self.brackets:
@@ -578,13 +565,14 @@ class RK45:
                 acc *= factors[p % 2]
             return y_lo[:, j] + acc
 
-        tau, y = _refine(self.event, state_at, lo, hi, g_lo, g_hi, tol, 1e-15 * self.stops[-1])
+        floor, first = 1e-15 * self.stops[-1], np.full(lo.size, np.nan)  # NaN: secant roots
+        tau, y = _refine(self.event, state_at, lo, hi, g_lo, g_hi, tol, floor, first)
         for j in np.argsort(lanes, kind="stable"):
             found[lanes[j]].append((float(tau[j]), y[:, j].copy()))
         return found
 
 
-def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
+def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first):
     """Refine M event brackets at once to |event| < tol by Illinois steps.
 
     Bracket j holds a sign change of the event between lo[j], where it is
@@ -594,9 +582,10 @@ def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
     strictly inside) and keeps the half with the sign change; an end kept
     twice in a row has its value halved, so that neither end sticks
     (modified regula falsi, Dowell & Jarratt, BIT 11, 1971). ``first``
-    replaces the first secant root of a bracket where it lies strictly
-    inside; when every first iterate lands inside its bracket, the
-    refinement starts from ``first`` as it is, with no secant root formed.
+    holds the (M,) first iterates, NaN where a bracket has none. A first
+    iterate replaces its bracket's first secant root where it lies strictly
+    inside; when every one does, the refinement starts from ``first`` as it
+    is, with no secant root formed.
     A bracket narrower than ``floor``, or still open after
     ``REFINE_CAP`` steps, is taken at its right end. A bracket whose
     iterate has a non-finite event value (a blown state) stops with a NaN
@@ -612,14 +601,11 @@ def _refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first=None):
     tau = y = None  # the outputs, NaN until a bracket stops
     j = np.arange(a.size)  # the open brackets
     last = None  # whether lo was kept at the last step
-    landed = None if first is None else (first > a) & (first < b)
-    if landed is not None and landed.all():
+    landed = (first > a) & (first < b)  # False for NaN
+    if landed.all():
         c = first
     else:
-        c = b - fb * (b - a) / (fb - fa)
-        if landed is not None:
-            c = np.where(landed, first, c)
-        c = _within(c, a, b)
+        c = _within(np.where(landed, first, b - fb * (b - a) / (fb - fa)), a, b)
     for _ in range(REFINE_CAP):
         y_c = state_at(c, j)
         g_c = event(y_c)

@@ -459,10 +459,13 @@ def levelset_transversality(
 
     Near-zero everywhere means the two candidates share level sets (one
     primary class); systematically nonzero level-set crossings separate them.
+    No points give an empty array.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
+    pts = as_states(eig1.field, points)
+    if pts.shape[1] != 2:
         raise ValueError("level-set transversality is defined for planar states")
+    if not pts.shape[0]:
+        return np.zeros(0)
     diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     fd_step = 1e-5 * max(diag, 1.0)
     # Central-difference stencil x + e1, x - e1, x + e2, x - e2 of every point.
@@ -483,7 +486,7 @@ def same_primary_class(
     points: Sequence,
 ) -> bool:
     """Numerical level-set equivalence: transversality at most
-    PRIMARY_CLASS_THRESHOLD everywhere."""
+    PRIMARY_CLASS_THRESHOLD everywhere (True for no points)."""
     return bool(np.all(levelset_transversality(eig1, eig2, points) <= PRIMARY_CLASS_THRESHOLD))
 
 

@@ -98,7 +98,7 @@ def segment_manifold(
 ) -> DataManifold:
     """Straight segment from p0 to p1 in the plane; parameter defaults to arclength.
 
-    p0 and p1 must be 2-vectors: only in the plane is a segment
+    p0 and p1 must be finite 2-vectors: only in the plane is a segment
     codimension one, with a signed distance that changes sign where an
     orbit passes through it.
     """
@@ -106,6 +106,8 @@ def segment_manifold(
     p1 = np.asarray(p1, dtype=float)
     if p0.shape != (2,) or p1.shape != (2,):
         raise ValueError("segment manifolds live in the plane: p0 and p1 must be 2-vectors")
+    if not np.isfinite([p0, p1]).all():
+        raise ValueError(f"the segment's ends must be finite, got {p0.tolist()} and {p1.tolist()}")
     with np.errstate(over="ignore"):
         length = float(np.linalg.norm(p1 - p0))
     if length == 0.0:
@@ -162,17 +164,20 @@ def circle_manifold(
 ) -> DataManifold:
     """Circular arc parameterized by angle; a full turn wraps periodically.
 
-    The arc must be increasing and at most one turn, to the 1e-12 within
-    which a full turn counts as closed.
+    The center, the radius and the arc's ends must be finite. The arc must
+    be increasing and at most one turn, to the 1e-12 within which a full
+    turn counts as closed.
     """
     c = np.asarray(center, dtype=float)
     if c.shape != (2,):
         raise ValueError("circle manifolds live in the plane")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     # surface and locate run once per scan level: their constants are floats.
     cx, cy, rad = float(c[0]), float(c[1]), float(radius)
     a0, a1 = float(arc[0]), float(arc[1])
+    if not np.isfinite([cx, cy, rad, a0, a1]).all():
+        raise ValueError(f"center {[cx, cy]}, radius {rad} and arc {[a0, a1]} must be finite")
+    if rad <= 0:
+        raise ValueError("radius must be positive")
     if a1 <= a0:
         raise ValueError("arc must be increasing")
     beyond = (a1 - a0) - 2.0 * math.pi
@@ -210,8 +215,10 @@ def circle_manifold(
 
 
 def point_manifold(x0: float) -> DataManifold:
-    """Codimension-one manifold of a one-dimensional state space: a point."""
+    """Codimension-one manifold of a one-dimensional state space: a finite point."""
     x0 = float(x0)
+    if not math.isfinite(x0):
+        raise ValueError(f"the point must be finite, got {x0}")
 
     def embed(s):
         return np.full((1,) + np.shape(s), x0)
@@ -255,7 +262,7 @@ class DataFunction:
 
     ``h(s)`` maps an (N,) array of parameters to (N,) complex values;
     ``closed_form``, when given, maps parameters the same way and is what
-    ``h`` evaluates.
+    ``h`` evaluates. The grid and the values must be finite.
     """
 
     s_nodes: np.ndarray
@@ -269,8 +276,8 @@ class DataFunction:
             raise ValueError("values must match the parameter grid")
         if not np.all(np.isfinite(v.view(float))):
             raise ValueError("data values must be finite")
-        if s.size > 1 and np.any(np.diff(s) <= 0):
-            raise ValueError("parameter grid must be strictly increasing")
+        if not (np.all(np.isfinite(s)) and np.all(np.diff(s) > 0)):
+            raise ValueError("parameter grid must be finite and strictly increasing")
         object.__setattr__(self, "s_nodes", s)
         object.__setattr__(self, "values", v)
 
@@ -332,6 +339,7 @@ def check_transversality(manifold: DataManifold, field: "VectorField") -> Transv
     plane the margin is |det[tangent, F]| / (|tangent| |F|). The field and
     the manifold maps each run once, on all nodes as one batch.
     """
+    from .dynamics import _batch_rhs  # dynamics imports this module
     if manifold.dim != field.dim:
         raise ValueError("manifold and field dimensions differ")
     if field.dim > 2:
@@ -341,11 +349,7 @@ def check_transversality(manifold: DataManifold, field: "VectorField") -> Transv
     grid = manifold.parameter_grid()
     pts = np.asarray(manifold.embed(grid), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.asarray(field.rhs(pts), dtype=float)
-        if f.shape != pts.shape:
-            raise ValueError(
-                f"rhs of '{field.name}' returned shape {f.shape} for a batch of shape {pts.shape}"
-            )
+        f = _batch_rhs(field, 1.0)(pts)
         norm_f = np.linalg.norm(f, axis=0)
     _refuse_overflow(norm_f, grid, "the field's norm")
     zero = norm_f < ZERO_FIELD_THRESHOLD

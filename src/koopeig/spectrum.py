@@ -143,6 +143,14 @@ class WedgeReport:
     residuals: np.ndarray
 
 
+def _wedge_window(alpha_window) -> tuple[float, float]:
+    """The wedge's angles (alpha1, alpha2), of angular width in [0, 2*pi), else ValueError."""
+    a1, a2 = float(alpha_window[0]), float(alpha_window[1])
+    if not (0.0 <= a2 - a1 < TWO_PI):
+        raise ValueError("wedge angular width must lie in [0, 2*pi)")
+    return a1, a2
+
+
 def wedge_point_spectrum_check(
     lambda_list: Sequence[complex],
     alpha_window: tuple[float, float],
@@ -160,11 +168,12 @@ def wedge_point_spectrum_check(
     call of ``h`` on the points and their images, and each eigenvalue's phi
     and defects as array expressions, WEDGE_BLOCK entries per block. ``h``
     maps an (N,) array of actions to (N,) values. An orbit that escapes
-    raises its BlowUpError.
+    raises its BlowUpError; an empty ``lambda_list`` is a ValueError.
     """
-    a1, a2 = float(alpha_window[0]), float(alpha_window[1])
-    if not (0.0 <= a2 - a1 < TWO_PI):
-        raise ValueError("wedge angular width must lie in [0, 2*pi)")
+    a1, a2 = _wedge_window(alpha_window)
+    lams = np.asarray(list(lambda_list), dtype=complex)
+    if lams.size == 0:
+        raise ValueError("lambda_list must be non-empty")
     system = make_system("action_angle")
     field = system.field
     rng = np.random.default_rng(seed)
@@ -173,8 +182,6 @@ def wedge_point_spectrum_check(
     theta_hi = a2 - actions * WEDGE_T - 1e-9
     thetas = a1 + rng.uniform(0.0, 1.0, WEDGE_POINTS) * np.maximum(theta_hi - a1, 0.0)
     points = np.column_stack([actions, thetas])
-
-    lams = np.asarray(list(lambda_list), dtype=complex)
     # The points, then their images, as (2, 2 WEDGE_POINTS) columns.
     x = np.concatenate([points, flow_many(field, points, [WEDGE_T])[0]]).T
     angle = x[1] - a1

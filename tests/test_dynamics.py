@@ -448,11 +448,10 @@ def _counted_state_at(state_at):
     return wrapped, calls
 
 
-def _refine_one(event, state_at, lo, hi, tol=1e-10, floor=1e-15, first=None):
+def _refine_one(event, state_at, lo, hi, tol=1e-10, floor=1e-15, first=math.nan):
     lo, hi = np.array([lo]), np.array([hi])
     g_lo, g_hi = event(state_at(lo, [0])), event(state_at(hi, [0]))
-    first = None if first is None else np.array([first])
-    tau, y = dynamics._refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, first)
+    tau, y = dynamics._refine(event, state_at, lo, hi, g_lo, g_hi, tol, floor, np.array([first]))
     return float(tau[0]), y[:, 0]
 
 
@@ -475,7 +474,7 @@ def test_refine_quartic_dense_output_bracket():
     g_lo, g_hi = event(state_at(lo, every)), event(state_at(hi, every))
     assert np.all(g_lo < 0.0) and np.all(g_hi > 0.0)
     counted, calls = _counted_state_at(state_at)
-    tau, y = dynamics._refine(event, counted, lo, hi, g_lo, g_hi, 1e-10, 1e-15)
+    tau, y = dynamics._refine(event, counted, lo, hi, g_lo, g_hi, 1e-10, 1e-15, np.full(2, np.nan))
     assert np.all((tau > lo) & (tau < hi))
     assert np.all(np.abs(event(y)) < 1e-10)
     assert np.array_equal(y, state_at(tau, every))
@@ -528,6 +527,14 @@ def test_refine_ignores_a_first_iterate_outside_its_bracket(lin2d):
     for k in range(4):
         alone = _refine_one(event, state_at, lo[k], hi[k], first=first[k])
         assert tau[k] == alone[0] and np.array_equal(y[:, k], alone[1])
+    # An all-NaN first starts every bracket from its secant root: the same
+    # bits as passing those roots.
+    secant = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+    counted, calls = _counted_state_at(state_at)
+    tau, y = dynamics._refine(event, counted, lo, hi, g_lo, g_hi, 1e-10, 1e-15, np.full(4, np.nan))
+    assert np.array_equal(calls[0], secant)  # the first iterates
+    given = dynamics._refine(event, state_at, lo, hi, g_lo, g_hi, 1e-10, 1e-15, secant)
+    assert np.array_equal(tau, given[0]) and np.array_equal(y, given[1])
 
 
 def test_refine_stops_a_blown_iterate_with_nan():
@@ -544,7 +551,7 @@ def test_refine_stops_a_blown_iterate_with_nan():
     event = lambda y: y[0] - 1e3
     lo, hi = np.array([0.5]), np.array([1.5])
     g_lo, g_hi = event(state_at(lo, [0])), np.array([1.0])
-    tau, y = dynamics._refine(event, state_at, lo, hi, g_lo, g_hi, 1e-10, 1e-15)
+    tau, y = dynamics._refine(event, state_at, lo, hi, g_lo, g_hi, 1e-10, 1e-15, np.array([np.nan]))
     assert np.isnan(tau[0]) and np.all(np.isnan(y))
     tau, y = dynamics._refine(event, state_at, lo, hi, g_lo, g_hi, 1e-10, 1e-15, np.array([1.2]))
     assert np.isnan(tau[0]) and np.all(np.isnan(y))

@@ -574,6 +574,13 @@ def test_levelset_detects_distinct_classes(observer_eig, general_eig, unit_squar
     assert not ke.same_primary_class(observer_eig, general_eig, unit_square_points)
 
 
+@pytest.mark.parametrize("points", [[], np.empty((0, 2))], ids=["list", "array"])
+def test_levelset_of_no_points_is_empty(observer_eig, general_eig, points):
+    vals = ke.levelset_transversality(observer_eig, general_eig, points)
+    assert vals.shape == (0,)
+    assert ke.same_primary_class(observer_eig, general_eig, points)
+
+
 def test_levelset_stencil_domain_violation(lin2d, horizontal_manifold):
     h = ke.DataFunction.from_callable(horizontal_manifold, lambda s: 1.0)
     one_sided = ke.OpenEigenfunction(2.0, h, horizontal_manifold, lin2d.field, (0.0, 1.1))

@@ -107,6 +107,35 @@ def test_data_function_rejects_nonfinite():
     mani = ke.segment_manifold((0.0, 1.0), (1.0, 1.0), n=3, s_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         ke.DataFunction.from_samples(mani, [1.0, np.nan, 1.0])
+    for grid in ([0.0, math.nan], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="parameter grid must be finite"):
+            ke.DataFunction(np.array(grid), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "center,radius,arc",
+    [
+        ((0.0, 0.0), math.nan, (0.0, math.pi)),
+        ((0.0, 0.0), math.inf, (0.0, 2.0 * math.pi)),
+        ((math.nan, 0.0), 1.0, (0.0, math.pi)),
+        ((0.0, 0.0), 1.0, (0.0, math.nan)),
+    ],
+)
+def test_circle_manifold_refuses_non_finite_input(center, radius, arc):
+    with pytest.raises(ValueError, match="must be finite"):
+        ke.circle_manifold(center, radius, arc=arc)
+
+
+@pytest.mark.parametrize("ends", [((math.nan, 1.0), (2.0, 1.0)), ((0.0, 1.0), (math.inf, 1.0))])
+def test_segment_manifold_refuses_non_finite_ends(ends):
+    with pytest.raises(ValueError, match="the segment's ends must be finite"):
+        ke.segment_manifold(*ends)
+
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_point_manifold_refuses_a_non_finite_point(x0):
+    with pytest.raises(ValueError, match="the point must be finite"):
+        ke.point_manifold(x0)
 
 
 def test_transversality_horizontal_line_pass(lin2d, horizontal_manifold):

@@ -112,6 +112,11 @@ def test_wedge_rejects_full_turn():
         ke.wedge_point_spectrum_check([0.0], (0.0, 2.0 * math.pi), lambda I: 1.0)
 
 
+def test_wedge_refuses_no_eigenvalues():
+    with pytest.raises(ValueError, match="lambda_list must be non-empty"):
+        ke.wedge_point_spectrum_check([], (0.2, 2.2), lambda I: 1.0)
+
+
 def test_wedge_check_is_one_certificate_pass(monkeypatch):
     # Every eigenvalue's residual is the one koopman_residual gives for it
     # alone, bit for bit, overflow included, from one flow of the points.
