@@ -25,7 +25,7 @@ marched twin. A closed-form flow maps (d, N) states and (N,) times to
 (d, N), so the exact crossing scan samples one orbit at many times in one
 call (see ``_scan_closed``). Both crossing searches start from their
 caller's event values at the states, refine their brackets with the one
-Illinois refiner ``_refine`` and end by one escape rule (see ``_search``).
+Illinois refiner ``_refine`` and return each escape as data (``_search``).
 
 For both kinds of flow, a one-state call is the N = 1 case of its batch
 call: ``flow`` of ``flow_many``, ``find_crossings`` of
@@ -137,8 +137,9 @@ class _RowSums:
 _STEP_SUMS = _RowSums((*_dop853.A[1:13], _dop853.E5, _dop853.E3), 13)
 _DENSE_SUMS = _RowSums((*_dop853.A[13:], *_dop853.D), 16)
 
-# Lane states.
+# Lane states, and the miss reason of each state that escapes.
 RUNNING, DONE, BLOW_UP, UNDERFLOW = range(4)
+_REASONS = {BLOW_UP: BlowUpError.reason, UNDERFLOW: StepUnderflowError.reason}
 
 
 @dataclass(frozen=True)
@@ -202,12 +203,12 @@ def _closed_flow(field: VectorField, x: np.ndarray, t: np.ndarray) -> tuple[np.n
         return y, ~(_sum_sq(y) <= _BLOWUP_SQ)
 
 
-def _escape(field: VectorField, sign: float, kind: int, tau: float, state) -> NotInDomainError:
-    """The error of an orbit that escapes at tau along sign*F, at its (d,)
-    last state: for kind ``BLOW_UP`` a BlowUpError at the time sign*tau
-    (past ``BLOWUP_BOUND``, or a step that collapsed as the state grew; see
-    ``RK45``), else a StepUnderflowError. Every escape is built here."""
-    if kind != BLOW_UP:
+def _escape(field: VectorField, sign: float, kind: str, tau: float, state) -> NotInDomainError:
+    """The error of an orbit's raw escape (kind, tau, state) along sign*F: for
+    kind "blow_up" a BlowUpError at the time sign*tau (past ``BLOWUP_BOUND``,
+    or a step that collapsed as the state grew), else a StepUnderflowError.
+    Built only where an escape leaves: in ``flow_many``, ``find_crossings_many``."""
+    if kind != BlowUpError.reason:
         return StepUnderflowError(
             f"step size of '{field.name}' fell below {STEP_FLOOR:g}, or the march "
             f"exceeded {MAX_STEPS} steps, at tau={tau:g}"
@@ -291,8 +292,8 @@ class RK45:
     bracket with the step's dense output; a crossing does not retire its
     lane. ``step()`` makes one attempt for every running lane. When the
     batch has run out, ``status``, ``tau`` and ``y`` hold each lane's
-    retirement state, ``escapes()`` gives the lanes that escaped, and
-    ``crossings(tol)`` refines the brackets.
+    retirement state, ``escapes()`` the raw escape of each lane that escaped,
+    and ``crossings(tol)`` refines the brackets.
 
     Every attempt does each lane's arithmetic: the stages, the error norm,
     the next step size, the blow-up test and, with an event, the event at
@@ -532,10 +533,10 @@ class RK45:
         if self._g is not None:
             self._g = self._g[keep]
 
-    def escapes(self) -> dict[int, tuple[int, float, np.ndarray]]:
-        """Each escaped lane's raw escape (status, tau, state), for ``_escape``."""
+    def escapes(self) -> dict[int, tuple[str, float, np.ndarray]]:
+        """Each escaped lane's raw escape (kind, tau, state), kind its reason."""
         return {
-            i: (int(self.status[i]), float(self.tau[i]), self.y[:, i])
+            i: (_REASONS[int(self.status[i])], float(self.tau[i]), self.y[:, i])
             for i in np.flatnonzero(self.status != DONE).tolist()
         }
 
@@ -702,19 +703,19 @@ def flow_many(field: VectorField, states, times, tol: float = DEFAULT_TOL) -> np
     first state that blows up or underflows raises its BlowUpError or
     StepUnderflowError. tol must be finite and positive, else ValueError.
     """
-    images, escapes = _flow_lanes(field, states, times, tol)
-    for escape in escapes:
-        if escape is not None:
-            raise escape
+    images, ends = _flow_lanes(field, states, times, tol)
+    if ends:  # times are checked: the last is nonzero
+        last = np.asarray(times, dtype=float).reshape(-1)[-1]
+        raise _escape(field, 1.0 if last > 0 else -1.0, *ends[min(ends)])
     return images
 
 
 def _flow_lanes(
     field: VectorField, states, times, tol: float
-) -> tuple[np.ndarray, list[Optional[NotInDomainError]]]:
+) -> tuple[np.ndarray, dict[int, tuple[str, float, np.ndarray]]]:
     """``flow_many`` lane by lane: the images, NaN at the times a state did
-    not reach, and each state's escape, its BlowUpError or
-    StepUnderflowError, else None."""
+    not reach, and each escaped state's raw escape (kind, tau, state) by
+    lane, as ``RK45.escapes``; a closed form escapes at its first blown time."""
     x = as_states(field, states)
     times = np.asarray(times, dtype=float).reshape(-1)
     mags = np.abs(times)
@@ -725,26 +726,24 @@ def _flow_lanes(
     _check_tol(tol)
     n = x.shape[0]
     out = np.empty((times.size, n, field.dim))
-    escapes: list[Optional[NotInDomainError]] = [None] * n
     moving = mags > 0.0
     out[~moving] = x
     if not moving.any() or n == 0:
-        return out, escapes
-    sign, taus = (1.0 if times[-1] > 0 else -1.0), mags[moving]
+        return out, {}
+    taus = mags[moving]
     if field.closed_form_flow is not None:
         y, blown = _closed_flow(field, np.tile(x.T, taus.size), np.repeat(times[moving], n))
         y, blown = y.T.reshape(taus.size, n, field.dim), blown.reshape(taus.size, n)
-        for i in np.flatnonzero(blown.any(axis=0)).tolist():
-            k = int(np.argmax(blown[:, i]))
-            escapes[i] = _escape(field, sign, BLOW_UP, float(taus[k]), y[k, i])
-            y[k:, i] = np.nan
+        ends = {  # each lane's first blown time, from which its images are NaN
+            i: (BlowUpError.reason, float(taus[k]), y[k, i].copy())
+            for i, k in enumerate(blown.argmax(axis=0).tolist()) if blown[k, i]
+        }
+        y[np.logical_or.accumulate(blown)] = np.nan
         out[moving] = y
-        return out, escapes
-    solver = _march(field, x.T, sign, taus, tol)
-    for i, end in solver.escapes().items():
-        escapes[i] = _escape(field, sign, *end)
+        return out, ends
+    solver = _march(field, x.T, 1.0 if times[-1] > 0 else -1.0, taus, tol)
     out[moving] = solver.at_stops.transpose(0, 2, 1)
-    return out, escapes
+    return out, solver.escapes()
 
 
 def _inverse_interp(taus: np.ndarray, g: np.ndarray, k: int, last: int) -> float:
@@ -781,7 +780,7 @@ def find_crossings(
 
     ``find_crossings_many`` of one state: sign is 1 (forward) or -1
     (backward). ``event`` maps (d, N) states to (N,) values. An escape
-    before any crossing is raised; one after a crossing ends the scan.
+    before any crossing is raised; one after a crossing ends the search.
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     (found,), (escape,) = find_crossings_many(field, x0, event, sign, budget, tol)
@@ -812,8 +811,8 @@ def _scan_closed(
     floor is taken at its right sample, and so is a refined bracket.
 
     Returns every crossing over [0, budget] in time order and the raw
-    escape (tau, state) at which the orbit ends, else None; ``_search``
-    applies the escape rule.
+    escape (tau, state) at which the orbit ends, else None, whether or not
+    it crossed first.
     """
     floor = 1e-15 * budget
     lanes = np.repeat(x0[:, None], CLOSED_SCAN_POINTS, axis=1)
@@ -890,8 +889,8 @@ def find_crossings_many(
     output to |event| < tol. A closed-form flow is scanned exactly, state
     by state (``_scan_closed``). Returns, per state, its crossings and its
     escape: the BlowUpError or StepUnderflowError that ends the orbit
-    before any crossing, else None (an escape after a crossing ends the
-    search). sign must be 1 or -1, tol finite and positive and budget
+    before any crossing, else None; an escape after a crossing ends the
+    search. sign must be 1 or -1, tol finite and positive and budget
     finite, else ValueError; a budget <= 0 finds no crossings.
     """
     x = as_states(field, states)
@@ -904,32 +903,30 @@ def find_crossings_many(
     if n == 0 or budget <= 0.0:
         return [[] for _ in range(n)], [None] * n
     event = _batch_event(event)
-    return _search(field, x, event, event(x.T), sign, budget, tol)
+    found, ends = _search(field, x, event, event(x.T), sign, budget, tol)
+    return found, [
+        _escape(field, sign, *ends[i]) if i in ends and not hits else None
+        for i, hits in enumerate(found)
+    ]
 
 
 def _search(
     field: VectorField, x: np.ndarray, event, g0: np.ndarray, sign: float, budget: float, tol: float
-) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[NotInDomainError]]]:
+) -> tuple[list[list[tuple[float, np.ndarray]]], dict[int, tuple[str, float, np.ndarray]]]:
     """``find_crossings_many`` of the (N, d) states x, N >= 1, on checked
     arguments: ``event`` is wrapped by ``_batch_event``, g0 holds its (N,)
     values at the states and budget > 0. Both kinds of flow start from g0
-    and return each orbit's raw escape, and one rule ends both: an orbit
-    that escapes after a crossing simply ends there, and an escape before
-    any crossing is the state's error, built by ``_escape``."""
+    and return each orbit's crossings and, as ``RK45.escapes``, the raw
+    escape of each orbit that escaped, crossings or not: each caller applies
+    its own escape rule."""
     if field.closed_form_flow is not None:
         scans = [
             _scan_closed(field, x0, g, event, sign, budget, tol) for x0, g in zip(x, g0.tolist())
         ]
-        found = [hits for hits, _ in scans]
-        ends = {i: (BLOW_UP, *end) for i, (_, end) in enumerate(scans) if end is not None}
-    else:
-        solver = _march(field, x.T, sign, [budget], tol, event, g0)
-        found, ends = solver.crossings(tol), solver.escapes()
-    escapes = [
-        _escape(field, sign, *ends[i]) if i in ends and not hits else None
-        for i, hits in enumerate(found)
-    ]
-    return found, escapes
+        ends = {i: (BlowUpError.reason, *end) for i, (_, end) in enumerate(scans) if end is not None}
+        return [hits for hits, _ in scans], ends
+    solver = _march(field, x.T, sign, [budget], tol, event, g0)
+    return solver.crossings(tol), solver.escapes()
 
 
 # ---------------------------------------------------------------------------

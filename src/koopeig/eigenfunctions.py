@@ -132,17 +132,17 @@ def _pull(
     searched backward over the downstream part of the window, t2 plus a
     slack, and then, when t1 < 0, forward over the upstream part, -t1 plus
     the slack. A foot is a crossing of the supporting surface whose state
-    lies on the manifold. Each direction is one search of
-    ``find_crossings_many``, which returns every crossing in its budget; a
-    closed-form scan starts from the surface values of the test for points
-    on the manifold. The rules that settle a point:
+    lies on the manifold. Each direction is one ``_search``, which returns
+    every crossing in its budget and each raw escape, crossings or not; it
+    starts from the surface values of the test for points on the manifold.
+    The rules that settle a point:
 
     - only a point with no backward foot is searched forward;
     - one foot in a direction is the pullback: r* = tau backward, and
       r* = -tau < 0 forward, where tau is the time of flight to the foot;
     - more than one foot in a direction is AMBIGUOUS;
     - a point with no foot in either direction misses with the reason of its
-      first escape (blow-up or step underflow), else with NO_CROSSING.
+      first escape, crossings or not, else with NO_CROSSING.
     """
     if manifold.surface is None:
         raise ValueError("manifold carries no supporting-surface distance")
@@ -159,7 +159,6 @@ def _pull(
     why = [NO_CROSSING] * pts.shape[0]
     g0 = surface(pts.T)
     near = np.abs(g0) < tol
-    todo = list(range(pts.shape[0]))  # the points not yet settled
     if near.any():
         near = near.nonzero()[0]
         s, on = _on_manifold(manifold, pts[near].T, on_tol)
@@ -167,18 +166,17 @@ def _pull(
         out[0, near], out[1, near], out[2:, near] = 0.0, s[on], pts[near].T
         for i in near.tolist():
             why[i] = None
-        todo = np.isnan(out[0]).nonzero()[0].tolist()
+    todo = [i for i, reason in enumerate(why) if reason is not None]  # the points not yet settled
     passes = [(-1.0, t2 + slack)] + ([(1.0, -t1 + slack)] if t1 < 0.0 else [])
     for sign, budget in passes:
         if not todo:
             break
         # With every point searched, a slice: views of the arrays, not copies.
         sel = slice(None) if len(todo) == pts.shape[0] else todo
-        crossings, escaped = _search(field, pts[sel], surface, g0[sel], sign, budget, tol)
-        # A lane that escapes has no crossings; its first escape names its miss.
-        for i, exc in zip(todo, escaped):
-            if exc is not None and why[i] == NO_CROSSING:
-                why[i] = exc.reason
+        crossings, ends = _search(field, pts[sel], surface, g0[sel], sign, budget, tol)
+        for j, (kind, _, _) in ends.items():
+            if why[todo[j]] == NO_CROSSING:
+                why[todo[j]] = kind
         if not any(crossings):
             continue
         # Every crossing as a column r*, s, state, like the columns of out.
@@ -401,16 +399,17 @@ def koopman_defects(
     """The relative defect of phi(rho_t(x)) = e^{lambda t} phi(x) at each
     point, an (N,) array, NaN where the point fails (and NaN or inf where phi
     or e^{lambda t} overflows), and ``why``, each point's miss reason: its
-    own, else its orbit's escape before t, else its t-image's, else None.
-    One flow of the points, then one ``columns`` call on the points and the
-    images that did not escape.
+    own, else the kind of its orbit's raw escape before t, else its
+    t-image's, else None. One flow of the points, then one ``columns`` call
+    on the points and the images that did not escape.
     """
     pts = as_states(eig.field, points)
     n = pts.shape[0]
-    ends, escapes = _flow_lanes(eig.field, pts, [t], tol)
-    why_y = np.array([escape and escape.reason for escape in escapes], dtype=object)
+    images, ends = _flow_lanes(eig.field, pts, [t], tol)
+    why_y = np.full(n, None, dtype=object)
+    why_y[list(ends)] = [kind for kind, _, _ in ends.values()]
     flowed = np.equal(why_y, None)
-    phi, why = eig.columns(np.concatenate([pts, ends[0][flowed]]))
+    phi, why = eig.columns(np.concatenate([pts, images[0][flowed]]))
     phi_y = np.full(n, np.nan, dtype=complex)
     phi_y[flowed], why_y[flowed] = phi[n:], why[n:]
     defects = _defects(phi[:n], phi_y, complex(eig.eigenvalue), t)

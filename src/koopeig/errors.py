@@ -1,9 +1,9 @@
 """Exception types shared across the package."""
 
-# Why a point is outside an eigenfunction's domain: no crossing of the data
-# manifold in the window, more than one, or an orbit that blew up or stalled
-# before any. A batch call's ``why`` column holds one of these at each miss, and
-# a miss that is raised is the NotInDomainError whose ``reason`` it is.
+# Why a point is outside an eigenfunction's domain: no crossing of the data manifold
+# in the window, more than one, or an orbit that blew up or stalled before any
+# crossing of the data manifold. A batch call's ``why`` column holds one of these at
+# each miss, and a miss that is raised is the NotInDomainError whose ``reason`` it is.
 MISS_REASONS = ("no_crossing", "ambiguous", "blow_up", "step_underflow")
 NO_CROSSING, AMBIGUOUS, BLOW_UP, STEP_UNDERFLOW = MISS_REASONS
 

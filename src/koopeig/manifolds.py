@@ -82,9 +82,9 @@ class DataManifold:
 
     @cached_property
     def extent(self) -> float:
-        """Diagonal of the bounding box of the sampled curve (>= tiny)."""
-        pts = self.sample_points()
-        return max(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))), 1e-12)
+        """Diagonal of the bounding box of the sampled curve (>= tiny), by ``math.hypot``:
+        finite whenever the box is, though the squares of its widths overflow."""
+        return max(math.hypot(*np.ptp(self.sample_points(), axis=0).tolist()), 1e-12)
 
     def with_samples(self, n_samples: int) -> "DataManifold":
         return replace(self, n_samples=n_samples)
@@ -164,9 +164,9 @@ def circle_manifold(
 ) -> DataManifold:
     """Circular arc parameterized by angle; a full turn wraps periodically.
 
-    The center, the radius and the arc's ends must be finite. The arc must
-    be increasing and at most one turn, to the 1e-12 within which a full
-    turn counts as closed.
+    The center, the radius, the arc's ends and the circle's bounding box
+    must be finite. The arc must be increasing and at most one turn, to the
+    1e-12 within which a full turn counts as closed.
     """
     c = np.asarray(center, dtype=float)
     if c.shape != (2,):
@@ -174,8 +174,9 @@ def circle_manifold(
     # surface and locate run once per scan level: their constants are floats.
     cx, cy, rad = float(c[0]), float(c[1]), float(radius)
     a0, a1 = float(arc[0]), float(arc[1])
-    if not np.isfinite([cx, cy, rad, a0, a1]).all():
-        raise ValueError(f"center {[cx, cy]}, radius {rad} and arc {[a0, a1]} must be finite")
+    box = [(cx + rad) - (cx - rad), (cy + rad) - (cy - rad)]
+    if not np.isfinite([cx, cy, rad, a0, a1, *box]).all():
+        raise ValueError(f"center {[cx, cy]}, radius {rad}, arc {[a0, a1]}, box {box} must be finite")
     if rad <= 0:
         raise ValueError("radius must be positive")
     if a1 <= a0:

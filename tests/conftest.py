@@ -52,3 +52,24 @@ def dense_fit_h():
 def unit_square_points():
     xs = np.linspace(1.0, 2.0, 10)
     return np.array([[a, b] for a in xs for b in xs])
+
+
+@pytest.fixture(scope="session")
+def sink_off_segment():
+    """x1' = 1, x2' = -x2^2 and the segment x1 = 0, 0 <= x2 <= 1 (s = x2).
+
+    Back from (x1, x2) with x2 > 0 the orbit crosses the line x1 = 0 at
+    tau = x1, at x2 / (1 - x2 x1), and escapes at tau = 1 / x2: from
+    (0.5, 1.5) it crosses at x2 = 6, off the segment, and escapes at
+    tau = 2/3.
+    """
+
+    def rhs(x):
+        return np.stack([np.ones_like(x[0]), -x[1] * x[1]])
+
+    def closed(x, t):
+        denom = 1.0 + x[1] * t
+        return np.stack([x[0] + t, np.where(denom > 0.0, x[1] / denom, np.inf)])
+
+    field = ke.VectorField(2, rhs, name="sink", closed_form_flow=closed)
+    return field, ke.segment_manifold((0.0, 0.0), (0.0, 1.0), s_range=(0.0, 1.0))

@@ -226,6 +226,28 @@ def test_target_language_errors(tmp_path):
             parse_data_fn(bad) if "s" in bad else parse_target(bad)
 
 
+@pytest.mark.parametrize(
+    "expr,match",
+    [
+        ("gaussian(x, 1)", "expected a number, got 'x'"),
+        ("x1 + ", "empty term"),
+        ("gaussian(1, 0)", "gaussian width must be positive"),
+    ],
+)
+def test_target_errors_name_the_fault(expr, match):
+    from koopeig.targets import parse_target
+
+    with pytest.raises(ke.ConfigError, match=match):
+        parse_target(expr)
+
+
+def test_a_config_file_whose_top_level_is_a_list_is_refused(tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(ke.ConfigError, match="top-level config must be an object"):
+        config.load_config_file(listed)
+
+
 SPECTRUM_CFG = {
     "system": {"name": "action_angle"},
     "spectrum": {

@@ -31,6 +31,31 @@ def _bare_grid(field, s_nodes, r_nodes):
     )
 
 
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (
+            lambda grid: ke.build_grid(grid.field, grid.manifold, (0.0, 1.0), -1, 4),
+            "n and m must be non-negative",
+        ),
+        (lambda grid: TargetSample(np.ones(3)), "q_values must be a 2-d array"),
+        (lambda grid: fit_h(grid, TargetSample(np.ones((2, 2))), 1.0), r"target shaped \(2, 2\)"),
+        (
+            lambda grid: sweep_lambda(grid, TargetSample(np.ones((9, 7))), []),
+            "candidate list is empty",
+        ),
+        (
+            lambda grid: greedy_decompose(grid, TargetSample(np.ones((9, 7))), [1.0], 0),
+            "K must be >= 1",
+        ),
+    ],
+    ids=["negative_n", "one_dim_target", "misshaped_target", "no_candidates", "no_terms"],
+)
+def test_bad_decomposition_arguments_are_refused(small_grid, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(small_grid)
+
+
 # ---------------------------------------------------------------------------
 # grid construction
 # ---------------------------------------------------------------------------

@@ -367,6 +367,39 @@ def test_find_crossings_right_before_an_escape(method):
         find_crossings(field, [1.0], lambda x: x[0] - 1e13, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("method", ["exact", "rk45"])
+def test_an_escape_after_a_crossing_ends_the_search(sink_off_segment, method):
+    # Back from (0.5, 1.5) the orbit crosses x1 = 0 at tau = 0.5, at x2 = 6,
+    # and escapes at tau = 2/3: the crossing stands and no escape is raised.
+    field, mani = sink_off_segment
+    if method == "rk45":
+        field = _rk45(field)
+    (found,), (escape,) = dynamics.find_crossings_many(field, [[0.5, 1.5]], mani.surface, -1.0, 1.0)
+    assert escape is None and found
+    for tau, state in found:
+        assert abs(tau - 0.5) <= 1e-9 and np.max(np.abs(state - [0.0, 6.0])) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: ke.VectorField(0, lambda x: x), "dim must be a positive integer"),
+        (
+            lambda: dynamics.RK45(lambda y: y, np.ones((1, 1)), [1.0, 0.5], 1e-10),
+            "stops must be positive and increasing",
+        ),
+        (
+            lambda: ke.flow_many(ke.make_system("lin1d").field, [[1.0]], [-1.0, 2.0]),
+            "times must share one sign",
+        ),
+    ],
+    ids=["zero_dim", "stops_decrease", "times_of_both_signs"],
+)
+def test_bad_dynamics_arguments_are_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_registry_names_and_unknown():
     assert set(ke.system_names()) == {
         "action_angle", "blowup", "hopf", "lin1d", "lin2d", "vdp",

@@ -198,6 +198,69 @@ def test_pullback_counts_feet_not_surface_crossings(monkeypatch):
         assert searches == [field.name]
 
 
+@pytest.mark.parametrize("marched", [False, True], ids=["exact", "rk45"])
+def test_a_point_with_no_foot_misses_with_its_first_escape(sink_off_segment, marched):
+    # Back from (0.5, 1.5) the orbit crosses x1 = 0 off the segment, at
+    # x2 = 6, and then escapes: no foot, so its escape names the miss.
+    # (0.5, 0.5) meets the segment at tau = 0.5, at x2 = 2/3.
+    field, mani = sink_off_segment
+    if marched:
+        field = dataclasses.replace(field, closed_form_flow=None)
+    r_star, s_star, _, why = ke.pullback_many(field, mani, (0.0, 1.0), [[0.5, 1.5], [0.5, 0.5]])
+    assert why.tolist() == ["blow_up", None]
+    assert abs(r_star[1] - 0.5) <= 1e-9 and abs(s_star[1] - 2.0 / 3.0) <= 1e-9
+    with pytest.raises(ke.BlowUpError):
+        ke.pullback(field, mani, (0.0, 1.0), [0.5, 1.5])
+
+
+def test_a_vdp_orbit_that_crosses_off_the_segment_and_escapes_is_blow_up():
+    # Back from (2.2, 0.82) the orbit crosses the segment's line at
+    # tau ~ 0.118, beyond the segment's end, and escapes at tau ~ 1.97.
+    system = ke.make_system("vdp")
+    why = ke.pullback_many(system.field, system.default_manifold, (0.0, 2.0), [[2.2, 0.82]])[3]
+    assert why.tolist() == ["blow_up"]
+
+
+# Lattices of the exact-scan gate, chosen to cover every miss reason of
+# their system: no_crossing everywhere, and blow_up on hopf (beyond the
+# circle at the default window) and blowup (x <= -2 and x > 2).
+_GATE_LATTICES = {
+    "lin1d": (np.linspace(-3.0, 3.0, 101),),
+    "lin2d": (np.linspace(-1.0, 4.0, 15), np.linspace(-1.0, 12.0, 15)),
+    "hopf": (np.linspace(-8.0, 8.0, 15), np.linspace(-8.0, 8.0, 15)),
+    "blowup": (np.linspace(-4.0, 4.0, 101),),
+    "action_angle": (np.linspace(-1.0, 4.0, 15), np.linspace(-1.0, 3.0, 15)),
+}
+# The miss reasons of each lattice at the default window, then at (-t2/2, t2),
+# where every hopf point but the origin has a foot.
+_NC, _BU = {"no_crossing"}, {"no_crossing", "blow_up"}
+_GATE_REASONS = {
+    "lin1d": (_NC, _NC),
+    "lin2d": (_NC, _NC),
+    "hopf": (_BU, _NC),
+    "blowup": (_BU, _BU),
+    "action_angle": (_NC, _NC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GATE_LATTICES))
+def test_the_exact_scan_and_the_march_settle_every_point_alike(name):
+    system = ke.make_system(name)
+    marched = dataclasses.replace(system.field, closed_form_flow=None)
+    pts = np.stack([c.ravel() for c in np.meshgrid(*_GATE_LATTICES[name])], axis=1)
+    t2 = system.default_t_window[1]
+    windows = (system.default_t_window, (-t2 / 2.0, t2))
+    for t_window, reasons in zip(windows, _GATE_REASONS[name]):
+        exact = ke.pullback_many(system.field, system.default_manifold, t_window, pts)
+        march = ke.pullback_many(marched, system.default_manifold, t_window, pts)
+        assert exact[3].tolist() == march[3].tolist()
+        assert set(exact[3].tolist()) - {None} == reasons
+        hit = np.equal(exact[3], None)
+        assert hit.any() and not hit.all()
+        for a, b in zip(exact[:2], march[:2]):
+            assert np.max(np.abs(a[hit] - b[hit])) <= 1e-9
+
+
 def _rotation_pullback(t_window):
     field = ke.VectorField(2, lambda x: np.array([-x[1], x[0]]), name="rotation")
     mani = ke.segment_manifold((0.5, 0.0), (2.0, 0.0), n=31, s_range=(0.5, 2.0))
@@ -428,6 +491,31 @@ def test_combine_branch_cut_rejection(lin2d, horizontal_manifold):
     spiral = ke.ClosedFormEigenfunction(1j, lambda x: 1.0 + 1.0j, lin2d.field)
     with pytest.raises(ke.BranchCutError):
         ke.eig_power(spiral, 0.5)([1.2, 1.0])  # genuinely complex base
+
+
+def _refusals():
+    lin1d = ke.make_system("lin1d").field
+    line = ke.ClosedFormEigenfunction(1.0, lambda x: x[0], lin1d)
+    zero = ke.ClosedFormEigenfunction(1.0, lambda x: 0.0, lin1d)
+    return {
+        "negative_root_of_zero": (
+            lambda: ke.eig_power(zero, -0.5)([1.0]), ke.BranchCutError, "negative power of zero"
+        ),
+        "no_factors": (lambda: ke.ProductEigenfunction(()), ValueError, "at least one factor"),
+        "levelsets_on_the_line": (
+            lambda: ke.levelset_transversality(line, line, [[1.0]]),
+            ValueError,
+            "defined for planar states",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusals()))
+def test_bad_eigenfunction_arguments_are_refused(case):
+    call, cls, match = _refusals()[case]
+    with pytest.raises(cls, match=match) as info:
+        call()
+    assert type(info.value) is cls
 
 
 def test_combine_requires_shared_field(observer_eig):

@@ -119,11 +119,21 @@ def test_data_function_rejects_nonfinite():
         ((0.0, 0.0), math.inf, (0.0, 2.0 * math.pi)),
         ((math.nan, 0.0), 1.0, (0.0, math.pi)),
         ((0.0, 0.0), 1.0, (0.0, math.nan)),
+        # A box 2e308 wide, and one whose samples reach 2e308.
+        ((0.0, 0.0), 1e308, (0.0, 2.0 * math.pi)),
+        ((1e308, 0.0), 1e308, (0.0, 2.0 * math.pi)),
     ],
 )
 def test_circle_manifold_refuses_non_finite_input(center, radius, arc):
     with pytest.raises(ValueError, match="must be finite"):
         ke.circle_manifold(center, radius, arc=arc)
+
+
+def test_a_circle_whose_box_is_finite_has_a_finite_extent():
+    # The box is 2e307 wide each way: its diagonal is finite, the sum of the
+    # squares of its sides is not.
+    assert ke.circle_manifold((0.0, 0.0), 1e307).extent == pytest.approx(2e307 * math.sqrt(2.0))
+    assert ke.circle_manifold((1e308, 0.0), 1e300).extent == pytest.approx(2e300 * math.sqrt(2.0))
 
 
 @pytest.mark.parametrize("ends", [((math.nan, 1.0), (2.0, 1.0)), ((0.0, 1.0), (math.inf, 1.0))])
@@ -136,6 +146,44 @@ def test_segment_manifold_refuses_non_finite_ends(ends):
 def test_point_manifold_refuses_a_non_finite_point(x0):
     with pytest.raises(ValueError, match="the point must be finite"):
         ke.point_manifold(x0)
+
+
+def _line(s):
+    return np.stack([s, np.zeros_like(s)])
+
+
+@pytest.mark.parametrize(
+    "call,cls,match",
+    [
+        (lambda: ke.DataManifold(_line, 0.0, 1.0, 0, 2), ValueError, "n_samples must be >= 1"),
+        (lambda: ke.DataManifold(_line, 1.0, 0.0, 5, 2), ValueError, "s_max must be >= s_min"),
+        (lambda: ke.circle_manifold((0.0, 0.0, 0.0), 1.0), ValueError, "live in the plane"),
+        (lambda: ke.circle_manifold((0.0, 0.0), 0.0), ValueError, "radius must be positive"),
+        (
+            lambda: ke.DataFunction(np.array([0.0, 1.0]), np.ones(3)),
+            ValueError,
+            "values must match the parameter grid",
+        ),
+        (
+            lambda: ke.DataFunction.from_samples(ke.point_manifold(1.0).with_samples(3), [1.0]),
+            ke.GridMismatchError,
+            "expected 3 samples",
+        ),
+        (
+            lambda: ke.check_transversality(ke.point_manifold(1.0), ke.make_system("lin2d").field),
+            ValueError,
+            "manifold and field dimensions differ",
+        ),
+    ],
+    ids=[
+        "no_samples", "reversed_range", "circle_in_space", "zero_radius",
+        "values_off_the_grid", "too_few_samples", "dimensions_differ",
+    ],
+)
+def test_bad_manifold_arguments_are_refused(call, cls, match):
+    with pytest.raises(cls, match=match) as info:
+        call()
+    assert type(info.value) is cls
 
 
 def test_transversality_horizontal_line_pass(lin2d, horizontal_manifold):

@@ -162,3 +162,8 @@ def test_wedge_check_is_one_certificate_pass(monkeypatch):
     report = ke.wedge_point_spectrum_check(spec.lambdas, spec.alpha_window, spec.h)
     assert report.residuals.shape == (10**4,) and report.max_residual <= 1e-8
     assert len(flows) == 1
+
+
+def test_scaling_fit_refuses_an_empty_n_list():
+    with pytest.raises(ValueError, match="n_list must be non-empty"):
+        ke.scaling_fit(1.0, 1.0, [])
