@@ -246,11 +246,11 @@ def _sum_sq(z: np.ndarray) -> np.ndarray:
     return _dot(z, z)
 
 
-def _sign_changes(g: np.ndarray) -> list[int]:
-    """The k at which the samples g change sign between g[k] and g[k+1]; a
-    zero counts once."""
-    ks = (g[:-1] * g[1:] <= 0.0).nonzero()[0].tolist()
-    return [k for k in ks if g[k] != 0.0 or g[k + 1] != 0.0]
+def _crossed(g_lo: np.ndarray, g_hi: np.ndarray) -> np.ndarray:
+    """The k over which the event crosses from g_lo[k] to g_hi[k]: its sign
+    changes, or it reaches zero at the end. A zero counts once, in the
+    interval it ends, so a start on the surface is not a crossing."""
+    return ((g_lo * g_hi <= 0.0) & (g_lo != 0.0)).nonzero()[0]
 
 
 def _rms(z: np.ndarray) -> np.ndarray:
@@ -288,12 +288,13 @@ class RK45:
     each tau in ``stops`` (positive, increasing); its state there is kept in
     ``at_stops``. An ``event`` (a (d, M) array to (M,) values) comes with
     ``g0``, its (N,) values at y0 from the caller, and is called only at
-    accepted states: each accepted step that changes its sign records a
-    bracket with the step's dense output; a crossing does not retire its
-    lane. ``step()`` makes one attempt for every running lane. When the
-    batch has run out, ``status``, ``tau`` and ``y`` hold each lane's
-    retirement state, ``escapes()`` the raw escape of each lane that escaped,
-    and ``crossings(tol)`` refines the brackets.
+    accepted states: each accepted step that changes its sign (``_crossed``:
+    a zero counts once, and a start on the surface is not a crossing)
+    records a bracket with the step's dense output; a crossing does not
+    retire its lane. ``step()`` makes one attempt for every running lane.
+    When the batch has run out, ``status``, ``tau`` and ``y`` hold each
+    lane's retirement state, ``escapes()`` the raw escape of each lane that
+    escaped, and ``crossings(tol)`` refines the brackets.
 
     Every attempt does each lane's arithmetic: the stages, the error norm,
     the next step size, the blow-up test and, with an event, the event at
@@ -490,10 +491,7 @@ class RK45:
                 return
             g_old, g_new = self._g[idx], self.event(self._y[:, idx])
             self._g[idx] = g_new
-        cand = g_old * g_new <= 0.0
-        if not np.count_nonzero(cand):  # no sign change and no zero
-            return
-        sel = np.flatnonzero(cand & ((g_old != 0.0) | (g_new != 0.0)))  # a zero counts once
+        sel = _crossed(g_old, g_new)
         if sel.size == 0:
             return
         c = sel if scan is None else idx[sel]
@@ -796,9 +794,10 @@ def _scan_closed(
     x0, at which the event is g0.
 
     Each scan samples (lo, hi] at ``CLOSED_SCAN_POINTS`` uniform times with
-    one closed-form call and one event call; a scan with no sign change and
-    no blown sample ends there. A sign change is a crossing at its right
-    sample when |event| < tol there. The scan's other sign changes are
+    one closed-form call and one event call; a scan with no sign change
+    (``_crossed``: a zero sample counts once, and a start on the surface is
+    not a crossing) and no blown sample ends there. A sign change is a
+    crossing at its right sample when |event| < tol there. The others are
     refined together by ``_refine`` on the closed-form orbit, each from the
     inverse interpolant through the samples around it (``_inverse_interp``);
     one whose iterate is blown is scanned again, and so is one in the
@@ -834,7 +833,7 @@ def _scan_closed(
         g[0] = g_lo
         if end:
             g[1:] = event(y[:, :end])
-        ks = _sign_changes(g)
+        ks = _crossed(g[:-1], g[1:]).tolist()
         if not ks and end == CLOSED_SCAN_POINTS:
             return [], None
         # A sign change is a crossing at its right sample when |event| < tol
@@ -881,17 +880,18 @@ def find_crossings_many(
 ) -> tuple[list[list[tuple[float, np.ndarray]]], list[Optional[NotInDomainError]]]:
     """Every crossing of event along sign*F over [0, budget], in time order, for N states.
 
-    sign is 1 to search forward in time and -1 to search backward.
     ``event`` maps a (d, M) array to M values, else ValueError; it is taken
     at the states in one call, and both kinds of flow start from those
-    values. A field without a closed form marches every state as one lane
-    of a batch, its crossings refined by ``_refine`` on the steps' dense
-    output to |event| < tol. A closed-form flow is scanned exactly, state
-    by state (``_scan_closed``). Returns, per state, its crossings and its
-    escape: the BlowUpError or StepUnderflowError that ends the orbit
-    before any crossing, else None; an escape after a crossing ends the
-    search. sign must be 1 or -1, tol finite and positive and budget
-    finite, else ValueError; a budget <= 0 finds no crossings.
+    values and count a crossing by ``_crossed``: a zero counts once, and a
+    start on the surface is not a crossing. A field without a closed form
+    marches every state as one lane of a batch, its crossings refined by
+    ``_refine`` on the steps' dense output to |event| < tol. A closed-form
+    flow is scanned exactly, state by state (``_scan_closed``). Returns, per
+    state, its crossings and its escape: the BlowUpError or
+    StepUnderflowError that ends the orbit before any crossing, else None;
+    an escape after a crossing ends the search. sign must be 1 (forward in
+    time) or -1 (backward), tol finite and positive and budget finite, else
+    ValueError; a budget <= 0 finds no crossings.
     """
     x = as_states(field, states)
     n = x.shape[0]

@@ -144,11 +144,12 @@ def test_an_event_of_the_wrong_shape_is_a_value_error(lin2d):
             ke.pullback_many(field, mani, (0.0, 1.2), [[1.0, 2.0], [1.5, 3.0]])
 
 
-# Points of the vdp_lattice box, searched backward over 2.002 against the
-# default segment: two finish with no crossing, two after one, one after
-# two, one blows up with no crossing and one after a crossing.
+# vdp points searched backward over 2.002 against the default segment: two
+# finish with no crossing, two after one, one after two (at tau ~ 1.106 and
+# 1.757), one blows up with no crossing and one after a crossing. No point of
+# the vdp_lattice box crosses twice.
 RETIREMENT_STARTS = [
-    [-0.2, -0.54], [-0.2, 0.367], [-0.2, -1.6], [-0.2, -0.993], [-0.04, -0.54],
+    [-0.2, -0.54], [-0.2, 0.367], [-0.2, -1.6], [-0.2, -0.993], [-1.0, -0.5],
     [0.6, -1.9], [2.2, 1.5],
 ]
 

@@ -374,10 +374,36 @@ def test_an_escape_after_a_crossing_ends_the_search(sink_off_segment, method):
     field, mani = sink_off_segment
     if method == "rk45":
         field = _rk45(field)
+    # The exact scan samples tau = 0.5 itself, where the event is exactly 0:
+    # that zero is one crossing, not two.
     (found,), (escape,) = dynamics.find_crossings_many(field, [[0.5, 1.5]], mani.surface, -1.0, 1.0)
-    assert escape is None and found
-    for tau, state in found:
-        assert abs(tau - 0.5) <= 1e-9 and np.max(np.abs(state - [0.0, 6.0])) <= 1e-8
+    assert escape is None
+    ((tau, state),) = found
+    assert abs(tau - 0.5) <= 1e-9 and np.max(np.abs(state - [0.0, 6.0])) <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["exact", "rk45"])
+def test_a_start_on_the_surface_is_not_a_crossing(sink_off_segment, method):
+    # (0, 3) lies on the line x1 = 0, off the segment, and its orbit leaves
+    # the line both ways: its own zero at tau = 0 is no crossing.
+    field, mani = sink_off_segment
+    if method == "rk45":
+        field = _rk45(field)
+    for sign in (1.0, -1.0):
+        (found,), _ = dynamics.find_crossings_many(field, [[0.0, 3.0]], mani.surface, sign, 1.0)
+        assert found == [], sign
+
+
+def test_a_vdp_start_on_the_segments_line_first_crosses_later():
+    # (-0.04, -0.54) lies exactly on the default segment's supporting line,
+    # off the segment. Backward its orbit meets the line again at tau ~ 0.157;
+    # forward it does not within 2.002.
+    system = ke.make_system("vdp")
+    surface, x0 = system.default_manifold.surface, [-0.04, -0.54]
+    assert surface(np.array([x0]).T).tolist() == [0.0]
+    (back,), _ = dynamics.find_crossings_many(system.field, [x0], surface, -1.0, 2.002)
+    assert [round(tau, 3) for tau, _ in back] == [0.157]
+    assert dynamics.find_crossings_many(system.field, [x0], surface, 1.0, 2.002)[0] == [[]]
 
 
 @pytest.mark.parametrize(

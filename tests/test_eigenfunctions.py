@@ -213,6 +213,20 @@ def test_a_point_with_no_foot_misses_with_its_first_escape(sink_off_segment, mar
         ke.pullback(field, mani, (0.0, 1.0), [0.5, 1.5])
 
 
+@pytest.mark.parametrize("marched", [False, True], ids=["exact", "rk45"])
+def test_a_foot_on_a_scan_sample_is_one_hit(sink_off_segment, marched):
+    # Back over t2 plus its slack, 1.001, the exact scan samples tau =
+    # 1.001 * 64/128 = 0.5005, where the orbit from (0.5005, 0.4) meets the
+    # segment: that sample's zero is one foot, at x2 = 0.4 / (1 - 0.4 * 0.5005).
+    field, mani = sink_off_segment
+    if marched:
+        field = dataclasses.replace(field, closed_form_flow=None)
+    (r_star,), (s_star,), _, why = ke.pullback_many(field, mani, (0.0, 1.0), [[0.5005, 0.4]])
+    assert why.tolist() == [None]
+    assert r_star == pytest.approx(0.5005, abs=1e-9)
+    assert s_star == pytest.approx(0.4 / (1.0 - 0.4 * 0.5005), abs=1e-9)
+
+
 def test_a_vdp_orbit_that_crosses_off_the_segment_and_escapes_is_blow_up():
     # Back from (2.2, 0.82) the orbit crosses the segment's line at
     # tau ~ 0.118, beyond the segment's end, and escapes at tau ~ 1.97.
@@ -243,22 +257,43 @@ _GATE_REASONS = {
 }
 
 
+def _grid_or_error(field, manifold, t_window):
+    """``build_grid``'s 15x15 states, else the class of the error it raises."""
+    try:
+        return ke.build_grid(field, manifold, t_window, 14, 14).points
+    except ke.NotInDomainError as exc:
+        return type(exc)
+
+
 @pytest.mark.parametrize("name", sorted(_GATE_LATTICES))
 def test_the_exact_scan_and_the_march_settle_every_point_alike(name):
     system = ke.make_system(name)
-    marched = dataclasses.replace(system.field, closed_form_flow=None)
+    mani = system.default_manifold
+    fields = (system.field, dataclasses.replace(system.field, closed_form_flow=None))
+    h = ke.DataFunction.from_callable(mani, np.ones_like)
     pts = np.stack([c.ravel() for c in np.meshgrid(*_GATE_LATTICES[name])], axis=1)
     t2 = system.default_t_window[1]
     windows = (system.default_t_window, (-t2 / 2.0, t2))
     for t_window, reasons in zip(windows, _GATE_REASONS[name]):
-        exact = ke.pullback_many(system.field, system.default_manifold, t_window, pts)
-        march = ke.pullback_many(marched, system.default_manifold, t_window, pts)
+        exact, march = (ke.pullback_many(f, mani, t_window, pts) for f in fields)
         assert exact[3].tolist() == march[3].tolist()
         assert set(exact[3].tolist()) - {None} == reasons
         hit = np.equal(exact[3], None)
         assert hit.any() and not hit.all()
         for a, b in zip(exact[:2], march[:2]):
             assert np.max(np.abs(a[hit] - b[hit])) <= 1e-9
+        # The residual check names each point's failure alike on both flows,
+        # on every third point: each pulls back its image too.
+        eigs = (ke.OpenEigenfunction(1.0, h, mani, f, t_window) for f in fields)
+        exact, march = (ke.koopman_defects(eig, pts[::3], t2 / 2.0)[1] for eig in eigs)
+        assert exact.tolist() == march.tolist()
+        # The grids agree, or both raise the same class: a closed form
+        # reports its first blown grid time, the march the time it escapes.
+        exact, march = (_grid_or_error(f, mani, t_window) for f in fields)
+        if isinstance(exact, np.ndarray) and isinstance(march, np.ndarray):
+            assert np.max(np.abs(exact - march) / np.maximum(1.0, np.abs(exact))) <= 1e-8
+        else:
+            assert exact is march
 
 
 def _rotation_pullback(t_window):
