@@ -43,7 +43,6 @@ from .manifolds import (
     DataFunction,
     DataManifold,
     TransversalityReport,
-    check_injectivity,
     check_transversality,
     circle_manifold,
     data_compatibility,

@@ -10,6 +10,7 @@ that single evaluation primitive.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -115,6 +116,14 @@ def _window(t_window) -> tuple[float, float]:
     if not math.isfinite(t2 - t1):
         raise ValueError("t_window must be finite, and so must its width")
     return t1, t2
+
+
+def _eigenvalue(value) -> complex:
+    """The eigenvalue as a complex number, else ValueError when it is not finite."""
+    lam = complex(value)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"the eigenvalue must be finite, got {lam}")
+    return lam
 
 
 def _pull(
@@ -302,7 +311,7 @@ class OpenEigenfunction(_EigenfunctionBase):
     def __post_init__(self):
         _window(self.t_window)
         _check_tol(self.tol)
-        object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
+        object.__setattr__(self, "eigenvalue", _eigenvalue(self.eigenvalue))
 
     def columns(self, points) -> tuple[np.ndarray, np.ndarray]:
         phi, _, _, why = evaluate_points(self, points)
@@ -319,7 +328,7 @@ class ClosedFormEigenfunction(_EigenfunctionBase):
     field: VectorField
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
+        object.__setattr__(self, "eigenvalue", _eigenvalue(self.eigenvalue))
 
     def columns(self, points) -> tuple[np.ndarray, np.ndarray]:
         pts = as_states(self.field, points)
@@ -354,6 +363,7 @@ class ProductEigenfunction(_EigenfunctionBase):
     def __post_init__(self):
         if not self.factors:
             raise ValueError("need at least one factor")
+        _eigenvalue(self.eigenvalue)  # also refuses a non-finite exponent
         base = self.factors[0][0].field
         for eig, _ in self.factors[1:]:
             if eig.field is not base:

@@ -34,7 +34,6 @@ __all__ = [
     "circle_manifold",
     "point_manifold",
     "check_transversality",
-    "check_injectivity",
     "data_compatibility",
 ]
 
@@ -52,8 +51,7 @@ class DataManifold:
     surface (the full line through a segment, the full circle through an
     arc) and ``locate`` the inverse of ``embed``: the parameter of the
     manifold point nearest a state. Each maps a (d, N) array of states to an
-    (N,) array. ``closed`` marks manifolds whose parameterization wraps with
-    period s_max - s_min.
+    (N,) array.
     """
 
     embed: Callable[[np.ndarray], np.ndarray]
@@ -64,7 +62,6 @@ class DataManifold:
     tangent: Optional[Callable[[np.ndarray], np.ndarray]] = None
     surface: Optional[Callable[[np.ndarray], np.ndarray]] = None
     locate: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    closed: bool = False
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -211,7 +208,6 @@ def circle_manifold(
         tangent=tangent,
         surface=surface,
         locate=locate,
-        closed=closed,
     )
 
 
@@ -370,20 +366,6 @@ def check_transversality(manifold: DataManifold, field: "VectorField") -> Transv
         violations=grid[bad],
         margins=margins,
     )
-
-
-def check_injectivity(manifold: DataManifold) -> bool:
-    """Pairwise-distinct embeddings on the sample grid, at a spacing-scaled tolerance."""
-    pts = manifold.sample_points()
-    n = pts.shape[0]
-    if n < 2:
-        return True
-    spacing = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    tol = 1e-6 * max(float(np.median(spacing)), 1e-300)
-    close = np.triu(np.linalg.norm(pts[:, None] - pts[None], axis=-1) <= tol, k=1)
-    if manifold.closed:
-        close[0, n - 1] = False  # wrap duplicate of a closed curve
-    return not close.any()
 
 
 def data_compatibility(h: DataFunction, h_tilde: DataFunction) -> float:

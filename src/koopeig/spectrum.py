@@ -10,6 +10,7 @@ every complex eigenvalue, which the wedge check certifies numerically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,15 +45,17 @@ WEDGE_BLOCK = 2**14
 
 @dataclass(frozen=True)
 class ApproxEig:
-    """Indicator-bump candidate eigenfunction of frequency omega and sharpness n."""
+    """Indicator-bump candidate eigenfunction of frequency omega and sharpness n,
+    a positive integer: an int, a numpy integer or an integral float, not a bool."""
 
     omega: float
     n: int
     annulus: tuple[float, float] = (0.25, 4.0)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, numbers.Real) or not (n >= 1 and n % 1 == 0):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
         a, b = self.annulus
         lo, hi = self.support
         if lo < a or hi > b:
@@ -121,10 +124,11 @@ def scaling_fit(
     annulus: tuple[float, float] = (0.25, 4.0),
 ) -> ScalingFit:
     """Least-squares slope of log(relative residual) against log(n); ~ -1."""
-    n_values = np.asarray(sorted(n_list), dtype=int)
-    if n_values.size < 1:
+    eigs = [ApproxEig(omega, n, annulus) for n in sorted(n_list)]
+    if not eigs:
         raise ValueError("n_list must be non-empty")
-    rows = [approx_eig_residual(ApproxEig(omega, int(n), annulus), t) for n in n_values]
+    n_values = np.array([ae.n for ae in eigs], dtype=int)
+    rows = [approx_eig_residual(ae, t) for ae in eigs]
     rel = np.array([r.relative_residual for r in rows])
     slope = loglog_slope(n_values, rel)
     return ScalingFit(

@@ -532,7 +532,31 @@ def _refusals():
     lin1d = ke.make_system("lin1d").field
     line = ke.ClosedFormEigenfunction(1.0, lambda x: x[0], lin1d)
     zero = ke.ClosedFormEigenfunction(1.0, lambda x: 0.0, lin1d)
+    lin2d = ke.make_system("lin2d")
+    mani = lin2d.default_manifold
+    h = ke.DataFunction.from_callable(mani, lambda s: s)
     return {
+        "nan_eigenvalue_open": (
+            lambda: ke.OpenEigenfunction(math.nan, h, mani, lin2d.field, (-1.0, 1.0)),
+            ValueError,
+            "eigenvalue must be finite",
+        ),
+        "inf_eigenvalue_closed_form": (
+            lambda: ke.ClosedFormEigenfunction(complex(1.0, math.inf), lambda x: x[0], lin1d),
+            ValueError,
+            "eigenvalue must be finite",
+        ),
+        "nan_power": (lambda: ke.eig_power(line, math.nan), ValueError, "eigenvalue must be finite"),
+        "inf_combine": (
+            lambda: ke.algebraic_combine(line, 1.0, line, -math.inf),
+            ValueError,
+            "eigenvalue must be finite",
+        ),
+        "overflowing_power": (  # finite exponent, eigenvalue 2e308
+            lambda: ke.eig_power(ke.eig_power(line, 2.0), 1e308),
+            ValueError,
+            "eigenvalue must be finite",
+        ),
         "negative_root_of_zero": (
             lambda: ke.eig_power(zero, -0.5)([1.0]), ke.BranchCutError, "negative power of zero"
         ),

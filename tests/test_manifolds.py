@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import koopeig as ke
-from koopeig.manifolds import check_injectivity
 
 
 def test_eval_h_constant(horizontal_manifold):
@@ -53,11 +52,10 @@ LOCATE_CASES = {
 }
 
 
-def _param_gap(manifold, a, b):
-    """|a - b|, modulo the period on a closed manifold."""
+def _param_gap(a, b, period):
+    """|a - b|, modulo the period when the manifold wraps (period not None)."""
     gap = np.asarray(a, float) - np.asarray(b, float)
-    if manifold.closed:
-        period = manifold.s_max - manifold.s_min
+    if period is not None:
         gap = (gap + 0.5 * period) % period - 0.5 * period
     return np.abs(gap)
 
@@ -65,6 +63,7 @@ def _param_gap(manifold, a, b):
 @pytest.mark.parametrize("case", sorted(LOCATE_CASES))
 def test_locate_inverts_embed(case):
     mani = LOCATE_CASES[case]()
+    period = 2.0 * math.pi if case == "circle" else None  # the one full turn
     rng = np.random.default_rng(3)
     s = np.concatenate([mani.parameter_grid(), rng.uniform(mani.s_min, mani.s_max, 50)])
     states = mani.embed(s)
@@ -74,10 +73,10 @@ def test_locate_inverts_embed(case):
         assert np.array_equal(one, states[:, j : j + 1])
         located = mani.locate(one)
         assert located.shape == (1,)
-        assert _param_gap(mani, located[0], s[j]) <= 1e-12
+        assert _param_gap(located[0], s[j], period) <= 1e-12
     batch = mani.locate(states)
     assert batch.shape == s.shape
-    assert np.max(_param_gap(mani, batch, s)) <= 1e-12
+    assert np.max(_param_gap(batch, s, period)) <= 1e-12
 
 
 def test_locate_off_the_manifold_goes_to_the_nearest_point():
@@ -267,22 +266,6 @@ def test_transversality_point_manifold_1d():
     assert report.passed
 
 
-def test_injectivity_segment_and_closed_circle():
-    seg = ke.segment_manifold((0.0, 1.0), (1.0, 1.0), n=11)
-    assert check_injectivity(seg)
-    circle = ke.circle_manifold((0.0, 0.0), 5.0, n=65)
-    assert circle.closed
-    assert check_injectivity(circle)  # wrap duplicate is not a violation
-    folded = ke.DataManifold(
-        embed=lambda s: np.array([np.sin(math.pi * s), np.zeros_like(s)]),
-        s_min=0.0,
-        s_max=1.0,
-        n_samples=11,
-        dim=2,
-    )
-    assert not check_injectivity(folded)
-
-
 @pytest.mark.parametrize(
     "h_fn,ht_fn,expect",
     [
@@ -332,7 +315,6 @@ def test_data_compatibility_grid_mismatch():
 
 def test_circle_manifold_geometry():
     circ = ke.circle_manifold((1.0, -2.0), 3.0, arc=(0.0, math.pi), n=7)
-    assert not circ.closed
     p = circ.embed(math.pi / 2.0)
     assert np.allclose(p, [1.0, 1.0])
     assert circ.surface(np.array([5.0, -2.0])) == pytest.approx(1.0)

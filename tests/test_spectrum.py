@@ -13,6 +13,14 @@ def test_support_validation():
         ke.ApproxEig(0.26, 16, (0.25, 4.0))  # support dips below the annulus
     with pytest.raises(ValueError):
         ke.ApproxEig(1.0, 0, (0.25, 4.0))
+    # n is an integer: a bool or a fraction is refused, not truncated.
+    for n in (4.5, True, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            ke.ApproxEig(1.0, n, (0.25, 4.0))
+    with pytest.raises(ValueError, match="got 4.5"):
+        ke.scaling_fit(1.0, 1.0, [4.5, 8])
+    for n in (np.int64(16), 16.0):
+        ke.ApproxEig(1.0, n, (0.25, 4.0))
 
 
 def test_residual_zero_at_t0():
