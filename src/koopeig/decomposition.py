@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import DEFAULT_TOL, VectorField, flow, flow_many  # noqa: F401
 from .eigenfunctions import OpenEigenfunction, _window
 from .errors import EmptyTargetError
-from .manifolds import DataFunction, DataManifold, as_values
+from .manifolds import DataFunction, DataManifold, _as_batch, as_values
 
 __all__ = [
     "CharacteristicGrid",
@@ -93,7 +93,7 @@ def build_grid(
     s_nodes = np.linspace(manifold.s_min, manifold.s_max, n + 1)
     r_nodes = np.linspace(t1, t2, m + 1)
     points = np.empty((s_nodes.size, r_nodes.size, manifold.dim))
-    anchors = np.asarray(manifold.embed(s_nodes), dtype=float).T
+    anchors = _as_batch(manifold.embed(s_nodes), (manifold.dim, s_nodes.size), "embed").T
     fwd = np.nonzero(r_nodes >= 0.0)[0]
     bwd = np.nonzero(r_nodes < 0.0)[0][::-1]  # walk 0 -> t1
     for cols in (fwd, bwd):

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import BlowUpError, NotInDomainError, StepUnderflowError
 from . import _dop853, manifolds
+from .manifolds import _as_batch
 
 __all__ = [
     "VectorField",
@@ -193,13 +194,7 @@ def _closed_flow(field: VectorField, x: np.ndarray, t: np.ndarray) -> tuple[np.n
     which of its columns are blown: non-finite or beyond ``BLOWUP_BOUND``."""
     with np.errstate(all="ignore"):
         # Positional arguments: a wrapper of the flow may take *args only.
-        y = np.asarray(field.closed_form_flow(x, t), dtype=float)
-        if y.shape != x.shape:
-            raise ValueError(
-                f"closed_form_flow of '{field.name}' returned shape {y.shape} for a batch "
-                f"of shape {x.shape}; a closed-form flow must map (d, N) states and (N,) "
-                f"times to (d, N)"
-            )
+        y = _as_batch(field.closed_form_flow(x, t), x.shape, "closed_form_flow", field.name)
         return y, ~(_sum_sq(y) <= _BLOWUP_SQ)
 
 
@@ -645,28 +640,17 @@ def _within(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _batch_rhs(field: VectorField, sign: float):
-    rhs = field.rhs
+    rhs, name = field.rhs, field.name
 
     def fun(y):
-        out = np.asarray(rhs(y), dtype=float)
-        if out.shape != y.shape:
-            raise ValueError(
-                f"rhs of '{field.name}' returned shape {out.shape} for a batch of shape "
-                f"{y.shape}; a vector field must map (d, N) states to (d, N)"
-            )
+        out = _as_batch(rhs(y), y.shape, "rhs", name)
         return out if sign > 0 else -out
 
     return fun
 
 
-def _batch_event(event):
-    def g(y):
-        out = np.asarray(event(y), dtype=float)
-        if out.shape != (y.shape[1],):
-            raise ValueError(f"event returned shape {out.shape} for a batch of shape {y.shape}")
-        return out
-
-    return g
+def _batch_event(event, name: str = "event"):
+    return lambda y: _as_batch(event(y), y.shape[1:], name)
 
 
 def _march(

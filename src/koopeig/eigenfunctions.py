@@ -43,7 +43,7 @@ from .errors import (
     NotInDomainError,
     StepUnderflowError,
 )
-from .manifolds import DataFunction, DataManifold, as_values
+from .manifolds import DataFunction, DataManifold, _as_batch, as_values
 
 __all__ = [
     "Pullback",
@@ -80,9 +80,10 @@ def _on_manifold(
     """The parameters s of the (d, M) states and whether each state lies on
     the manifold itself, at its parameter: the Euclidean gap to its embedding
     is at most on_tol."""
-    s = manifold.locate(states)
+    s = _as_batch(manifold.locate(states), states.shape[1:], "locate")
+    feet = _as_batch(manifold.embed(s), (manifold.dim, s.size), "embed")
     with np.errstate(over="ignore"):  # a gap that overflows is inf: off the manifold
-        gap = np.sqrt(_sum_sq(np.asarray(manifold.embed(s), float) - states))
+        gap = np.sqrt(_sum_sq(feet - states))
     return s, gap <= on_tol
 
 
@@ -161,7 +162,7 @@ def _pull(
     _check_tol(tol)
     slack = max(1e-9, 1e-3 * (t2 - t1))
     on_tol = max(1e-9, 1e-6 * manifold.extent)
-    surface = _batch_event(manifold.surface)
+    surface = _batch_event(manifold.surface, "surface event")
 
     # Rows r*, s* and the foot's coordinates, one column per point.
     out = np.full((2 + pts.shape[1], pts.shape[0]), np.nan)
@@ -231,8 +232,7 @@ def pullback(
     """
     pts = as_states(field, np.asarray(x, dtype=float).reshape(1, -1))
     r_star, s_star, feet, why = _pull(field, manifold, t_window, pts, tol)
-    if why[0] is not None:
-        raise _miss_error(why[0])
+    _raise_first(why)
     return Pullback(float(r_star[0]), float(s_star[0]), feet[:, 0].copy())
 
 

@@ -5,11 +5,11 @@ the plane, a point on the line) on which initial data lives.  It also
 carries the signed distance to its supporting surface, which event
 detection uses to locate flow crossings.
 
-Every map takes a batch: ``embed`` and ``tangent`` map an (N,) array of
-parameters to a (d, N) array, and ``surface`` and ``locate`` map a (d, N)
-array of states to an (N,) array. A ``DataFunction`` h maps an (N,) array of
-parameters to (N,) complex values, and the callable it is built from must
-take the whole parameter grid at once.
+Every map takes a batch, shaped as the ``DataManifold`` docstring says, and
+``_as_batch`` holds each map of a manifold or a vector field to its shape.
+A ``DataFunction`` h maps an (N,) array of parameters to (N,) complex
+values, and the callable it is built from must take the whole parameter
+grid at once.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ class DataManifold:
 
     def sample_points(self) -> np.ndarray:
         """A new (n_samples, d) array of the manifold's points at the parameter grid."""
-        return np.asarray(self.embed(self.parameter_grid()), dtype=float).T
+        grid = self.parameter_grid()
+        return _as_batch(self.embed(grid), (self.dim, grid.size), "embed").T
 
     @cached_property
     def extent(self) -> float:
@@ -237,6 +238,17 @@ def point_manifold(x0: float) -> DataManifold:
     )
 
 
+def _as_batch(values, shape: tuple, name: str, field: Optional[str] = None) -> np.ndarray:
+    """What the map ``name`` (of the field named ``field``, if given) returned
+    for a batch, as a float array of exactly ``shape``; any other shape is a
+    ValueError naming the map and both shapes."""
+    out = np.asarray(values, dtype=float)
+    if out.shape != shape:
+        of = "" if field is None else f" of '{field}'"
+        raise ValueError(f"{name}{of} returned shape {out.shape} where the batch needs {shape}")
+    return out
+
+
 def as_values(values, shape: tuple, name: str) -> np.ndarray:
     """The values a function returned for a batch of inputs, as a complex array
     of ``shape``; a scalar broadcasts. A result that does not broadcast is a
@@ -336,7 +348,6 @@ def check_transversality(manifold: DataManifold, field: "VectorField") -> Transv
     plane the margin is |det[tangent, F]| / (|tangent| |F|). The field and
     the manifold maps each run once, on all nodes as one batch.
     """
-    from .dynamics import _batch_rhs  # dynamics imports this module
     if manifold.dim != field.dim:
         raise ValueError("manifold and field dimensions differ")
     if field.dim > 2:
@@ -344,9 +355,9 @@ def check_transversality(manifold: DataManifold, field: "VectorField") -> Transv
     if field.dim == 2 and manifold.tangent is None:
         raise ValueError("a planar manifold needs a tangent to check transversality")
     grid = manifold.parameter_grid()
-    pts = np.asarray(manifold.embed(grid), dtype=float)
+    pts = _as_batch(manifold.embed(grid), (manifold.dim, grid.size), "embed")
     with np.errstate(over="ignore", invalid="ignore"):
-        f = _batch_rhs(field, 1.0)(pts)
+        f = _as_batch(field.rhs(pts), pts.shape, "rhs", field.name)
         norm_f = np.linalg.norm(f, axis=0)
     _refuse_overflow(norm_f, grid, "the field's norm")
     zero = norm_f < ZERO_FIELD_THRESHOLD
@@ -355,7 +366,7 @@ def check_transversality(manifold: DataManifold, field: "VectorField") -> Transv
     if field.dim == 1:
         margins = np.ones(grid.size)
     else:
-        tan = np.asarray(manifold.tangent(grid), dtype=float)
+        tan = _as_batch(manifold.tangent(grid), pts.shape, "tangent")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             margins = np.abs(tan[0] * f[1] - tan[1] * f[0]) / (np.linalg.norm(tan, axis=0) * norm_f)
         _refuse_overflow(margins, grid, "the transversality margin")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,7 +47,8 @@ WEDGE_BLOCK = 2**14
 @dataclass(frozen=True)
 class ApproxEig:
     """Indicator-bump candidate eigenfunction of frequency omega and sharpness n,
-    a positive integer: an int, a numpy integer or an integral float, not a bool."""
+    a positive integer within the float range: an int, a numpy integer or an
+    integral float, not a bool."""
 
     omega: float
     n: int
@@ -54,7 +56,8 @@ class ApproxEig:
 
     def __post_init__(self):
         n = self.n
-        if isinstance(n, bool) or not isinstance(n, numbers.Real) or not (n >= 1 and n % 1 == 0):
+        integral = isinstance(n, numbers.Real) and not isinstance(n, bool) and n % 1 == 0
+        if not (integral and 1 <= n <= sys.float_info.max):
             raise ValueError(f"n must be a positive integer, got {n!r}")
         a, b = self.annulus
         lo, hi = self.support

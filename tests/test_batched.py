@@ -5,6 +5,7 @@ one-point pullbacks."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,64 @@ def test_an_event_of_the_wrong_shape_is_a_value_error(lin2d):
             ke.dynamics.find_crossings(field, [1.0, 2.0], lambda x: x[:, 0], -1.0, 1.0)
         with pytest.raises(ValueError, match="event returned shape"):
             ke.pullback_many(field, mani, (0.0, 1.2), [[1.0, 2.0], [1.5, 3.0]])
+
+
+# Each malformed map: how it spoils lin2d's (field, manifold), the name its
+# error starts with, and the batch calls that reach it.
+replace = dataclasses.replace
+ALL_CALLS = ["pullback_many", "pullback_many_marched", "build_grid", "build_grid_marched", "check_transversality"]
+MALFORMED = {
+    "embed_transposed": (
+        lambda f, m: (f, replace(m, embed=lambda s: m.embed(s).T)), "embed",
+        ALL_CALLS,
+    ),
+    "embed_of_another_dim": (
+        lambda f, m: (f, replace(m, embed=lambda s: np.vstack([m.embed(s), s]))), "embed",
+        ALL_CALLS,
+    ),
+    "tangent": (
+        lambda f, m: (f, replace(m, tangent=lambda s: m.tangent(s)[0])), "tangent",
+        ["check_transversality"],
+    ),
+    "locate_scalar": (
+        lambda f, m: (f, replace(m, locate=lambda x: 0.5)), "locate",
+        ["pullback_many", "pullback_many_marched"],
+    ),
+    "surface": (
+        lambda f, m: (f, replace(m, surface=lambda x: m.surface(x)[None])), "surface event",
+        ["pullback_many", "pullback_many_marched"],
+    ),
+    "rhs": (
+        lambda f, m: (replace(f, rhs=lambda x: f.rhs(x)[0]), m), "rhs of 'lin2d(a=(1,2))'",
+        ["pullback_many_marched", "build_grid_marched", "check_transversality"],
+    ),
+    "closed_form_flow": (
+        lambda f, m: (replace(f, closed_form_flow=lambda x, t: f.closed_form_flow(x, t)[0]), m),
+        "closed_form_flow of 'lin2d(a=(1,2))'",
+        ["pullback_many", "build_grid"],
+    ),
+}
+# The points' orbits cross the default segment backward, at tau = ln(2) / 2.
+PULLED = [[1.0, 2.0], [1.5, 3.0]]
+BATCH_CALLS = {
+    "pullback_many": lambda f, m: ke.pullback_many(f, m, (0.0, 1.2), PULLED),
+    "pullback_many_marched": lambda f, m: ke.pullback_many(_rk45(f), m, (0.0, 1.2), PULLED),
+    "build_grid": lambda f, m: ke.build_grid(f, m, (0.0, 1.2), 4, 3),
+    "build_grid_marched": lambda f, m: ke.build_grid(_rk45(f), m, (0.0, 1.2), 4, 3),
+    "check_transversality": lambda f, m: ke.check_transversality(m, f),
+}
+
+
+@pytest.mark.parametrize(
+    "case,call", [(case, call) for case, (_, _, calls) in MALFORMED.items() for call in calls]
+)
+def test_a_map_of_the_wrong_shape_is_a_value_error_naming_it(lin2d, case, call):
+    spoil, name, _ = MALFORMED[case]
+    field, mani = spoil(lin2d.field, lin2d.default_manifold)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} returned shape \(.*\) where the batch needs \("):
+        BATCH_CALLS[call](field, mani)
+    # The unspoiled maps pass the same call.
+    BATCH_CALLS[call](lin2d.field, lin2d.default_manifold)
 
 
 # vdp points searched backward over 2.002 against the default segment: two

@@ -13,8 +13,9 @@ def test_support_validation():
         ke.ApproxEig(0.26, 16, (0.25, 4.0))  # support dips below the annulus
     with pytest.raises(ValueError):
         ke.ApproxEig(1.0, 0, (0.25, 4.0))
-    # n is an integer: a bool or a fraction is refused, not truncated.
-    for n in (4.5, True, math.nan, math.inf):
+    # n is an integer in the float range: a bool, a fraction or an int past
+    # the largest float is refused, not truncated or overflowed.
+    for n in (4.5, True, math.nan, math.inf, 10**400):
         with pytest.raises(ValueError, match="n must be a positive integer"):
             ke.ApproxEig(1.0, n, (0.25, 4.0))
     with pytest.raises(ValueError, match="got 4.5"):
