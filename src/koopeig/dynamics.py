@@ -949,38 +949,31 @@ def _hopf(mu: float = 1.0) -> BenchmarkSystem:
     mu = float(mu)
 
     def rhs(x):
-        r2 = x[0] * x[0] + x[1] * x[1]
-        return np.array([-x[1] + x[0] * (mu - r2), x[0] + x[1] * (mu - r2)])
+        gap = mu - (x[0] * x[0] + x[1] * x[1])
+        return np.array([-x[1] + x[0] * gap, x[0] + x[1] * gap])
 
     closed = None
     if mu > 0:
-        root_mu = math.sqrt(mu)
 
         def closed(x, t):
-            """The start vector rotated by t and scaled by r / r0.
+            """The start vector rotated by t and scaled by r / r0, where
+            (r0 / r)^2 = e^a - q expm1(a), a = -2 mu t, q = r0^2 / mu, for
+            either sign of t. It is summed as e^min(a, 0) + (max(em, 0) - q em)
+            with em = expm1(a), so that no term cancels: forward it is
+            e^a + q (1 - e^a), two terms >= 0; backward 1 + (em - q em), which
+            is <= 0 once the orbit has escaped and exactly 1 on the cycle. At
+            t = +-0 it is 1, so every state maps to itself.
 
-            A batch whose times are all <= 0, as every backward scan and
-            refinement passes, takes the backward expression alone. It
-            gives the general expression's bits, except at t = 0 for
-            |x|^2 beyond about 2^53 mu: there the denominator rounds to 0,
-            and the general expression reads the origin, the backward one
-            an escape.
+            a is clamped to [-745, 709], where exp is finite and positive: the
+            cycle never forms 0 * inf, and forward the sum stays > 0, so the
+            origin stays put. Backward past a = 709 a state inside the cycle
+            stops shrinking, at about 1e-154 / sqrt(1 - q) of r0.
             """
-            r2 = x[0] * x[0] + x[1] * x[1]
-            gap = mu - r2
-            if (t <= 0.0).all():
-                denom = gap + np.exp(2.0 * mu * t) * r2
-                scale = np.exp(mu * t) * root_mu / np.sqrt(denom)
-                # denom <= 0: the orbit has escaped in finite time.
-                scale = np.where(denom > 0.0, scale, np.inf)
-            else:
-                fwd = t >= 0.0
-                e2 = np.exp(-2.0 * mu * np.abs(t))  # exp(-2 mu t) forward, exp(2 mu t) backward
-                denom = np.where(fwd, gap * e2 + r2, gap + e2 * r2)
-                scale = np.exp(mu * np.minimum(t, 0.0)) * root_mu / np.sqrt(denom)
-                # denom <= 0: backward, the orbit has escaped in finite time;
-                # forward, it is the origin after exp(-2 mu t) underflows.
-                scale = np.where(denom > 0.0, scale, np.where(fwd, 0.0, np.inf))
+            a = np.maximum(-2.0 * mu * t, -745.0)
+            em = np.expm1(np.minimum(a, 709.0))
+            q = (x[0] * x[0] + x[1] * x[1]) / mu
+            ratio = np.exp(np.minimum(a, 0.0)) + (np.maximum(em, 0.0) - q * em)
+            scale = 1.0 / np.sqrt(np.maximum(ratio, 0.0))  # inf once escaped
             c, s = scale * np.cos(t), scale * np.sin(t)
             return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
 

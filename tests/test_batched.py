@@ -373,10 +373,9 @@ def test_registry_closed_form_is_vectorized(name):
             y = closed(np.array(x)[:, None], np.array([t]))
         assert not np.linalg.norm(y) <= ke.dynamics.BLOWUP_BOUND
     if name == "hopf":
-        # Times that are all <= 0 take hopf's backward branch. Each column
-        # has the bits it has inside a mixed-sign batch, which takes the
-        # general branch: past the escape of the orbits outside the limit
-        # cycle, and at t = -0.0 and 0.0.
+        # Each column of a batch whose times are all <= 0 has the bits it
+        # has inside a mixed-sign batch: past the escape of the orbits
+        # outside the limit cycle, and at t = -0.0 and 0.0.
         rng = np.random.default_rng(7)
         back = rng.uniform(-3.0, 3.0, (2, 128))
         t_back = -rng.uniform(0.0, 2.0, 128)
@@ -386,6 +385,55 @@ def test_registry_closed_form_is_vectorized(name):
             mixed = closed(np.hstack([back, batch]), np.concatenate([t_back, times]))
         assert 0 < np.count_nonzero(~np.isfinite(alone[0])) < 128  # some have escaped
         assert np.array_equal(alone, mixed[:, :128], equal_nan=True)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_registry_closed_form_is_the_identity_at_zero(name):
+    # Every state goes to itself, bit for bit, at t = 0.0 and -0.0, from
+    # 1e-150 to 1e150 in magnitude, with both signs, in every coordinate.
+    field = ke.make_system(name).field
+    closed = field.closed_form_flow
+    mags = 10.0 ** np.arange(-150, 151, 25)
+    coords = np.concatenate([mags, -mags])
+    grids = np.meshgrid(*[coords] * field.dim, indexing="ij")
+    batch = np.stack([g.ravel() for g in grids])
+    for zero in (0.0, -0.0):
+        with np.errstate(all="ignore"):  # as koopeig calls it
+            out = closed(batch, np.full(batch.shape[1], zero))
+        assert out.tobytes() == batch.tobytes(), f"t = {zero}"
+
+
+@pytest.mark.parametrize("t", [5.0, 20.0, 40.0, -3.0, -300.0])
+@pytest.mark.parametrize("r0", [1e-9, 1e-6, 1e-3, 0.5])
+def test_hopf_closed_form_keeps_its_digits_inside_the_cycle(r0, t):
+    # r^2 = r0^2 / (r0^2 + (1 - r0^2) e^(-2t)) at mu = 1, a sum of two
+    # positive terms. Forward from near the origin e^(-2t) is far below 1, so
+    # a form that reads it off expm1(-2t) + 1 would lose it.
+    closed = ke.make_system("hopf").field.closed_form_flow
+    (y,) = closed(np.array([[r0], [0.0]]), np.array([t])).T
+    r = r0 / math.sqrt(r0 * r0 + (1.0 - r0 * r0) * math.exp(-2.0 * t))
+    assert math.hypot(*y) == pytest.approx(r, rel=1e-14)
+    assert math.atan2(y[1], y[0]) == pytest.approx(math.remainder(t, 2 * math.pi), abs=1e-12)
+
+
+def test_hopf_limit_cycle_never_reads_as_an_escape():
+    # A state on the cycle r = 1 stays on it backward over any window.
+    system = ke.make_system("hopf")
+    on_cycle = np.array([[1.0, 0.0], [0.6, 0.8]])
+    start = on_cycle[:, 0] + 1j * on_cycle[:, 1]
+    for t in (-380.0, -5000.0):
+        (y,) = flow_many(system.field, on_cycle, [t])
+        z = y[:, 0] + 1j * y[:, 1]
+        assert np.all(np.abs(np.abs(z) - 1.0) <= 1e-12), f"t = {t}"
+        assert np.all(np.abs(z / start - np.exp(1j * t)) <= 1e-12), f"t = {t}"
+    # Over a long window the cycle has no foot on the circle r = 5: it is
+    # no_crossing, like a state inside it, not blow_up like one beyond r = 5.
+    points = np.vstack([on_cycle, [[0.5, 0.0], [2.0, 0.0], [6.0, 0.0]]])
+    r, s, _, why = ke.pullback_many(system.field, system.default_manifold, (0.0, 400.0), points)
+    assert list(why) == ["no_crossing", "no_crossing", "no_crossing", None, "blow_up"]
+    # From r0 = 2 the backward orbit reaches r = 5 where e^(2 r*) = 1.28.
+    assert r[3] == pytest.approx(0.5 * math.log(1.28), abs=1e-9)
+    assert s[3] == pytest.approx(2.0 * math.pi - 0.5 * math.log(1.28), abs=1e-9)
 
 
 @pytest.mark.parametrize(
