@@ -6,9 +6,11 @@ and seventh-order dense output (Hairer, Norsett & Wanner, *Solving ODEs I*,
 II.5, II.6 and II.10; the tables are in ``_dop853``). The ``RK45`` stepper
 advances a (d, N) array whose columns are independent lanes. Each lane
 keeps its own step size, error control and FSAL derivative, under the fixed
-blow-up bound ``BLOWUP_BOUND``, step floor ``STEP_FLOOR`` and step budget
-``MAX_STEPS``. A lane retires when it finishes its span, blows up or
-underflows; an event search records every crossing on the way.
+blow-up bound ``BLOWUP_BOUND``, step floor ``STEP_FLOOR`` and a budget of
+``MAX_STEPS`` attempts per batch. A lane retires when it finishes its span,
+blows up or underflows, and an escaped lane's (kind, tau, state) is
+written once, as it retires, in ``RK45.escapes``; an event search records
+every crossing on the way.
 ``flow_many`` and ``find_crossings_many`` march many states as one batch,
 and crossings are refined by Illinois steps on the dense output.
 
@@ -138,7 +140,7 @@ class _RowSums:
 _STEP_SUMS = _RowSums((*_dop853.A[1:13], _dop853.E5, _dop853.E3), 13)
 _DENSE_SUMS = _RowSums((*_dop853.A[13:], *_dop853.D), 16)
 
-# Lane states, and the miss reason of each state that escapes.
+# Lane states, and the miss reason of each state that escapes: those after DONE.
 RUNNING, DONE, BLOW_UP, UNDERFLOW = range(4)
 _REASONS = {BLOW_UP: BlowUpError.reason, UNDERFLOW: StepUnderflowError.reason}
 
@@ -206,7 +208,7 @@ def _escape(field: VectorField, sign: float, kind: str, tau: float, state) -> No
     if kind != BlowUpError.reason:
         return StepUnderflowError(
             f"step size of '{field.name}' fell below {STEP_FLOOR:g}, or the march "
-            f"exceeded {MAX_STEPS} steps, at tau={tau:g}"
+            f"exceeded {MAX_STEPS} attempts, at tau={tau:g}"
         )
     time = sign * tau
     size = math.hypot(*state.tolist())
@@ -277,7 +279,9 @@ class RK45:
     A lane whose step falls below ``STEP_FLOOR`` (or 10 ulps of its tau)
     blows up when its state is beyond 1e-2 ``BLOWUP_BOUND`` or would grow
     by more than ``BLOWUP_GROWTH`` of itself over the step, and underflows
-    otherwise.
+    otherwise. Every running lane makes one attempt per ``step()``, so the
+    batch's attempt count is each lane's: after attempt ``MAX_STEPS`` + 1,
+    every lane still running underflows.
 
     ``fun`` maps the (d, N) state to its derivative. Every lane must land on
     each tau in ``stops`` (positive, increasing); its state there is kept in
@@ -286,10 +290,11 @@ class RK45:
     accepted states: each accepted step that changes its sign (``_crossed``:
     a zero counts once, and a start on the surface is not a crossing)
     records a bracket with the step's dense output; a crossing does not
-    retire its lane. ``step()`` makes one attempt for every running lane.
-    When the batch has run out, ``status``, ``tau`` and ``y`` hold each
-    lane's retirement state, ``escapes()`` the raw escape of each lane that
-    escaped, and ``crossings(tol)`` refines the brackets.
+    retire its lane. A lane's record of how it ended is written once, as it
+    retires: a finished lane's states are in ``at_stops``, and an escaped
+    lane's raw escape (kind, tau, state), kind its miss reason, is
+    ``escapes[lane]``; ``at_stops`` reads NaN from its escape on. When the
+    batch has run out, ``crossings(tol)`` refines the brackets.
 
     Every attempt does each lane's arithmetic: the stages, the error norm,
     the next step size, the blow-up test and, with an event, the event at
@@ -299,8 +304,8 @@ class RK45:
     when a lane lands on one. The event's values are gathered and scattered
     only when some lane is not live. The dense output is built only when a
     lane brackets a crossing. The retirement status is built, and the
-    working arrays shrunk, only when a lane stalls, lands on its last stop,
-    blows up or runs out of steps.
+    working arrays shrunk, only when a lane stalls, lands on its last stop
+    or blows up, or the batch runs out of attempts.
     """
 
     def __init__(
@@ -323,17 +328,14 @@ class RK45:
             self.stops[0] > 0.0 and np.all(np.diff(self.stops) > 0.0)
         ):
             raise ValueError("stops must be positive and increasing")
-        # Retirement state of every lane.
-        self.status = np.full(n, RUNNING)
-        self.tau = np.zeros(n)
-        self.y = y.copy()
+        # How each lane ended: its states at the stops, and its escape by lane.
         self.at_stops = np.full((self.stops.size, d, n), np.nan)
+        self.escapes: dict[int, tuple[str, float, np.ndarray]] = {}
         self.brackets: list[tuple] = []
         # Working arrays of the running lanes only.
         self._lanes = np.arange(n)
         self._y = y
         self._tau = np.zeros(n)
-        self._steps = np.zeros(n, dtype=int)
         self._next = np.zeros(n, dtype=int)
         self._target = np.full(n, self.stops[0])  # stops[_next]
         self._cap = None  # growth cap, 1 right after a rejection; None: MAX_FACTOR for all
@@ -443,7 +445,6 @@ class RK45:
             escaping = (sq > (1e-2 * BLOWUP_BOUND) ** 2) | (h * _dot(y, f) > BLOWUP_GROWTH * sq)
             status[~steady & escaping] = BLOW_UP
         if n_acc:
-            self._steps += accept
             live = accept & (_sum_sq(y_new) <= _BLOWUP_SQ)
             n_live = np.count_nonzero(live)
             if landing:
@@ -457,20 +458,14 @@ class RK45:
                         status = _status(status, n)
                         status[finished] = DONE
                     self._target = self.stops[np.minimum(self._next, last - 1)]
-            # The lanes whose step is searched for a crossing; None for all.
-            scan = None if n_live == n else live
-            if self._attempts > MAX_STEPS:  # no lane has more steps than attempts
-                over = live & (self._steps > MAX_STEPS)
-                if np.count_nonzero(over):
-                    status = _status(status, n)
-                    over &= status == RUNNING
-                    status[over] = UNDERFLOW
-                    scan = live & ~over
-            if self.event is not None:
-                self._detect(k, tau, tau_new, y, scan)
+            if self.event is not None:  # scan None: every lane's step is searched
+                self._detect(k, tau, tau_new, y, None if n_live == n else live)
             if n_live < n_acc:
                 status = _status(status, n)
                 status[accept & ~live] = BLOW_UP
+        if self._attempts > MAX_STEPS:  # each running lane has made this many attempts
+            status = _status(status, n)
+            status[status == RUNNING] = UNDERFLOW
         if status is not None:
             self._retire(status)
 
@@ -510,28 +505,20 @@ class RK45:
         )
 
     def _retire(self, status: np.ndarray) -> None:
-        """Retire the lanes that status marks: at least one."""
-        out = status != RUNNING
-        lanes = self._lanes[out]
-        self.status[lanes] = status[out]
-        self.tau[lanes] = self._tau[out]
-        self.y[:, lanes] = self._y[:, out]
-        keep = ~out
+        """Retire the lanes that status marks, and record each escape."""
+        for j in np.flatnonzero(status > DONE).tolist():
+            self.escapes[int(self._lanes[j])] = (
+                _REASONS[int(status[j])], float(self._tau[j]), self._y[:, j].copy()
+            )
+        keep = status == RUNNING
         self._lanes = self._lanes[keep]
         self._y, self._f = self._y[:, keep], self._f[:, keep]
-        for name in ("_tau", "_h", "_err_prev", "_steps", "_next", "_target"):
+        for name in ("_tau", "_h", "_err_prev", "_next", "_target"):
             setattr(self, name, getattr(self, name)[keep])
         if self._cap is not None:
             self._cap = self._cap[keep]
         if self._g is not None:
             self._g = self._g[keep]
-
-    def escapes(self) -> dict[int, tuple[str, float, np.ndarray]]:
-        """Each escaped lane's raw escape (kind, tau, state), kind its reason."""
-        return {
-            i: (_REASONS[int(self.status[i])], float(self.tau[i]), self.y[:, i])
-            for i in np.flatnonzero(self.status != DONE).tolist()
-        }
 
     def crossings(self, tol: float) -> list[list[tuple[float, np.ndarray]]]:
         """Each lane's bracketed crossings, refined to |event| < tol, in time order.
@@ -539,7 +526,7 @@ class RK45:
         Each bracket starts from its secant root. A bracket narrower than
         1e-15 of the span is taken at its right end.
         """
-        found: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(self.status.size)]
+        found: list[list[tuple[float, np.ndarray]]] = [[] for _ in range(self.at_stops.shape[2])]
         if not self.brackets:
             return found
         lanes, lo, hi, y_lo, q, g_lo, g_hi = (
@@ -697,7 +684,7 @@ def _flow_lanes(
 ) -> tuple[np.ndarray, dict[int, tuple[str, float, np.ndarray]]]:
     """``flow_many`` lane by lane: the images, NaN at the times a state did
     not reach, and each escaped state's raw escape (kind, tau, state) by
-    lane, as ``RK45.escapes``; a closed form escapes at its first blown time."""
+    lane, as in ``RK45.escapes``; a closed form escapes at its first blown time."""
     x = as_states(field, states)
     times = np.asarray(times, dtype=float).reshape(-1)
     mags = np.abs(times)
@@ -725,7 +712,7 @@ def _flow_lanes(
         return out, ends
     solver = _march(field, x.T, 1.0 if times[-1] > 0 else -1.0, taus, tol)
     out[moving] = solver.at_stops.transpose(0, 2, 1)
-    return out, solver.escapes()
+    return out, solver.escapes
 
 
 def _inverse_interp(taus: np.ndarray, g: np.ndarray, k: int, last: int) -> float:
@@ -900,7 +887,7 @@ def _search(
     """``find_crossings_many`` of the (N, d) states x, N >= 1, on checked
     arguments: ``event`` is wrapped by ``_batch_event``, g0 holds its (N,)
     values at the states and budget > 0. Both kinds of flow start from g0
-    and return each orbit's crossings and, as ``RK45.escapes``, the raw
+    and return each orbit's crossings and, as in ``RK45.escapes``, the raw
     escape of each orbit that escaped, crossings or not: each caller applies
     its own escape rule."""
     if field.closed_form_flow is not None:
@@ -910,7 +897,7 @@ def _search(
         ends = {i: (BlowUpError.reason, *end) for i, (_, end) in enumerate(scans) if end is not None}
         return [hits for hits, _ in scans], ends
     solver = _march(field, x.T, sign, [budget], tol, event, g0)
-    return solver.crossings(tol), solver.escapes()
+    return solver.crossings(tol), solver.escapes
 
 
 # ---------------------------------------------------------------------------

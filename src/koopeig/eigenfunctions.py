@@ -90,7 +90,7 @@ def _on_manifold(
 # The error of each miss reason, and what it says of a search or a flow.
 _MISSES = {
     NO_CROSSING: (NotInDomainError, "orbit does not meet the data manifold inside the time window"),
-    AMBIGUOUS: (AmbiguousCrossingError, "orbit meets the data manifold more than once in one direction"),
+    AMBIGUOUS: (AmbiguousCrossingError, "orbit meets the data manifold more than once in the time window"),
     BLOW_UP: (BlowUpError, "orbit blows up"),
     STEP_UNDERFLOW: (StepUnderflowError, "orbit's step size underflows"),
 }
@@ -140,19 +140,18 @@ def _pull(
 
     A point on the manifold itself is its own foot, at r* = 0. The others are
     searched backward over the downstream part of the window, t2 plus a
-    slack, and then, when t1 < 0, forward over the upstream part, -t1 plus
+    slack, and, when t1 < 0, also forward over the upstream part, -t1 plus
     the slack. A foot is a crossing of the supporting surface whose state
-    lies on the manifold. Each direction is one ``_search``, which returns
-    every crossing in its budget and each raw escape, crossings or not; it
-    starts from the surface values of the test for points on the manifold.
-    The rules that settle a point:
+    lies on the manifold: r* = tau backward and r* = -tau < 0 forward, where
+    tau is the time of flight to it. Each direction is one ``_search``,
+    which returns every crossing in its budget and each raw escape,
+    crossings or not; it starts from the surface values of the test for
+    points on the manifold. One rule over the whole window settles a point:
 
-    - only a point with no backward foot is searched forward;
-    - one foot in a direction is the pullback: r* = tau backward, and
-      r* = -tau < 0 forward, where tau is the time of flight to the foot;
-    - more than one foot in a direction is AMBIGUOUS;
-    - a point with no foot in either direction misses with the reason of its
-      first escape, crossings or not, else with NO_CROSSING.
+    - exactly one foot, in either direction, is the pullback;
+    - more than one foot, in one direction or both, is AMBIGUOUS;
+    - no foot misses with the reason of the first escape, backward then
+      forward, crossings or not, else with NO_CROSSING.
     """
     if manifold.surface is None:
         raise ValueError("manifold carries no supporting-surface distance")
@@ -176,40 +175,36 @@ def _pull(
         out[0, near], out[1, near], out[2:, near] = 0.0, s[on], pts[near].T
         for i in near.tolist():
             why[i] = None
-    todo = [i for i, reason in enumerate(why) if reason is not None]  # the points not yet settled
-    passes = [(-1.0, t2 + slack)] + ([(1.0, -t1 + slack)] if t1 < 0.0 else [])
-    for sign, budget in passes:
-        if not todo:
-            break
+    todo = [i for i, reason in enumerate(why) if reason is not None]  # the points to search
+    cols = []  # every crossing of both directions as (k, r*, state), k indexing todo
+    if todo:
         # With every point searched, a slice: views of the arrays, not copies.
         sel = slice(None) if len(todo) == pts.shape[0] else todo
-        crossings, ends = _search(field, pts[sel], surface, g0[sel], sign, budget, tol)
-        for j, (kind, _, _) in ends.items():
-            if why[todo[j]] == NO_CROSSING:
-                why[todo[j]] = kind
-        if not any(crossings):
-            continue
-        # Every crossing as a column r*, s, state, like the columns of out.
-        flat = np.empty((out.shape[0], sum(map(len, crossings))))
-        for c, (tau, y) in enumerate(cross for found in crossings for cross in found):
-            flat[0, c], flat[2:, c] = -sign * tau, y
+        for sign, budget in [(-1.0, t2 + slack)] + ([(1.0, -t1 + slack)] if t1 < 0.0 else []):
+            crossings, ends = _search(field, pts[sel], surface, g0[sel], sign, budget, tol)
+            for k, (kind, _, _) in ends.items():
+                if why[todo[k]] == NO_CROSSING:
+                    why[todo[k]] = kind
+            cols += [(k, -sign * tau, y) for k, found in enumerate(crossings) for tau, y in found]
+    if cols:
+        # The crossings as columns r*, s, state, like the columns of out.
+        flat = np.empty((out.shape[0], len(cols)))
+        for c, (_, r, y) in enumerate(cols):
+            flat[0, c], flat[2:, c] = r, y
         flat[1], on = _on_manifold(manifold, flat[2:], on_tol)
         # Each point's feet: the columns of its crossings that lie on the manifold.
-        on, start = on.tolist(), 0
-        hit, foot, left = [], [], []
-        for i, found in zip(todo, crossings):
-            feet = [c for c in range(start, start + len(found)) if on[c]]
-            start += len(found)
-            if len(feet) == 1:
+        feet = [[] for _ in todo]
+        for c in on.nonzero()[0].tolist():
+            feet[cols[c][0]].append(c)
+        hit, foot = [], []
+        for i, cs in zip(todo, feet):
+            if len(cs) == 1:
                 hit.append(i)
-                foot += feet
+                foot += cs
                 why[i] = None
-            elif feet:
+            elif cs:
                 why[i] = AMBIGUOUS
-            else:
-                left.append(i)
         out[:, hit] = flat[:, foot]
-        todo = left
     return out[0], out[1], out[2:], np.array(why, dtype=object)
 
 
@@ -222,13 +217,14 @@ def pullback(
 ) -> Pullback:
     """Locate the in-window intersection of the orbit through x with the manifold.
 
-    Searches backward over the downstream part of the window first and, when
-    t1 < 0 and the point has no backward foot, forward over the upstream
-    part; ``_pull`` states the rules that settle the point. A miss raises
-    AmbiguousCrossingError when the orbit meets the manifold more than once
-    in the same direction (nonrecurrence fails), else BlowUpError or
-    StepUnderflowError for the search's escape, else NotInDomainError with
-    NO_CROSSING.
+    Searches backward over the downstream part of the window and, when
+    t1 < 0, forward over the upstream part too; ``_pull`` states the one rule
+    that settles the point. A point on the manifold is its own foot, and any
+    other is a hit when its orbit has exactly one foot in the whole window.
+    A miss raises AmbiguousCrossingError when it has more than one, in one
+    direction or both (nonrecurrence fails), else BlowUpError or
+    StepUnderflowError for the search's first escape, else
+    NotInDomainError with NO_CROSSING.
     """
     pts = as_states(field, np.asarray(x, dtype=float).reshape(1, -1))
     r_star, s_star, feet, why = _pull(field, manifold, t_window, pts, tol)
@@ -247,11 +243,12 @@ def pullback_many(
     (d, N) array, all NaN at the misses, and ``why``, each point's miss
     reason (one of MISS_REASONS) or None, as an (N,) object array.
 
-    A field without a closed form marches every point as one lane of a
-    batch, backward and then (when t1 < 0) forward, under the rules of
-    ``_pull``; a closed-form flow runs the exact scan point by point. An
-    empty batch goes through ``_pull`` on either kind of flow, so that its
-    window and tol are checked.
+    A point is a hit when it lies on the manifold or its orbit has exactly
+    one foot in the whole window, under the one rule of ``_pull``. A field
+    without a closed form marches every point as one lane of a batch,
+    backward and (when t1 < 0) forward; a closed-form flow runs the exact
+    scan point by point. An empty batch goes through ``_pull`` on either
+    kind of flow, so that its window and tol are checked.
     """
     pts = as_states(field, points)
     if field.closed_form_flow is None or not pts.shape[0]:

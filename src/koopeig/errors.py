@@ -20,7 +20,7 @@ class NotInDomainError(KoopeigError):
 
 
 class AmbiguousCrossingError(NotInDomainError):
-    """Orbit met the data manifold more than once in one direction: AMBIGUOUS."""
+    """Orbit met the data manifold more than once in the time window: AMBIGUOUS."""
 
     reason = AMBIGUOUS
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,28 @@ def sink_off_segment():
 
     field = ke.VectorField(2, rhs, name="sink", closed_form_flow=closed)
     return field, ke.segment_manifold((0.0, 0.0), (0.0, 1.0), s_range=(0.0, 1.0))
+
+
+@pytest.fixture(scope="session")
+def focus_off_segment():
+    """The focus x1' = 0.1 x1 - x2, x2' = x1 + 0.1 x2, its marched twin, and
+    the segment (0.5, 0)-(2, 0) with s its arclength.
+
+    Its flow is e^{0.1 t} R(t) x, R(t) the rotation by t. Back from the
+    point at radius r0 and angle theta0, the orbit meets the segment's line
+    at each r = theta0 - 2 pi k, k an integer, at radius r0 e^{-0.1 r}: a
+    foot where that lies in [0.5, 2], at s = r0 e^{-0.1 r} - 0.5. With
+    h(s) = 0.5 + s and lambda = 0.1 + i, phi = x1 + i x2.
+    """
+
+    def rhs(x):
+        return np.stack([0.1 * x[0] - x[1], x[0] + 0.1 * x[1]])
+
+    def closed(x, t):
+        grow = np.exp(0.1 * t)
+        c, s = grow * np.cos(t), grow * np.sin(t)
+        return np.stack([c * x[0] - s * x[1], s * x[0] + c * x[1]])
+
+    field = ke.VectorField(2, rhs, name="focus", closed_form_flow=closed)
+    marched = dataclasses.replace(field, closed_form_flow=None)
+    return field, marched, ke.segment_manifold((0.5, 0.0), (2.0, 0.0), n=121)

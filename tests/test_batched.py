@@ -228,7 +228,8 @@ def test_every_retirement_kind_in_one_batch_matches_its_lanes_alone(monkeypatch)
     starts = np.array(RETIREMENT_STARTS)
     found, escapes = find_crossings_many(field, starts, mani.surface, -1.0, 2.002, 1e-10)
     (batch,) = solvers
-    kinds = set(zip(batch.status.tolist(), map(len, found)))
+    ended = [batch.escapes[i][0] if i in batch.escapes else "done" for i in range(len(starts))]
+    kinds = set(zip(ended, map(len, found)))
     for x0, lane, escape in zip(starts, found, escapes):
         try:
             one = dyn.find_crossings(field, x0, mani.surface, -1.0, 2.002, 1e-10)
@@ -240,7 +241,7 @@ def test_every_retirement_kind_in_one_batch_matches_its_lanes_alone(monkeypatch)
         for (tau_b, y_b), (tau_1, y_1) in zip(lane, one):
             assert tau_b == tau_1 and np.array_equal(y_b, y_1), f"at {x0}"
     # Finished with none, one or two crossings; blown up with none or one.
-    assert kinds == {(dyn.DONE, 0), (dyn.DONE, 1), (dyn.DONE, 2), (dyn.BLOW_UP, 0), (dyn.BLOW_UP, 1)}
+    assert kinds == {("done", 0), ("done", 1), ("done", 2), ("blow_up", 0), ("blow_up", 1)}
 
     # Images at four stops, which the lanes reach on different attempts.
     starts, times = starts[[0, 2, 4, 6]], [0.25, 0.5, 1.0, 1.5]
@@ -270,8 +271,27 @@ def test_the_backward_march_over_the_vdp_lattice_box_is_short(monkeypatch):
     pts = np.column_stack([g1.ravel(), g2.ravel()])
     find_crossings_many(system.field, pts, system.default_manifold.surface, -1.0, 2.002, 1e-10)
     (solver,) = solvers
-    assert np.count_nonzero(solver.status == ke.dynamics.BLOW_UP) > 0
+    assert "blow_up" in {kind for kind, _, _ in solver.escapes.values()}
     assert solver._attempts <= 230
+
+
+def test_the_step_budget_counts_every_attempt(monkeypatch):
+    # Reversed vdp from (3, 3) blows up, but not within 100 attempts: its
+    # rejected attempts count against the budget as its accepted ones do.
+    solvers = []
+    march = ke.dynamics._march
+
+    def recorded(*args, **kwargs):
+        solvers.append(march(*args, **kwargs))
+        return solvers[-1]
+
+    monkeypatch.setattr(ke.dynamics, "_march", recorded)
+    monkeypatch.setattr(ke.dynamics, "MAX_STEPS", 100)
+    with pytest.raises(ke.StepUnderflowError) as escape:
+        ke.flow(ke.make_system("vdp").field, [3.0, 3.0], -1.0)
+    (solver,) = solvers
+    assert solver._attempts == ke.dynamics.MAX_STEPS + 1
+    assert "exceeded 100 attempts" in str(escape.value)
 
 
 # vdp points that pull back onto the default segment, with r* from 0.3 to 1.95.
@@ -791,13 +811,16 @@ def test_batched_on_manifold_test_matches_one_point():
 
 def test_rotation_misses_cover_ambiguity_and_window():
     field, mani, window, _ = _rotation_setup()
-    pts = [[1.0, 0.3], [1.0, -0.5], [0.1, 0.1], [-1.0, 0.0]]
+    edge = 2.0 * math.pi - 1.5  # the angle of point 4, on the unit circle
+    pts = [[1.0, 0.3], [1.0, -0.5], [0.1, 0.1], [-1.0, 0.0], [math.cos(edge), math.sin(edge)]]
     r_star, _, _, why = ke.pullback_many(field, mani, window, pts, 1e-10)
-    assert np.isnan(r_star[[0, 2]]).all()
-    # Point 0, angle 0.29 < 7 - 2 pi: met twice backward. Point 2: radius
-    # below the segment.
-    assert why.tolist() == ["ambiguous", None, "no_crossing", None]
-    # angle 2 pi - 0.46: one backward crossing of the segment inside the window
-    assert r_star[1] == pytest.approx(2.0 * math.pi - math.atan2(0.5, 1.0), abs=1e-8)
+    assert np.isnan(r_star[[0, 1, 2]]).all()
+    # Point 0, angle 0.29 < 7 - 2 pi: met twice backward. Point 1, angle
+    # 2 pi - 0.46: met backward at r = 2 pi - 0.46 and forward at r = -0.46,
+    # both inside (-1, 7). Point 2: radius below the segment.
+    assert why.tolist() == ["ambiguous", "ambiguous", "no_crossing", None, None]
     # On the supporting line but off the segment: met half a turn later.
     assert r_star[3] == pytest.approx(math.pi, abs=1e-8)
+    # Angle 2 pi - 1.5: the forward foot, at r = -1.5, lies outside the
+    # window, so the backward one is the pullback.
+    assert r_star[4] == pytest.approx(edge, abs=1e-8)

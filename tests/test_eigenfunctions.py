@@ -137,8 +137,7 @@ def test_pullback_settle_rules():
         ke.VectorField(2, rhs, name="rotation"),
         ke.VectorField(2, rhs, name="rotation-cf", closed_form_flow=closed),
     ):
-        # Met twice backward: ambiguous, and not searched forward, where the
-        # orbit meets the segment once.
+        # Met twice backward and once forward: ambiguous.
         r_star, _, _, why = ke.pullback_many(field, mani, (-6.1, 7.0), [x], 1e-10)
         assert why.tolist() == ["ambiguous"] and np.isnan(r_star).all()
         # No backward foot: the forward foot, at r* < 0.
@@ -294,6 +293,55 @@ def test_the_exact_scan_and_the_march_settle_every_point_alike(name):
             assert np.max(np.abs(exact - march) / np.maximum(1.0, np.abs(exact))) <= 1e-8
         else:
             assert exact is march
+
+
+def _focus_feet(x, t_window):
+    """The feet (r, s) of the focus orbit through x (see ``focus_off_segment``)
+    whose r lies in the window widened by the pullback's slack."""
+    t1, t2 = t_window
+    slack = max(1e-9, 1e-3 * (t2 - t1))
+    r0, theta0 = math.hypot(*x), math.atan2(x[1], x[0])
+    feet = []
+    for k in range(-3, 4):
+        r = theta0 - 2.0 * math.pi * k
+        radius = r0 * math.exp(-0.1 * r)
+        if t1 - slack <= r <= t2 + slack and 0.5 <= radius <= 2.0:
+            feet.append((r, radius - 0.5))
+    return feet
+
+
+# The hits, the ambiguous points, those with feet in both directions, and
+# the no_crossing points of the focus's 26x26 lattice, by window.
+_FOCUS_OUTCOMES = {
+    (0.0, 5.0): (353, 0, 0, 323),
+    (0.0, 8.0): (495, 75, 0, 106),
+    (-4.0, 4.0): (319, 33, 33, 324),
+}
+
+
+@pytest.mark.parametrize("t_window", list(_FOCUS_OUTCOMES))
+def test_the_focus_settles_every_point_by_its_feet(focus_off_segment, t_window):
+    # One foot over the whole window is a hit, more than one is ambiguous,
+    # whether they lie in one direction or both; none is no_crossing.
+    exact, marched, mani = focus_off_segment
+    axis = np.linspace(-2.6, 2.6, 26)  # no point on the segment's line
+    pts = np.array([[a, b] for a in axis for b in axis])
+    feet = [_focus_feet(x, t_window) for x in pts]
+    want = [None if len(f) == 1 else "ambiguous" if f else "no_crossing" for f in feet]
+    two_sided = sum(1 for f in feet if {r < 0.0 for r, _ in f} == {False, True})
+    counts = (want.count(None), want.count("ambiguous"), two_sided, want.count("no_crossing"))
+    assert counts == _FOCUS_OUTCOMES[t_window]
+    hit = np.equal(want, None)
+    r_want, s_want = np.array([f[0] for f in feet if len(f) == 1]).T
+    h = ke.DataFunction.from_callable(mani, lambda s: 0.5 + s)
+    for flow, field in (("exact", exact), ("marched", marched)):
+        eig = ke.OpenEigenfunction(0.1 + 1.0j, h, mani, field, t_window)
+        phi, r_star, s_star, why = ke.evaluate_points(eig, pts)
+        assert why.tolist() == want, flow
+        assert np.isnan(r_star[~hit]).all()
+        assert np.max(np.abs(r_star[hit] - r_want)) <= 1e-9
+        assert np.max(np.abs(s_star[hit] - s_want)) <= 1e-9
+        assert np.max(np.abs(phi[hit] - (pts[hit, 0] + 1.0j * pts[hit, 1]))) <= 1e-9
 
 
 def _rotation_pullback(t_window):
